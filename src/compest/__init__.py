@@ -20,7 +20,6 @@ from .lz import (
     DistinguishResult,
     LzEstimateParams,
     SharedWindowSamples,
-    SubstringTrie,
     distinguish_compressible,
     estimate_distinct,
     lz_estimate,
@@ -67,7 +66,6 @@ __all__ = [
     "DistinguishResult",
     "LzEstimateParams",
     "SharedWindowSamples",
-    "SubstringTrie",
     "distinguish_compressible",
     "estimate_distinct",
     "lz_estimate",

@@ -28,12 +28,6 @@ class EstimatorConfig:
     # this for any nonempty input; the cap only catches bugs).
     search_max_rounds: int = 64
 
-    # Distinct-prefix counting backend selection for the LZ estimator: a
-    # python trie for small workloads, vectorized histogram/sort counting
-    # for large ones. Both produce identical counts (property-tested).
-    trie_max_work: int = 1 << 18       # inserted symbols (windows x length)
-    bincount_max_cells: int = 1 << 24  # run-count x code-space histogram cells
-
     # -- derived sample counts -------------------------------------------
 
     def additive_sample_count(self, epsilon: float) -> int:

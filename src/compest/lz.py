@@ -12,9 +12,9 @@ sampler over virtual positions (window starts), with one crucial
 implementation point: the window starts are drawn once, against the longest
 length ell0, and every shorter length reuses prefixes of the same windows,
 so the total read cost is one window-read per sample rather than one per
-(sample, length) pair. Distinct prefixes per sampled set are counted with a
-per-depth-counting trie (or an equivalent vectorized counter for large
-workloads).
+(sample, length) pair. Distinct prefixes are counted for every length at
+once by one sort of the sampled windows, with the suffix-array identity the
+exact oracle uses: d_ell = windows - #(sort-adjacent pairs with LCP >= ell).
 """
 
 from __future__ import annotations
@@ -27,58 +27,8 @@ import numpy as np
 from ._rng import derive_seed, make_rng
 from .accessor import EstimateReport, QueryCountedString, QuerySession
 from .colors import amplification_runs, lower_median, sample_count
-from .config import DEFAULT_CONFIG, EstimatorConfig
 from .oracles import distinct_profile
-
-
-class SubstringTrie:
-    """Edge-labelled trie with per-depth distinct counters.
-
-    Inserting a window of symbols walks/creates one node per depth; the
-    depth-ell counter therefore equals the number of distinct length-ell
-    prefixes inserted so far, which is exactly the distinct-window count the
-    estimator needs for every length at once.
-    """
-
-    __slots__ = ("depth_limit", "_root", "_counts", "_inserted")
-
-    def __init__(self, depth_limit: int):
-        if depth_limit < 1:
-            raise ValueError("depth limit must be >= 1")
-        self.depth_limit = int(depth_limit)
-        self._root: dict = {}
-        self._counts = [0] * (self.depth_limit + 1)
-        self._inserted = 0
-
-    @property
-    def inserted(self) -> int:
-        return self._inserted
-
-    @property
-    def counters(self) -> tuple:
-        """Distinct-prefix counts for depths 1..depth_limit."""
-        return tuple(self._counts[1:])
-
-    def insert(self, symbols) -> None:
-        self._inserted += 1
-        node = self._root
-        depth = 0
-        for sym in symbols:
-            depth += 1
-            if depth > self.depth_limit:
-                break
-            key = int(sym)
-            child = node.get(key)
-            if child is None:
-                child = {}
-                node[key] = child
-                self._counts[depth] += 1
-            node = child
-
-    def distinct_at(self, depth: int) -> int:
-        if not 1 <= depth <= self.depth_limit:
-            raise ValueError(f"depth {depth} outside [1, {self.depth_limit}]")
-        return self._counts[depth]
+from .suffixes import lcp_at_least_counts
 
 
 class SharedWindowSamples:
@@ -87,28 +37,20 @@ class SharedWindowSamples:
     Starts are uniform over [1, n - ell0 + 1], so every start is valid for
     every length up to ell0; the length-ell view of a sampled window is just
     its prefix, which costs no extra reads. ``distinct_counts(ell)`` returns
-    the number of distinct length-ell prefixes per amplification run - via
-    per-run tries for small workloads, via vectorized encoding otherwise
-    (identical outputs either way).
+    the number of distinct length-ell prefixes per amplification run. The
+    first call sorts all windows once, by run and then lexicographically; in
+    that order the LCP of two adjacent windows of one run is their first
+    differing column, and a run's distinct length-ell prefixes are its
+    window count minus its adjacent pairs with LCP >= ell.
     """
 
-    def __init__(
-        self,
-        session: QuerySession,
-        ell0: int,
-        n_runs: int,
-        per_run: int,
-        seed: int,
-        *,
-        config: EstimatorConfig = DEFAULT_CONFIG,
-    ):
+    def __init__(self, session: QuerySession, ell0: int, n_runs: int, per_run: int, seed: int):
         n = session.length
         if not 1 <= ell0 <= n:
             raise ValueError(f"window length {ell0} outside [1, {n}]")
         self.ell0 = int(ell0)
         self.n_runs = int(n_runs)
         self.per_run = int(per_run)
-        self._config = config
         total = self.n_runs * self.per_run
         rng = make_rng(seed)
         flat = rng.integers(1, n - ell0 + 2, size=total)
@@ -116,95 +58,72 @@ class SharedWindowSamples:
         cols = [session.read_many(flat + off) for off in range(self.ell0)]
         window = np.column_stack(cols)
         low = int(window.min())
-        self._digits = (window - low).astype(np.int64)
-        self._base = max(2, int(window.max()) - low + 1)
-        self._codes_fit = self._base**self.ell0 <= 2**62
-        self._code_state: tuple[int, np.ndarray] = (0, np.zeros(total, dtype=np.uint64))
-        self._run_ids = np.repeat(np.arange(self.n_runs, dtype=np.uint64), self.per_run)
-        self._tries: list[SubstringTrie] | None = None
-        if total * self.ell0 <= config.trie_max_work:
-            self._tries = []
-            rows = self._digits.reshape(self.n_runs, self.per_run, self.ell0)
-            for r in range(self.n_runs):
-                trie = SubstringTrie(self.ell0)
-                for row in rows[r]:
-                    trie.insert(row)
-                self._tries.append(trie)
+        # narrow keys let lexsort's stable passes run as radix sorts
+        self._rows = (window - low).astype(np.min_scalar_type(int(window.max()) - low))
+        self._counts: np.ndarray | None = None
 
     def run_starts(self, run: int) -> np.ndarray:
         return self.starts[run].copy()
-
-    def _codes(self, ell: int) -> np.ndarray:
-        lvl, codes = self._code_state
-        if ell < lvl:
-            lvl, codes = 0, np.zeros(self._digits.shape[0], dtype=np.uint64)
-        while lvl < ell:
-            codes = codes + self._digits[:, lvl].astype(np.uint64) * np.uint64(self._base**lvl)
-            lvl += 1
-        self._code_state = (lvl, codes)
-        return codes
 
     def distinct_counts(self, ell: int) -> np.ndarray:
         """Distinct length-``ell`` prefixes in each amplification run's sample."""
         if not 1 <= ell <= self.ell0:
             raise ValueError(f"length {ell} outside [1, {self.ell0}]")
-        if self._tries is not None:
-            return np.array([t.distinct_at(ell) for t in self._tries], dtype=np.int64)
-        if self._codes_fit:
-            space = self._base**ell
-            codes = self._codes(ell)
-            cells = self.n_runs * space
-            if cells <= self._config.bincount_max_cells:
-                ids = (self._run_ids * np.uint64(space) + codes).astype(np.int64)
-                grid = np.bincount(ids, minlength=cells).reshape(self.n_runs, space)
-                return (grid > 0).sum(axis=1).astype(np.int64)
-            if cells <= 2**62:
-                ids = self._run_ids * np.uint64(space) + codes
-                uniq = np.unique(ids)
-                return np.bincount(
-                    (uniq // np.uint64(space)).astype(np.int64), minlength=self.n_runs
-                ).astype(np.int64)
-        rows = self._digits.reshape(self.n_runs, self.per_run, self.ell0)
-        return np.array(
-            [np.unique(rows[r][:, :ell], axis=0).shape[0] for r in range(self.n_runs)],
-            dtype=np.int64,
-        )
+        if self._counts is None:
+            run_ids = np.arange(self.n_runs, dtype=np.min_scalar_type(self.n_runs - 1))
+            run = np.repeat(run_ids, self.per_run)
+            order = np.lexsort((*self._rows.T[::-1], run))
+            rows = self._rows[order]
+            same = rows[1:] == rows[:-1]
+            lcp = np.zeros(len(rows), dtype=np.int64)
+            lcp[1:] = np.logical_and.accumulate(same, axis=1).sum(axis=1)
+            lcp[:: self.per_run] = 0  # first window of each run has no predecessor
+            pairs = lcp_at_least_counts(lcp.reshape(self.n_runs, self.per_run), self.ell0)
+            self._counts = self.per_run - pairs
+        return self._counts[:, ell - 1].copy()
 
 
-def estimate_distinct(
-    w,
-    ell: int,
-    B: float,
-    delta: float,
-    shared_samples: SharedWindowSamples | None = None,
-    *,
-    seed: int = 0,
-    session: QuerySession | None = None,
-    config: EstimatorConfig = DEFAULT_CONFIG,
-) -> float:
+def _distinct_estimates(
+    sess: QuerySession, ell0: int, B: float, delta: float, seed: int
+) -> np.ndarray:
+    """Estimates of d_1..d_ell0 within a factor max(1, B), confidence 1 - delta each.
+
+    Degenerate regimes are answered exactly from a full scan: a requested
+    factor B <= 1, or a sample count that already reaches the n - ell0 + 1
+    window starts (an exact count is a valid B-estimate for any B >= 1).
+    Otherwise each d_ell is the lower median over amplification runs of
+    B times the distinct length-ell prefixes in one shared window sample.
+    """
+    n_virt = sess.length - ell0 + 1
+    s = sample_count(n_virt, B) if B > 1 else n_virt
+    if B <= 1.0 or s >= n_virt:
+        return distinct_profile(sess.read_all(), ell0).astype(np.float64)
+    k = amplification_runs(delta)
+    shared = SharedWindowSamples(sess, ell0, k, s, seed)
+    dhat = np.array(
+        [
+            lower_median([c * B for c in shared.distinct_counts(ell).tolist()])
+            for ell in range(1, ell0 + 1)
+        ]
+    )
+    if sess.queries > k * s * ell0 + 1:
+        raise RuntimeError("window sampling read more than its reuse budget")
+    return dhat
+
+
+def estimate_distinct(w, ell: int, B: float, delta: float, *, seed: int = 0) -> float:
     """Estimate d_ell within a factor B, confidence 1 - delta.
 
     Views each window start as a virtual color and runs the amplified colors
-    estimator over the n - ell + 1 virtual positions. Degenerate regimes are
-    answered exactly: a requested factor B <= 1, or a sample count that
-    already reaches the virtual length, trigger a full scan (an exact count
-    is a valid B-estimate for any B >= 1).
+    estimator over the n - ell + 1 virtual positions, falling back to an
+    exact scan in the degenerate regimes of :func:`_distinct_estimates`.
     """
-    sess = session if session is not None else w.session()
+    sess = w.session()
     n = sess.length
     if not 1 <= ell <= n:
         raise ValueError(f"length {ell} outside [1, {n}]")
-    if shared_samples is None:
-        n_virt = n - ell + 1
-        s = sample_count(n_virt, B) if B > 1 else n_virt
-        if B <= 1.0 or s >= n_virt:
-            data = sess.read_all()
-            return float(distinct_profile(data, ell)[ell - 1])
-        shared_samples = SharedWindowSamples(
-            sess, ell, amplification_runs(delta), s, derive_seed(seed, "windows", ell), config=config
-        )
-    counts = shared_samples.distinct_counts(ell)
-    return float(lower_median([c * B for c in counts.tolist()]))
+    dhat = _distinct_estimates(sess, ell, B, delta, derive_seed(seed, "windows", ell))
+    return float(dhat[ell - 1])
 
 
 @dataclass(frozen=True)
@@ -235,47 +154,22 @@ class LzEstimateParams:
 
 
 def lz_estimate_detailed(
-    w: QueryCountedString,
-    A: float,
-    epsilon: float,
-    seed: int,
-    *,
-    config: EstimatorConfig = DEFAULT_CONFIG,
+    w: QueryCountedString, A: float, epsilon: float, seed: int
 ) -> tuple[EstimateReport, LzEstimateParams, np.ndarray]:
     n = w.length
     params = LzEstimateParams.derive(A, epsilon, n)
     sess = w.session()
     ell0 = params.ell0
-    delta = 1.0 / (3.0 * ell0)
-    n_virt = n - ell0 + 1
-    k = amplification_runs(delta)
-    s = sample_count(n_virt, params.B) if params.B > 1 else n_virt
-    if params.B <= 1.0 or s >= n_virt:
-        data = sess.read_all()
-        dhat = distinct_profile(data, ell0).astype(np.float64)
-        b_eff = 1.0 if params.B <= 1.0 else params.B
-    else:
-        shared = SharedWindowSamples(sess, ell0, k, s, derive_seed(seed, "windows"), config=config)
-        dhat = np.array(
-            [
-                lower_median([c * params.B for c in shared.distinct_counts(ell).tolist()])
-                for ell in range(1, ell0 + 1)
-            ]
-        )
-        b_eff = params.B
-        if sess.queries > k * s * ell0 + 1:
-            raise RuntimeError("window sampling read more than its reuse budget")
+    dhat = _distinct_estimates(sess, ell0, params.B, 1.0 / (3.0 * ell0), derive_seed(seed, "windows"))
     mhat = float(max(dhat[ell - 1] / ell for ell in range(1, ell0 + 1)))
-    est = mhat * (params.A / b_eff) + epsilon * n
+    est = mhat * (params.A / max(1.0, params.B)) + epsilon * n
     report = EstimateReport(est, params.A, epsilon, sess.queries, seed)
     return report, params, dhat
 
 
-def lz_estimate(
-    w: QueryCountedString, A: float, epsilon: float, seed: int, *, config=DEFAULT_CONFIG
-) -> EstimateReport:
+def lz_estimate(w: QueryCountedString, A: float, epsilon: float, seed: int) -> EstimateReport:
     """(A, epsilon)-estimate of the greedy-LZ77 symbol count of ``w``."""
-    report, _, _ = lz_estimate_detailed(w, A, epsilon, seed, config=config)
+    report, _, _ = lz_estimate_detailed(w, A, epsilon, seed)
     return report
 
 
@@ -306,8 +200,6 @@ def distinguish_compressible(
     threshold_lo: float,
     threshold_hi: float,
     seed: int,
-    *,
-    config: EstimatorConfig = DEFAULT_CONFIG,
 ) -> DistinguishResult:
     """Decide whether the LZ cost looks <= threshold_lo or >= threshold_hi.
 
@@ -324,7 +216,7 @@ def distinguish_compressible(
     if a_factor <= 1.0:
         raise ValueError("gap too small: threshold ratio must exceed 4")
     epsilon = threshold_lo * a_factor / n
-    report = lz_estimate(w, a_factor, epsilon, seed, config=config)
+    report = lz_estimate(w, a_factor, epsilon, seed)
     lo_adj = a_factor * threshold_lo + epsilon * n
     hi_adj = threshold_hi / a_factor - epsilon * n
     midpoint = math.sqrt(lo_adj * hi_adj)

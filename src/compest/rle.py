@@ -169,11 +169,11 @@ def _exact_scan_estimate(sess: QuerySession) -> float:
     return float(exact_rle_cost(data, sess.alphabet_size).total_cost)
 
 
-def rle_additive_estimate_detailed(
-    w: QueryCountedString, epsilon: float, seed: int, *, config: EstimatorConfig = DEFAULT_CONFIG
-) -> tuple[EstimateReport, list[RunProbe]]:
-    """As :func:`rle_additive_estimate`, also returning the per-sample probes
-    (empty when the degenerate exact scan fired)."""
+def _rle_additive(
+    w: QueryCountedString, epsilon: float, seed: int, config: EstimatorConfig
+) -> tuple[EstimateReport, tuple[np.ndarray, ...] | None]:
+    """The additive estimate, plus the per-sample positions, probed lengths,
+    capped flags and contributions (None when the degenerate exact scan fired)."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     n = w.length
@@ -183,7 +183,7 @@ def rle_additive_estimate_detailed(
     sess = w.session()
     if n <= ell0 or q >= n:
         est = _exact_scan_estimate(sess)
-        return EstimateReport(est, 1.0, epsilon, sess.queries, seed), []
+        return EstimateReport(est, 1.0, epsilon, sess.queries, seed), None
     rng = make_rng(seed)
     ts = rng.integers(1, n + 1, size=q)
     prober = RunProber(sess, ts)
@@ -195,16 +195,23 @@ def rle_additive_estimate_detailed(
     used = sess.queries
     if used > q * (2 * ell0 + 1):
         raise RuntimeError("probe budget exceeded; prober is broken")
+    samples = (ts, np.where(capped, ell0, conf), capped, contrib)
+    return EstimateReport(est, 1.0, epsilon, used, seed), samples
+
+
+def rle_additive_estimate_detailed(
+    w: QueryCountedString, epsilon: float, seed: int, *, config: EstimatorConfig = DEFAULT_CONFIG
+) -> tuple[EstimateReport, list[RunProbe]]:
+    """As :func:`rle_additive_estimate`, also returning the per-sample probes
+    (empty when the degenerate exact scan fired)."""
+    report, samples = _rle_additive(w, epsilon, seed, config)
+    if samples is None:
+        return report, []
     probes = [
-        RunProbe(
-            position=int(ts[i]),
-            length=int(ell0 if capped[i] else conf[i]),
-            capped=bool(capped[i]),
-            contribution=float(contrib[i]),
-        )
-        for i in range(q)
+        RunProbe(position=t, length=length, capped=c, contribution=x)
+        for t, length, c, x in zip(*(a.tolist() for a in samples))
     ]
-    return EstimateReport(est, 1.0, epsilon, used, seed), probes
+    return report, probes
 
 
 def rle_additive_estimate(
@@ -215,8 +222,7 @@ def rle_additive_estimate(
     Degenerate inputs (n below the probe cap, or sample count at least n)
     fall back to an exact scan; sublinearity is meaningless below the budget.
     """
-    report, _ = rle_additive_estimate_detailed(w, epsilon, seed, config=config)
-    return report
+    return _rle_additive(w, epsilon, seed, config)[0]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Suffix-array machinery backing the exact oracles.
 
-Prefix-doubling suffix array (vectorized), Kasai LCP, and the
+Prefix-doubling suffix array (vectorized), Kasai LCP, the LCP-threshold
+counts behind every distinct-substring count, and the
 previous/next-smaller-suffix tables used to find longest previous factors.
 Everything here is cross-checked against brute-force enumerations in the
 test suite.
@@ -63,6 +64,16 @@ def lcp_array(arr: np.ndarray, sa: np.ndarray) -> np.ndarray:
     return np.asarray(lcp, dtype=np.int64)
 
 
+def lcp_at_least_counts(lcp: np.ndarray, ell_max: int) -> np.ndarray:
+    """out[g, ell-1] = #{r : lcp[g, r] >= ell} for each row g of the 2-D
+    ``lcp`` (one group of sort-adjacent pairs per row), ell = 1..ell_max."""
+    groups = lcp.shape[0]
+    ids = np.minimum(lcp, ell_max) + (ell_max + 1) * np.arange(groups)[:, None]
+    hist = np.bincount(ids.ravel(), minlength=groups * (ell_max + 1))
+    # reversed cumulative sum over lcp = ell_max..1
+    return np.cumsum(hist.reshape(groups, ell_max + 1)[:, :0:-1], axis=1)[:, ::-1]
+
+
 def distinct_length_profile(arr: np.ndarray, ell_max: int) -> np.ndarray:
     """d[ell-1] = number of distinct length-ell substrings, for ell = 1..ell_max.
 
@@ -74,12 +85,8 @@ def distinct_length_profile(arr: np.ndarray, ell_max: int) -> np.ndarray:
     ell_max = min(int(ell_max), n)
     sa = suffix_array(a)
     lcp = lcp_array(a, sa)
-    clipped = np.minimum(lcp, ell_max)
-    hist = np.bincount(clipped, minlength=ell_max + 1)
-    # pairs_ge[ell] = #{r : lcp[r] >= ell}
-    pairs_ge = np.cumsum(hist[::-1])[::-1]
     ells = np.arange(1, ell_max + 1)
-    return (n - ells + 1) - pairs_ge[1:]
+    return (n - ells + 1) - lcp_at_least_counts(lcp[None, :], ell_max)[0]
 
 
 def _psv_nsv(sa: np.ndarray) -> tuple[list, list]:

@@ -74,6 +74,11 @@ def naive_distinct(arr, ell: int) -> int:
     return len({seq[t : t + ell] for t in range(len(seq) - ell + 1)})
 
 
+def naive_distinct_prefixes(windows, ell: int) -> int:
+    """Distinct length-``ell`` prefixes among ``windows`` (sequences of symbols)."""
+    return len({tuple(w[:ell]) for w in windows})
+
+
 def naive_color_count(arr) -> int:
     return len(sorted(set(np.asarray(arr).tolist())))
 

@@ -7,7 +7,6 @@ from compest import (
     LzEstimateParams,
     QueryCountedString,
     SharedWindowSamples,
-    SubstringTrie,
     distinct_profile,
     distinguish_compressible,
     estimate_distinct,
@@ -16,72 +15,37 @@ from compest import (
     lz_estimate,
     meets_contract,
 )
-from compest._rng import make_rng
+from compest._rng import derive_seed, make_rng
 from compest.colors import amplification_runs, sample_count
-from compest.config import DEFAULT_CONFIG, EstimatorConfig
+from compest.config import DEFAULT_CONFIG
 from compest.lz import lz_estimate_detailed
-from naive import all_ones, random_symbols
+from naive import all_ones, naive_distinct_prefixes, random_symbols
 
 
 def acc(arr, sigma=None):
     return QueryCountedString.from_tokens(arr, sigma)
 
 
-# -- trie -----------------------------------------------------------------
-
-
-def test_trie_counters_match_brute_force():
-    rng = make_rng(99)
-    for trial in range(30):
-        depth = int(rng.integers(1, 6))
-        trie = SubstringTrie(depth)
-        inserted = []
-        for _ in range(int(rng.integers(0, 40))):
-            word = tuple(rng.integers(0, 3, size=depth).tolist())
-            trie.insert(word)
-            inserted.append(word)
-        for ell in range(1, depth + 1):
-            assert trie.distinct_at(ell) == len({w[:ell] for w in inserted})
-            assert trie.distinct_at(ell) <= max(1, trie.inserted)
-
-
-def test_trie_ignores_symbols_past_depth_limit():
-    trie = SubstringTrie(2)
-    trie.insert([1, 2, 3])
-    trie.insert([1, 2, 9])
-    assert trie.counters == (1, 1)
-
-
-def test_trie_validates_depth():
-    trie = SubstringTrie(3)
-    with pytest.raises(ValueError):
-        trie.distinct_at(0)
-    with pytest.raises(ValueError):
-        trie.distinct_at(4)
-
-
 # -- shared samples ---------------------------------------------------------
 
 
-def test_counting_backends_agree():
-    arr = random_symbols(4096, 2, seed=6)
-    small = EstimatorConfig(trie_max_work=1 << 30)  # force the trie lane
-    big = EstimatorConfig(trie_max_work=0)  # force the vectorized lane
-    w1, w2 = acc(arr), acc(arr)
-    s1 = SharedWindowSamples(w1.session(), 6, 5, 400, seed=12, config=small)
-    s2 = SharedWindowSamples(w2.session(), 6, 5, 400, seed=12, config=big)
-    for ell in range(1, 7):
-        assert np.array_equal(s1.distinct_counts(ell), s2.distinct_counts(ell))
-
-
-def test_sort_backend_agrees_on_wide_alphabet():
-    # symbols too wide for the bincount grid exercise the unique-based lane
-    arr = make_rng(3).integers(0, 50_000, size=2000)
-    cfg = EstimatorConfig(trie_max_work=0, bincount_max_cells=1)
-    s = SharedWindowSamples(acc(arr).session(), 3, 4, 150, seed=8, config=cfg)
-    s_trie = SharedWindowSamples(acc(arr).session(), 3, 4, 150, seed=8)
-    for ell in (1, 2, 3):
-        assert np.array_equal(s.distinct_counts(ell), s_trie.distinct_counts(ell))
+def test_distinct_counts_match_prefix_reference():
+    # sigma 1 is a constant input; the widest two need 16- and 32-bit sort keys
+    for sigma in (1, 2, 65, 256, 50_000, 100_000):
+        arr = make_rng(sigma).integers(0, sigma, size=3000)
+        for ell0 in (1, 7, 16):
+            for n_runs in (1, 70):
+                for per_run in (1, 500):
+                    seed = derive_seed(sigma, ell0, n_runs, per_run)
+                    shared = SharedWindowSamples(acc(arr).session(), ell0, n_runs, per_run, seed)
+                    windows = [
+                        [tuple(arr[t - 1 : t - 1 + ell0].tolist()) for t in shared.run_starts(r)]
+                        for r in range(n_runs)
+                    ]
+                    for ell in range(1, ell0 + 1):
+                        expect = [naive_distinct_prefixes(run, ell) for run in windows]
+                        got = shared.distinct_counts(ell).tolist()
+                        assert got == expect, (sigma, ell0, n_runs, per_run, ell)
 
 
 def test_shared_starts_reused_across_lengths():
