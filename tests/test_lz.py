@@ -29,23 +29,33 @@ def acc(arr, sigma=None):
 # -- shared samples ---------------------------------------------------------
 
 
-def test_distinct_counts_match_prefix_reference():
-    # sigma 1 is a constant input; the widest two need 16- and 32-bit sort keys
-    for sigma in (1, 2, 65, 256, 50_000, 100_000):
-        arr = make_rng(sigma).integers(0, sigma, size=3000)
-        for ell0 in (1, 7, 16):
-            for n_runs in (1, 70):
-                for per_run in (1, 500):
-                    seed = derive_seed(sigma, ell0, n_runs, per_run)
-                    shared = SharedWindowSamples(acc(arr).session(), ell0, n_runs, per_run, seed)
-                    windows = [
-                        [tuple(arr[t - 1 : t - 1 + ell0].tolist()) for t in shared.run_starts(r)]
-                        for r in range(n_runs)
-                    ]
-                    for ell in range(1, ell0 + 1):
-                        expect = [naive_distinct_prefixes(run, ell) for run in windows]
-                        got = shared.distinct_counts(ell).tolist()
-                        assert got == expect, (sigma, ell0, n_runs, per_run, ell)
+def _check_counts_against_prefix_reference(sigma):
+    arr = make_rng(sigma).integers(0, sigma, size=3000)
+    for ell0 in (1, 7, 16):
+        for n_runs in (1, 70):
+            for per_run in (1, 500):
+                seed = derive_seed(sigma, ell0, n_runs, per_run)
+                shared = SharedWindowSamples(acc(arr).session(), ell0, n_runs, per_run, seed)
+                windows = [
+                    [tuple(arr[t - 1 : t - 1 + ell0].tolist()) for t in shared.run_starts(r)]
+                    for r in range(n_runs)
+                ]
+                for ell in range(1, ell0 + 1):
+                    expect = [naive_distinct_prefixes(run, ell) for run in windows]
+                    got = shared.distinct_counts(ell).tolist()
+                    assert got == expect, (sigma, ell0, n_runs, per_run, ell)
+
+
+def test_counting_backends_agree():
+    # the sort-and-LCP counter against the set-of-prefix reference; sigma 1 is a constant input
+    for sigma in (1, 2, 65, 256):
+        _check_counts_against_prefix_reference(sigma)
+
+
+def test_sort_backend_agrees_on_wide_alphabet():
+    # alphabets this wide need 16- and 32-bit sort keys
+    for sigma in (50_000, 100_000):
+        _check_counts_against_prefix_reference(sigma)
 
 
 def test_shared_starts_reused_across_lengths():
