@@ -136,19 +136,19 @@ class _ColorBlockProvider:
 
     def __call__(self, idx0: np.ndarray) -> np.ndarray:
         idx0 = np.asarray(idx0, dtype=np.int64)
-        out = np.empty(idx0.size, dtype=np.int64)
         with self._lock:
             block_ids = idx0 // self.k
             offsets = idx0 % self.k
-            for bid in np.unique(block_ids).tolist():
+            uniq, inv = np.unique(block_ids, return_inverse=True)
+            table = np.empty((uniq.size, self.k), dtype=np.int64)
+            for j, bid in enumerate(uniq.tolist()):
                 block = self._blocks.get(bid)
                 if block is None:
                     color = self.tau_session.read(bid + 1)
                     block = self._block_for_color(color)
                     self._blocks[bid] = block
-                sel = block_ids == bid
-                out[sel] = block[offsets[sel]]
-        return out
+                table[j] = block
+        return table[inv, offsets]
 
 
 def generate_colors_to_lz(

@@ -111,7 +111,7 @@ def exact_rle_cost(w, alphabet_size: int | None = None) -> CostBreakdown:
     s_bits = alphabet_bits(sigma)
     starts, lengths = run_lengths(arr)
     costs = ceil_log2(lengths + 1) + s_bits
-    parts = [(int(st) + 1, int(ln), int(c)) for st, ln, c in zip(starts, lengths, costs)]
+    parts = list(zip((starts + 1).tolist(), lengths.tolist(), costs.tolist()))
     return CostBreakdown(total_cost=int(costs.sum()), parts=parts, scheme="rle")
 
 
@@ -125,9 +125,10 @@ def rle_length_bits(w) -> int:
 def exact_lz_cost(w) -> CostBreakdown:
     """Exact greedy-LZ77 cost: number of emitted symbols.
 
-    Uses a suffix-array factorization; semantically identical to the direct
-    quadratic longest-match scan (the tests compare the two), just fast
-    enough for 10^5-length inputs.
+    Uses the suffix-array factorization of :func:`compest.suffixes.lz_factorize`
+    (longest previous factors from the suffix and LCP arrays); semantically
+    identical to the direct quadratic longest-match scan (the tests compare
+    the two), in O(n log^2 n) time.
     """
     arr = as_symbols(w)
     if arr.size == 0:

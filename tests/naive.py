@@ -1,8 +1,9 @@
 """Independent brute-force reference implementations for cross-checking.
 
 These deliberately share no code with the package internals: the RLE check
-is a plain scan, the LZ check builds the full quadratic match table, and the
-distinct counts hash raw windows. Slow but unarguable.
+is a plain scan, the LZ, LCP and longest-previous-factor checks read the full
+quadratic match table, the suffix array sorts suffix tuples, and the distinct
+counts hash raw windows. Slow but unarguable.
 """
 
 import math
@@ -26,18 +27,24 @@ def naive_rle_cost(symbols, sigma: int) -> int:
     return total
 
 
-def naive_lz_parts(arr: np.ndarray) -> list:
-    """Greedy LZ77 by exhaustive longest-match search.
-
-    ext[a, b] = length of the common extension of positions a and b; greedy
-    picks, at each position t, the longest match over all earlier starts
-    (ties resolved to the smallest start). Returns (start0, length, source0)
-    triples, source None for literals.
-    """
+def _extension_table(arr: np.ndarray) -> np.ndarray:
+    """ext[a, b] = length of the common extension of positions a and b."""
     n = arr.size
     ext = np.zeros((n + 1, n + 1), dtype=np.int32)
     for a in range(n - 1, -1, -1):
         ext[a, :n] = (arr[a] == arr) * (ext[a + 1, 1 : n + 1] + 1)
+    return ext
+
+
+def naive_lz_parts(arr: np.ndarray) -> list:
+    """Greedy LZ77 by exhaustive longest-match search.
+
+    Greedy picks, at each position t, the longest match over all earlier
+    starts (ties resolved to the smallest start). Returns (start0, length,
+    source0) triples, source None for literals.
+    """
+    n = arr.size
+    ext = _extension_table(arr)
     parts = []
     t = 0
     while t < n:
@@ -67,6 +74,24 @@ def expand_lz_parts(parts: list, arr: np.ndarray) -> np.ndarray:
             for off in range(length):
                 out.append(out[src + off])
     return np.array(out, dtype=arr.dtype)
+
+
+def naive_suffix_array(arr) -> list:
+    """Start positions sorted by their suffixes, compared as tuples."""
+    seq = np.asarray(arr).tolist()
+    return sorted(range(len(seq)), key=lambda i: tuple(seq[i:]))
+
+
+def naive_lcp(arr: np.ndarray, sa) -> list:
+    """lcp[r] = common extension of suffixes sa[r-1] and sa[r]; lcp[0] = 0."""
+    ext = _extension_table(arr)
+    return [0] + [int(ext[a, b]) for a, b in zip(sa[:-1], sa[1:])]
+
+
+def naive_lpf(arr: np.ndarray) -> list:
+    """lpf[i] = longest common extension of i with any earlier start."""
+    ext = _extension_table(arr)
+    return [int(ext[:i, i].max()) if i else 0 for i in range(arr.size)]
 
 
 def naive_distinct(arr, ell: int) -> int:
