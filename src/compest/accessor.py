@@ -13,24 +13,107 @@ Conventions:
   free ("cache-once"); all stated query budgets remain valid upper bounds
   under this accounting.
 * Symbols are non-negative integers. Text and files are exposed as their
-  bytes.
+  bytes; files are memory-mapped read-only rather than copied into memory
+  (the one alphabet pass at construction still reads every byte).
+* The touched-position ledger costs O(q) memory for q distinct reads, until
+  q nears n / 64; see :class:`_TouchedSet`.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+_SEEN_CHUNK = 1 << 22
+
+
+def distinct_count(values) -> int:
+    """Number of distinct symbols in ``values``, with no sorted copy for bytes.
+
+    One-byte input (viewed as ``uint8``, which maps distinct values to
+    distinct values) fills a 256-entry seen table chunk by chunk. A chunk whose
+    ``[min, max]`` range is already all seen cannot add a symbol, so it costs
+    two vectorized reductions instead of a scatter, and the pass stops once
+    all 256 byte values are seen. Other dtypes sort once and count adjacent
+    differences (``np.unique`` hashes wide int64 input in numpy 2, which is
+    several times slower than the sort).
+    """
+    arr = np.asarray(values).ravel()
+    if arr.size == 0:
+        return 0
+    if arr.dtype.itemsize == 1 and arr.dtype.kind in "biu":
+        arr = arr.view(np.uint8)
+        seen = np.zeros(256, dtype=bool)
+        for lo in range(0, arr.size, _SEEN_CHUNK):
+            chunk = arr[lo : lo + _SEEN_CHUNK]
+            if not seen[int(chunk.min()) : int(chunk.max()) + 1].all():
+                seen[chunk] = True
+                if seen.all():
+                    break
+        return int(np.count_nonzero(seen))
+    ordered = np.sort(arr)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
+class _TouchedSet:
+    """Distinct touched 0-indexed positions out of ``length``.
+
+    Held as a sorted unique int64 array while it has at most ``length // 64``
+    entries, so a run that reads q positions costs O(q) memory and time. A
+    batch that could push it past that bound (checked before the batch is
+    sorted) switches it to a ``length``-byte bool bitmap for good: at that
+    size the array already takes ``length / 8`` bytes, as much as a
+    bit-packed bitmap would.
+    """
+
+    def __init__(self, length: int):
+        self._length = length
+        self._sorted = np.empty(0, dtype=np.int64)
+        self._bitmap: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        if self._bitmap is None:
+            return int(self._sorted.size)
+        return int(np.count_nonzero(self._bitmap))
+
+    def add(self, idx0: np.ndarray) -> np.ndarray:
+        """Record ``idx0``; return the positions of it that may be new.
+
+        While sorted, that is exactly the new positions, sorted and unique;
+        once a bitmap, it is all of ``idx0``.
+        """
+        if self._bitmap is None and self._sorted.size + idx0.size > self._length // 64:
+            self._bitmap = np.zeros(self._length, dtype=bool)
+            self._bitmap[self._sorted] = True
+            self._sorted = None
+        if self._bitmap is not None:
+            self._bitmap[idx0] = True
+            return idx0
+        batch = np.sort(idx0)
+        keep = np.ones(batch.size, dtype=bool)
+        keep[1:] = batch[1:] != batch[:-1]
+        if self._sorted.size == 0:
+            self._sorted = batch[keep]
+            return self._sorted
+        at = np.searchsorted(self._sorted, batch)
+        keep &= self._sorted[np.minimum(at, self._sorted.size - 1)] != batch
+        fresh = batch[keep]
+        self._sorted = np.insert(self._sorted, at[keep], fresh)
+        return fresh
+
 
 class QueryCountedString:
     """Read-only string of symbols with a distinct-position read counter.
 
-    Backed either by an in-memory array or by a lazy provider callback that
-    materializes symbols on demand (used by reduction instances, where
-    generating the whole string up front would defeat sublinearity).
+    Backed either by an array (in memory, or a read-only map of a file) or
+    by a lazy provider callback that materializes symbols on demand (used by
+    reduction instances, where generating the whole string up front would
+    defeat sublinearity).
 
     Concurrent estimator runs should each open their own :meth:`session`;
     the master counter merges all sessions, each session counts only the
@@ -56,7 +139,7 @@ class QueryCountedString:
             self._data = data
             self._provider = None
             self.length = int(data.size)
-            inferred = int(np.unique(data).size)
+            inferred = distinct_count(data)
             self.alphabet_size = max(2, inferred if alphabet_size is None else int(alphabet_size))
             if inferred > self.alphabet_size:
                 raise ValueError(
@@ -71,8 +154,8 @@ class QueryCountedString:
             self._provider = provider
             self.length = int(length)
             self.alphabet_size = max(2, int(alphabet_size))
-        self._touched = np.zeros(self.length, dtype=bool)
-        self._lock = threading.Lock()
+        self._touched = _TouchedSet(self.length)
+        self._lock = threading.Lock()  # guards _touched and the provider
 
     # -- constructors -----------------------------------------------------
 
@@ -86,8 +169,12 @@ class QueryCountedString:
 
     @classmethod
     def from_file(cls, path, alphabet_size: int | None = None) -> "QueryCountedString":
+        """Map the file read-only: reads index the map, nothing is copied."""
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read(), alphabet_size=alphabet_size)
+            if os.fstat(fh.fileno()).st_size == 0:
+                raise ValueError(f"empty string: {path} has no bytes to map")
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        return cls(np.frombuffer(mapped, dtype=np.uint8), alphabet_size=alphabet_size)
 
     @classmethod
     def from_tokens(cls, tokens, alphabet_size: int | None = None) -> "QueryCountedString":
@@ -105,7 +192,12 @@ class QueryCountedString:
     @property
     def reads(self) -> int:
         """Distinct positions touched so far, over all sessions."""
-        return int(np.count_nonzero(self._touched))
+        with self._lock:
+            return len(self._touched)
+
+    def _record(self, idx0: np.ndarray) -> None:
+        with self._lock:
+            self._touched.add(idx0)
 
     def _fetch(self, idx0: np.ndarray) -> np.ndarray:
         if self._data is not None:
@@ -123,7 +215,7 @@ class QueryCountedString:
     def read(self, position: int) -> int:
         """Symbol at 1-indexed ``position``; counts one query on first touch."""
         idx0 = self._check(np.array([position]))
-        self._touched[idx0] = True
+        self._record(idx0)
         return int(self._fetch(idx0)[0])
 
     def session(self) -> "QuerySession":
@@ -152,16 +244,17 @@ class QuerySession:
         self.parent = parent
         self.length = parent.length
         self.alphabet_size = parent.alphabet_size
-        self._touched = np.zeros(parent.length, dtype=bool)
+        self._touched = _TouchedSet(parent.length)
 
     @property
     def queries(self) -> int:
-        return int(np.count_nonzero(self._touched))
+        return len(self._touched)
 
     def read_many(self, positions: np.ndarray) -> np.ndarray:
         idx0 = self.parent._check(np.asarray(positions))
-        self._touched[idx0] = True
-        self.parent._touched[idx0] = True
+        # The master holds every position this session holds, so only
+        # positions new to the session can be new to it.
+        self.parent._record(self._touched.add(idx0))
         return self.parent._fetch(idx0)
 
     def read(self, position: int) -> int:

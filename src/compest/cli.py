@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .accessor import QueryCountedString
+from .accessor import QueryCountedString, distinct_count
 from .campaign import CampaignConfig, audit_queries, run_campaign, write_result
 from .colors import colors_estimate, colors_estimate_amplified
 from .generators import GeneratorSpec
@@ -130,7 +130,7 @@ def _cmd_gen(args) -> int:
     with open(args.out, "wb") as fh:
         fh.write(raw)
     if args.emit_meta:
-        alphabet = int(np.unique(arr).size)
+        alphabet = distinct_count(arr)
         meta = {
             "family": args.family,
             "seed": args.seed,

@@ -17,10 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._rng import derive_seed, make_rng
-from .accessor import EstimateReport, QueryCountedString, QuerySession
+from .accessor import EstimateReport, QueryCountedString, QuerySession, distinct_count
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ def _basic(sess: QuerySession, lam: float, seed: int) -> ColorSample:
     rng = make_rng(seed)
     ts = rng.integers(1, sess.length + 1, size=s)
     vals = sess.read_many(ts)
-    return ColorSample(sample_size=s, distinct_seen=int(np.unique(vals).size), lam=lam)
+    return ColorSample(sample_size=s, distinct_seen=distinct_count(vals), lam=lam)
 
 
 def colors_estimate(

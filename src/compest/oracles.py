@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accessor import QueryCountedString
+from .accessor import QueryCountedString, distinct_count
 from .suffixes import distinct_length_profile, lz_factorize
 
 
@@ -104,7 +104,7 @@ def exact_rle_cost(w, alphabet_size: int | None = None) -> CostBreakdown:
     arr = as_symbols(w)
     if isinstance(w, QueryCountedString) and alphabet_size is None:
         alphabet_size = w.alphabet_size
-    distinct = int(np.unique(arr).size)
+    distinct = distinct_count(arr)
     sigma = max(2, distinct) if alphabet_size is None else int(alphabet_size)
     if distinct > sigma:
         raise ValueError(f"{distinct} distinct symbols exceed alphabet size {sigma}")
@@ -166,7 +166,7 @@ def exact_color_count(tau) -> int:
     arr = as_symbols(tau)
     if arr.size == 0:
         raise ValueError("empty string")
-    return int(np.unique(arr).size)
+    return distinct_count(arr)
 
 
 @dataclass(frozen=True)

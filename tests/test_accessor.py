@@ -1,9 +1,19 @@
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from compest import EstimateReport, QueryCountedString, meets_contract, read
+from compest import (
+    EstimateReport,
+    QueryCountedString,
+    colors_estimate,
+    meets_contract,
+    read,
+    rle_additive_estimate,
+)
+from compest.accessor import distinct_count
 
 
 def test_read_counts_once():
@@ -85,6 +95,119 @@ def test_concurrent_sessions_are_safe():
     for t in threads:
         t.join()
     assert w.reads == 4000
+
+
+def test_ledger_crossing_the_bitmap_switch_counts_distinct_positions():
+    n = 6400  # the sorted ledger holds at most n // 64 = 100 positions
+    w = QueryCountedString.from_tokens(np.arange(n) % 5)
+    s1, s2 = w.session(), w.session()
+    seen1, seen2 = set(), set()
+    rng = np.random.default_rng(5)
+    for step in range(12):
+        batch = rng.integers(1, 60, size=int(rng.integers(1, 30)))
+        batch = np.concatenate([batch, batch[:3]])  # repeats inside the batch
+        sess, seen = (s1, seen1) if step % 3 else (s2, seen2)
+        sess.read_many(batch)
+        seen.update(batch.tolist())
+        assert sess.queries == len(seen)
+        assert w.reads == len(seen1 | seen2)
+    assert s1._touched._bitmap is None and s2._touched._bitmap is None
+    s1.read_many(np.arange(200, 300))  # 100 more would pass n // 64
+    seen1.update(range(200, 300))
+    assert s1._touched._bitmap is not None
+    assert s1.queries == len(seen1)
+    s1.read_many(np.arange(250, 350))  # repeats across batches, bitmap side
+    seen1.update(range(250, 350))
+    assert s1.queries == len(seen1)
+    assert w.reads == len(seen1 | seen2)
+
+
+def test_concurrent_sessions_are_safe_on_the_sorted_ledger():
+    n = 10**6  # 4 * 3000 reads stay below n // 64, so no ledger goes dense
+    w = QueryCountedString.from_tokens(np.arange(n, dtype=np.int64) % 7)
+    positions = [np.arange(lo, lo + 3000) for lo in (1, 1001, 2001, 3001)]
+    queries = {}
+
+    def worker(i):
+        sess = w.session()
+        for chunk in np.array_split(np.random.default_rng(i).permutation(positions[i]), 30):
+            sess.read_many(chunk)
+        queries[i] = sess.queries
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert queries == {i: 3000 for i in range(4)}
+    assert w.reads == 6000
+    assert w._touched._bitmap is None
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([7], dtype=np.uint8),
+        np.arange(256, dtype=np.uint8),
+        np.array([-3, 5, -3, 0, -1_000_000]),
+        np.array([-128, -1, 0, 127, -1], dtype=np.int8),
+        np.random.default_rng(1).integers(0, 70_000, size=200_000),
+        np.random.default_rng(2).integers(-(2**62), 2**62, size=5_000),
+        # one new byte past the first chunk, then one inside an already
+        # seen [min, max] range
+        np.concatenate([np.tile(np.array([0, 2], dtype=np.uint8), 1 << 22), [9], [1]]).astype(np.uint8),
+    ],
+    ids=["n1", "all-bytes", "negative", "negative-int8", "sigma70000", "wide-int64", "late-bytes"],
+)
+def test_distinct_count_matches_unique(values):
+    assert distinct_count(values) == np.unique(values).size
+
+
+def test_from_file_maps_without_copy(tmp_path):
+    raw = bytes(np.random.default_rng(3).integers(0, 4, size=1000, dtype=np.uint8))
+    path = tmp_path / "w.bin"
+    path.write_bytes(raw)
+    w = QueryCountedString.from_file(path)
+    assert w.alphabet_size == 4
+    assert not w._data.flags.writeable
+    copy = w.materialize()
+    assert copy.flags.writeable and copy.tobytes() == raw
+    copy[0] ^= 1
+    assert w.materialize().tobytes() == raw
+
+
+def test_from_file_rejects_empty_file_and_small_declared_alphabet(tmp_path):
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    with pytest.raises(ValueError):
+        QueryCountedString.from_file(empty)
+    path = tmp_path / "w.bin"
+    path.write_bytes(bytes([1, 2, 3, 1]))
+    with pytest.raises(ValueError):
+        QueryCountedString.from_file(path, alphabet_size=2)
+    assert QueryCountedString.from_file(path, alphabet_size=3).alphabet_size == 3
+
+
+def test_file_estimates_allocate_far_less_than_the_input(tmp_path):
+    n = 16 * 2**20
+    path = tmp_path / "big.bin"
+    np.random.default_rng(4).integers(0, 2, size=n, dtype=np.uint8).tofile(path)
+    tracemalloc.start()
+    try:
+        w = QueryCountedString.from_file(path)
+        rle = rle_additive_estimate(w, 0.05, seed=1)
+        colors = colors_estimate(w, 50.0, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rle.queries_used < n // 100 and colors.queries_used < n // 100
+    assert peak < n // 2  # one whole-input copy or n-byte bitmap would cost n
 
 
 def test_provider_backed_accessor_is_lazy():

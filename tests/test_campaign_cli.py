@@ -1,8 +1,10 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +294,7 @@ def test_cli_entry_point_subprocess(sample_file):
         [sys.executable, "-m", "compest.cli", "exact", "--scheme", "lz", sample_file],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total_cost"] == 3
