@@ -36,12 +36,19 @@ def distinct_count(values) -> int:
     """Number of distinct symbols in ``values``, with no sorted copy for bytes.
 
     One-byte input (viewed as ``uint8``, which maps distinct values to
-    distinct values) fills a 256-entry seen table chunk by chunk. A chunk whose
-    ``[min, max]`` range is already all seen cannot add a symbol, so it costs
-    two vectorized reductions instead of a scatter, and the pass stops once
-    all 256 byte values are seen. Other dtypes sort once and count adjacent
-    differences (``np.unique`` hashes wide int64 input in numpy 2, which is
-    several times slower than the sort).
+    distinct values) fills a 256-entry seen table chunk by chunk, and the pass
+    stops once all 256 byte values are seen. A chunk whose ``[min, max]``
+    range is already all seen cannot add a symbol, so it costs a min and a
+    max instead of the scatter. That holds after the first chunk whenever the
+    symbols fill a contiguous byte range (0/1 binary data, ``0..sigma-1``
+    tokens): at n = 1e8 such a pass takes 0.04 s instead of 0.41 s. Where the
+    range has gaps (``ACGT`` text) every chunk still scatters, 0.42 s instead
+    of 0.40 s.
+
+    Other dtypes sort once and count adjacent differences. On int64 input
+    that is faster than ``np.unique``, which hashes in numpy 2: 3 ms against
+    35 ms for 1e6 symbols out of 2, 0.17 ms against 0.66 ms for 20 000 out
+    of 200.
     """
     arr = np.asarray(values).ravel()
     if arr.size == 0:
@@ -69,6 +76,10 @@ class _TouchedSet:
     sorted) switches it to a ``length``-byte bool bitmap for good: at that
     size the array already takes ``length / 8`` bytes, as much as a
     bit-packed bitmap would.
+
+    While sorted, each :meth:`add` copies the whole array (``np.insert``), so
+    it costs O(len + batch log batch): read positions in batches, not one at
+    a time.
     """
 
     def __init__(self, length: int):
@@ -85,8 +96,9 @@ class _TouchedSet:
         """Record ``idx0``; return the positions of it that may be new.
 
         While sorted, that is exactly the new positions, sorted and unique;
-        once a bitmap, it is all of ``idx0``.
+        once a bitmap, it is all of ``idx0``, flattened.
         """
+        idx0 = np.ravel(idx0)
         if self._bitmap is None and self._sorted.size + idx0.size > self._length // 64:
             self._bitmap = np.zeros(self._length, dtype=bool)
             self._bitmap[self._sorted] = True

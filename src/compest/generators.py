@@ -140,14 +140,14 @@ class _ColorBlockProvider:
             block_ids = idx0 // self.k
             offsets = idx0 % self.k
             uniq, inv = np.unique(block_ids, return_inverse=True)
+            missing = [bid for bid in uniq.tolist() if bid not in self._blocks]
+            if missing:
+                colors = self.tau_session.read_many(np.array(missing, dtype=np.int64) + 1)
+                for bid, color in zip(missing, colors.tolist()):
+                    self._blocks[bid] = self._block_for_color(color)
             table = np.empty((uniq.size, self.k), dtype=np.int64)
             for j, bid in enumerate(uniq.tolist()):
-                block = self._blocks.get(bid)
-                if block is None:
-                    color = self.tau_session.read(bid + 1)
-                    block = self._block_for_color(color)
-                    self._blocks[bid] = block
-                table[j] = block
+                table[j] = self._blocks[bid]
         return table[inv, offsets]
 
 

@@ -97,6 +97,17 @@ def test_concurrent_sessions_are_safe():
     assert w.reads == 4000
 
 
+@pytest.mark.parametrize("n", [10, 1000])  # first add goes to the bitmap / the sorted ledger
+@pytest.mark.parametrize("position", [np.int64(5), np.array(5), np.array([[5, 7], [5, 2]])])
+def test_read_many_keeps_the_positions_shape(n, position):
+    w = QueryCountedString.from_tokens(np.arange(n) % 9)
+    sess = w.session()
+    got = sess.read_many(position)
+    assert got.shape == np.shape(position)
+    assert np.array_equal(got, (np.asarray(position) - 1) % 9)
+    assert sess.queries == w.reads == np.unique(position).size
+
+
 def test_ledger_crossing_the_bitmap_switch_counts_distinct_positions():
     n = 6400  # the sorted ledger holds at most n // 64 = 100 positions
     w = QueryCountedString.from_tokens(np.arange(n) % 5)

@@ -195,6 +195,26 @@ def test_col2lz_one_tau_read_per_block():
     assert acc.provider.tau_reads <= len(positions)
 
 
+def test_col2lz_reads_new_block_colors_in_one_batch():
+    n_prime = 10**6  # 10 000 tau reads stay on the sorted ledger (n' // 64)
+    tau_tokens = np.random.default_rng(6).integers(0, 500, size=n_prime)
+    acc = generate_colors_to_lz(QueryCountedString.from_tokens(tau_tokens), 0.25, 2, seed=2)
+    tau_batches = []
+    read_many = acc.provider.tau_session.read_many
+    acc.provider.tau_session.read_many = lambda pos: tau_batches.append(len(pos)) or read_many(pos)
+    positions = np.random.default_rng(7).integers(1, acc.length + 1, size=10_000)
+    values = acc.session().read_many(positions)
+    blocks = np.unique((positions - 1) // 4)
+    assert tau_batches == [blocks.size]
+    assert acc.provider.tau_reads == acc.provider.blocks_materialized == blocks.size
+    assert acc.provider.tau_session._touched._bitmap is None
+
+    again = generate_colors_to_lz(QueryCountedString.from_tokens(tau_tokens), 0.25, 2, seed=2)
+    sess = again.session()
+    chunks = np.array_split(positions, 40)[::-1]
+    assert np.array_equal(np.concatenate([sess.read_many(c) for c in chunks][::-1]), values)
+
+
 def test_col2lz_query_order_does_not_change_string():
     tau_tokens = np.arange(50) % 7
     a1 = generate_colors_to_lz(QueryCountedString.from_tokens(tau_tokens), 0.3, 4, seed=8)
