@@ -9,8 +9,7 @@ artifacts.
 Config schema (JSON object):
 
     {
-      "estimator": "rle-additive" | "rle-bucketed" | "rle-search" |
-                   "rle-refined" | "colors" | "colors-amplified" | "lz",
+      "estimator": a key of ESTIMATORS ("rle-additive", "colors", "lz", ...),
       "params":    {estimator keyword args, e.g. "epsilon": 0.05},
       "instance":  {"kind": "file", "path": "..."}
                  | {"kind": "generator", "family": "wk|coin|lztight|col2lz",
@@ -34,18 +33,21 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ._rng import derive_seed
 from .accessor import EstimateReport, QueryCountedString, meets_contract
-from .colors import colors_estimate, colors_estimate_amplified
-from .config import DEFAULT_CONFIG, EstimatorConfig
+from .colors import amplification_runs, colors_estimate, colors_estimate_amplified, sample_count
+from .config import DEFAULT_CONFIG
 from .generators import GeneratorSpec
 from .lz import lz_estimate
 from .oracles import exact_color_count, exact_lz_cost, exact_rle_cost
 from .rle import (
+    additive_probe_cap,
     rle_additive_estimate,
     rle_bucketed_estimate,
     rle_multiplicative_search,
@@ -55,34 +57,83 @@ from .rle import (
 CSV_FIELDS = ["trial", "seed", "estimate", "exact", "queries", "contract_pass", "valid", "error"]
 
 
-def _run_estimator(name: str, acc: QueryCountedString, params: dict, seed: int) -> EstimateReport:
-    if name == "rle-additive":
-        return rle_additive_estimate(acc, float(params["epsilon"]), seed)
-    if name == "rle-bucketed":
-        return rle_bucketed_estimate(
-            acc, float(params["epsilon"]), float(params.get("delta", 1 / 3)), seed
-        )
-    if name == "rle-search":
-        return rle_multiplicative_search(acc, seed)
-    if name == "rle-refined":
-        return rle_refined_search(acc, float(params["gamma"]), seed)
-    if name == "colors":
-        return colors_estimate(acc, float(params["lambda"]), seed)
-    if name == "colors-amplified":
-        return colors_estimate_amplified(
-            acc, float(params["lambda"]), float(params.get("delta", 1 / 3)), seed
-        )
-    if name == "lz":
-        return lz_estimate(acc, float(params["A"]), float(params["epsilon"]), seed)
-    raise ValueError(f"unknown estimator {name!r}")
+def _exact_rle(acc: QueryCountedString) -> float:
+    return float(exact_rle_cost(acc.materialize(), acc.alphabet_size).total_cost)
 
 
-def _exact_for(name: str, acc: QueryCountedString) -> float:
-    if name.startswith("rle"):
-        return float(exact_rle_cost(acc.materialize(), acc.alphabet_size).total_cost)
-    if name.startswith("colors"):
-        return float(exact_color_count(acc.materialize()))
+def _exact_colors(acc: QueryCountedString) -> float:
+    return float(exact_color_count(acc.materialize()))
+
+
+def _exact_lz(acc: QueryCountedString) -> float:
     return float(exact_lz_cost(acc.materialize()).total_cost)
+
+
+def _bucketed_ceiling(e: dict, n: int) -> float:
+    ell0 = additive_probe_cap(float(e["epsilon"]), int(e.get("sigma", 2)))
+    return DEFAULT_CONFIG.bucketed_query_ceiling(
+        float(e["epsilon"]), float(e.get("delta", 1 / 3)), ell0
+    )
+
+
+class Estimator(NamedTuple):
+    """How to call an estimator from a params dict and a seed, the exact cost
+    it is judged against, and its audit ceiling from a report entry and n
+    (None: it claims none). The calls name estimators and oracles as module
+    globals, so they resolve at call time and a patched attribute applies."""
+
+    run: Callable[[QueryCountedString, dict, int], EstimateReport]
+    exact: Callable[[QueryCountedString], float]
+    ceiling: Callable[[dict, int], float] | None
+
+
+ESTIMATORS = {
+    "rle-additive": Estimator(
+        lambda acc, p, seed: rle_additive_estimate(acc, float(p["epsilon"]), seed),
+        _exact_rle,
+        lambda e, n: DEFAULT_CONFIG.additive_query_ceiling(
+            float(e["epsilon"]), int(e.get("sigma", 2))
+        ),
+    ),
+    "rle-bucketed": Estimator(
+        lambda acc, p, seed: rle_bucketed_estimate(
+            acc, float(p["epsilon"]), float(p.get("delta", 1 / 3)), seed
+        ),
+        _exact_rle,
+        _bucketed_ceiling,
+    ),
+    "rle-search": Estimator(
+        lambda acc, p, seed: rle_multiplicative_search(acc, seed),
+        _exact_rle,
+        lambda e, n: DEFAULT_CONFIG.search_query_ceiling(n, float(e["exact"])),
+    ),
+    # The refined search reads close to n on every input measured, so it has
+    # no ceiling below n to claim.
+    "rle-refined": Estimator(
+        lambda acc, p, seed: rle_refined_search(acc, float(p["gamma"]), seed),
+        _exact_rle,
+        None,
+    ),
+    "colors": Estimator(
+        lambda acc, p, seed: colors_estimate(acc, float(p["lambda"]), seed),
+        _exact_colors,
+        lambda e, n: float(sample_count(n, float(e["lambda"]))),
+    ),
+    "colors-amplified": Estimator(
+        lambda acc, p, seed: colors_estimate_amplified(
+            acc, float(p["lambda"]), float(p.get("delta", 1 / 3)), seed
+        ),
+        _exact_colors,
+        lambda e, n: float(
+            amplification_runs(float(e["delta"])) * sample_count(n, float(e["lambda"]))
+        ),
+    ),
+    "lz": Estimator(
+        lambda acc, p, seed: lz_estimate(acc, float(p["A"]), float(p["epsilon"]), seed),
+        _exact_lz,
+        lambda e, n: DEFAULT_CONFIG.lz_query_ceiling(n, float(e["A"]), float(e["epsilon"])),
+    ),
+}
 
 
 def build_builtin(name: str, n: int, seed: int) -> np.ndarray:
@@ -141,6 +192,8 @@ class CampaignConfig:
     output: str | None = None
 
     def __post_init__(self):
+        if self.estimator not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -197,18 +250,19 @@ class CampaignResult:
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Execute all trials; exact costs are computed once per distinct instance."""
     t0 = time.perf_counter()
+    estimator = ESTIMATORS[config.estimator]
     rows = []
     passes = 0
     shared_instance = None
     shared_exact = None
     if not config.per_trial_instances:
         shared_instance = build_instance(config.instance)
-        shared_exact = _exact_for(config.estimator, shared_instance)
+        shared_exact = estimator.exact(shared_instance)
     for trial in range(config.trials):
         seed = derive_seed(config.base_seed, trial)
         if config.per_trial_instances:
             acc = build_instance(config.instance, seed=derive_seed(config.base_seed, trial, "inst"))
-            exact = _exact_for(config.estimator, acc)
+            exact = estimator.exact(acc)
         else:
             acc, exact = shared_instance, shared_exact
         row = {
@@ -222,7 +276,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             "error": "",
         }
         try:
-            report = _run_estimator(config.estimator, acc, config.params, seed)
+            report = estimator.run(acc, config.params, seed)
         except (ValueError, IndexError) as exc:
             row["valid"] = 0
             row["error"] = str(exc)
@@ -232,7 +286,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         passes += ok
         row.update(estimate=report.estimate, queries=report.queries_used, contract_pass=int(ok))
         rows.append(row)
-    result = CampaignResult(config=config, rows=rows)
+    result = CampaignResult(config, rows)
     valid_rows = [r for r in rows if r["valid"]]
     result.success_rate = passes / config.trials
     result.mean_queries = (
@@ -267,7 +321,7 @@ class AuditRow:
         return self.queries_used <= self.ceiling
 
 
-def audit_queries(entries: list, config: EstimatorConfig = DEFAULT_CONFIG) -> list[AuditRow]:
+def audit_queries(entries: list) -> list[AuditRow]:
     """Check measured reads against the configured asymptotic ceilings.
 
     Each entry is a dict with keys ``estimator``, ``n``, ``queries_used``,
@@ -280,25 +334,10 @@ def audit_queries(entries: list, config: EstimatorConfig = DEFAULT_CONFIG) -> li
         name = e["estimator"]
         n = int(e["n"])
         used = int(e["queries_used"])
-        if name == "rle-additive":
-            ceiling = config.additive_query_ceiling(float(e["epsilon"]), int(e.get("sigma", 2)))
-        elif name == "rle-bucketed":
-            from .rle import additive_probe_cap
-
-            ell0 = additive_probe_cap(float(e["epsilon"]), int(e.get("sigma", 2)))
-            ceiling = config.bucketed_query_ceiling(
-                float(e["epsilon"]), float(e.get("delta", 1 / 3)), ell0
-            )
-        elif name == "rle-search":
-            ceiling = config.search_query_ceiling(n, float(e["exact"]))
-        elif name == "lz":
-            ceiling = config.lz_query_ceiling(n, float(e["A"]), float(e["epsilon"]))
-        elif name in ("colors", "colors-amplified"):
-            from .colors import amplification_runs, sample_count
-
-            k = amplification_runs(float(e["delta"])) if name == "colors-amplified" else 1
-            ceiling = float(k * sample_count(n, float(e["lambda"])))
-        else:
+        if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}")
-        rows.append(AuditRow(label=name, queries_used=used, ceiling=ceiling))
+        ceiling = ESTIMATORS[name].ceiling
+        if ceiling is None:
+            raise ValueError(f"{name} has no query ceiling")
+        rows.append(AuditRow(label=name, queries_used=used, ceiling=ceiling(e, n)))
     return rows

@@ -18,17 +18,10 @@ import sys
 import numpy as np
 
 from .accessor import QueryCountedString, distinct_count
-from .campaign import CampaignConfig, audit_queries, run_campaign, write_result
-from .colors import colors_estimate, colors_estimate_amplified
+from .campaign import ESTIMATORS, CampaignConfig, audit_queries, run_campaign, write_result
 from .generators import GeneratorSpec
-from .lz import distinguish_compressible, lz_estimate
+from .lz import distinguish_compressible
 from .oracles import exact_color_count, exact_distinct_substrings, exact_lz_cost, exact_rle_cost
-from .rle import (
-    rle_additive_estimate,
-    rle_bucketed_estimate,
-    rle_multiplicative_search,
-    rle_refined_search,
-)
 
 
 def _emit(obj: dict) -> None:
@@ -39,12 +32,8 @@ def _default_seed() -> int:
     return int(os.environ.get("COMPEST_SEED", "0"))
 
 
-def _load(path: str, alphabet_size: int | None) -> QueryCountedString:
-    return QueryCountedString.from_file(path, alphabet_size)
-
-
 def _cmd_exact(args) -> int:
-    acc = _load(args.file, args.alphabet_size)
+    acc = QueryCountedString.from_file(args.file, args.alphabet_size)
     data = acc.materialize()
     if args.scheme == "rle":
         _emit(exact_rle_cost(data, acc.alphabet_size).to_json_dict())
@@ -59,39 +48,21 @@ def _cmd_exact(args) -> int:
     return 0
 
 
-def _cmd_rle_est(args) -> int:
-    acc = _load(args.file, args.alphabet_size)
-    if args.mode == "additive":
-        report = rle_additive_estimate(acc, args.epsilon, args.seed)
-    elif args.mode == "bucketed":
-        report = rle_bucketed_estimate(acc, args.epsilon, args.delta, args.seed)
-    elif args.mode == "search":
-        report = rle_multiplicative_search(acc, args.seed)
+def _cmd_estimate(args) -> int:
+    """Run one ESTIMATORS row; the option names are its params keys."""
+    if args.command == "rle-est":
+        name = f"rle-{args.mode}"
+    elif args.command == "colors-est":
+        name = "colors" if args.delta is None else "colors-amplified"
     else:
-        report = rle_refined_search(acc, args.gamma, args.seed)
-    _emit(report.to_json_dict())
-    return 0
-
-
-def _cmd_colors_est(args) -> int:
-    acc = _load(args.file, args.alphabet_size)
-    if args.delta is None:
-        report = colors_estimate(acc, getattr(args, "lambda"), args.seed)
-    else:
-        report = colors_estimate_amplified(acc, getattr(args, "lambda"), args.delta, args.seed)
-    _emit(report.to_json_dict())
-    return 0
-
-
-def _cmd_lz_est(args) -> int:
-    acc = _load(args.file, args.alphabet_size)
-    report = lz_estimate(acc, args.A, args.epsilon, args.seed)
-    _emit(report.to_json_dict())
+        name = "lz"
+    acc = QueryCountedString.from_file(args.file, args.alphabet_size)
+    _emit(ESTIMATORS[name].run(acc, vars(args), args.seed).to_json_dict())
     return 0
 
 
 def _cmd_lz_distinguish(args) -> int:
-    acc = _load(args.file, args.alphabet_size)
+    acc = QueryCountedString.from_file(args.file, args.alphabet_size)
     result = distinguish_compressible(acc, args.lo, args.hi, args.seed)
     _emit(result.to_json_dict())
     return 0
@@ -203,13 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("rle-est", help="sublinear RLE cost estimators")
-    p.add_argument("--mode", choices=["additive", "bucketed", "search", "refined"],
-                   default="additive")
+    p.add_argument("--mode", default="additive",
+                   choices=[k.removeprefix("rle-") for k in ESTIMATORS if k.startswith("rle-")])
     p.add_argument("--epsilon", type=float, default=0.05, help="additive error fraction")
     p.add_argument("--delta", type=float, default=1 / 3, help="failure probability (bucketed)")
     p.add_argument("--gamma", type=float, default=0.5, help="multiplicative slack (refined)")
     add_common(p)
-    p.set_defaults(func=_cmd_rle_est)
+    p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("colors-est", help="distinct-symbol (colors) estimator")
     p.add_argument("--lambda", type=float, required=True, dest="lambda",
@@ -217,13 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None,
                    help="run the median-amplified variant with this failure probability")
     add_common(p)
-    p.set_defaults(func=_cmd_colors_est)
+    p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("lz-est", help="sublinear LZ77 cost estimator")
     p.add_argument("--A", type=float, required=True, help="multiplicative factor (> 1)")
     p.add_argument("--epsilon", type=float, required=True, help="additive error fraction")
     add_common(p)
-    p.set_defaults(func=_cmd_lz_est)
+    p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("lz-distinguish", help="decide low vs high LZ cost")
     p.add_argument("--lo", type=float, required=True, help="compressible-side threshold")

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._rng import derive_seed, make_rng
 from .accessor import EstimateReport, QueryCountedString, QuerySession
-from .config import DEFAULT_CONFIG, EstimatorConfig
+from .config import DEFAULT_CONFIG
 from .oracles import alphabet_bits, ceil_log2, exact_rle_cost, run_lengths
 
 
@@ -170,7 +170,7 @@ def _exact_scan_estimate(sess: QuerySession) -> float:
 
 
 def _rle_additive(
-    w: QueryCountedString, epsilon: float, seed: int, config: EstimatorConfig
+    w: QueryCountedString, epsilon: float, seed: int
 ) -> tuple[EstimateReport, tuple[np.ndarray, ...] | None]:
     """The additive estimate, plus the per-sample positions, probed lengths,
     capped flags and contributions (None when the degenerate exact scan fired)."""
@@ -179,7 +179,7 @@ def _rle_additive(
     n = w.length
     sigma = w.alphabet_size
     ell0 = additive_probe_cap(epsilon, sigma)
-    q = config.additive_sample_count(epsilon)
+    q = DEFAULT_CONFIG.additive_sample_count(epsilon)
     sess = w.session()
     if n <= ell0 or q >= n:
         est = _exact_scan_estimate(sess)
@@ -200,11 +200,11 @@ def _rle_additive(
 
 
 def rle_additive_estimate_detailed(
-    w: QueryCountedString, epsilon: float, seed: int, *, config: EstimatorConfig = DEFAULT_CONFIG
+    w: QueryCountedString, epsilon: float, seed: int
 ) -> tuple[EstimateReport, list[RunProbe]]:
     """As :func:`rle_additive_estimate`, also returning the per-sample probes
     (empty when the degenerate exact scan fired)."""
-    report, samples = _rle_additive(w, epsilon, seed, config)
+    report, samples = _rle_additive(w, epsilon, seed)
     if samples is None:
         return report, []
     probes = [
@@ -214,15 +214,13 @@ def rle_additive_estimate_detailed(
     return report, probes
 
 
-def rle_additive_estimate(
-    w: QueryCountedString, epsilon: float, seed: int, *, config: EstimatorConfig = DEFAULT_CONFIG
-) -> EstimateReport:
+def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> EstimateReport:
     """Estimate the RLE cost to within an additive eps*n, claiming (1, eps).
 
     Degenerate inputs (n below the probe cap, or sample count at least n)
     fall back to an exact scan; sublinearity is meaningless below the budget.
     """
-    return _rle_additive(w, epsilon, seed, config)[0]
+    return _rle_additive(w, epsilon, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -343,7 +341,6 @@ def rle_bucketed_estimate_detailed(
     delta: float,
     seed: int,
     *,
-    config: EstimatorConfig = DEFAULT_CONFIG,
     session: QuerySession | None = None,
 ) -> tuple[EstimateReport, BucketTable]:
     if not 0 < epsilon < 1:
@@ -354,17 +351,17 @@ def rle_bucketed_estimate_detailed(
     sigma = sess.alphabet_size
     ell0 = additive_probe_cap(epsilon, sigma)
     buckets = _pow2_buckets(ell0, alphabet_bits(sigma))
-    q = config.bucketed_sample_count(epsilon, delta)
+    q = DEFAULT_CONFIG.bucketed_sample_count(epsilon, delta)
     est, table, _ = _bucketed_core(sess, buckets, q, seed)
     report = EstimateReport(est, 3.0, epsilon, sess.queries, seed, confidence=1.0 - delta)
     return report, table
 
 
 def rle_bucketed_estimate(
-    w: QueryCountedString, epsilon: float, delta: float, seed: int, *, config=DEFAULT_CONFIG
+    w: QueryCountedString, epsilon: float, delta: float, seed: int
 ) -> EstimateReport:
     """Bucketed (3, eps)-estimate of the RLE cost, confidence 1 - delta."""
-    report, _ = rle_bucketed_estimate_detailed(w, epsilon, delta, seed, config=config)
+    report, _ = rle_bucketed_estimate_detailed(w, epsilon, delta, seed)
     return report
 
 
@@ -387,7 +384,6 @@ class SearchTrace:
 def _interval_search(
     w: QueryCountedString,
     seed: int,
-    config: EstimatorConfig,
     *,
     bucket_fn,
     q_scale: float,
@@ -408,11 +404,11 @@ def _interval_search(
     sigma = sess.alphabet_size
     s_bits = alphabet_bits(sigma)
     rounds = []
-    for j in range(1, config.search_max_rounds + 1):
+    for j in range(1, DEFAULT_CONFIG.search_max_rounds + 1):
         eps_j = 2.0**-j
         delta_j = (1.0 / 3.0) * 2.0**-j
         ell0 = additive_probe_cap(eps_j, sigma)
-        q = math.ceil(config.bucketed_sample_count(eps_j, delta_j) * q_scale)
+        q = math.ceil(DEFAULT_CONFIG.bucketed_sample_count(eps_j, delta_j) * q_scale)
         est, _, _ = _bucketed_core(sess, bucket_fn(ell0, s_bits), q, derive_seed(seed, j))
         lower = (est - eps_j * n) * shrink
         upper = (est + eps_j * n) * grow
@@ -424,13 +420,10 @@ def _interval_search(
     raise RuntimeError("cost search did not converge; this should be impossible")
 
 
-def rle_multiplicative_search_detailed(
-    w: QueryCountedString, seed: int, *, config: EstimatorConfig = DEFAULT_CONFIG
-) -> SearchTrace:
+def rle_multiplicative_search_detailed(w: QueryCountedString, seed: int) -> SearchTrace:
     return _interval_search(
         w,
         seed,
-        config,
         bucket_fn=_pow2_buckets,
         q_scale=1.0,
         shrink=1.0 / 3.0,
@@ -440,16 +433,12 @@ def rle_multiplicative_search_detailed(
     )
 
 
-def rle_multiplicative_search(
-    w: QueryCountedString, seed: int, *, config: EstimatorConfig = DEFAULT_CONFIG
-) -> EstimateReport:
+def rle_multiplicative_search(w: QueryCountedString, seed: int) -> EstimateReport:
     """Pure 4-multiplicative estimate of the RLE cost (no additive slack)."""
-    return rle_multiplicative_search_detailed(w, seed, config=config).report
+    return rle_multiplicative_search_detailed(w, seed).report
 
 
-def rle_refined_search_detailed(
-    w: QueryCountedString, gamma: float, seed: int, *, config: EstimatorConfig = DEFAULT_CONFIG
-) -> SearchTrace:
+def rle_refined_search_detailed(w: QueryCountedString, gamma: float, seed: int) -> SearchTrace:
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     ratio = 1.0 + gamma / 2.0
@@ -469,7 +458,6 @@ def rle_refined_search_detailed(
     return _interval_search(
         w,
         seed,
-        config,
         bucket_fn=lambda ell0, s_bits: _geometric_buckets(ell0, s_bits, gamma),
         q_scale=q_scale,
         shrink=1.0 / (ratio * (1.0 + eta)),
@@ -479,8 +467,6 @@ def rle_refined_search_detailed(
     )
 
 
-def rle_refined_search(
-    w: QueryCountedString, gamma: float, seed: int, *, config: EstimatorConfig = DEFAULT_CONFIG
-) -> EstimateReport:
+def rle_refined_search(w: QueryCountedString, gamma: float, seed: int) -> EstimateReport:
     """(1 + gamma)-multiplicative estimate via narrower run-length buckets."""
-    return rle_refined_search_detailed(w, gamma, seed, config=config).report
+    return rle_refined_search_detailed(w, gamma, seed).report

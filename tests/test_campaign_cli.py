@@ -58,6 +58,24 @@ def test_campaign_zero_trials_rejected(tmp_path):
         make_config(tmp_path, trials=0)
 
 
+def test_campaign_unknown_estimator_fails_before_any_work(tmp_path, monkeypatch):
+    from compest import campaign
+
+    def oracle_called(*args, **kwargs):
+        raise AssertionError("the exact oracle ran for an unknown estimator")
+
+    monkeypatch.setattr(campaign, "exact_lz_cost", oracle_called)
+    with pytest.raises(ValueError, match="unknown estimator 'colorz'"):
+        make_config(tmp_path, estimator="colorz", params={"lambda": 3})
+    cfg_path = tmp_path / "colorz.json"
+    cfg_path.write_text(json.dumps({
+        "estimator": "colorz", "params": {}, "trials": 2, "base_seed": 1,
+        "instance": {"kind": "builtin", "name": "ones", "n": 100},
+    }))
+    with pytest.raises(ValueError, match="unknown estimator 'colorz'"):
+        CampaignConfig.from_json_file(cfg_path)
+
+
 def test_campaign_replay_byte_identical(tmp_path):
     cfg = make_config(tmp_path)
     r1 = run_campaign(cfg)
@@ -92,6 +110,35 @@ def test_campaign_generator_instances_per_trial(tmp_path):
     )
     result = run_campaign(cfg)
     assert len({row["exact"] for row in result.rows}) > 1  # instances actually vary
+
+
+@pytest.mark.parametrize("name, params, estimator, oracle", [
+    ("rle-additive", {"epsilon": 0.1}, "rle_additive_estimate", "exact_rle_cost"),
+    ("rle-bucketed", {"epsilon": 0.2}, "rle_bucketed_estimate", "exact_rle_cost"),
+    ("rle-search", {}, "rle_multiplicative_search", "exact_rle_cost"),
+    ("rle-refined", {"gamma": 0.5}, "rle_refined_search", "exact_rle_cost"),
+    ("colors", {"lambda": 3}, "colors_estimate", "exact_color_count"),
+    ("colors-amplified", {"lambda": 3}, "colors_estimate_amplified", "exact_color_count"),
+    ("lz", {"A": 4, "epsilon": 0.1}, "lz_estimate", "exact_lz_cost"),
+])
+def test_estimator_rows_resolve_module_globals_at_call_time(
+    tmp_path, monkeypatch, name, params, estimator, oracle
+):
+    # Tracing and profiling swap these module attributes; a row that held
+    # the function object itself would bypass the swap.
+    from compest import campaign
+
+    calls = []
+    for attr in (estimator, oracle):
+        original = getattr(campaign, attr)
+
+        def recorded(*args, _attr=attr, _original=original, **kwargs):
+            calls.append(_attr)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, attr, recorded)
+    run_campaign(make_config(tmp_path, estimator=name, params=params, trials=1))
+    assert calls == [oracle, estimator]
 
 
 def test_builtin_instances():
@@ -157,6 +204,38 @@ def test_audit_rows_flag_violations():
     ]
     rows = audit_queries(entries)
     assert rows[0].within and not rows[1].within
+
+    from compest.colors import amplification_runs, sample_count
+    from compest.config import DEFAULT_CONFIG
+    from compest.rle import additive_probe_cap
+
+    cfg = DEFAULT_CONFIG
+    others = [
+        ({"estimator": "rle-bucketed", "n": 1000, "epsilon": 0.2, "delta": 0.1, "sigma": 4},
+         cfg.bucketed_query_ceiling(0.2, 0.1, additive_probe_cap(0.2, 4))),
+        ({"estimator": "rle-bucketed", "n": 1000, "epsilon": 0.2},
+         cfg.bucketed_query_ceiling(0.2, 1 / 3, additive_probe_cap(0.2, 2))),
+        ({"estimator": "rle-search", "n": 10**5, "exact": 4e4},
+         cfg.search_query_ceiling(10**5, 4e4)),
+        ({"estimator": "colors", "n": 5000, "lambda": 3}, float(sample_count(5000, 3))),
+        ({"estimator": "colors-amplified", "n": 5000, "lambda": 3, "delta": 0.1},
+         float(amplification_runs(0.1) * sample_count(5000, 3))),
+        ({"estimator": "lz", "n": 10**5, "A": 8, "epsilon": 0.05},
+         cfg.lz_query_ceiling(10**5, 8, 0.05)),
+    ]
+    for entry, ceiling in others:
+        below, above = audit_queries([
+            dict(entry, queries_used=int(ceiling)),
+            dict(entry, queries_used=int(ceiling) + 1),
+        ])
+        assert below.label == above.label == entry["estimator"]
+        assert below.ceiling == above.ceiling == ceiling
+        assert below.within and not above.within, entry
+
+    with pytest.raises(ValueError, match="rle-refined has no query ceiling"):
+        audit_queries([{"estimator": "rle-refined", "n": 1000, "gamma": 0.5, "queries_used": 1}])
+    with pytest.raises(ValueError, match="unknown estimator"):
+        audit_queries([{"estimator": "colorz", "n": 1000, "queries_used": 1}])
 
 
 # -- CLI ----------------------------------------------------------------------
