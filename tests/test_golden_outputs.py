@@ -20,8 +20,9 @@ import pytest
 from compest import cli
 from compest.campaign import CampaignConfig, run_campaign
 
-# The criterion-12 estimator invocations, run on the 4096-byte alternating
-# file with --seed 5.
+# The criterion-12 estimator invocations, plus an lz-est whose window
+# sample is smaller than the string (the sampled lane), run on the 4096-byte
+# alternating file with --seed 5.
 CLI_CASES = [
     "rle-est --mode additive --epsilon 0.1",
     "rle-est --mode bucketed --epsilon 0.2 --delta 0.2",
@@ -30,6 +31,7 @@ CLI_CASES = [
     "colors-est --lambda 3",
     "colors-est --lambda 3 --delta 0.1",
     "lz-est --A 4 --epsilon 0.1",
+    "lz-est --A 64 --epsilon 0.005",
     "lz-distinguish --lo 64 --hi 1024",
 ]
 
@@ -184,6 +186,17 @@ CLI_EXPECTED = {
         '  "epsilon": 0.1,\n'
         '  "estimate": 415.69514967151736,\n'
         '  "lambda": 4.0,\n'
+        '  "queries_used": 4096,\n'
+        '  "seed": 5\n'
+        '}\n'
+    ),
+    'lz-est --A 64 --epsilon 0.005': (
+        'exit 0\n'
+        '{\n'
+        '  "confidence": 0.6666666666666666,\n'
+        '  "epsilon": 0.005,\n'
+        '  "estimate": 148.48,\n'
+        '  "lambda": 64.0,\n'
         '  "queries_used": 4096,\n'
         '  "seed": 5\n'
         '}\n'
