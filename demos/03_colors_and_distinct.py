@@ -4,7 +4,9 @@
 The colors estimator scales a sample's distinct count by lambda. One side of
 its guarantee is unconditional: a sample can never contain more colors than
 the string, so the output never exceeds lambda * C. The lower side holds
-with probability 2/3, boosted by median amplification.
+with probability 2/3. The amplified variant pools k basic samples into one:
+adding positions can only raise the distinct count, so the pool fails only
+if all k parts would, with probability at most 3^-k.
 
 The same machinery estimates d_ell (distinct length-ell substrings) by
 treating window starts as virtual colors, reusing one sampled window set for

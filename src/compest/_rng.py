@@ -2,7 +2,7 @@
 
 Every stochastic operation in this package takes an explicit integer seed and
 uses a PCG64 generator, so any run can be replayed bit-exactly. Child seeds
-(per trial, per amplification run, per generated block) are derived with a
+(per trial, per sampling phase, per generated block) are derived with a
 cryptographic hash so the derivation is stable across platforms and releases.
 """
 

@@ -125,7 +125,7 @@ ESTIMATORS = {
         ),
         _exact_colors,
         lambda e, n: float(
-            amplification_runs(float(e["delta"])) * sample_count(n, float(e["lambda"]))
+            amplification_runs(float(e.get("delta", 1 / 3))) * sample_count(n, float(e["lambda"]))
         ),
     ),
     "lz": Estimator(

@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=float, required=True, dest="lambda",
                    help="multiplicative factor (> 1)")
     p.add_argument("--delta", type=float, default=None,
-                   help="run the median-amplified variant with this failure probability")
+                   help="run the pooled-amplified variant with this failure probability")
     add_common(p)
     p.set_defaults(func=_cmd_estimate)
 

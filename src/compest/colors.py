@@ -5,8 +5,14 @@ replacement, counts the distinct symbols seen, and scales by lambda. The
 sample can never contain more colors than the string, so the scaled output
 never exceeds lambda times the truth - that side holds on every run, not
 just with high probability. The lower side holds with probability at least
-2/3; the amplified variant runs the basic estimator several times and takes
-the median to push the failure probability below a requested delta.
+2/3.
+
+The amplified variant needs no median. Because the upper side never fails,
+a sample can only fail low, and adding positions to a sample can only raise
+its distinct count. So one pooled sample of k basic sample sizes is at least
+as good as the best of k independent basic runs: it fails only if every one
+of them fails on the lower side, with probability at most 3^-k. k is the
+smallest integer with 3^k >= 1/delta.
 
 Used standalone and as the engine behind the LZ distinct-substring
 estimates, where each window start is treated as a virtual color.
@@ -17,13 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._rng import derive_seed, make_rng
-from .accessor import EstimateReport, QueryCountedString, QuerySession, distinct_count
+from ._rng import make_rng
+from .accessor import EstimateReport, QueryCountedString, distinct_count
 
 
 @dataclass(frozen=True)
 class ColorSample:
-    """One basic-estimator run: sample size, distinct symbols seen, factor."""
+    """One color sample: its size, the distinct symbols seen in it, the factor."""
 
     sample_size: int
     distinct_seen: int
@@ -38,62 +44,44 @@ def sample_count(n: int, lam: float) -> int:
     return math.ceil(10.0 * n / lam**2)
 
 
-def _basic(sess: QuerySession, lam: float, seed: int) -> ColorSample:
-    s = sample_count(sess.length, lam)
-    rng = make_rng(seed)
-    ts = rng.integers(1, sess.length + 1, size=s)
-    vals = sess.read_many(ts)
-    return ColorSample(sample_size=s, distinct_seen=distinct_count(vals), lam=lam)
-
-
-def colors_estimate(
-    tau: QueryCountedString, lam: float, seed: int, *, session: QuerySession | None = None
+def _pooled_estimate(
+    tau: QueryCountedString, lam: float, runs: int, seed: int, confidence: float
 ) -> EstimateReport:
-    """lambda-multiplicative estimate of the distinct-symbol count of ``tau``."""
+    """lambda times the distinct symbols in one pool of ``runs`` basic sample sizes."""
     if lam <= 1:
         raise ValueError("lambda must be > 1")
-    sess = session if session is not None else tau.session()
-    sample = _basic(sess, lam, seed)
+    sess = tau.session()
+    s = runs * sample_count(sess.length, lam)
+    ts = make_rng(seed).integers(1, sess.length + 1, size=s)
+    sample = ColorSample(sample_size=s, distinct_seen=distinct_count(sess.read_many(ts)), lam=lam)
     return EstimateReport(
         estimate=float(sample.distinct_seen * lam),
         lam=lam,
         epsilon=0.0,
         queries_used=sess.queries,
         seed=seed,
+        confidence=confidence,
     )
+
+
+def colors_estimate(tau: QueryCountedString, lam: float, seed: int) -> EstimateReport:
+    """lambda-multiplicative estimate of the distinct-symbol count of ``tau``."""
+    return _pooled_estimate(tau, lam, 1, seed, 2.0 / 3.0)
 
 
 def amplification_runs(delta: float) -> int:
-    return max(1, math.ceil(18.0 * math.log(1.0 / delta)))
-
-
-def lower_median(values) -> float:
-    """Deterministic median: the lower of the two middles for even counts."""
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
+    """Smallest k >= 1 with 3^-k <= delta: a pool of k basic sample sizes
+    fails on the lower side with probability at most delta."""
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+    k = 1
+    while 3.0**-k > delta:
+        k += 1
+    return k
 
 
 def colors_estimate_amplified(
-    tau: QueryCountedString,
-    lam: float,
-    delta: float,
-    seed: int,
-    *,
-    session: QuerySession | None = None,
+    tau: QueryCountedString, lam: float, delta: float, seed: int
 ) -> EstimateReport:
-    """Median of ceil(18 * ln(1/delta)) independent basic runs; confidence 1 - delta."""
-    if lam <= 1:
-        raise ValueError("lambda must be > 1")
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    sess = session if session is not None else tau.session()
-    k = amplification_runs(delta)
-    outputs = [_basic(sess, lam, derive_seed(seed, run)).distinct_seen * lam for run in range(k)]
-    return EstimateReport(
-        estimate=float(lower_median(outputs)),
-        lam=lam,
-        epsilon=0.0,
-        queries_used=sess.queries,
-        seed=seed,
-        confidence=1.0 - delta,
-    )
+    """One pool of amplification_runs(delta) basic sample sizes; confidence 1 - delta."""
+    return _pooled_estimate(tau, lam, amplification_runs(delta), seed, 1.0 - delta)

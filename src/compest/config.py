@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .lz import LzEstimateParams, window_pool_size
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -22,7 +24,6 @@ class EstimatorConfig:
     c_additive_audit: float = 20.0  # x c_q * log2(4*sigma/eps) / eps^3
     c_bucketed_audit: float = 8.0   # x q * h0^2
     c_search_audit: float = 4.0     # x (n / C) * log2(n + 2)^3, expected reads of the search
-    c_lz_audit: float = 4.0         # x (n / (A^3 * eps)) * (1 + log2(2 / (A * eps)))^2
 
     # Safety cap on search iterations (termination is guaranteed well below
     # this for any nonempty input; the cap only catches bugs).
@@ -56,8 +57,10 @@ class EstimatorConfig:
         return self.c_search_audit * (n / max(1.0, exact_cost)) * math.log2(n + 2) ** 3
 
     def lz_query_ceiling(self, n: int, a_factor: float, epsilon: float) -> float:
-        core = n / (a_factor**3 * epsilon)
-        return self.c_lz_audit * core * (1.0 + math.log2(2.0 / (a_factor * epsilon))) ** 2
+        # the window reads lz_estimate draws; it has no constant of its own
+        p = LzEstimateParams.derive(a_factor, epsilon, n)
+        size = window_pool_size(n, p.ell0, p.B, p.delta)
+        return float(n if size is None else size * p.ell0)
 
 
 DEFAULT_CONFIG = EstimatorConfig()

@@ -15,6 +15,11 @@ so the total read cost is one window-read per sample rather than one per
 (sample, length) pair. Distinct prefixes are counted for every length at
 once by one sort of the sampled windows, with the suffix-array identity the
 exact oracle uses: d_ell = windows - #(sort-adjacent pairs with LCP >= ell).
+
+Confidence comes from pooling, as in the amplified colors estimator: the
+window pool holds k = amplification_runs(delta) basic sample sizes, and B
+times its distinct prefix count can only fail low, with probability at most
+3^-k <= delta, never high.
 """
 
 from __future__ import annotations
@@ -26,61 +31,61 @@ import numpy as np
 
 from ._rng import derive_seed, make_rng
 from .accessor import EstimateReport, QueryCountedString, QuerySession
-from .colors import amplification_runs, lower_median, sample_count
+from .colors import amplification_runs, sample_count
 from .oracles import distinct_profile
 from .suffixes import lcp_at_least_counts
 
 
 class SharedWindowSamples:
-    """Window starts sampled once at length ell0, reused for all shorter lengths.
+    """One pool of window starts sampled at length ell0, reused for all shorter lengths.
 
     Starts are uniform over [1, n - ell0 + 1], so every start is valid for
     every length up to ell0; the length-ell view of a sampled window is just
     its prefix, which costs no extra reads. ``distinct_counts(ell)`` returns
-    the number of distinct length-ell prefixes per amplification run. The
-    first call sorts all windows once, by run and then lexicographically; in
-    that order the LCP of two adjacent windows of one run is their first
-    differing column, and a run's distinct length-ell prefixes are its
-    window count minus its adjacent pairs with LCP >= ell.
+    the number of distinct length-ell prefixes in the pool. The first call
+    sorts the windows lexicographically once; in that order the LCP of two
+    adjacent windows is their first differing column, and the distinct
+    length-ell prefixes are the window count minus the adjacent pairs with
+    LCP >= ell.
     """
 
-    def __init__(self, session: QuerySession, ell0: int, n_runs: int, per_run: int, seed: int):
+    def __init__(self, session: QuerySession, ell0: int, size: int, seed: int):
         n = session.length
         if not 1 <= ell0 <= n:
             raise ValueError(f"window length {ell0} outside [1, {n}]")
         self.ell0 = int(ell0)
-        self.n_runs = int(n_runs)
-        self.per_run = int(per_run)
-        total = self.n_runs * self.per_run
-        rng = make_rng(seed)
-        flat = rng.integers(1, n - ell0 + 2, size=total)
-        self.starts = flat.reshape(self.n_runs, self.per_run)
-        cols = [session.read_many(flat + off) for off in range(self.ell0)]
-        window = np.column_stack(cols)
+        self.starts = make_rng(seed).integers(1, n - ell0 + 2, size=int(size))
+        self.starts.flags.writeable = False
+        positions = self.starts[:, None] + np.arange(self.ell0)
+        window = session.read_many(positions.ravel()).reshape(positions.shape)
         low = int(window.min())
         # narrow keys let lexsort's stable passes run as radix sorts
         self._rows = (window - low).astype(np.min_scalar_type(int(window.max()) - low))
         self._counts: np.ndarray | None = None
 
-    def run_starts(self, run: int) -> np.ndarray:
-        return self.starts[run].copy()
-
-    def distinct_counts(self, ell: int) -> np.ndarray:
-        """Distinct length-``ell`` prefixes in each amplification run's sample."""
+    def distinct_counts(self, ell: int) -> int:
+        """Distinct length-``ell`` prefixes among the pooled windows."""
         if not 1 <= ell <= self.ell0:
             raise ValueError(f"length {ell} outside [1, {self.ell0}]")
         if self._counts is None:
-            run_ids = np.arange(self.n_runs, dtype=np.min_scalar_type(self.n_runs - 1))
-            run = np.repeat(run_ids, self.per_run)
-            order = np.lexsort((*self._rows.T[::-1], run))
-            rows = self._rows[order]
-            same = rows[1:] == rows[:-1]
-            lcp = np.zeros(len(rows), dtype=np.int64)
-            lcp[1:] = np.logical_and.accumulate(same, axis=1).sum(axis=1)
-            lcp[:: self.per_run] = 0  # first window of each run has no predecessor
-            pairs = lcp_at_least_counts(lcp.reshape(self.n_runs, self.per_run), self.ell0)
-            self._counts = self.per_run - pairs
-        return self._counts[:, ell - 1].copy()
+            rows = self._rows[np.lexsort(self._rows.T[::-1])]
+            lcp = np.zeros(len(rows), dtype=np.int64)  # the first window has no predecessor
+            lcp[1:] = np.logical_and.accumulate(rows[1:] == rows[:-1], axis=1).sum(axis=1)
+            self._counts = len(rows) - lcp_at_least_counts(lcp, self.ell0)
+        return int(self._counts[ell - 1])
+
+
+def window_pool_size(n: int, ell0: int, B: float, delta: float) -> int | None:
+    """Windows the sampled lane draws for factor B, confidence 1 - delta per length.
+
+    None marks the exact lane: a requested factor B <= 1, or a basic sample
+    count that already reaches the n - ell0 + 1 window starts (an exact count
+    is a valid B-estimate for any B >= 1).
+    """
+    n_virt = n - ell0 + 1
+    if B <= 1.0 or sample_count(n_virt, B) >= n_virt:
+        return None
+    return amplification_runs(delta) * sample_count(n_virt, B)
 
 
 def _distinct_estimates(
@@ -88,25 +93,21 @@ def _distinct_estimates(
 ) -> np.ndarray:
     """Estimates of d_1..d_ell0 within a factor max(1, B), confidence 1 - delta each.
 
-    Degenerate regimes are answered exactly from a full scan: a requested
-    factor B <= 1, or a sample count that already reaches the n - ell0 + 1
-    window starts (an exact count is a valid B-estimate for any B >= 1).
-    Otherwise each d_ell is the lower median over amplification runs of
-    B times the distinct length-ell prefixes in one shared window sample.
+    The exact lane of :func:`window_pool_size` is answered from a full scan.
+    Otherwise each d_ell is B times the distinct length-ell prefixes in one
+    shared pool of amplification_runs(delta) basic sample sizes of windows.
+    The pool holds no more distinct prefixes than the string, so no estimate
+    exceeds B * d_ell. It fails low only if each of the k independent basic
+    samples it is made of would fail low on its own, each with probability
+    at most 1/3, so with probability at most 3^-k <= delta.
     """
-    n_virt = sess.length - ell0 + 1
-    s = sample_count(n_virt, B) if B > 1 else n_virt
-    if B <= 1.0 or s >= n_virt:
+    size = window_pool_size(sess.length, ell0, B, delta)
+    if size is None:
         return distinct_profile(sess.read_all(), ell0).astype(np.float64)
-    k = amplification_runs(delta)
-    shared = SharedWindowSamples(sess, ell0, k, s, seed)
-    dhat = np.array(
-        [
-            lower_median([c * B for c in shared.distinct_counts(ell).tolist()])
-            for ell in range(1, ell0 + 1)
-        ]
-    )
-    if sess.queries > k * s * ell0 + 1:
+    shared = SharedWindowSamples(sess, ell0, size, seed)
+    counts = [shared.distinct_counts(ell) for ell in range(1, ell0 + 1)]
+    dhat = B * np.array(counts, dtype=np.float64)
+    if sess.queries > size * ell0:
         raise RuntimeError("window sampling read more than its reuse budget")
     return dhat
 
@@ -114,9 +115,9 @@ def _distinct_estimates(
 def estimate_distinct(w, ell: int, B: float, delta: float, *, seed: int = 0) -> float:
     """Estimate d_ell within a factor B, confidence 1 - delta.
 
-    Views each window start as a virtual color and runs the amplified colors
+    Views each window start as a virtual color and runs the pooled colors
     estimator over the n - ell + 1 virtual positions, falling back to an
-    exact scan in the degenerate regimes of :func:`_distinct_estimates`.
+    exact scan on the exact lane of :func:`window_pool_size`.
     """
     sess = w.session()
     n = sess.length
@@ -152,6 +153,11 @@ class LzEstimateParams:
         ell0 = min(math.ceil(raw), n)
         return LzEstimateParams(A, epsilon, ell0, A / (2.0 * math.sqrt(math.log2(raw))))
 
+    @property
+    def delta(self) -> float:
+        """Failure probability per length; a union bound over the ell0 lengths leaves 1/3."""
+        return 1.0 / (3.0 * self.ell0)
+
 
 def lz_estimate_detailed(
     w: QueryCountedString, A: float, epsilon: float, seed: int
@@ -160,7 +166,7 @@ def lz_estimate_detailed(
     params = LzEstimateParams.derive(A, epsilon, n)
     sess = w.session()
     ell0 = params.ell0
-    dhat = _distinct_estimates(sess, ell0, params.B, 1.0 / (3.0 * ell0), derive_seed(seed, "windows"))
+    dhat = _distinct_estimates(sess, ell0, params.B, params.delta, derive_seed(seed, "windows"))
     mhat = float(max(dhat[ell - 1] / ell for ell in range(1, ell0 + 1)))
     est = mhat * (params.A / max(1.0, params.B)) + epsilon * n
     report = EstimateReport(est, params.A, epsilon, sess.queries, seed)

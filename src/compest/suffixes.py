@@ -89,13 +89,9 @@ def lcp_array(sa: np.ndarray, ranks: list[np.ndarray]) -> np.ndarray:
 
 
 def lcp_at_least_counts(lcp: np.ndarray, ell_max: int) -> np.ndarray:
-    """out[g, ell-1] = #{r : lcp[g, r] >= ell} for each row g of the 2-D
-    ``lcp`` (one group of sort-adjacent pairs per row), ell = 1..ell_max."""
-    groups = lcp.shape[0]
-    ids = np.minimum(lcp, ell_max) + (ell_max + 1) * np.arange(groups)[:, None]
-    hist = np.bincount(ids.ravel(), minlength=groups * (ell_max + 1))
-    # reversed cumulative sum over lcp = ell_max..1
-    return np.cumsum(hist.reshape(groups, ell_max + 1)[:, :0:-1], axis=1)[:, ::-1]
+    """out[ell-1] = #{r : lcp[r] >= ell} for ell = 1..ell_max."""
+    hist = np.bincount(np.minimum(lcp, ell_max), minlength=ell_max + 1)
+    return np.cumsum(hist[:0:-1])[::-1]  # reversed cumulative sum over lcp = ell_max..1
 
 
 def distinct_length_profile(arr: np.ndarray, ell_max: int) -> np.ndarray:
@@ -110,7 +106,7 @@ def distinct_length_profile(arr: np.ndarray, ell_max: int) -> np.ndarray:
     sa, ranks = suffix_array(a)
     lcp = lcp_array(sa, ranks)
     ells = np.arange(1, ell_max + 1)
-    return (n - ells + 1) - lcp_at_least_counts(lcp[None, :], ell_max)[0]
+    return (n - ells + 1) - lcp_at_least_counts(lcp, ell_max)
 
 
 def longest_previous_factor(sa: np.ndarray, lcp: np.ndarray) -> list[int]:

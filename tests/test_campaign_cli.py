@@ -220,6 +220,8 @@ def test_audit_rows_flag_violations():
         ({"estimator": "colors", "n": 5000, "lambda": 3}, float(sample_count(5000, 3))),
         ({"estimator": "colors-amplified", "n": 5000, "lambda": 3, "delta": 0.1},
          float(amplification_runs(0.1) * sample_count(5000, 3))),
+        ({"estimator": "colors-amplified", "n": 5000, "lambda": 3},
+         float(amplification_runs(1 / 3) * sample_count(5000, 3))),
         ({"estimator": "lz", "n": 10**5, "A": 8, "epsilon": 0.05},
          cfg.lz_query_ceiling(10**5, 8, 0.05)),
     ]

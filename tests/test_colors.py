@@ -9,7 +9,7 @@ from compest import (
     meets_contract,
 )
 from compest._rng import make_rng
-from compest.colors import ColorSample, amplification_runs, lower_median, sample_count
+from compest.colors import ColorSample, amplification_runs, sample_count
 
 
 def multiplicity_instance(n_colors, n_prime, seed):
@@ -74,21 +74,29 @@ def test_color_sample_validation():
         ColorSample(sample_size=5, distinct_seen=6, lam=2.0)
 
 
-def test_lower_median_is_lower_of_two():
-    assert lower_median([4.0, 1.0, 3.0, 2.0]) == 2.0
-    assert lower_median([5.0]) == 5.0
-    assert lower_median([2.0, 1.0, 3.0]) == 2.0
+def test_amplification_runs_is_smallest_power_of_three_covering_delta():
+    assert [amplification_runs(3**-j) for j in range(1, 7)] == [1, 2, 3, 4, 5, 6]
+    assert amplification_runs(0.5) == 1
+    assert amplification_runs(0.05) == 3  # 3^-2 > 0.05 >= 3^-3
+    assert amplification_runs(1 / 21) == 3  # the LZ window pool at ell0 = 7
+    for delta in (0.0, 1.0, -0.1):
+        with pytest.raises(ValueError):
+            amplification_runs(delta)
 
 
-def test_amplified_formula_and_median_membership():
-    assert amplification_runs(1 / 3) == max(1, int(np.ceil(18 * np.log(3))))
+def test_amplified_pools_basic_sample_sizes():
     w = multiplicity_instance(40, 4000, seed=2)
     rep = colors_estimate_amplified(w, 3.0, 0.05, seed=9)
-    base = [colors_estimate(w, 3.0, seed=s).estimate for s in range(200)]
-    # the median output is always one of the possible base-run outputs
+    # one pool of 3 basic sample sizes, scaled by lambda: never above lambda * d
     assert rep.estimate / 3.0 == int(rep.estimate / 3.0)
+    assert rep.estimate <= 3.0 * 40
     assert rep.confidence == pytest.approx(0.95)
-    assert min(base) <= rep.estimate <= max(base)
+    assert rep.queries_used <= 3 * sample_count(4000, 3.0)
+    # at delta = 1/3 the pool is one basic sample, drawn as the basic estimator draws it
+    for seed in range(5):
+        pooled = colors_estimate_amplified(w, 3.0, 1 / 3, seed=seed)
+        basic = colors_estimate(w, 3.0, seed=seed)
+        assert (pooled.estimate, pooled.queries_used) == (basic.estimate, basic.queries_used)
 
 
 def test_amplified_single_color_is_lambda():

@@ -18,7 +18,7 @@ from compest import (
 from compest._rng import derive_seed, make_rng
 from compest.colors import amplification_runs, sample_count
 from compest.config import DEFAULT_CONFIG
-from compest.lz import lz_estimate_detailed
+from compest.lz import lz_estimate_detailed, window_pool_size
 from naive import all_ones, naive_distinct_prefixes, random_symbols
 
 
@@ -32,18 +32,13 @@ def acc(arr, sigma=None):
 def _check_counts_against_prefix_reference(sigma):
     arr = make_rng(sigma).integers(0, sigma, size=3000)
     for ell0 in (1, 7, 16):
-        for n_runs in (1, 70):
-            for per_run in (1, 500):
-                seed = derive_seed(sigma, ell0, n_runs, per_run)
-                shared = SharedWindowSamples(acc(arr).session(), ell0, n_runs, per_run, seed)
-                windows = [
-                    [tuple(arr[t - 1 : t - 1 + ell0].tolist()) for t in shared.run_starts(r)]
-                    for r in range(n_runs)
-                ]
-                for ell in range(1, ell0 + 1):
-                    expect = [naive_distinct_prefixes(run, ell) for run in windows]
-                    got = shared.distinct_counts(ell).tolist()
-                    assert got == expect, (sigma, ell0, n_runs, per_run, ell)
+        for size in (1, 70, 500, 35_000):
+            seed = derive_seed(sigma, ell0, size)
+            shared = SharedWindowSamples(acc(arr).session(), ell0, size, seed)
+            windows = [tuple(arr[t - 1 : t - 1 + ell0].tolist()) for t in shared.starts]
+            for ell in range(1, ell0 + 1):
+                got = shared.distinct_counts(ell)
+                assert got == naive_distinct_prefixes(windows, ell), (sigma, ell0, size, ell)
 
 
 def test_counting_backends_agree():
@@ -61,22 +56,23 @@ def test_sort_backend_agrees_on_wide_alphabet():
 def test_shared_starts_reused_across_lengths():
     arr = random_symbols(4096, 2, seed=4)
     w = acc(arr)
-    shared = SharedWindowSamples(w.session(), 8, 3, 200, seed=5)
+    shared = SharedWindowSamples(w.session(), 8, 600, seed=5)
     # one start set serves every length: column ell of the windows is the
     # prefix projection, with no fresh draws per length
-    starts = shared.run_starts(1)
+    starts = shared.starts.copy()
     _ = shared.distinct_counts(2)
     _ = shared.distinct_counts(8)
-    assert np.array_equal(shared.run_starts(1), starts)
+    assert np.array_equal(shared.starts, starts)
     assert starts.max() <= arr.size - 8 + 1
+    assert not shared.starts.flags.writeable
 
 
 def test_shared_window_reads_within_reuse_budget():
     arr = random_symbols(4096, 2, seed=4)
     w = acc(arr)
     sess = w.session()
-    SharedWindowSamples(sess, 8, 3, 200, seed=5)
-    assert sess.queries <= 3 * 200 * 8
+    SharedWindowSamples(sess, 8, 600, seed=5)
+    assert sess.queries <= 600 * 8
 
 
 # -- distinct estimation ----------------------------------------------------
@@ -183,6 +179,40 @@ def test_lz_query_ceiling_at_reference_params():
     arr = random_symbols(n, 2, seed=31)
     rep = lz_estimate(acc(arr), 8, 0.05, seed=0)
     assert rep.queries_used <= DEFAULT_CONFIG.lz_query_ceiling(n, 8, 0.05)
+
+
+@pytest.fixture(scope="module")
+def sampled_lane_inputs():
+    """n = 2e5 inputs that (32, 0.01) and (64, 0.005) estimate from a window pool."""
+    n = 200_000
+    inputs = {
+        "random-bytes": random_symbols(n, 256, seed=61),
+        "random-binary": random_symbols(n, 2, seed=62),
+        "blocks": np.tile(random_symbols(1000, 256, seed=63), n // 1000),
+    }
+    return {name: (arr, exact_lz_cost(arr).total_cost) for name, arr in inputs.items()}
+
+
+def test_lz_query_ceiling_on_sampled_lane(sampled_lane_inputs):
+    A, eps = 64, 0.005
+    for name, (arr, _) in sampled_lane_inputs.items():
+        ceiling = DEFAULT_CONFIG.lz_query_ceiling(arr.size, A, eps)
+        rep = lz_estimate(acc(arr), A, eps, seed=0)
+        assert rep.queries_used <= ceiling < arr.size, (name, rep.queries_used, ceiling)
+
+
+@pytest.mark.parametrize("A, eps", [(32, 0.01), (64, 0.005)])
+def test_lz_contract_on_sampled_lane(sampled_lane_inputs, A, eps):
+    for name, (arr, exact) in sampled_lane_inputs.items():
+        n = arr.size
+        p = LzEstimateParams.derive(A, eps, n)
+        assert window_pool_size(n, p.ell0, p.B, p.delta) is not None  # not the exact lane
+        upper = two_sided = 0
+        for seed in range(20):
+            rep = lz_estimate(acc(arr), A, eps, seed=seed)
+            upper += rep.estimate <= A * exact + eps * n
+            two_sided += meets_contract(rep, exact, n)
+        assert upper == 20 and two_sided >= 18, (name, upper, two_sided)
 
 
 # -- distinguisher ------------------------------------------------------------
