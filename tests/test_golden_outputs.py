@@ -8,10 +8,15 @@ same code (which is all criterion 12 checks). The outputs that depend on the
 number of colors and window samples drawn were recaptured when median
 amplification gave way to one pooled sample.
 
+``compest exact --scheme rle|lz`` prints one JSON part per run or phrase,
+megabytes on the 2e5-byte inputs below, so those outputs are pinned by
+their sha256 instead of their text.
+
 To recapture after an intended output change, print ``cli_output``,
 ``campaign_outputs`` and ``audit_output`` for each case and paste them in.
 """
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -61,6 +66,14 @@ AUDIT_ENTRIES = [
     {"estimator": "lz", "n": 4096, "A": 4, "epsilon": 0.1, "queries_used": 4096},
 ]
 
+# sha256 of the ``exact`` outputs, keyed "SCHEME on INPUT" (see exact_inputs).
+EXACT_SHA256 = {
+    "rle on random-bytes": "6d3b7e51a0bea839bfc62726c11899d1bbbe58962f3ff5832891b66bf8a1300e",
+    "rle on random-binary": "1053cf34feb76b8d837280041bc8528a2485104a5b77a8a73be6fcbd1b7691a3",
+    "lz on random-bytes": "43dcff18a9fd043eb4300bfb427f0a0c312c420c830ac9ab83e24cf9a246c8f7",
+    "lz on random-binary": "d5d732835bb448b025abb38faed45e1f18bc6ab12a64b50e7b68ad1c7e288199",
+}
+
 
 def _run_cli(argv) -> str:
     buf = io.StringIO()
@@ -98,6 +111,24 @@ def alternating_file(tmp_path):
     path = tmp_path / "w.bin"
     path.write_bytes(bytes((np.arange(4096) % 2).astype(np.uint8)))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def exact_inputs(tmp_path_factory):
+    """2e5 bytes from SHAKE-256 (stable on every platform) and their low bits."""
+    raw = np.frombuffer(hashlib.shake_256(b"compest exact golden").digest(200_000), dtype=np.uint8)
+    paths = {}
+    for name, data in (("random-bytes", raw), ("random-binary", raw & 1)):
+        paths[name] = tmp_path_factory.mktemp("exact") / f"{name}.bin"
+        paths[name].write_bytes(data.tobytes())
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_SHA256))
+def test_exact_output_is_golden(case, exact_inputs):
+    scheme, name = case.split(" on ")
+    text = _run_cli(["exact", "--scheme", scheme, str(exact_inputs[name])])
+    assert hashlib.sha256(text.encode()).hexdigest() == EXACT_SHA256[case]
 
 
 @pytest.mark.parametrize("case", CLI_CASES)
