@@ -18,12 +18,13 @@ from compest import (
 print("== RLE cost ==")
 for text, sigma in [("0011", 2), ("1111", 2), ("aabbbbc", 26)]:
     b = exact_rle_cost(text, sigma)
-    print(f"  {text!r} (sigma={sigma}): {b.total_cost} bits, runs {b.parts}")
+    runs = list(zip(b.starts.tolist(), b.lengths.tolist(), b.costs.tolist()))
+    print(f"  {text!r} (sigma={sigma}): {b.total_cost} bits, runs (start, length, bits) {runs}")
 
 print("\n== LZ77 cost (symbols emitted) ==")
 for text in ["abab", "aaaa", "abcabc", "to be or not to be"]:
     b = exact_lz_cost(text)
-    segs = [(s, ln) for s, ln, _ in b.parts]
+    segs = list(zip(b.starts.tolist(), b.lengths.tolist()))
     print(f"  {text!r}: {b.total_cost} symbols, segments {segs}")
 
 print("\n== distinct substrings ==")

@@ -21,11 +21,34 @@ from .accessor import QueryCountedString, distinct_count
 from .campaign import ESTIMATORS, CampaignConfig, audit_queries, run_campaign, write_result
 from .generators import GeneratorSpec
 from .lz import distinguish_compressible
-from .oracles import exact_color_count, exact_distinct_substrings, exact_lz_cost, exact_rle_cost
+from .oracles import (
+    CostBreakdown,
+    exact_color_count,
+    exact_distinct_substrings,
+    exact_lz_cost,
+    exact_rle_cost,
+)
 
 
 def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+_PART = '    {\n      "cost": %d,\n      "length": %d,\n      "start": %d\n    }'
+
+
+def _emit_breakdown(b: CostBreakdown, chunk: int = 1 << 16) -> None:
+    """Print ``b`` as ``_emit`` would print its scheme, total_cost and list of
+    part dicts, but written from the columns a chunk of parts at a time."""
+    out = sys.stdout
+    out.write('{\n  "parts": [')
+    sep = "\n"
+    for lo in range(0, b.starts.size, chunk):
+        rows = zip(*(col[lo : lo + chunk].tolist() for col in (b.costs, b.lengths, b.starts)))
+        out.write(sep + ",\n".join(map(_PART.__mod__, rows)))
+        sep = ",\n"
+    out.write("\n  ]" if b.starts.size else "]")
+    out.write(f',\n  "scheme": {json.dumps(b.scheme)},\n  "total_cost": {int(b.total_cost)}\n}}\n')
 
 
 def _default_seed() -> int:
@@ -36,9 +59,9 @@ def _cmd_exact(args) -> int:
     acc = QueryCountedString.from_file(args.file, args.alphabet_size)
     data = acc.materialize()
     if args.scheme == "rle":
-        _emit(exact_rle_cost(data, acc.alphabet_size).to_json_dict())
+        _emit_breakdown(exact_rle_cost(data, acc.alphabet_size))
     elif args.scheme == "lz":
-        _emit(exact_lz_cost(data).to_json_dict())
+        _emit_breakdown(exact_lz_cost(data))
     elif args.scheme == "distinct":
         if args.ell is None:
             raise SystemExit("--ell is required with --scheme distinct")

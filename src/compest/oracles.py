@@ -17,7 +17,7 @@ conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,31 +57,21 @@ def alphabet_bits(alphabet_size: int) -> int:
     return int(ceil_log2(np.array([alphabet_size]))[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostBreakdown:
     """Exact compression cost plus its per-part decomposition.
 
-    ``parts`` is an ordered list of (start, length, cost) with 1-indexed
-    starts that tile [1, n] exactly. For RLE a part is a maximal run and the
-    cost is in bits; for LZ a part is a compressed segment and the cost is 1
-    symbol.
+    The parts are three aligned int64 columns: 1-indexed ``starts``,
+    ``lengths`` and ``costs``, in order, tiling [1, n] exactly. For RLE a
+    part is a maximal run and the cost is in bits; for LZ a part is a
+    compressed segment and the cost is 1 symbol.
     """
 
     total_cost: int
-    parts: list = field(default_factory=list)
+    starts: np.ndarray
+    lengths: np.ndarray
+    costs: np.ndarray
     scheme: str = ""
-
-    def lengths(self) -> np.ndarray:
-        return np.array([ln for _, ln, _ in self.parts], dtype=np.int64)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "total_cost": int(self.total_cost),
-            "parts": [
-                {"start": int(s), "length": int(ln), "cost": int(c)} for s, ln, c in self.parts
-            ],
-        }
 
 
 def run_lengths(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +101,7 @@ def exact_rle_cost(w, alphabet_size: int | None = None) -> CostBreakdown:
     s_bits = alphabet_bits(sigma)
     starts, lengths = run_lengths(arr)
     costs = ceil_log2(lengths + 1) + s_bits
-    parts = list(zip((starts + 1).tolist(), lengths.tolist(), costs.tolist()))
-    return CostBreakdown(total_cost=int(costs.sum()), parts=parts, scheme="rle")
+    return CostBreakdown(int(costs.sum()), starts + 1, lengths, costs, scheme="rle")
 
 
 def rle_length_bits(w) -> int:
@@ -133,9 +122,8 @@ def exact_lz_cost(w) -> CostBreakdown:
     arr = as_symbols(w)
     if arr.size == 0:
         raise ValueError("empty string")
-    segs = lz_factorize(arr)
-    parts = [(t + 1, ln, 1) for t, ln in segs]
-    return CostBreakdown(total_cost=len(parts), parts=parts, scheme="lz")
+    starts, lengths = lz_factorize(arr)
+    return CostBreakdown(starts.size, starts + 1, lengths, np.ones_like(starts), scheme="lz")
 
 
 def exact_distinct_substrings(w, ell: int) -> int:
@@ -246,7 +234,7 @@ def verify_structural_lemmas(w, ell0: int) -> StructuralReport:
     else:
         checks.append(LemmaCheck("diversity_upper_bound", True, {"skipped": "ell0 < 2"}))
 
-    seg_lengths = breakdown.lengths()[:-1]  # final segment excluded
+    seg_lengths = breakdown.lengths[:-1]  # final segment excluded
     half = ell0 // 2
     if half >= 1:
         n_k = np.bincount(np.minimum(seg_lengths, half + 1), minlength=half + 2)

@@ -30,7 +30,7 @@ def _rank_level(order: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return rank
 
 
-def suffix_array(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Suffix array by prefix doubling, plus the rank array of every round.
 
     Returns ``(sa, ranks)``. ``ranks[L][i]`` is the dense rank of the
@@ -39,10 +39,18 @@ def suffix_array(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     equal; each level has one extra entry, -1 at index n. The last level's
     ranks are all distinct.
 
-    Round L + 1 sorts the packed key ``rank * (n + 1) + (rank[i + 2^L] + 1)``
-    (0 past the end) with one stable argsort, taken in round L's order so
-    the sort sees presorted runs. There are log2(max LCP) + 2 rounds at
-    most, so the time is O(n log^2 n) and the levels take 4 (n + 1) bytes each.
+    Round L + 1 sorts the packed key ``rank * (top + 2) + (rank[i + 2^L] + 1)``
+    (0 past the end), where ``top`` is the largest rank at level L, stored in
+    the narrowest unsigned type that holds ``(top + 2)^2``. The sort is one
+    stable argsort taken in round L's order, so it sees presorted runs, and
+    while keys fit 16 bits numpy runs it as a radix sort. There are
+    log2(max LCP) + 2 rounds at most, so the time is O(n log^2 n) and the
+    levels take 4 (n + 1) bytes each.
+
+    With ``stop``, the doubling also ends once 2^L >= stop. Then the last
+    level may have ties, and ``sa`` is sorted by length-2^L prefixes only,
+    ties in text order: enough for every LCP up to 2^L (:func:`lcp_array`
+    caps it there), so for distinct counts of lengths up to ``stop``.
     """
     a = np.asarray(arr)
     n = a.size
@@ -54,14 +62,19 @@ def suffix_array(arr: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     rank = _rank_level(order, a[order])
     ranks = [rank]
     k = 1
-    while rank[order[-1]] != n - 1:
-        key = rank[:n].astype(np.int64) * (n + 1)
-        key[: n - k] += rank[k:n] + 1
+    top = int(rank[order[-1]])
+    while top != n - 1 and (stop is None or k < stop):
+        key = rank[:n].astype(np.min_scalar_type((top + 2) ** 2))
+        key *= top + 2
+        np.add(key[: n - k], rank[k:n] + 1, out=key[: n - k], casting="unsafe")
         key = key[order]
+        if key.itemsize <= 2 and np.count_nonzero(key[1:] < key[:-1]) < n >> 6:
+            key = key.astype(np.uint32)  # nearly sorted: timsort's run merging beats radix
         perm = np.argsort(key, kind="stable")
         order = order[perm]
         rank = _rank_level(order, key[perm])
         ranks.append(rank)
+        top = int(rank[order[-1]])
         k *= 2
     return order, ranks
 
@@ -70,9 +83,12 @@ def lcp_array(sa: np.ndarray, ranks: list[np.ndarray]) -> np.ndarray:
     """lcp[r] = common-prefix length of suffixes sa[r-1] and sa[r]; lcp[0] = 0.
 
     Binary lifting over the rank levels of :func:`suffix_array`, from the
-    top level down: if the level-L ranks at x + h and y + h match, the next
-    2^L symbols match too, so h grows by 2^L. The top level's ranks are all
-    distinct, so every LCP is below its 2^L and the lower levels spell it out.
+    level below the top down: if the level-L ranks at x + h and y + h match,
+    the next 2^L symbols match too, so h grows by 2^L. When the top level
+    T has all ranks distinct, every LCP is below 2^T and the lower levels
+    spell it out. When it has ties (a doubling cut short by ``stop``), the
+    LCP is capped at 2^T: a pair tied at T matches on every lower level,
+    which sums to 2^T - 1, and the tie adds the last 1.
     """
     n = sa.size
     lcp = np.zeros(n, dtype=np.int64)
@@ -80,30 +96,38 @@ def lcp_array(sa: np.ndarray, ranks: list[np.ndarray]) -> np.ndarray:
         return lcp
     x = sa[:-1]
     y = sa[1:]
-    h = np.zeros(n - 1, dtype=np.int64)
+    h = lcp[1:]
     for level in range(len(ranks) - 2, -1, -1):
         rank = ranks[level]
         h += (rank[x + h] == rank[y + h]).astype(np.int64) << level
-    lcp[1:] = h
+    top = ranks[-1]
+    if top[sa[-1]] != n - 1:
+        h += top[x] == top[y]
     return lcp
 
 
 def lcp_at_least_counts(lcp: np.ndarray, ell_max: int) -> np.ndarray:
-    """out[ell-1] = #{r : lcp[r] >= ell} for ell = 1..ell_max."""
-    hist = np.bincount(np.minimum(lcp, ell_max), minlength=ell_max + 1)
-    return np.cumsum(hist[:0:-1])[::-1]  # reversed cumulative sum over lcp = ell_max..1
+    """out[ell-1] = #{r : lcp[r] >= ell} for ell = 1..ell_max.
+
+    One histogram bin per LCP value, so the LCPs should be capped near
+    ell_max, as a doubling stopped at ell_max or a window length caps them.
+    """
+    hist = np.bincount(lcp, minlength=ell_max + 1)
+    return np.cumsum(hist[::-1])[::-1][1 : ell_max + 1]  # suffix sums over lcp >= ell
 
 
 def distinct_length_profile(arr: np.ndarray, ell_max: int) -> np.ndarray:
     """d[ell-1] = number of distinct length-ell substrings, for ell = 1..ell_max.
 
     Uses the identity: distinct windows of length ell = (n - ell + 1) minus
-    the number of suffix-array-adjacent pairs whose LCP is >= ell.
+    the number of suffix-array-adjacent pairs whose LCP is >= ell. Equal
+    length-ell prefixes need only be adjacent, so the doubling stops at the
+    first 2^L >= ell_max.
     """
     a = np.asarray(arr)
     n = a.size
     ell_max = min(int(ell_max), n)
-    sa, ranks = suffix_array(a)
+    sa, ranks = suffix_array(a, stop=ell_max)
     lcp = lcp_array(sa, ranks)
     ells = np.arange(1, ell_max + 1)
     return (n - ells + 1) - lcp_at_least_counts(lcp, ell_max)
@@ -134,8 +158,8 @@ def longest_previous_factor(sa: np.ndarray, lcp: np.ndarray) -> list[int]:
     return lpf
 
 
-def lz_factorize(arr: np.ndarray) -> list[tuple[int, int]]:
-    """Greedy left-to-right factorization into (start0, length) segments.
+def lz_factorize(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy left-to-right factorization, as int64 columns (starts0, lengths).
 
     At position t the segment length is the longest match against any earlier
     start (sources may overlap the segment itself), which is the longest
@@ -145,15 +169,15 @@ def lz_factorize(arr: np.ndarray) -> list[tuple[int, int]]:
     a = np.asarray(arr)
     n = a.size
     if n == 0:
-        return []
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     sa, ranks = suffix_array(a)
     lcp = lcp_array(sa, ranks)
     del ranks  # the largest arrays here; free them before the LPF pass
     lpf = longest_previous_factor(sa, lcp)
-    parts: list[tuple[int, int]] = []
+    starts = []
     t = 0
     while t < n:
-        step = lpf[t] or 1
-        parts.append((t, step))
-        t += step
-    return parts
+        starts.append(t)
+        t += lpf[t] or 1
+    starts = np.array(starts, dtype=np.int64)
+    return starts, np.diff(starts, append=n)

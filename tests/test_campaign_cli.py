@@ -18,7 +18,7 @@ from compest.campaign import (
     run_campaign,
     write_result,
 )
-from compest.oracles import run_lengths
+from compest.oracles import CostBreakdown, exact_lz_cost, exact_rle_cost, run_lengths
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -261,6 +261,28 @@ def test_cli_exact_schemes(sample_file):
     assert json.loads(out)["count"] == 2
     code, out = run_cli(["exact", "--scheme", "colors", sample_file])
     assert json.loads(out)["colors"] == 2
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
+def test_exact_writer_matches_json_dumps(chunk):
+    """The column writer prints what json.dumps(sort_keys, indent=2) prints
+    for the same parts as dicts, whatever the chunk boundaries."""
+    breakdowns = [
+        exact_rle_cost(np.array([0, 0, 1, 1, 1, 0, 2]), 3),
+        exact_rle_cost(np.array([5]), 7),
+        exact_lz_cost("to be or not to be"),
+        CostBreakdown(0, *(np.empty(0, dtype=np.int64),) * 3, scheme='a "quoted" scheme'),
+    ]
+    for b in breakdowns:
+        parts = [
+            {"start": s, "length": ln, "cost": c}
+            for s, ln, c in zip(b.starts.tolist(), b.lengths.tolist(), b.costs.tolist())
+        ]
+        obj = {"scheme": b.scheme, "total_cost": b.total_cost, "parts": parts}
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            cli._emit_breakdown(b, chunk)
+        assert buf.getvalue() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def test_cli_stochastic_subcommands_replay_byte_identical(sample_file, tmp_path):

@@ -32,9 +32,10 @@ def test_rle_examples():
 def test_rle_parts_tile_and_sum():
     arr = random_symbols(400, 4, seed=11)
     b = exact_rle_cost(arr, 4)
+    assert b.starts.dtype == b.lengths.dtype == b.costs.dtype == np.int64
     covered = 0
     prev_sym = None
-    for start, length, cost in b.parts:
+    for start, length, cost in zip(b.starts.tolist(), b.lengths.tolist(), b.costs.tolist()):
         assert start == covered + 1
         sym = arr[start - 1]
         assert np.all(arr[start - 1 : start - 1 + length] == sym)
@@ -42,7 +43,7 @@ def test_rle_parts_tile_and_sum():
         prev_sym = sym
         covered += length
     assert covered == arr.size
-    assert sum(c for _, _, c in b.parts) == b.total_cost
+    assert sum(b.costs.tolist()) == b.total_cost
 
 
 def test_rle_matches_naive_scan():
@@ -78,12 +79,13 @@ def test_lz_examples():
 def test_lz_parts_tile():
     arr = random_symbols(500, 2, seed=3)
     b = exact_lz_cost(arr)
+    assert b.starts.dtype == b.lengths.dtype == b.costs.dtype == np.int64
     covered = 0
-    for start, length, cost in b.parts:
+    for start, length, cost in zip(b.starts.tolist(), b.lengths.tolist(), b.costs.tolist()):
         assert start == covered + 1 and cost == 1
         covered += length
     assert covered == arr.size
-    assert b.total_cost == len(b.parts)
+    assert b.total_cost == b.starts.size == b.lengths.size == b.costs.size
 
 
 def test_lz_matches_naive_quadratic():
@@ -94,7 +96,9 @@ def test_lz_matches_naive_quadratic():
         naive = naive_lz_parts(arr)
         fast = exact_lz_cost(arr)
         assert fast.total_cost == len(naive)
-        assert [(s, ln) for s, ln, _ in fast.parts] == [(s + 1, ln) for s, ln, _ in naive]
+        assert list(zip(fast.starts.tolist(), fast.lengths.tolist())) == [
+            (s + 1, ln) for s, ln, _ in naive
+        ]
 
 
 def test_lz_decompression_identity():

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from compest.suffixes import lcp_array, longest_previous_factor, lz_factorize, suffix_array
-from naive import naive_lcp, naive_lpf, naive_suffix_array, random_symbols
+from compest._rng import make_rng
+from compest.suffixes import (
+    distinct_length_profile,
+    lcp_array,
+    longest_previous_factor,
+    lz_factorize,
+    suffix_array,
+)
+from naive import naive_distinct, naive_lcp, naive_lpf, naive_suffix_array, random_symbols
 
 
 def _fibonacci_word(n: int) -> np.ndarray:
@@ -46,7 +53,9 @@ def test_suffix_layer_matches_naive(arr):
     while t < arr.size:
         walk.append((t, max(1, lpf[t])))
         t += walk[-1][1]
-    assert lz_factorize(arr) == walk
+    starts, lengths = lz_factorize(arr)
+    assert starts.dtype == lengths.dtype == np.int64
+    assert list(zip(starts.tolist(), lengths.tolist())) == walk
 
 
 @pytest.mark.parametrize(
@@ -66,6 +75,69 @@ def test_rank_levels_mark_equal_prefixes(arr):
     assert np.unique(ranks[-1][:n]).size == n
 
 
+@pytest.mark.parametrize("arr", CORPUS, ids=[f"{i}-n{a.size}" for i, a in enumerate(CORPUS)])
+def test_capped_distinct_profile_matches_naive(arr):
+    naive = [naive_distinct(arr, ell) for ell in range(1, min(33, arr.size) + 1)]
+    for ell_max in (1, 2, 3, 5, 8, 16, 32, 33):
+        prof = distinct_length_profile(arr, ell_max)
+        assert prof.tolist() == naive[: min(ell_max, arr.size)]
+
+
+@pytest.mark.parametrize(
+    "arr", [np.full(33, 2), np.tile([0, 1, 1], 14)[:40], _fibonacci_word(89), random_symbols(150, 2, 5)]
+)
+@pytest.mark.parametrize("stop", [1, 2, 3, 4, 5, 8])
+def test_capped_levels_mark_equal_prefixes(arr, stop):
+    n = arr.size
+    sa, ranks = suffix_array(arr, stop=stop)
+    full_sa, full_ranks = suffix_array(arr)
+    top = len(ranks) - 1
+    assert len(ranks) == min(len(full_ranks), 1 + (stop - 1).bit_length())
+    seq = arr.tolist()
+    for level, rank in enumerate(ranks):
+        width = 1 << level
+        assert rank.dtype == np.int32 and rank[n] == -1
+        for i in range(n):
+            for j in range(n):
+                same = seq[i : i + width] == seq[j : j + width]
+                assert (rank[i] == rank[j]) == same
+    # sorted by length-2^top prefixes, ties in text order
+    width = 1 << top
+    keys = [(seq[i : i + width], i) for i in sa.tolist()]
+    assert keys == sorted(keys)
+    naive = np.array(naive_lcp(arr, sa.tolist()))
+    assert lcp_array(sa, ranks).tolist() == np.minimum(naive, width).tolist()
+
+
+def _prefix_sorted(arr: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts sorted by their first ``width`` symbols (-1 past the end) and the
+    adjacent LCPs, given that those prefixes are all distinct."""
+    n = arr.size
+    padded = np.concatenate([arr.astype(np.int64), np.full(width, -1)])
+    rows = padded[np.arange(n)[:, None] + np.arange(width)]
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    same = np.logical_and.accumulate(rows[1:] == rows[:-1], axis=1)
+    assert not same[:, -1].any(), "prefixes must be distinct"
+    return order, np.concatenate([[0], same.sum(axis=1)])
+
+
+@pytest.mark.parametrize(
+    "arr, width",
+    [
+        (make_rng(41).integers(0, 200_000, 150_000), 4),  # >= 65 536 symbols: uint64 from round 1
+        (make_rng(42).integers(0, 2, 150_000).astype(np.uint8), 64),  # uint8 through uint32 keys
+    ],
+    ids=["sigma-200k", "binary"],
+)
+def test_wide_packed_keys(arr, width):
+    assert np.unique(arr).size >= 65_536 or arr.max() == 1
+    sa, ranks = suffix_array(arr)
+    order, lcp = _prefix_sorted(arr, width)
+    assert np.array_equal(sa, order)
+    assert np.array_equal(lcp_array(sa, ranks), lcp)
+
+
 def test_suffix_array_rejects_int32_overflow():
     too_long = np.broadcast_to(np.uint8(0), (2**31,))  # a view: nothing is allocated
     with pytest.raises(ValueError):
@@ -75,4 +147,5 @@ def test_suffix_array_rejects_int32_overflow():
 def test_empty_input():
     sa, ranks = suffix_array(np.array([], dtype=np.uint8))
     assert sa.size == 0 and ranks == []
-    assert lz_factorize(np.array([], dtype=np.uint8)) == []
+    starts, lengths = lz_factorize(np.array([], dtype=np.uint8))
+    assert starts.size == lengths.size == 0
