@@ -214,6 +214,13 @@ def distinguish_compressible(
     midpoint of the contract-adjusted thresholds (A*lo + eps*n on the low
     side, hi/A - eps*n on the high side). Inputs whose true cost lies
     strictly between the thresholds carry no promise and may land either way.
+
+    At lo = sqrt(n), hi = n/4 (the README example): A = n^(1/4) / 4 and
+    A * eps = 1/16, so ell0 = 32 (33 where float rounding lands just above
+    32) and B = n^(1/4) / (8 sqrt(5)). B < 1 for n < 1.0e5, and B^2 <= 10
+    keeps the basic sample at every window start up to n = 1.0e7, so such
+    calls take the exact lane of :func:`window_pool_size`: a prefix
+    doubling stopped at length 32.
     """
     n = w.length
     if not 1 <= threshold_lo < threshold_hi <= n:

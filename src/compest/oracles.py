@@ -40,14 +40,13 @@ def as_symbols(w) -> np.ndarray:
 
 
 def ceil_log2(values) -> np.ndarray:
-    """Exact ceil(log2(v)) for positive integers, safe against float slop."""
+    """Exact ceil(log2(v)) for positive integers, with no float log: writing
+    v = m * 2^e with 0.5 <= m < 1, it is e, or e - 1 when v is a power of two."""
     v = np.asarray(values, dtype=np.float64)
     if np.any(v < 1):
         raise ValueError("ceil_log2 needs values >= 1")
-    e = np.ceil(np.log2(v)).astype(np.int64)
-    e = np.where(np.power(2.0, np.maximum(e - 1, 0)) >= v, e - 1, e)
-    e = np.where(np.power(2.0, e) < v, e + 1, e)
-    return np.maximum(e, 0)
+    m, e = np.frexp(v)
+    return (e - (m == 0.5)).astype(np.int64)
 
 
 def alphabet_bits(alphabet_size: int) -> int:

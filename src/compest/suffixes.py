@@ -1,13 +1,18 @@
 """Suffix-array machinery backing the exact oracles.
 
 One prefix-doubling pass (Manber-Myers) builds the suffix array and keeps
-the rank array of every round. Those rank levels give the LCP of every
-suffix-array-adjacent pair by binary lifting, vectorized over all pairs.
-The LCP-threshold counts behind every distinct-substring count and the
-longest-previous-factor (LPF) array of Crochemore-Ilie, which drives the
-greedy LZ factorization, both come from the suffix array and the LCP array.
-Everything here is cross-checked against brute-force enumerations in the
-test suite.
+the rank array of every round. Each round sorts one packed key per
+position, stored in the narrowest unsigned type its largest value fits, so
+the early rounds on small alphabets sort 8- or 16-bit keys. Those rank
+levels give the LCP of every suffix-array-adjacent pair by binary lifting,
+vectorized over all pairs.
+
+The LCP-threshold counts behind every distinct-substring count need LCPs
+only up to the longest length asked for, so that doubling takes a stop
+length and ends at the first 2^L reaching it. The longest-previous-factor
+(LPF) array of Crochemore-Ilie, which drives the greedy LZ factorization,
+needs the full suffix array and LCP array. Everything here is
+cross-checked against brute-force enumerations in the test suite.
 """
 
 from __future__ import annotations
