@@ -35,16 +35,17 @@ def _emit(obj: dict) -> None:
 
 
 _PART = '    {\n      "cost": %d,\n      "length": %d,\n      "start": %d\n    }'
+_CHUNK = 1 << 16  # parts formatted per write, so the text never exists whole
 
 
-def _emit_breakdown(b: CostBreakdown, chunk: int = 1 << 16) -> None:
+def _emit_breakdown(b: CostBreakdown) -> None:
     """Print ``b`` as ``_emit`` would print its scheme, total_cost and list of
     part dicts, but written from the columns a chunk of parts at a time."""
     out = sys.stdout
     out.write('{\n  "parts": [')
     sep = "\n"
-    for lo in range(0, b.starts.size, chunk):
-        rows = zip(*(col[lo : lo + chunk].tolist() for col in (b.costs, b.lengths, b.starts)))
+    for lo in range(0, b.starts.size, _CHUNK):
+        rows = zip(*(col[lo : lo + _CHUNK].tolist() for col in (b.costs, b.lengths, b.starts)))
         out.write(sep + ",\n".join(map(_PART.__mod__, rows)))
         sep = ",\n"
     out.write("\n  ]" if b.starts.size else "]")

@@ -73,8 +73,6 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
         key *= top + 2
         np.add(key[: n - k], rank[k:n] + 1, out=key[: n - k], casting="unsafe")
         key = key[order]
-        if key.itemsize <= 2 and np.count_nonzero(key[1:] < key[:-1]) < n >> 6:
-            key = key.astype(np.uint32)  # nearly sorted: timsort's run merging beats radix
         perm = np.argsort(key, kind="stable")
         order = order[perm]
         rank = _rank_level(order, key[perm])

@@ -264,7 +264,7 @@ def test_cli_exact_schemes(sample_file):
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
-def test_exact_writer_matches_json_dumps(chunk):
+def test_exact_writer_matches_json_dumps(chunk, monkeypatch):
     """The column writer prints what json.dumps(sort_keys, indent=2) prints
     for the same parts as dicts, whatever the chunk boundaries."""
     breakdowns = [
@@ -279,9 +279,10 @@ def test_exact_writer_matches_json_dumps(chunk):
             for s, ln, c in zip(b.starts.tolist(), b.lengths.tolist(), b.costs.tolist())
         ]
         obj = {"scheme": b.scheme, "total_cost": b.total_cost, "parts": parts}
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
         buf = io.StringIO()
         with redirect_stdout(buf):
-            cli._emit_breakdown(b, chunk)
+            cli._emit_breakdown(b)
         assert buf.getvalue() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
