@@ -39,6 +39,7 @@ def _corpus():
 
 
 CORPUS = list(_corpus())
+LEVEL_INPUTS = [np.full(33, 2), np.tile([0, 1, 1], 14)[:40], _fibonacci_word(89), random_symbols(150, 2, 5)]
 
 
 @pytest.mark.parametrize("arr", CORPUS, ids=[f"{i}-n{a.size}" for i, a in enumerate(CORPUS)])
@@ -58,12 +59,15 @@ def test_suffix_layer_matches_naive(arr):
     assert list(zip(starts.tolist(), lengths.tolist())) == walk
 
 
-@pytest.mark.parametrize(
-    "arr", [np.full(33, 2), np.tile([0, 1, 1], 14)[:40], _fibonacci_word(89), random_symbols(150, 2, 5)]
-)
+@pytest.mark.parametrize("arr", LEVEL_INPUTS)
 def test_rank_levels_mark_equal_prefixes(arr):
+    _, ranks = suffix_array(arr)
+    _assert_levels_mark_equal_prefixes(arr, ranks)
+    assert np.unique(ranks[-1][: arr.size]).size == arr.size
+
+
+def _assert_levels_mark_equal_prefixes(arr, ranks):
     n = arr.size
-    sa, ranks = suffix_array(arr)
     seq = arr.tolist()
     for level, rank in enumerate(ranks):
         width = 1 << level
@@ -72,7 +76,6 @@ def test_rank_levels_mark_equal_prefixes(arr):
             for j in range(n):
                 same = seq[i : i + width] == seq[j : j + width]
                 assert (rank[i] == rank[j]) == same
-    assert np.unique(ranks[-1][:n]).size == n
 
 
 @pytest.mark.parametrize("arr", CORPUS, ids=[f"{i}-n{a.size}" for i, a in enumerate(CORPUS)])
@@ -83,26 +86,15 @@ def test_capped_distinct_profile_matches_naive(arr):
         assert prof.tolist() == naive[: min(ell_max, arr.size)]
 
 
-@pytest.mark.parametrize(
-    "arr", [np.full(33, 2), np.tile([0, 1, 1], 14)[:40], _fibonacci_word(89), random_symbols(150, 2, 5)]
-)
+@pytest.mark.parametrize("arr", LEVEL_INPUTS)
 @pytest.mark.parametrize("stop", [1, 2, 3, 4, 5, 8])
 def test_capped_levels_mark_equal_prefixes(arr, stop):
-    n = arr.size
     sa, ranks = suffix_array(arr, stop=stop)
-    full_sa, full_ranks = suffix_array(arr)
-    top = len(ranks) - 1
-    assert len(ranks) == min(len(full_ranks), 1 + (stop - 1).bit_length())
-    seq = arr.tolist()
-    for level, rank in enumerate(ranks):
-        width = 1 << level
-        assert rank.dtype == np.int32 and rank[n] == -1
-        for i in range(n):
-            for j in range(n):
-                same = seq[i : i + width] == seq[j : j + width]
-                assert (rank[i] == rank[j]) == same
+    assert len(ranks) == min(len(suffix_array(arr)[1]), 1 + (stop - 1).bit_length())
+    _assert_levels_mark_equal_prefixes(arr, ranks)
     # sorted by length-2^top prefixes, ties in text order
-    width = 1 << top
+    seq = arr.tolist()
+    width = 1 << (len(ranks) - 1)
     keys = [(seq[i : i + width], i) for i in sa.tolist()]
     assert keys == sorted(keys)
     naive = np.array(naive_lcp(arr, sa.tolist()))
@@ -125,13 +117,12 @@ def _prefix_sorted(arr: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]
 @pytest.mark.parametrize(
     "arr, width",
     [
-        (make_rng(41).integers(0, 200_000, 150_000), 4),  # >= 65 536 symbols: uint64 from round 1
+        (make_rng(41).integers(0, 200_000, 150_000), 4),  # 105 519 symbols: uint64 keys
         (make_rng(42).integers(0, 2, 150_000).astype(np.uint8), 64),  # uint8 through uint32 keys
     ],
     ids=["sigma-200k", "binary"],
 )
 def test_wide_packed_keys(arr, width):
-    assert np.unique(arr).size >= 65_536 or arr.max() == 1
     sa, ranks = suffix_array(arr)
     order, lcp = _prefix_sorted(arr, width)
     assert np.array_equal(sa, order)
