@@ -35,6 +35,21 @@ def _rank_level(order: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _pack_keys(rank: np.ndarray, k: int, top: int) -> np.ndarray:
+    """key[i] = rank[i] * (top + 2) + (rank[i + k] + 1), with 0 past the end,
+    in the narrowest unsigned type that holds ``(top + 2)^2``.
+
+    ``rank`` is a level with its -1 slot at index n and ranks in [0, top].
+    The sum is taken in the key's own type: numpy would promote a uint64 key
+    plus the int32 ranks to float64, which rounds keys above 2^53.
+    """
+    n = rank.size - 1
+    key = rank[:n].astype(np.min_scalar_type((top + 2) ** 2))
+    key *= top + 2
+    np.add(key[: n - k], rank[k:n] + 1, out=key[: n - k], dtype=key.dtype, casting="unsafe")
+    return key
+
+
 def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Suffix array by prefix doubling, plus the rank array of every round.
 
@@ -69,10 +84,7 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
     k = 1
     top = int(rank[order[-1]])
     while top != n - 1 and (stop is None or k < stop):
-        key = rank[:n].astype(np.min_scalar_type((top + 2) ** 2))
-        key *= top + 2
-        np.add(key[: n - k], rank[k:n] + 1, out=key[: n - k], casting="unsafe")
-        key = key[order]
+        key = _pack_keys(rank, k, top)[order]
         perm = np.argsort(key, kind="stable")
         order = order[perm]
         rank = _rank_level(order, key[perm])

@@ -3,6 +3,7 @@ import pytest
 
 from compest._rng import make_rng
 from compest.suffixes import (
+    _pack_keys,
     distinct_length_profile,
     lcp_array,
     longest_previous_factor,
@@ -127,6 +128,23 @@ def test_wide_packed_keys(arr, width):
     order, lcp = _prefix_sorted(arr, width)
     assert np.array_equal(sa, order)
     assert np.array_equal(lcp_array(sa, ranks), lcp)
+
+
+@pytest.mark.parametrize(
+    "top, dtype",
+    [(0, np.uint8), (13, np.uint8), (14, np.uint16), (65_533, np.uint32), (65_534, np.uint64), (2**31 - 2, np.uint64)],
+)
+def test_pack_keys_are_exact(top, dtype):
+    # top = 2^31 - 2 is the largest rank below n = 2^31; its keys near 2^62
+    # differ by 1, which float64 arithmetic would round together
+    pattern = [top, top, top, top - 1, top, 0, 1, top, top - 1, 0, top, top]
+    n = len(pattern)
+    rank = np.array([max(r, 0) for r in pattern] + [-1], dtype=np.int32)
+    for k in (1, 2, 4, 8):
+        key = _pack_keys(rank, k, top)
+        assert key.dtype == dtype
+        want = [int(rank[i]) * (top + 2) + (int(rank[i + k]) + 1 if i + k < n else 0) for i in range(n)]
+        assert [int(v) for v in key] == want
 
 
 def test_suffix_array_rejects_int32_overflow():
