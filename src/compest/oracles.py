@@ -137,6 +137,7 @@ def exact_distinct_substrings(w, ell: int) -> int:
 def distinct_profile(w, ell_max: int) -> np.ndarray:
     """Distinct-substring counts for every length 1..ell_max at once.
 
+    Returns ell_max entries; lengths past the string's length count 0.
     Suffix-array based, like :func:`exact_distinct_substrings`; the tests
     check both against a brute-force window hash.
     """

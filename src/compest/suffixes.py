@@ -11,8 +11,11 @@ The LCP-threshold counts behind every distinct-substring count need LCPs
 only up to the longest length asked for, so that doubling takes a stop
 length and ends at the first 2^L reaching it. The longest-previous-factor
 (LPF) array of Crochemore-Ilie, which drives the greedy LZ factorization,
-needs the full suffix array and LCP array. Everything here is
-cross-checked against brute-force enumerations in the test suite.
+needs the full suffix array and LCP array. It comes from batch peak
+elimination: vector rounds delete every suffix-array entry that starts
+later than both its neighbours, and a stack pass finishes whatever the
+rounds leave. Everything here is cross-checked against brute-force
+enumerations in the test suite.
 """
 
 from __future__ import annotations
@@ -137,40 +140,82 @@ def distinct_length_profile(arr: np.ndarray, ell_max: int) -> np.ndarray:
     Uses the identity: distinct windows of length ell = (n - ell + 1) minus
     the number of suffix-array-adjacent pairs whose LCP is >= ell. Equal
     length-ell prefixes need only be adjacent, so the doubling stops at the
-    first 2^L >= ell_max.
+    first 2^L >= min(ell_max, n). Lengths past n have no windows: d = 0.
     """
     a = np.asarray(arr)
     n = a.size
-    ell_max = min(int(ell_max), n)
-    sa, ranks = suffix_array(a, stop=ell_max)
+    d = np.zeros(int(ell_max), dtype=np.int64)
+    top = min(d.size, n)
+    sa, ranks = suffix_array(a, stop=top)
     lcp = lcp_array(sa, ranks)
-    ells = np.arange(1, ell_max + 1)
-    return (n - ells + 1) - lcp_at_least_counts(lcp, ell_max)
+    ells = np.arange(1, top + 1)
+    d[:top] = (n - ells + 1) - lcp_at_least_counts(lcp, top)
+    return d
 
 
 def longest_previous_factor(sa: np.ndarray, lcp: np.ndarray) -> list[int]:
     """lpf[i] = longest common prefix of the suffix at i with any suffix
     starting before i (Crochemore-Ilie, from the suffix and LCP arrays).
 
-    The best earlier start is one of the two nearest suffix-array neighbours
-    of i that start before i. One left-to-right pass keeps those neighbours
-    on a stack of increasing start positions; while an entry waits on the
-    stack, ``lpf`` holds its LCP with the entry below it, and popping it
-    (its next smaller start has arrived) settles the maximum of the two.
+    The best earlier start is one of i's previous and next smaller starts in
+    the suffix array (PSV and NSV). Delete the suffix-array entries from a
+    list in decreasing start order: when i goes, every entry between it and
+    its list neighbours started later and is gone, so those neighbours are
+    its PSV and NSV and the LCPs at its two sides are its LCPs with them.
+    lpf[i] is the larger, and the deletion joins the two by ``min``.
+
+    Batch peak elimination deletes many entries per round. A peak starts
+    later than both list neighbours. All peaks of a round can go at once:
+    no two are adjacent, and every entry deleted between two survivors
+    started later than both, so a peak's neighbours are already its PSV and
+    NSV, as in the sequential order. A round is a few vector passes over
+    int32 arrays, with a -1 start at each end for the ends of the list.
+    Rounds run while at least a tenth of the list is peaks, so the list
+    shrinks geometrically and the rounds cost O(n) in all; below a tenth, a
+    vector round costs more per deleted entry than the stack pass that
+    finishes the survivors. Random inputs empty the list in the rounds;
+    runs, periods and monotone ranges have hardly any peaks and go to the
+    stack at once.
+
+    The stack pass walks the survivors in list order and keeps them on a
+    stack of increasing starts. While an entry waits on it, the result holds
+    its LCP with the entry below it; popping the entry (its NSV has arrived)
+    settles the maximum of the two.
     """
-    lpf = [0] * sa.size
+    m = sa.size
+    lpf = np.zeros(m, dtype=np.int32)
+    start = np.empty(m + 2, dtype=np.int32)  # the list, with a -1 start at each end
+    start[0] = start[-1] = -1
+    start[1:-1] = sa
+    side = np.zeros(m + 1, dtype=np.int32)  # side[k]: LCP of list entries k and k + 1
+    side[1:m] = lcp[1:]
+    while True:
+        mid = start[1:-1]
+        peak = np.zeros(start.size, dtype=bool)
+        np.greater(mid, start[:-2], out=peak[1:-1])
+        peak[1:-1] &= mid > start[2:]
+        k = np.flatnonzero(peak)
+        if k.size == 0 or 10 * k.size < mid.size:
+            break
+        left, right = side[k - 1], side[k]
+        lpf[start[k]] = np.maximum(left, right)
+        side[k - 1] = np.minimum(left, right)
+        keep = ~peak
+        start = start[keep]
+        side = side[keep[:-1]]  # the side right of a peak goes with it
+    out = lpf.tolist() if start.size < m + 2 else [0] * m  # skip converting zeros
     stack: list[int] = []
-    for i, h in zip(sa.tolist(), lcp.tolist()):
-        # h: LCP of suffix i with the suffix at the top of the stack
+    for i, h in zip(start[1:-1].tolist(), side[:-1].tolist()):
+        # h: LCP of suffix i with the survivor before it in the list
         while stack and stack[-1] > i:
             j = stack.pop()
-            g = lpf[j]
+            g = out[j]
             if h > g:
-                lpf[j] = h
+                out[j] = h
                 h = g
-        lpf[i] = h  # popping the bottom entry (lpf 0) leaves h = 0
+        out[i] = h  # popping the bottom entry (lpf 0) leaves h = 0
         stack.append(i)
-    return lpf
+    return out
 
 
 def lz_factorize(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

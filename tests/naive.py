@@ -3,7 +3,9 @@
 These deliberately share no code with the package internals: the RLE check
 is a plain scan, the LZ, LCP and longest-previous-factor checks read the full
 quadratic match table, the suffix array sorts suffix tuples, and the distinct
-counts hash raw windows. Slow but unarguable.
+counts hash raw windows. Slow but unarguable. The one linear reference,
+``stack_lpf``, is the plain Crochemore-Ilie stack pass, for LPF checks at
+sizes the quadratic table cannot reach.
 """
 
 import math
@@ -92,6 +94,29 @@ def naive_lpf(arr: np.ndarray) -> list:
     """lpf[i] = longest common extension of i with any earlier start."""
     ext = _extension_table(arr)
     return [int(ext[:i, i].max()) if i else 0 for i in range(arr.size)]
+
+
+def stack_lpf(sa, lcp) -> list:
+    """lpf from the suffix and LCP arrays by one stack pass in rank order.
+
+    The stack holds starts seen so far, increasing from bottom to top. While
+    an entry waits on it, ``lpf`` holds its LCP with the entry below it (its previous
+    smaller start); popping it, when its next smaller start arrives, settles
+    the larger of that and the running LCP with the newcomer.
+    """
+    lpf = [0] * len(sa)
+    stack = []
+    for i, h in zip(np.asarray(sa).tolist(), np.asarray(lcp).tolist()):
+        # h: LCP of suffix i with the top of the stack, once the pops are done
+        while stack and stack[-1] > i:
+            j = stack.pop()
+            g = lpf[j]
+            if h > g:
+                lpf[j] = h
+                h = g
+        lpf[i] = h
+        stack.append(i)
+    return lpf
 
 
 def naive_distinct(arr, ell: int) -> int:

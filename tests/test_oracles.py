@@ -128,6 +128,11 @@ def test_distinct_profile_matches_window_scan():
             assert prof[ell - 1] == exact_distinct_substrings(arr, ell) == naive_distinct(arr, ell)
 
 
+def test_distinct_profile_pads_lengths_past_n():
+    assert distinct_profile(np.array([1, 2, 1]), 5).tolist() == [2, 2, 1, 0, 0]
+    assert distinct_profile("a", 3).tolist() == [1, 0, 0]
+
+
 def test_distinct_bounds():
     arr = random_symbols(200, 4, seed=9)
     n = arr.size

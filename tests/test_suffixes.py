@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from compest._rng import make_rng
+from compest.campaign import build_builtin
 from compest.suffixes import (
     _pack_keys,
     distinct_length_profile,
@@ -10,7 +11,7 @@ from compest.suffixes import (
     lz_factorize,
     suffix_array,
 )
-from naive import naive_distinct, naive_lcp, naive_lpf, naive_suffix_array, random_symbols
+from naive import naive_distinct, naive_lcp, naive_lpf, naive_suffix_array, random_symbols, stack_lpf
 
 
 def _fibonacci_word(n: int) -> np.ndarray:
@@ -18,6 +19,12 @@ def _fibonacci_word(n: int) -> np.ndarray:
     while len(b) < n:
         a, b = b, b + a
     return np.array(b[:n], dtype=np.uint8)
+
+
+def _run_mix(n: int, max_run: int, sigma: int, seed: int) -> np.ndarray:
+    """Runs of uniform length 1..max_run, each of a uniform symbol below sigma."""
+    rng = make_rng(seed)
+    return np.repeat(rng.integers(0, sigma, n), rng.integers(1, max_run + 1, n))[:n].astype(np.uint8)
 
 
 def _corpus():
@@ -37,6 +44,14 @@ def _corpus():
     for seed in range(18):
         sigma = (2, 4, 256)[seed % 3]
         yield random_symbols(1 + (seed * 97) % 600, sigma, seed + 300)
+    # no peak-elimination round runs on these: the stack pass does everything
+    yield np.repeat([0, 1], 1000).astype(np.uint8)
+    yield np.repeat([0, 1, 2], 1000).astype(np.uint8)
+    yield np.arange(3000)
+    # the rounds stop with survivors left for the stack pass
+    for max_run, sigma in ((8, 2), (32, 4), (200, 2)):
+        yield _run_mix(3000, max_run, sigma, seed=max_run + sigma)
+    yield np.concatenate([random_symbols(1000, 2, 7), np.ones(2000, dtype=np.uint8)])
 
 
 CORPUS = list(_corpus())
@@ -58,6 +73,24 @@ def test_suffix_layer_matches_naive(arr):
     starts, lengths = lz_factorize(arr)
     assert starts.dtype == lengths.dtype == np.int64
     assert list(zip(starts.tolist(), lengths.tolist())) == walk
+
+
+LPF_KINDS = {
+    "random-binary": lambda n: random_symbols(n, 2, n + 1),
+    "random-bytes": lambda n: random_symbols(n, 256, n + 2),
+    "run-mix": lambda n: build_builtin("run-mix", n, n + 3),
+    "all-ones": lambda n: np.ones(n, dtype=np.uint8),
+    "period-8": lambda n: np.tile(np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=np.uint8), n // 8 + 1)[:n],
+    "fibonacci": _fibonacci_word,
+}
+
+
+@pytest.mark.parametrize("n", [50_000, 200_000])
+@pytest.mark.parametrize("kind", LPF_KINDS)
+def test_lpf_matches_stack_pass(kind, n):
+    sa, ranks = suffix_array(LPF_KINDS[kind](n))
+    lcp = lcp_array(sa, ranks)
+    assert longest_previous_factor(sa, lcp) == stack_lpf(sa, lcp)
 
 
 @pytest.mark.parametrize("arr", LEVEL_INPUTS)
@@ -82,9 +115,10 @@ def _assert_levels_mark_equal_prefixes(arr, ranks):
 @pytest.mark.parametrize("arr", CORPUS, ids=[f"{i}-n{a.size}" for i, a in enumerate(CORPUS)])
 def test_capped_distinct_profile_matches_naive(arr):
     naive = [naive_distinct(arr, ell) for ell in range(1, min(33, arr.size) + 1)]
+    naive += [0] * (33 - len(naive))  # no windows longer than the input
     for ell_max in (1, 2, 3, 5, 8, 16, 32, 33):
         prof = distinct_length_profile(arr, ell_max)
-        assert prof.tolist() == naive[: min(ell_max, arr.size)]
+        assert prof.tolist() == naive[:ell_max]
 
 
 @pytest.mark.parametrize("arr", LEVEL_INPUTS)
