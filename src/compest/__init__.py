@@ -7,7 +7,6 @@ and the adversarial instance families that make those contracts tight.
 
 from .accessor import EstimateReport, QueryCountedString, meets_contract, read
 from .colors import ColorSample, colors_estimate, colors_estimate_amplified
-from .config import DEFAULT_CONFIG, EstimatorConfig
 from .generators import (
     GeneratorSpec,
     binarize,
@@ -36,9 +35,6 @@ from .oracles import (
 )
 from .rle import (
     BucketTable,
-    ProbeResult,
-    RunProbe,
-    probe_run_length,
     rle_additive_estimate,
     rle_bucketed_estimate,
     rle_multiplicative_search,
@@ -55,8 +51,6 @@ __all__ = [
     "ColorSample",
     "colors_estimate",
     "colors_estimate_amplified",
-    "DEFAULT_CONFIG",
-    "EstimatorConfig",
     "GeneratorSpec",
     "binarize",
     "generate_coin_runs",
@@ -78,9 +72,6 @@ __all__ = [
     "exact_rle_cost",
     "verify_structural_lemmas",
     "BucketTable",
-    "ProbeResult",
-    "RunProbe",
-    "probe_run_length",
     "rle_additive_estimate",
     "rle_bucketed_estimate",
     "rle_multiplicative_search",

@@ -42,7 +42,12 @@ import numpy as np
 from ._rng import derive_seed
 from .accessor import EstimateReport, QueryCountedString, meets_contract
 from .colors import amplification_runs, colors_estimate, colors_estimate_amplified, sample_count
-from .config import DEFAULT_CONFIG
+from .config import (
+    additive_query_ceiling,
+    bucketed_query_ceiling,
+    lz_query_ceiling,
+    search_query_ceiling,
+)
 from .generators import GeneratorSpec
 from .lz import lz_estimate
 from .oracles import exact_color_count, exact_lz_cost, exact_rle_cost
@@ -71,9 +76,7 @@ def _exact_lz(acc: QueryCountedString) -> float:
 
 def _bucketed_ceiling(e: dict, n: int) -> float:
     ell0 = additive_probe_cap(float(e["epsilon"]), int(e.get("sigma", 2)))
-    return DEFAULT_CONFIG.bucketed_query_ceiling(
-        float(e["epsilon"]), float(e.get("delta", 1 / 3)), ell0
-    )
+    return bucketed_query_ceiling(float(e["epsilon"]), float(e.get("delta", 1 / 3)), ell0)
 
 
 class Estimator(NamedTuple):
@@ -91,9 +94,7 @@ ESTIMATORS = {
     "rle-additive": Estimator(
         lambda acc, p, seed: rle_additive_estimate(acc, float(p["epsilon"]), seed),
         _exact_rle,
-        lambda e, n: DEFAULT_CONFIG.additive_query_ceiling(
-            float(e["epsilon"]), int(e.get("sigma", 2))
-        ),
+        lambda e, n: additive_query_ceiling(float(e["epsilon"]), int(e.get("sigma", 2))),
     ),
     "rle-bucketed": Estimator(
         lambda acc, p, seed: rle_bucketed_estimate(
@@ -105,7 +106,7 @@ ESTIMATORS = {
     "rle-search": Estimator(
         lambda acc, p, seed: rle_multiplicative_search(acc, seed),
         _exact_rle,
-        lambda e, n: DEFAULT_CONFIG.search_query_ceiling(n, float(e["exact"])),
+        lambda e, n: search_query_ceiling(n, float(e["exact"])),
     ),
     # The refined search reads close to n on every input measured, so it has
     # no ceiling below n to claim.
@@ -131,7 +132,7 @@ ESTIMATORS = {
     "lz": Estimator(
         lambda acc, p, seed: lz_estimate(acc, float(p["A"]), float(p["epsilon"]), seed),
         _exact_lz,
-        lambda e, n: DEFAULT_CONFIG.lz_query_ceiling(n, float(e["A"]), float(e["epsilon"])),
+        lambda e, n: lz_query_ceiling(n, float(e["A"]), float(e["epsilon"])),
     ),
 }
 

@@ -18,6 +18,12 @@ input only through a query-counted session:
   :func:`rle_refined_search` sharpens the factor to (1 + gamma) with
   narrower buckets at a poly(1/gamma) query premium.
 
+Every sampled read goes through one :class:`RunProber` per estimate (one per
+search round), which probes the runs around all sampled positions in
+lockstep and keeps its state, so a larger cap resumes rather than re-reads.
+Where the sample count reaches n (for the additive estimator, also where n
+is at most the probe cap) the estimator reads the whole string instead.
+
 The per-position cost contribution of index t in a run of length ell is
 c(t) = (ceil(log2(ell + 1)) + ceil(log2(sigma))) / ell, so that the total
 cost equals n times the mean contribution. c is dominated by the
@@ -35,7 +41,7 @@ import numpy as np
 
 from ._rng import derive_seed, make_rng
 from .accessor import EstimateReport, QueryCountedString, QuerySession
-from .config import DEFAULT_CONFIG
+from .config import SEARCH_MAX_ROUNDS, additive_sample_count, bucketed_sample_count
 from .oracles import alphabet_bits, ceil_log2, exact_rle_cost, run_lengths
 
 
@@ -68,31 +74,6 @@ def additive_probe_cap(epsilon: float, alphabet_size: int) -> int:
     return ell0
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """Outcome of probing one position: exact run length, or a certified floor."""
-
-    length: int
-    capped: bool  # True: run length is >= `length` (== the cap); False: exact
-    queries: int
-
-
-@dataclass(frozen=True)
-class RunProbe:
-    """One sampled position in the additive estimator: the probed run length
-    (exact below the cap, else the certified ">= cap" flag) and the cost
-    contribution credited to it - c(length) when exact, 0 when capped."""
-
-    position: int
-    length: int
-    capped: bool
-    contribution: float
-
-    def __post_init__(self):
-        if self.capped and self.contribution != 0.0:
-            raise ValueError("capped probes contribute 0 to the estimate")
-
-
 class RunProber:
     """Batch incremental run-length prober.
 
@@ -101,6 +82,12 @@ class RunProber:
     edge, or once ``cap`` positions of the run are confirmed. State persists,
     so raising the cap later resumes the expansion instead of re-reading.
     All probes advance in lockstep so reads batch into vectorized calls.
+
+    Each side keeps an active list of the probes still open and below the
+    cap, and a step reads one position per listed probe, in ascending probe
+    order, then drops the probes that ended. A step costs O(open probes), and
+    it reads the same positions, in the same order and ``read_many`` batches,
+    as rescanning every probe at each step would.
     """
 
     def __init__(self, session: QuerySession, positions: np.ndarray):
@@ -108,7 +95,6 @@ class RunProber:
         self.t = np.asarray(positions, dtype=np.int64)
         m = self.t.size
         self.sym = session.read_many(self.t) if m else np.empty(0)
-        self.reads = np.ones(m, dtype=np.int64)
         self.left = np.zeros(m, dtype=np.int64)
         self.right = np.zeros(m, dtype=np.int64)
         self.left_open = self.t > 1
@@ -120,22 +106,16 @@ class RunProber:
     def _expand_side(self, cap: int, upto: int, left_side: bool) -> None:
         open_ = self.left_open if left_side else self.right_open
         ext = self.left if left_side else self.right
-        while True:
-            conf = self.left[:upto] + self.right[:upto] + 1
-            idx = np.flatnonzero(open_[:upto] & (conf < cap))
-            if idx.size == 0:
-                return
-            pos = self.t[idx] - self.left[idx] - 1 if left_side else self.t[idx] + self.right[idx] + 1
-            vals = self.sess.read_many(pos)
-            self.reads[idx] += 1
-            match = vals == self.sym[idx]
-            ext[idx[match]] += 1
+        idx = np.flatnonzero(open_[:upto] & (self.confirmed()[:upto] < cap))
+        while idx.size:
+            pos = self.t[idx] - ext[idx] - 1 if left_side else self.t[idx] + ext[idx] + 1
+            match = self.sess.read_many(pos) == self.sym[idx]
             open_[idx[~match]] = False
-            moved = idx[match]
-            if left_side:
-                open_[moved] &= self.t[moved] - self.left[moved] > 1
-            else:
-                open_[moved] &= self.t[moved] + self.right[moved] < self.sess.length
+            idx, pos = idx[match], pos[match]
+            ext[idx] += 1
+            edge = pos <= 1 if left_side else pos >= self.sess.length
+            open_[idx[edge]] = False
+            idx = idx[~edge & (self.left[idx] + self.right[idx] + 1 < cap)]
 
     def advance(self, cap: int, upto: int | None = None) -> None:
         """Expand the first ``upto`` probes until each knows its exact run
@@ -144,75 +124,6 @@ class RunProber:
         self._expand_side(cap, upto, left_side=True)
         self._expand_side(cap, upto, left_side=False)
 
-    def result(self, i: int, cap: int) -> ProbeResult:
-        conf = int(self.left[i] + self.right[i] + 1)
-        if conf >= cap:
-            return ProbeResult(length=cap, capped=True, queries=int(self.reads[i]))
-        return ProbeResult(length=conf, capped=False, queries=int(self.reads[i]))
-
-
-def probe_run_length(w, t: int, cap: int) -> ProbeResult:
-    """Probe the run containing position ``t``: exact length if below ``cap``,
-    otherwise the certified flag that it is at least ``cap``."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    sess = w.session() if isinstance(w, QueryCountedString) else w
-    if not 1 <= t <= sess.length:
-        raise IndexError(f"position {t} outside [1, {sess.length}]")
-    prober = RunProber(sess, np.array([t], dtype=np.int64))
-    prober.advance(cap)
-    return prober.result(0, cap)
-
-
-def _exact_scan_estimate(sess: QuerySession) -> float:
-    data = sess.read_all()
-    return float(exact_rle_cost(data, sess.alphabet_size).total_cost)
-
-
-def _rle_additive(
-    w: QueryCountedString, epsilon: float, seed: int
-) -> tuple[EstimateReport, tuple[np.ndarray, ...] | None]:
-    """The additive estimate, plus the per-sample positions, probed lengths,
-    capped flags and contributions (None when the degenerate exact scan fired)."""
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    n = w.length
-    sigma = w.alphabet_size
-    ell0 = additive_probe_cap(epsilon, sigma)
-    q = DEFAULT_CONFIG.additive_sample_count(epsilon)
-    sess = w.session()
-    if n <= ell0 or q >= n:
-        est = _exact_scan_estimate(sess)
-        return EstimateReport(est, 1.0, epsilon, sess.queries, seed), None
-    rng = make_rng(seed)
-    ts = rng.integers(1, n + 1, size=q)
-    prober = RunProber(sess, ts)
-    prober.advance(ell0)
-    conf = prober.confirmed()
-    capped = conf >= ell0
-    contrib = np.where(capped, 0.0, contribution(np.maximum(conf, 1), sigma))
-    est = float(n * contrib.mean())
-    used = sess.queries
-    if used > q * (2 * ell0 + 1):
-        raise RuntimeError("probe budget exceeded; prober is broken")
-    samples = (ts, np.where(capped, ell0, conf), capped, contrib)
-    return EstimateReport(est, 1.0, epsilon, used, seed), samples
-
-
-def rle_additive_estimate_detailed(
-    w: QueryCountedString, epsilon: float, seed: int
-) -> tuple[EstimateReport, list[RunProbe]]:
-    """As :func:`rle_additive_estimate`, also returning the per-sample probes
-    (empty when the degenerate exact scan fired)."""
-    report, samples = _rle_additive(w, epsilon, seed)
-    if samples is None:
-        return report, []
-    probes = [
-        RunProbe(position=t, length=length, capped=c, contribution=x)
-        for t, length, c, x in zip(*(a.tolist() for a in samples))
-    ]
-    return report, probes
-
 
 def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> EstimateReport:
     """Estimate the RLE cost to within an additive eps*n, claiming (1, eps).
@@ -220,7 +131,26 @@ def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> E
     Degenerate inputs (n below the probe cap, or sample count at least n)
     fall back to an exact scan; sublinearity is meaningless below the budget.
     """
-    return _rle_additive(w, epsilon, seed)[0]
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must be in (0, 1)")
+    n = w.length
+    sigma = w.alphabet_size
+    ell0 = additive_probe_cap(epsilon, sigma)
+    q = additive_sample_count(epsilon)
+    sess = w.session()
+    if n <= ell0 or q >= n:
+        est = float(exact_rle_cost(sess.read_all(), sigma).total_cost)
+        return EstimateReport(est, 1.0, epsilon, sess.queries, seed)
+    rng = make_rng(seed)
+    prober = RunProber(sess, rng.integers(1, n + 1, size=q))
+    prober.advance(ell0)
+    conf = prober.confirmed()
+    contrib = np.where(conf >= ell0, 0.0, contribution(np.maximum(conf, 1), sigma))
+    est = float(n * contrib.mean())
+    used = sess.queries
+    if used > q * (2 * ell0 + 1):
+        raise RuntimeError("probe budget exceeded; prober is broken")
+    return EstimateReport(est, 1.0, epsilon, used, seed)
 
 
 @dataclass(frozen=True)
@@ -292,13 +222,13 @@ def _bucketed_core(
     buckets: list,
     q: int,
     seed: int,
-) -> tuple[float, BucketTable, int]:
+) -> tuple[float, BucketTable]:
     """Shared engine for the factor-2 and refined bucketed estimators.
 
-    Returns (estimate, table, queries-so-far). Degenerates to an exact scan
-    when the sample count reaches the string length; the scan classifies
-    every position, so each beta_h is the true bucket fraction and the
-    output lands within a factor of the bucket width of the true cost.
+    Returns (estimate, table). Degenerates to an exact scan when the sample
+    count reaches the string length; the scan classifies every position, so
+    each beta_h is the true bucket fraction and the output lands within a
+    factor of the bucket width of the true cost.
     """
     n = sess.length
     s_bits = alphabet_bits(sess.alphabet_size)
@@ -307,15 +237,14 @@ def _bucketed_core(
     if q >= n:
         data = sess.read_all()
         _, lens = run_lengths(data)
-        per_pos = np.repeat(lens, lens)
         est = 0.0
         for h, low, high, cap, weight in buckets:
-            hits = int(np.count_nonzero((per_pos >= low) & (per_pos < high)))
+            hits = int(lens[(lens >= low) & (lens < high)].sum())
             est += (hits / n) * n * weight
             rows.append(BucketRow(h, low, high, cap, weight, q_h=n, hits=hits))
         table = BucketTable(h0=h0, s_bits=s_bits, q=q, rows=tuple(rows), exact_mode=True)
         table.validate()
-        return est, table, sess.queries
+        return est, table
 
     rng = make_rng(seed)
     ts = rng.integers(1, n + 1, size=q)
@@ -332,27 +261,22 @@ def _bucketed_core(
         rows.append(BucketRow(h, low, high, cap, weight, q_h=q_h, hits=hits))
     table = BucketTable(h0=h0, s_bits=s_bits, q=q, rows=tuple(rows), exact_mode=False)
     table.validate()
-    return est, table, sess.queries
+    return est, table
 
 
 def rle_bucketed_estimate_detailed(
-    w: QueryCountedString,
-    epsilon: float,
-    delta: float,
-    seed: int,
-    *,
-    session: QuerySession | None = None,
+    w: QueryCountedString, epsilon: float, delta: float, seed: int
 ) -> tuple[EstimateReport, BucketTable]:
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    sess = session if session is not None else w.session()
+    sess = w.session()
     sigma = sess.alphabet_size
     ell0 = additive_probe_cap(epsilon, sigma)
     buckets = _pow2_buckets(ell0, alphabet_bits(sigma))
-    q = DEFAULT_CONFIG.bucketed_sample_count(epsilon, delta)
-    est, table, _ = _bucketed_core(sess, buckets, q, seed)
+    q = bucketed_sample_count(epsilon, delta)
+    est, table = _bucketed_core(sess, buckets, q, seed)
     report = EstimateReport(est, 3.0, epsilon, sess.queries, seed, confidence=1.0 - delta)
     return report, table
 
@@ -404,12 +328,12 @@ def _interval_search(
     sigma = sess.alphabet_size
     s_bits = alphabet_bits(sigma)
     rounds = []
-    for j in range(1, DEFAULT_CONFIG.search_max_rounds + 1):
+    for j in range(1, SEARCH_MAX_ROUNDS + 1):
         eps_j = 2.0**-j
         delta_j = (1.0 / 3.0) * 2.0**-j
         ell0 = additive_probe_cap(eps_j, sigma)
-        q = math.ceil(DEFAULT_CONFIG.bucketed_sample_count(eps_j, delta_j) * q_scale)
-        est, _, _ = _bucketed_core(sess, bucket_fn(ell0, s_bits), q, derive_seed(seed, j))
+        q = math.ceil(bucketed_sample_count(eps_j, delta_j) * q_scale)
+        est, _ = _bucketed_core(sess, bucket_fn(ell0, s_bits), q, derive_seed(seed, j))
         lower = (est - eps_j * n) * shrink
         upper = (est + eps_j * n) * grow
         rounds.append(SearchRound(j, eps_j, delta_j, est, lower, upper))

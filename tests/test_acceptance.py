@@ -29,7 +29,7 @@ from compest import (
 )
 from compest._rng import derive_seed, make_rng
 from compest.campaign import build_builtin
-from compest.config import DEFAULT_CONFIG
+from compest import config
 from compest.oracles import distinct_profile, rle_length_bits, run_lengths
 from compest.rle import rle_multiplicative_search_detailed
 from naive import all_ones, alternating, naive_lz_cost, naive_rle_cost, random_symbols
@@ -119,7 +119,7 @@ def test_criterion_04_phased_string_tightness():
 
 def test_criterion_05_additive_estimator_contract():
     n, eps = 100_000, 0.05
-    budget = DEFAULT_CONFIG.additive_query_ceiling(eps, 2)
+    budget = config.additive_query_ceiling(eps, 2)
     hits = within_budget = 0
     for t in range(TRIALS):
         arr = random_symbols(n, 2, seed=derive_seed(30_000, t))
@@ -162,7 +162,7 @@ def test_criterion_07_multiplicative_search():
         rep = rle_multiplicative_search_detailed(acc(ones, 2), seed=derive_seed(32_500, t)).report
         hits_ones += exact_ones / 4 <= rep.estimate <= 4 * exact_ones
     mean_q = float(np.mean(measured))
-    ceiling = DEFAULT_CONFIG.search_query_ceiling(n, exact_alt)
+    ceiling = config.search_query_ceiling(n, exact_alt)
     check(7, "4x search: in [C/4, 4C] on alternating and all-ones, query ceiling on alternating",
           hits_alt >= 90 and hits_ones >= 90 and mean_q <= ceiling,
           f"alt={hits_alt} ones={hits_ones} mean_q={mean_q:.0f} ceiling={ceiling:.0f}")
@@ -185,7 +185,7 @@ def test_criterion_08_colors_estimator():
 def test_criterion_09_lz_estimator_and_distinguisher():
     n, A, eps = 100_000, 8.0, 0.05
     hits = within = 0
-    ceiling = DEFAULT_CONFIG.lz_query_ceiling(n, A, eps)
+    ceiling = config.lz_query_ceiling(n, A, eps)
     for t in range(TRIALS):
         arr = random_symbols(n, 2, seed=derive_seed(34_000, t))
         rep = lz_estimate(acc(arr, 2), A, eps, seed=derive_seed(34_500, t))

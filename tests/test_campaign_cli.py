@@ -206,24 +206,23 @@ def test_audit_rows_flag_violations():
     assert rows[0].within and not rows[1].within
 
     from compest.colors import amplification_runs, sample_count
-    from compest.config import DEFAULT_CONFIG
+    from compest import config
     from compest.rle import additive_probe_cap
 
-    cfg = DEFAULT_CONFIG
     others = [
         ({"estimator": "rle-bucketed", "n": 1000, "epsilon": 0.2, "delta": 0.1, "sigma": 4},
-         cfg.bucketed_query_ceiling(0.2, 0.1, additive_probe_cap(0.2, 4))),
+         config.bucketed_query_ceiling(0.2, 0.1, additive_probe_cap(0.2, 4))),
         ({"estimator": "rle-bucketed", "n": 1000, "epsilon": 0.2},
-         cfg.bucketed_query_ceiling(0.2, 1 / 3, additive_probe_cap(0.2, 2))),
+         config.bucketed_query_ceiling(0.2, 1 / 3, additive_probe_cap(0.2, 2))),
         ({"estimator": "rle-search", "n": 10**5, "exact": 4e4},
-         cfg.search_query_ceiling(10**5, 4e4)),
+         config.search_query_ceiling(10**5, 4e4)),
         ({"estimator": "colors", "n": 5000, "lambda": 3}, float(sample_count(5000, 3))),
         ({"estimator": "colors-amplified", "n": 5000, "lambda": 3, "delta": 0.1},
          float(amplification_runs(0.1) * sample_count(5000, 3))),
         ({"estimator": "colors-amplified", "n": 5000, "lambda": 3},
          float(amplification_runs(1 / 3) * sample_count(5000, 3))),
         ({"estimator": "lz", "n": 10**5, "A": 8, "epsilon": 0.05},
-         cfg.lz_query_ceiling(10**5, 8, 0.05)),
+         config.lz_query_ceiling(10**5, 8, 0.05)),
     ]
     for entry, ceiling in others:
         below, above = audit_queries([

@@ -7,15 +7,16 @@ from compest import (
     QueryCountedString,
     exact_rle_cost,
     meets_contract,
-    probe_run_length,
     rle_additive_estimate,
     rle_bucketed_estimate,
     rle_multiplicative_search,
     rle_refined_search,
 )
-from compest.config import DEFAULT_CONFIG
+from compest import config
+from compest._rng import make_rng
 from compest.oracles import ceil_log2
 from compest.rle import (
+    RunProber,
     additive_probe_cap,
     contribution,
     rle_bucketed_estimate_detailed,
@@ -32,42 +33,80 @@ def acc(arr, sigma=2):
 # -- probing -------------------------------------------------------------
 
 
+def true_run_lengths(arr):
+    """Length of the run through each position, by walking left and right."""
+    n = arr.size
+    out = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        lo = hi = i
+        while lo > 0 and arr[lo - 1] == arr[i]:
+            lo -= 1
+        while hi < n - 1 and arr[hi + 1] == arr[i]:
+            hi += 1
+        out[i] = hi - lo + 1
+    return out
+
+
 def test_probe_examples():
-    r = probe_run_length(acc(np.array([0, 0, 1, 1, 0])), 3, 8)
-    assert (r.length, r.capped) == (2, False)
-    r = probe_run_length(acc(all_ones(100)), 50, 8)
-    assert (r.length, r.capped) == (8, True)
-    assert r.queries <= 17
-    r = probe_run_length(acc(np.concatenate([[0], np.ones(99)]).astype(np.uint8)), 1, 8)
-    assert (r.length, r.capped) == (1, False)
+    arr = np.array([0, 0, 1, 1, 0])
+    prober = RunProber(acc(arr).session(), np.array([3, 1, 5, 4]))
+    prober.advance(8)
+    assert prober.confirmed().tolist() == [2, 2, 1, 2]
+    prober = RunProber(acc(all_ones(100)).session(), np.array([50, 1, 100]))
+    prober.advance(8)
+    assert prober.confirmed().tolist() == [8, 8, 8]
 
 
 def test_probe_matches_direct_computation():
+    # one lockstep prober over many positions, duplicates included, at the
+    # string's edges and with caps on both sides of the true lengths
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        n = int(rng.integers(1, 60))
+    for _ in range(50):
+        n = int(rng.integers(1, 61))
         arr = rng.integers(0, 2, size=n).astype(np.uint8)
-        t = int(rng.integers(1, n + 1))
-        cap = int(rng.integers(1, 12))
-        lo = hi = t - 1
-        while lo > 0 and arr[lo - 1] == arr[t - 1]:
-            lo -= 1
-        while hi < n - 1 and arr[hi + 1] == arr[t - 1]:
-            hi += 1
-        true_len = hi - lo + 1
-        r = probe_run_length(acc(arr), t, cap)
-        if true_len >= cap:
-            assert (r.length, r.capped) == (cap, True)
-        else:
-            assert (r.length, r.capped) == (true_len, False)
+        ts = rng.integers(1, n + 1, size=200)
+        cap = int(rng.integers(1, 13))
+        prober = RunProber(acc(arr).session(), ts)
+        prober.advance(cap)
+        expect = np.minimum(true_run_lengths(arr)[ts - 1], cap)
+        assert np.array_equal(prober.confirmed(), expect)
 
 
 def test_probe_query_budget():
-    w = acc(all_ones(10_000))
+    sess = acc(all_ones(10_000)).session()
+    prober = RunProber(sess, np.array([5_000]))
+    prober.advance(64)
+    assert prober.confirmed().tolist() == [64]
+    assert sess.queries <= 2 * 64 + 1
+
+
+def test_probe_resumes_where_it_stopped():
+    arr = random_symbols(3_000, 2, seed=14)
+    arr[1000:1100] = 1
+    ts = make_rng(3).integers(1, arr.size + 1, size=400)
+    ts[:3] = (1, 1050, arr.size)
+    fresh, staged = acc(arr).session(), acc(arr).session()
+    p_fresh, p_staged = RunProber(fresh, ts), RunProber(staged, ts)
+    p_fresh.advance(16)
+    p_staged.advance(4)
+    p_staged.advance(16)
+    assert np.array_equal(p_staged.confirmed(), p_fresh.confirmed())
+    assert staged.queries == fresh.queries
+
+
+def test_probe_upto_leaves_later_probes_unread():
+    arr = all_ones(10_000)
+    k = 3
+    ts = np.array([10, 2_000, 4_000, 6_000, 8_000])
+    w = acc(arr)
     sess = w.session()
-    r = probe_run_length(sess, 5_000, 64)
-    assert r.queries <= 2 * 64 + 1
-    assert sess.queries == r.queries
+    prober = RunProber(sess, ts)
+    prober.advance(32, upto=k)
+    conf = prober.confirmed()
+    assert conf[:k].tolist() == [32] * k
+    assert conf[k:].tolist() == [1] * (ts.size - k)
+    # only the starting symbols of the later probes were read
+    assert sess.queries == ts.size + k * 31
 
 
 def test_contribution_dominated_by_decreasing_envelope():
@@ -132,10 +171,10 @@ def test_additive_budget_and_contract_on_random():
         w = acc(arr)
         rep = rle_additive_estimate(w, eps, seed=seed)
         exact = exact_rle_cost(arr, 2).total_cost
-        q = DEFAULT_CONFIG.additive_sample_count(eps)
+        q = config.additive_sample_count(eps)
         ell0 = additive_probe_cap(eps, 2)
         assert rep.queries_used <= q * (2 * ell0 + 1)
-        assert rep.queries_used <= DEFAULT_CONFIG.additive_query_ceiling(eps, 2)
+        assert rep.queries_used <= config.additive_query_ceiling(eps, 2)
         hits += abs(rep.estimate - exact) <= eps * n
     assert hits >= 27
 
@@ -148,28 +187,15 @@ def test_additive_small_input_goes_exact():
     assert rep.queries_used == 100
 
 
-def test_additive_probe_records():
-    from compest.rle import rle_additive_estimate_detailed
-
-    arr = random_symbols(50_000, 2, seed=12)
-    rep, probes = rle_additive_estimate_detailed(acc(arr), 0.1, seed=6)
-    assert len(probes) == DEFAULT_CONFIG.additive_sample_count(0.1)
-    s_bits = int(ceil_log2(np.array([2]))[0])
-    for p in probes[:200]:
-        if p.capped:
-            assert p.contribution == 0.0
-        else:
-            expect = (int(ceil_log2(np.array([p.length + 1]))[0]) + s_bits) / p.length
-            assert p.contribution == pytest.approx(expect)
-    mean_contrib = float(np.mean([p.contribution for p in probes]))
-    assert rep.estimate == pytest.approx(arr.size * mean_contrib)
-
-
-def test_run_probe_validation():
-    from compest import RunProbe
-
-    with pytest.raises(ValueError):
-        RunProbe(position=1, length=8, capped=True, contribution=0.5)
+def test_additive_matches_its_own_sample():
+    n, eps, seed = 50_000, 0.1, 6
+    arr = random_symbols(n, 2, seed=12)
+    rep = rle_additive_estimate(acc(arr), eps, seed=seed)
+    ts = make_rng(seed).integers(1, n + 1, size=config.additive_sample_count(eps))
+    lengths = true_run_lengths(arr)[ts - 1]
+    ell0 = additive_probe_cap(eps, 2)
+    contrib = np.where(lengths >= ell0, 0.0, contribution(lengths, 2))
+    assert rep.estimate == n * float(np.mean(contrib))
 
 
 def test_additive_deterministic_replay():
@@ -235,7 +261,7 @@ def test_bucketed_query_ceiling():
     w = acc(random_symbols(100_000, 2, seed=13))
     rep = rle_bucketed_estimate(w, eps, delta, seed=21)
     ell0 = additive_probe_cap(eps, 2)
-    assert rep.queries_used <= DEFAULT_CONFIG.bucketed_query_ceiling(eps, delta, ell0)
+    assert rep.queries_used <= config.bucketed_query_ceiling(eps, delta, ell0)
 
 
 # -- multiplicative searches ----------------------------------------------
