@@ -95,11 +95,9 @@ def test_probe_resumes_where_it_stopped():
 
 
 def test_probe_upto_leaves_later_probes_unread():
-    arr = all_ones(10_000)
     k = 3
     ts = np.array([10, 2_000, 4_000, 6_000, 8_000])
-    w = acc(arr)
-    sess = w.session()
+    sess = acc(all_ones(10_000)).session()
     prober = RunProber(sess, ts)
     prober.advance(32, upto=k)
     conf = prober.confirmed()
