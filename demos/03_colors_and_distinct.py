@@ -45,10 +45,10 @@ print("\n== distinct substrings by window sampling ==")
 arr = rng.integers(0, 2, size=50_000).astype(np.uint8)
 for ell in (3, 6, 9):
     w = QueryCountedString.from_tokens(arr, 2)
-    est = estimate_distinct(w, ell, B=4.0, delta=0.05, seed=2)
+    rep = estimate_distinct(w, ell, B=4.0, delta=0.05, seed=2)
     exact_d = exact_distinct_substrings(arr, ell)
     print(
-        f"  ell={ell}: estimate {est:8.0f}   exact d_ell = {exact_d:5d}   "
+        f"  ell={ell}: estimate {rep.estimate:8.0f}   exact d_ell = {exact_d:5d}   "
         f"factor-4 interval [{exact_d / 4:.0f}, {exact_d * 4:.0f}]   "
-        f"reads {w.reads} of {arr.size}"
+        f"reads {rep.queries_used} of {arr.size}"
     )

@@ -5,7 +5,7 @@ Exact oracles (ground truth), query-counted estimators with explicit
 and the adversarial instance families that make those contracts tight.
 """
 
-from .accessor import EstimateReport, QueryCountedString, meets_contract, read
+from .accessor import EstimateReport, QueryCountedString, meets_contract
 from .colors import ColorSample, colors_estimate, colors_estimate_amplified
 from .generators import (
     GeneratorSpec,
@@ -47,7 +47,6 @@ __all__ = [
     "EstimateReport",
     "QueryCountedString",
     "meets_contract",
-    "read",
     "ColorSample",
     "colors_estimate",
     "colors_estimate_amplified",

@@ -1,9 +1,9 @@
 """Query-counted access to input strings.
 
-Every estimator reads its input only through this layer, which records the
-set of distinct positions touched. That makes query-complexity claims
-checkable: ``queries_used`` in an :class:`EstimateReport` is a measurement,
-not an assumption.
+Every estimator reads its input only through a :class:`QuerySession` of this
+layer, which records the set of distinct positions that run touched. That
+makes query-complexity claims checkable: ``queries_used`` in an
+:class:`EstimateReport` is a measurement, not an assumption.
 
 Conventions:
 
@@ -15,8 +15,10 @@ Conventions:
 * Symbols are non-negative integers. Text and files are exposed as their
   bytes; files are memory-mapped read-only rather than copied into memory
   (the one alphabet pass at construction still reads every byte).
-* The touched-position ledger costs O(q) memory for q distinct reads, until
-  q nears n / 64; see :class:`_TouchedSet`.
+* A string is read through a session (counted) or :meth:`materialize`
+  (not counted), and in no other way.
+* A session's touched-position ledger costs O(q) memory for q distinct
+  reads, until q nears n / 64; see :class:`_TouchedSet`.
 """
 
 from __future__ import annotations
@@ -92,12 +94,8 @@ class _TouchedSet:
             return int(self._sorted.size)
         return int(np.count_nonzero(self._bitmap))
 
-    def add(self, idx0: np.ndarray) -> np.ndarray:
-        """Record ``idx0``; return the positions of it that may be new.
-
-        While sorted, that is exactly the new positions, sorted and unique;
-        once a bitmap, it is all of ``idx0``, flattened.
-        """
+    def add(self, idx0: np.ndarray) -> None:
+        """Record the 0-indexed positions ``idx0``."""
         idx0 = np.ravel(idx0)
         if self._bitmap is None and self._sorted.size + idx0.size > self._length // 64:
             self._bitmap = np.zeros(self._length, dtype=bool)
@@ -105,31 +103,30 @@ class _TouchedSet:
             self._sorted = None
         if self._bitmap is not None:
             self._bitmap[idx0] = True
-            return idx0
+            return
         batch = np.sort(idx0)
         keep = np.ones(batch.size, dtype=bool)
         keep[1:] = batch[1:] != batch[:-1]
         if self._sorted.size == 0:
             self._sorted = batch[keep]
-            return self._sorted
+            return
         at = np.searchsorted(self._sorted, batch)
         keep &= self._sorted[np.minimum(at, self._sorted.size - 1)] != batch
-        fresh = batch[keep]
-        self._sorted = np.insert(self._sorted, at[keep], fresh)
-        return fresh
+        self._sorted = np.insert(self._sorted, at[keep], batch[keep])
 
 
 class QueryCountedString:
-    """Read-only string of symbols with a distinct-position read counter.
+    """Read-only string of symbols that hands out query-counted sessions.
 
     Backed either by an array (in memory, or a read-only map of a file) or
     by a lazy provider callback that materializes symbols on demand (used by
     reduction instances, where generating the whole string up front would
     defeat sublinearity).
 
-    Concurrent estimator runs should each open their own :meth:`session`;
-    the master counter merges all sessions, each session counts only the
-    positions it touched itself.
+    The string itself counts nothing: each estimator run opens its own
+    :meth:`session`, which counts the positions it touched itself. Sessions
+    share only the provider, whose calls are serialized, so concurrent runs
+    may each hold a session on one string.
     """
 
     def __init__(
@@ -166,8 +163,7 @@ class QueryCountedString:
             self._provider = provider
             self.length = int(length)
             self.alphabet_size = max(2, int(alphabet_size))
-        self._touched = _TouchedSet(self.length)
-        self._lock = threading.Lock()  # guards _touched and the provider
+        self._lock = threading.Lock()  # guards the provider
 
     # -- constructors -----------------------------------------------------
 
@@ -201,16 +197,6 @@ class QueryCountedString:
 
     # -- reading ----------------------------------------------------------
 
-    @property
-    def reads(self) -> int:
-        """Distinct positions touched so far, over all sessions."""
-        with self._lock:
-            return len(self._touched)
-
-    def _record(self, idx0: np.ndarray) -> None:
-        with self._lock:
-            self._touched.add(idx0)
-
     def _fetch(self, idx0: np.ndarray) -> np.ndarray:
         if self._data is not None:
             return self._data[idx0]
@@ -224,17 +210,11 @@ class QueryCountedString:
             raise IndexError(f"position {int(bad)} outside [1, {self.length}]")
         return idx0
 
-    def read(self, position: int) -> int:
-        """Symbol at 1-indexed ``position``; counts one query on first touch."""
-        idx0 = self._check(np.array([position]))
-        self._record(idx0)
-        return int(self._fetch(idx0)[0])
-
     def session(self) -> "QuerySession":
         return QuerySession(self)
 
     def materialize(self) -> np.ndarray:
-        """Full copy of the string, bypassing the read counters.
+        """Full copy of the string, read by no session and counted nowhere.
 
         Oracle plumbing: exact reference computations are not under the query
         model. For provider-backed strings this generates every position.
@@ -245,11 +225,12 @@ class QueryCountedString:
 
 
 class QuerySession:
-    """One estimator run's counter view onto a :class:`QueryCountedString`.
+    """One estimator run's reads of a :class:`QueryCountedString`.
 
-    ``queries`` counts distinct positions touched through this session only;
-    the parent's master counter is updated as well so overlapping sessions
-    merge correctly.
+    ``queries`` counts the distinct positions touched through this session,
+    the only place a read is counted. A repeat read is free, and a read
+    outside ``[1, n]`` raises :class:`IndexError` and counts nothing. A
+    session is not shared between threads; concurrent runs each open their own.
     """
 
     def __init__(self, parent: QueryCountedString):
@@ -264,9 +245,7 @@ class QuerySession:
 
     def read_many(self, positions: np.ndarray) -> np.ndarray:
         idx0 = self.parent._check(np.asarray(positions))
-        # The master holds every position this session holds, so only
-        # positions new to the session can be new to it.
-        self.parent._record(self._touched.add(idx0))
+        self._touched.add(idx0)
         return self.parent._fetch(idx0)
 
     def read(self, position: int) -> int:
@@ -275,11 +254,6 @@ class QuerySession:
     def read_all(self) -> np.ndarray:
         """Read the whole string through the session (n queries)."""
         return self.read_many(np.arange(1, self.length + 1, dtype=np.int64))
-
-
-def read(accessor: QueryCountedString, position: int) -> int:
-    """Read symbol ``w_position`` (1-indexed), counting the query once."""
-    return accessor.read(position)
 
 
 @dataclass(frozen=True)

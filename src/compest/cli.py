@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -102,22 +103,10 @@ def _token_bytes(arr: np.ndarray) -> tuple[bytes, int]:
 
 
 def _cmd_gen(args) -> int:
-    params: dict = {}
-    if args.family in ("wk", "coin"):
-        params["n"] = args.n
-    if args.family == "wk":
-        params["k"] = args.k
-    if args.family == "coin":
-        params["p"] = args.p
-    if args.family == "lztight":
-        params.update(m=args.m, ell0=args.ell0)
-    if args.family == "col2lz":
-        params.update(alpha_prime=args.alpha_prime, sigma=args.sigma)
-        if args.source:
-            with open(args.source, "rb") as fh:
-                params["tau"] = np.frombuffer(fh.read(), dtype=np.uint8)
-        else:
-            params.update(n_prime=args.n_prime, colors=args.colors)
+    """Build one GeneratorSpec; the option names are its params keys."""
+    params = vars(args)
+    if args.source:
+        params["tau"] = np.frombuffer(Path(args.source).read_bytes(), dtype=np.uint8)
     spec = GeneratorSpec(args.family, params, args.seed)
     built = spec.build()
     arr = built.materialize() if isinstance(built, QueryCountedString) else built

@@ -112,19 +112,23 @@ def _distinct_estimates(
     return dhat
 
 
-def estimate_distinct(w, ell: int, B: float, delta: float, *, seed: int = 0) -> float:
-    """Estimate d_ell within a factor B, confidence 1 - delta.
+def estimate_distinct(w, ell: int, B: float, delta: float, *, seed: int = 0) -> EstimateReport:
+    """Estimate d_ell within a factor max(1, B), confidence 1 - delta.
 
     Views each window start as a virtual color and runs the pooled colors
     estimator over the n - ell + 1 virtual positions, falling back to an
-    exact scan on the exact lane of :func:`window_pool_size`.
+    exact scan on the exact lane of :func:`window_pool_size`, whose exact
+    count meets lambda = 1. The report claims (max(1, B), 0), and its
+    ``queries_used`` is the distinct positions the run read.
     """
     sess = w.session()
     n = sess.length
     if not 1 <= ell <= n:
         raise ValueError(f"length {ell} outside [1, {n}]")
     dhat = _distinct_estimates(sess, ell, B, delta, derive_seed(seed, "windows", ell))
-    return float(dhat[ell - 1])
+    return EstimateReport(
+        float(dhat[ell - 1]), max(1.0, B), 0.0, sess.queries, seed, confidence=1.0 - delta
+    )
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accessor import QueryCountedString, distinct_count
+from .accessor import distinct_count
 from .suffixes import distinct_length_profile, lz_factorize
 
 
 def as_symbols(w) -> np.ndarray:
-    """Coerce str/bytes/array/accessor input to a 1-D integer symbol array."""
-    if isinstance(w, QueryCountedString):
-        return w.materialize()
+    """Coerce str/bytes/array input to a 1-D integer symbol array."""
     if isinstance(w, str):
         return np.frombuffer(w.encode("utf-8"), dtype=np.uint8)
     if isinstance(w, (bytes, bytearray)):
@@ -91,8 +89,6 @@ def exact_rle_cost(w, alphabet_size: int | None = None) -> CostBreakdown:
     (at least 2); it must not be smaller than that number.
     """
     arr = as_symbols(w)
-    if isinstance(w, QueryCountedString) and alphabet_size is None:
-        alphabet_size = w.alphabet_size
     distinct = distinct_count(arr)
     sigma = max(2, distinct) if alphabet_size is None else int(alphabet_size)
     if distinct > sigma:

@@ -193,17 +193,12 @@ class BucketTable:
                     raise AssertionError(f"bucket {row.h}: q_h {row.q_h} != {expect}")
 
 
-def _pow2_buckets(ell0: int, s_bits: int) -> list[tuple[int, float, float, int, float]]:
-    h0 = math.ceil(math.log2(ell0))
-    out = []
-    for h in range(1, h0 + 1):
-        out.append((h, float(2 ** (h - 1)), float(2**h), 2**h, (h + s_bits) / 2 ** (h - 1)))
-    return out
-
-
-def _geometric_buckets(ell0: int, s_bits: int, gamma: float) -> list[tuple[int, float, float, int, float]]:
-    ratio = 1.0 + gamma / 2.0
-    h0 = math.ceil(math.log(ell0) / math.log(ratio))
+def _geometric_buckets(ell0: int, s_bits: int, ratio: float) -> list[tuple[int, float, float, int, float]]:
+    """Rows (h, low, high, cap, weight) for the run lengths in [ratio^(h-1), ratio^h),
+    h = 1..ceil(log_ratio(ell0)); ``cap = ceil(high)`` is the smallest probe
+    cap that leaves every run length in the bucket below it."""
+    # log2 keeps h0 = ceil(log2(ell0)) exact at ratio 2; ceil(log(2^31) / log(2)) is 32
+    h0 = math.ceil(math.log2(ell0) / math.log2(ratio))
     out = []
     for h in range(1, h0 + 1):
         low = ratio ** (h - 1)
@@ -211,7 +206,7 @@ def _geometric_buckets(ell0: int, s_bits: int, gamma: float) -> list[tuple[int, 
         lmin = math.ceil(low)
         if lmin >= high:  # no integer run length falls in this bucket
             continue
-        cap = math.floor(high) + 1
+        cap = math.ceil(high)
         weight = float((int(ceil_log2(np.array([lmin + 1]))[0]) + s_bits) / lmin)
         out.append((h, low, high, cap, weight))
     return out
@@ -274,7 +269,7 @@ def rle_bucketed_estimate_detailed(
     sess = w.session()
     sigma = sess.alphabet_size
     ell0 = additive_probe_cap(epsilon, sigma)
-    buckets = _pow2_buckets(ell0, alphabet_bits(sigma))
+    buckets = _geometric_buckets(ell0, alphabet_bits(sigma), 2.0)
     q = bucketed_sample_count(epsilon, delta)
     est, table = _bucketed_core(sess, buckets, q, seed)
     report = EstimateReport(est, 3.0, epsilon, sess.queries, seed, confidence=1.0 - delta)
@@ -309,7 +304,7 @@ def _interval_search(
     w: QueryCountedString,
     seed: int,
     *,
-    bucket_fn,
+    ratio: float,
     q_scale: float,
     shrink: float,
     grow: float,
@@ -333,7 +328,7 @@ def _interval_search(
         delta_j = (1.0 / 3.0) * 2.0**-j
         ell0 = additive_probe_cap(eps_j, sigma)
         q = math.ceil(bucketed_sample_count(eps_j, delta_j) * q_scale)
-        est, _ = _bucketed_core(sess, bucket_fn(ell0, s_bits), q, derive_seed(seed, j))
+        est, _ = _bucketed_core(sess, _geometric_buckets(ell0, s_bits, ratio), q, derive_seed(seed, j))
         lower = (est - eps_j * n) * shrink
         upper = (est + eps_j * n) * grow
         rounds.append(SearchRound(j, eps_j, delta_j, est, lower, upper))
@@ -348,7 +343,7 @@ def rle_multiplicative_search_detailed(w: QueryCountedString, seed: int) -> Sear
     return _interval_search(
         w,
         seed,
-        bucket_fn=_pow2_buckets,
+        ratio=2.0,
         q_scale=1.0,
         shrink=1.0 / 3.0,
         grow=3.0,
@@ -382,7 +377,7 @@ def rle_refined_search_detailed(w: QueryCountedString, gamma: float, seed: int) 
     return _interval_search(
         w,
         seed,
-        bucket_fn=lambda ell0, s_bits: _geometric_buckets(ell0, s_bits, gamma),
+        ratio=ratio,
         q_scale=q_scale,
         shrink=1.0 / (ratio * (1.0 + eta)),
         grow=1.0 / (1.0 - eta),

@@ -7,6 +7,7 @@ pinned by the estimator contracts themselves.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,7 +292,7 @@ def test_criterion_12_stochastic_subcommands_replay_byte_identical(tmp_path):
             buf = io.StringIO()
             with redirect_stdout(buf):
                 code = cli.main(argv)
-            extra = open(gen_out, "rb").read() if argv[0] == "gen" else b""
+            extra = Path(gen_out).read_bytes() if argv[0] == "gen" else b""
             outputs.append((code, buf.getvalue().encode(), extra))
         identical += outputs[0] == outputs[1]
     check(12, "replaying every stochastic subcommand is byte-identical",

@@ -7,31 +7,31 @@ import pytest
 
 from compest import (
     EstimateReport,
+    GeneratorSpec,
     QueryCountedString,
     colors_estimate,
     meets_contract,
-    read,
     rle_additive_estimate,
 )
 from compest.accessor import distinct_count
 
 
 def test_read_counts_once():
-    w = QueryCountedString.from_string("abc")
-    assert w.reads == 0
-    assert chr(read(w, 2)) == "b"
-    assert w.reads == 1
-    assert chr(read(w, 2)) == "b"
-    assert w.reads == 1  # cache-once: repeat read is free
+    sess = QueryCountedString.from_string("abc").session()
+    assert sess.queries == 0
+    assert chr(sess.read(2)) == "b"
+    assert sess.queries == 1
+    assert chr(sess.read(2)) == "b"
+    assert sess.queries == 1  # cache-once: repeat read is free
 
 
 def test_read_out_of_range_rejected():
-    w = QueryCountedString.from_string("abc")
+    sess = QueryCountedString.from_string("abc").session()
     with pytest.raises(IndexError):
-        read(w, 4)
+        sess.read(4)
     with pytest.raises(IndexError):
-        read(w, 0)
-    assert w.reads == 0
+        sess.read(0)
+    assert sess.queries == 0
 
 
 def test_counter_equals_touched_set():
@@ -41,7 +41,6 @@ def test_counter_equals_touched_set():
     for t in positions:
         sess.read(t)
     assert sess.queries == len(set(positions))
-    assert w.reads == len(set(positions))
 
 
 def test_duplicate_positions_in_one_batch_count_once():
@@ -71,30 +70,31 @@ def test_alphabet_size_floor_and_validation():
         QueryCountedString.from_tokens(np.arange(5), alphabet_size=3)
 
 
-def test_sessions_merge_into_master():
-    w = QueryCountedString.from_tokens(np.arange(100))
-    s1, s2 = w.session(), w.session()
-    s1.read_many(np.arange(1, 41))
-    s2.read_many(np.arange(21, 61))
-    assert s1.queries == 40
-    assert s2.queries == 40
-    assert w.reads == 60  # union of both sessions
+def _run_threads(worker, count):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
 
 def test_concurrent_sessions_are_safe():
     w = QueryCountedString.from_tokens(np.arange(5000) % 3)
+    queries = {}
 
-    def worker(lo):
+    def worker(i):
         sess = w.session()
-        sess.read_many(np.arange(lo, lo + 2000))
-        assert sess.queries == 2000
+        sess.read_many(np.arange(1 + 1000 * i, 2001 + 1000 * i))
+        queries[i] = sess.queries
 
-    threads = [threading.Thread(target=worker, args=(lo,)) for lo in (1, 1001, 2001)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert w.reads == 4000
+    _run_threads(worker, 3)
+    assert queries == {i: 2000 for i in range(3)}
 
 
 @pytest.mark.parametrize("n", [10, 1000])  # first add goes to the bitmap / the sorted ledger
@@ -105,7 +105,7 @@ def test_read_many_keeps_the_positions_shape(n, position):
     got = sess.read_many(position)
     assert got.shape == np.shape(position)
     assert np.array_equal(got, (np.asarray(position) - 1) % 9)
-    assert sess.queries == w.reads == np.unique(position).size
+    assert sess.queries == np.unique(position).size
 
 
 def test_ledger_crossing_the_bitmap_switch_counts_distinct_positions():
@@ -121,7 +121,6 @@ def test_ledger_crossing_the_bitmap_switch_counts_distinct_positions():
         sess.read_many(batch)
         seen.update(batch.tolist())
         assert sess.queries == len(seen)
-        assert w.reads == len(seen1 | seen2)
     assert s1._touched._bitmap is None and s2._touched._bitmap is None
     s1.read_many(np.arange(200, 300))  # 100 more would pass n // 64
     seen1.update(range(200, 300))
@@ -130,11 +129,10 @@ def test_ledger_crossing_the_bitmap_switch_counts_distinct_positions():
     s1.read_many(np.arange(250, 350))  # repeats across batches, bitmap side
     seen1.update(range(250, 350))
     assert s1.queries == len(seen1)
-    assert w.reads == len(seen1 | seen2)
 
 
 def test_concurrent_sessions_are_safe_on_the_sorted_ledger():
-    n = 10**6  # 4 * 3000 reads stay below n // 64, so no ledger goes dense
+    n = 10**6  # 3000 reads per session stay below n // 64, so no ledger goes dense
     w = QueryCountedString.from_tokens(np.arange(n, dtype=np.int64) % 7)
     positions = [np.arange(lo, lo + 3000) for lo in (1, 1001, 2001, 3001)]
     queries = {}
@@ -145,20 +143,32 @@ def test_concurrent_sessions_are_safe_on_the_sorted_ledger():
             sess.read_many(chunk)
         queries[i] = sess.queries
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    _run_threads(worker, 4)
     assert queries == {i: 3000 for i in range(4)}
-    assert w.reads == 6000
-    assert w._touched._bitmap is None
+
+
+def test_concurrent_sessions_on_a_provider_backed_string():
+    spec = GeneratorSpec("col2lz", {"n_prime": 5000, "alpha_prime": 0.1, "colors": 400}, seed=3)
+    w = spec.build()
+    k = w.provider.k
+    positions = [np.arange(1 + 8000 * i, 20001 + 8000 * i) for i in range(4)]  # overlapping
+    got, queries = {}, {}
+
+    def worker(i):
+        sess = w.session()
+        order = np.random.default_rng(i).permutation(positions[i])
+        chunks = np.array_split(order, 2000)  # 10 positions each: many interleaved provider calls
+        values = np.concatenate([sess.read_many(chunk) for chunk in chunks])
+        got[i] = values[np.argsort(order)]
+        queries[i] = sess.queries
+
+    _run_threads(worker, 4)
+    assert queries == {i: len(positions[i]) for i in range(4)}
+    truth = spec.build().materialize()
+    for i in range(4):
+        assert np.array_equal(got[i], truth[positions[i] - 1])
+    blocks = np.unique((np.concatenate(positions) - 1) // k).size
+    assert w.provider.blocks_materialized == w.provider.tau_reads == blocks
 
 
 @pytest.mark.parametrize(
@@ -231,7 +241,7 @@ def test_provider_backed_accessor_is_lazy():
     w = QueryCountedString.from_provider(provider, length=1000, alphabet_size=5)
     sess = w.session()
     assert sess.read(11) == 0
-    assert w.reads == 1
+    assert sess.queries == 1
     assert sum(c.size for c in calls) == 1
 
 

@@ -302,9 +302,9 @@ def test_cli_stochastic_subcommands_replay_byte_identical(sample_file, tmp_path)
     ]
     for argv in invocations:
         code1, out1 = run_cli(argv)
-        blob1 = open(gen_out, "rb").read() if argv[0] == "gen" else b""
+        blob1 = Path(gen_out).read_bytes() if argv[0] == "gen" else b""
         code2, out2 = run_cli(argv)
-        blob2 = open(gen_out, "rb").read() if argv[0] == "gen" else b""
+        blob2 = Path(gen_out).read_bytes() if argv[0] == "gen" else b""
         assert code1 == code2 == 0
         assert out1.encode() == out2.encode(), argv
         assert blob1 == blob2
@@ -322,8 +322,8 @@ def test_cli_gen_meta_matches_oracles(tmp_path):
     code, _ = run_cli(["gen", "--family", "wk", "--n", "1024", "--k", "16",
                        "--seed", "7", "--out", out, "--emit-meta"])
     assert code == 0
-    meta = json.loads(open(out + ".meta.json").read())
-    raw = np.frombuffer(open(out, "rb").read(), dtype=np.uint8)
+    meta = json.loads(Path(out + ".meta.json").read_text())
+    raw = np.frombuffer(Path(out).read_bytes(), dtype=np.uint8)
     assert raw.size == meta["n"] == 1024
     from compest import exact_lz_cost, exact_rle_cost
 
@@ -338,7 +338,7 @@ def test_cli_gen_col2lz(tmp_path):
         "--alpha-prime", "0.2", "--sigma", "2", "--seed", "3", "--out", out,
     ])
     assert code == 0
-    raw = np.frombuffer(open(out, "rb").read(), dtype=np.uint8)
+    raw = np.frombuffer(Path(out).read_bytes(), dtype=np.uint8)
     assert raw.size == 50 * 5  # n' * ceil(1/alpha')
 
 

@@ -80,16 +80,17 @@ def test_shared_window_reads_within_reuse_budget():
 
 def test_estimate_distinct_constant_string():
     w = acc(all_ones(2000))
-    est = estimate_distinct(w, 2, B=2.0, delta=0.1, seed=3)
+    est = estimate_distinct(w, 2, B=2.0, delta=0.1, seed=3).estimate
     assert est in (1.0, 2.0)  # d=1 exactly; sampled lane reports B * 1
 
 
 def test_estimate_distinct_exact_lane_for_small_factor():
     arr = random_symbols(4096, 2, seed=10)
     w = acc(arr)
-    est = estimate_distinct(w, 4, B=0.5, delta=0.1, seed=3)
-    assert est == exact_distinct_substrings(arr, 4)
-    assert w.reads == arr.size  # full scan
+    rep = estimate_distinct(w, 4, B=0.5, delta=0.1, seed=3)
+    assert rep.estimate == exact_distinct_substrings(arr, 4)
+    assert rep.lam == 1.0 and rep.confidence == 0.9
+    assert rep.queries_used == arr.size  # full scan
 
 
 def test_estimate_distinct_sampled_contract():
@@ -100,7 +101,7 @@ def test_estimate_distinct_sampled_contract():
     hits = 0
     for seed in range(100):
         w = acc(arr)
-        est = estimate_distinct(w, 4, B=4.0, delta=1 / 30, seed=seed)
+        est = estimate_distinct(w, 4, B=4.0, delta=1 / 30, seed=seed).estimate
         assert est == int(est / 4.0) * 4.0  # B times an integer distinct count
         hits += exact / 4.0 <= est <= 4.0 * exact
     assert hits >= 90

@@ -180,7 +180,11 @@ def test_d1_at_most_c_lz():
         assert exact_distinct_substrings(arr, 1) <= exact_lz_cost(arr).total_cost
 
 
-def test_oracles_accept_accessors():
+def test_oracles_reject_accessors():
+    # an accessor is read through a session or materialize(), never by an oracle
     w = QueryCountedString.from_string("abab")
-    assert exact_lz_cost(w).total_cost == 3
-    assert w.reads == 0  # oracle path bypasses the query counter
+    with pytest.raises(ValueError):
+        exact_lz_cost(w)
+    with pytest.raises(ValueError):
+        exact_rle_cost(w)
+    assert exact_lz_cost(w.materialize()).total_cost == 3

@@ -17,6 +17,7 @@ from compest._rng import make_rng
 from compest.oracles import ceil_log2
 from compest.rle import (
     RunProber,
+    _geometric_buckets,
     additive_probe_cap,
     contribution,
     rle_bucketed_estimate_detailed,
@@ -239,6 +240,14 @@ def test_bucketed_sample_counts_follow_weights():
     for row in table.rows:
         expect = min(table.q, math.ceil(table.q * row.weight))
         assert row.q_h == expect and row.q_h <= table.q
+
+
+@pytest.mark.parametrize("ell0", [2, 3, 1000, 1024, 1025, 2**31, 2**31 + 1, 2**44])
+@pytest.mark.parametrize("s_bits", [1, 7])
+def test_ratio_two_bucket_rows(ell0, s_bits):
+    h0 = (ell0 - 1).bit_length()  # ceil(log2(ell0)), in integers
+    expect = [(h, 2.0 ** (h - 1), 2.0**h, 2**h, (h + s_bits) / 2 ** (h - 1)) for h in range(1, h0 + 1)]
+    assert _geometric_buckets(ell0, s_bits, 2.0) == expect
 
 
 def test_bucketed_full_sampling_two_sided_identity():
