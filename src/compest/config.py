@@ -10,14 +10,15 @@ from __future__ import annotations
 import math
 
 from .lz import LzEstimateParams, window_pool_size
+from .oracles import alphabet_bits
 
 # Sample-count constants.
-C_Q = 8.0   # additive RLE estimator: q = ceil(C_Q / eps^2)
+C_Q = 8.0   # additive RLE estimator: q = ceil(C_Q * ((1 + s) / 2)^2 / eps^2)
 C_B = 64.0  # bucketed RLE estimator: q = ceil(C_B * log(1/eps) * loglog(1/eps) / eps)
 
 # Query-ceiling constants for auditing measured reads against the documented
 # asymptotic budgets.
-C_ADDITIVE_AUDIT = 20.0  # x C_Q * log2(4*sigma/eps) / eps^3
+C_ADDITIVE_AUDIT = 20.0  # x C_Q * ((1 + s) / 2)^2 * log2(4*sigma/eps) / eps^3
 C_BUCKETED_AUDIT = 8.0   # x q * h0^2
 C_SEARCH_AUDIT = 4.0     # x (n / C) * log2(n + 2)^3, expected reads of the search
 
@@ -29,8 +30,15 @@ SEARCH_MAX_ROUNDS = 64
 # -- derived sample counts -----------------------------------------------
 
 
-def additive_sample_count(epsilon: float) -> int:
-    return math.ceil(C_Q / epsilon**2)
+def _contribution_range_factor(alphabet_size: int) -> float:
+    # c(t) lies in (0, 1 + s], s = ceil(log2(sigma)): the sampling error of a
+    # mean of contributions grows with that range, so the sample count grows
+    # with its square. The factor is 1 at sigma = 2.
+    return ((1 + alphabet_bits(alphabet_size)) / 2) ** 2
+
+
+def additive_sample_count(epsilon: float, alphabet_size: int) -> int:
+    return math.ceil(C_Q * _contribution_range_factor(alphabet_size) / epsilon**2)
 
 
 def bucketed_sample_count(epsilon: float, delta: float) -> int:
@@ -48,7 +56,7 @@ def bucketed_sample_count(epsilon: float, delta: float) -> int:
 
 def additive_query_ceiling(epsilon: float, alphabet_size: int) -> float:
     log_term = max(1.0, math.log2(4 * alphabet_size / epsilon))
-    return C_ADDITIVE_AUDIT * C_Q * log_term / epsilon**3
+    return C_ADDITIVE_AUDIT * C_Q * _contribution_range_factor(alphabet_size) * log_term / epsilon**3
 
 
 def bucketed_query_ceiling(epsilon: float, delta: float, ell0: int) -> float:

@@ -136,7 +136,7 @@ def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> E
     n = w.length
     sigma = w.alphabet_size
     ell0 = additive_probe_cap(epsilon, sigma)
-    q = additive_sample_count(epsilon)
+    q = additive_sample_count(epsilon, sigma)
     sess = w.session()
     if n <= ell0 or q >= n:
         est = float(exact_rle_cost(sess.read_all(), sigma).total_cost)

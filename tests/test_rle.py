@@ -170,12 +170,35 @@ def test_additive_budget_and_contract_on_random():
         w = acc(arr)
         rep = rle_additive_estimate(w, eps, seed=seed)
         exact = exact_rle_cost(arr, 2).total_cost
-        q = config.additive_sample_count(eps)
+        q = config.additive_sample_count(eps, 2)
         ell0 = additive_probe_cap(eps, 2)
         assert rep.queries_used <= q * (2 * ell0 + 1)
         assert rep.queries_used <= config.additive_query_ceiling(eps, 2)
         hits += abs(rep.estimate - exact) <= eps * n
     assert hits >= 27
+
+
+def unit_and_long_runs(n, sigma, seed, unit=2_000, run=2_000):
+    """Blocks of ``unit`` uniform symbols (mostly unit runs), each followed
+    by one run of length ``run``: contributions spread over (0, 1 + s]."""
+    rng = make_rng(seed)
+    blocks = []
+    for _ in range(-(-n // (unit + run))):
+        blocks += [rng.integers(0, sigma, size=unit), np.full(run, rng.integers(0, sigma))]
+    return np.concatenate(blocks)[:n].astype(np.uint8)
+
+
+@pytest.mark.parametrize("sigma", [16, 256])
+def test_additive_contract_rate_on_wide_alphabets(sigma):
+    # the sample count grows with the contribution range 1 + s; a count
+    # fixed at its binary value met the contract on 14 of 30 seeds at sigma 256
+    n, eps, seeds = 200_000, 0.1, range(15)
+    hits = 0
+    for seed in seeds:
+        arr = unit_and_long_runs(n, sigma, seed + 500)
+        rep = rle_additive_estimate(acc(arr, sigma), eps, seed=seed)
+        hits += meets_contract(rep, exact_rle_cost(arr, sigma).total_cost, n)
+    assert hits >= 2 / 3 * len(seeds)
 
 
 def test_additive_small_input_goes_exact():
@@ -190,7 +213,7 @@ def test_additive_matches_its_own_sample():
     n, eps, seed = 50_000, 0.1, 6
     arr = random_symbols(n, 2, seed=12)
     rep = rle_additive_estimate(acc(arr), eps, seed=seed)
-    ts = make_rng(seed).integers(1, n + 1, size=config.additive_sample_count(eps))
+    ts = make_rng(seed).integers(1, n + 1, size=config.additive_sample_count(eps, 2))
     lengths = true_run_lengths(arr)[ts - 1]
     ell0 = additive_probe_cap(eps, 2)
     contrib = np.where(lengths >= ell0, 0.0, contribution(lengths, 2))
