@@ -18,9 +18,9 @@ input only through a query-counted session:
   :func:`rle_refined_search` sharpens the factor to (1 + gamma) with
   narrower buckets at a poly(1/gamma) query premium.
 
-Every sampled read goes through one :class:`RunProber` per estimate (one per
-search round), which probes the runs around all sampled positions in
-lockstep and keeps its state, so a larger cap resumes rather than re-reads.
+Every sampled read goes through one :class:`RunProber` pass per estimate
+(one per search round), which probes the runs around all sampled positions
+in lockstep, each up to the largest cap any bucket asks of it.
 Where the sample count reaches n (for the additive estimator, also where n
 is at most the probe cap) the estimator reads the whole string instead.
 
@@ -75,54 +75,46 @@ def additive_probe_cap(epsilon: float, alphabet_size: int) -> int:
 
 
 class RunProber:
-    """Batch incremental run-length prober.
+    """Batch run-length prober over sampled positions.
 
-    Holds one probe per sampled position and expands each probe left first,
-    then right, one offset at a time, stopping at a run boundary, the string
-    edge, or once ``cap`` positions of the run are confirmed. State persists,
-    so raising the cap later resumes the expansion instead of re-reading.
-    All probes advance in lockstep so reads batch into vectorized calls.
+    ``advance(caps)`` expands each probe left first, then right, one offset
+    at a time, stopping at a run boundary, the string edge, or once ``cap``
+    positions of the run are confirmed. All probes advance in lockstep, so
+    reads batch into vectorized calls; a step reads one position per probe
+    still open, in ascending probe order, and costs O(open probes).
 
-    Each side keeps an active list of the probes still open and below the
-    cap, and a step reads one position per listed probe, in ascending probe
-    order, then drops the probes that ended. A step costs O(open probes), and
-    it reads the same positions, in the same order and ``read_many`` batches,
-    as rescanning every probe at each step would.
+    Take a probe with L matching positions to its left and R to its right,
+    and cap C. It reads its own position, then min(L + 1, C - 1) positions
+    to the left, stopping early at position 1. It reads to the right only if
+    L < C - 1, and then at most C - 1 - L positions. So it reads at most
+    C + 1 positions and returns min(L + R + 1, C), both fixed by C alone:
+    walking it through smaller caps first would read nothing else.
     """
 
     def __init__(self, session: QuerySession, positions: np.ndarray):
         self.sess = session
         self.t = np.asarray(positions, dtype=np.int64)
-        m = self.t.size
-        self.sym = session.read_many(self.t) if m else np.empty(0)
-        self.left = np.zeros(m, dtype=np.int64)
-        self.right = np.zeros(m, dtype=np.int64)
-        self.left_open = self.t > 1
-        self.right_open = self.t < session.length
+        self.sym = session.read_many(self.t) if self.t.size else np.empty(0)
 
-    def confirmed(self) -> np.ndarray:
-        return self.left + self.right + 1
-
-    def _expand_side(self, cap: int, upto: int, left_side: bool) -> None:
-        open_ = self.left_open if left_side else self.right_open
-        ext = self.left if left_side else self.right
-        idx = np.flatnonzero(open_[:upto] & (self.confirmed()[:upto] < cap))
+    def _scan(self, limit: np.ndarray, step: int) -> np.ndarray:
+        """Matching positions next to each probe in direction ``step`` (-1 or
+        +1), counting at most ``limit`` of them per probe."""
+        ext = np.zeros(self.t.size, dtype=np.int64)
+        edge = 1 if step < 0 else self.sess.length
+        idx = np.flatnonzero((self.t != edge) & (limit > 0))
         while idx.size:
-            pos = self.t[idx] - ext[idx] - 1 if left_side else self.t[idx] + ext[idx] + 1
+            pos = self.t[idx] + step * (ext[idx] + 1)
             match = self.sess.read_many(pos) == self.sym[idx]
-            open_[idx[~match]] = False
             idx, pos = idx[match], pos[match]
             ext[idx] += 1
-            edge = pos <= 1 if left_side else pos >= self.sess.length
-            open_[idx[edge]] = False
-            idx = idx[~edge & (self.left[idx] + self.right[idx] + 1 < cap)]
+            idx = idx[(pos != edge) & (ext[idx] < limit[idx])]
+        return ext
 
-    def advance(self, cap: int, upto: int | None = None) -> None:
-        """Expand the first ``upto`` probes until each knows its exact run
-        length or has confirmed at least ``cap`` positions."""
-        upto = self.t.size if upto is None else upto
-        self._expand_side(cap, upto, left_side=True)
-        self._expand_side(cap, upto, left_side=False)
+    def advance(self, caps) -> np.ndarray:
+        """min(run length, cap) for each probe, for one cap or one cap per probe."""
+        caps = np.broadcast_to(np.asarray(caps, dtype=np.int64), self.t.shape)
+        left = self._scan(caps - 1, -1)
+        return left + self._scan(caps - 1 - left, 1) + 1
 
 
 def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> EstimateReport:
@@ -142,13 +134,11 @@ def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> E
         est = float(exact_rle_cost(sess.read_all(), sigma).total_cost)
         return EstimateReport(est, 1.0, epsilon, sess.queries, seed)
     rng = make_rng(seed)
-    prober = RunProber(sess, rng.integers(1, n + 1, size=q))
-    prober.advance(ell0)
-    conf = prober.confirmed()
+    conf = RunProber(sess, rng.integers(1, n + 1, size=q)).advance(ell0)
     contrib = np.where(conf >= ell0, 0.0, contribution(np.maximum(conf, 1), sigma))
     est = float(n * contrib.mean())
     used = sess.queries
-    if used > q * (2 * ell0 + 1):
+    if used > q * (ell0 + 1):
         raise RuntimeError("probe budget exceeded; prober is broken")
     return EstimateReport(est, 1.0, epsilon, used, seed)
 
@@ -241,17 +231,15 @@ def _bucketed_core(
         table.validate()
         return est, table
 
-    rng = make_rng(seed)
-    ts = rng.integers(1, n + 1, size=q)
-    prober = RunProber(sess, ts)
+    q_hs = [min(q, math.ceil(q * weight)) for *_, weight in buckets]
+    caps = np.zeros(q, dtype=np.int64)
+    for (*_, cap, weight), q_h in zip(buckets, q_hs):
+        caps[:q_h] = cap  # caps rise with h: each probe keeps its last bucket's
+    conf = RunProber(sess, make_rng(seed).integers(1, n + 1, size=q)).advance(caps)
     est = 0.0
-    for h, low, high, cap, weight in buckets:
-        q_h = min(q, math.ceil(q * weight))
-        prober.advance(cap, upto=q_h)
-        conf = prober.confirmed()[:q_h]
-        exact = conf < cap  # both boundaries found below the cap
-        member = exact & (conf >= math.ceil(low)) & (conf < high)
-        hits = int(np.count_nonzero(member))
+    for (h, low, high, cap, weight), q_h in zip(buckets, q_hs):
+        # high <= cap <= the probe's cap, so a length below high is exact
+        hits = int(np.count_nonzero((conf[:q_h] >= math.ceil(low)) & (conf[:q_h] < high)))
         est += (n / q_h) * hits * weight
         rows.append(BucketRow(h, low, high, cap, weight, q_h=q_h, hits=hits))
     table = BucketTable(h0=h0, s_bits=s_bits, q=q, rows=tuple(rows), exact_mode=False)

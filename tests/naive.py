@@ -119,6 +119,32 @@ def stack_lpf(sa, lcp) -> list:
     return lpf
 
 
+def staged_probe(arr, t: int, caps) -> tuple[int, set]:
+    """Walk one probe at 1-based position ``t`` through a rising cap history.
+
+    For each cap, extend left and then right, one position at a time, while
+    the neighbour matches and fewer than ``cap`` positions are confirmed; a
+    side closes at a mismatch or the string's edge. Returns the confirmed
+    length and the set of 1-based positions read.
+    """
+    seq = np.asarray(arr).tolist()
+    sym = seq[t - 1]
+    ext = {-1: 0, 1: 0}
+    open_ = {-1: t > 1, 1: t < len(seq)}
+    read = {t}
+    for cap in caps:
+        for step in (-1, 1):
+            while open_[step] and ext[-1] + ext[1] + 1 < cap:
+                pos = t + step * (ext[step] + 1)
+                read.add(pos)
+                if seq[pos - 1] != sym:
+                    open_[step] = False
+                else:
+                    ext[step] += 1
+                    open_[step] = 1 < pos < len(seq)
+    return ext[-1] + ext[1] + 1, read
+
+
 def naive_distinct(arr, ell: int) -> int:
     seq = tuple(arr.tolist() if isinstance(arr, np.ndarray) else arr)
     return len({seq[t : t + ell] for t in range(len(seq) - ell + 1)})

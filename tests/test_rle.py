@@ -24,7 +24,7 @@ from compest.rle import (
     rle_multiplicative_search_detailed,
     rle_refined_search_detailed,
 )
-from naive import all_ones, alternating, random_symbols
+from naive import all_ones, alternating, random_symbols, staged_probe
 
 
 def acc(arr, sigma=2):
@@ -50,12 +50,9 @@ def true_run_lengths(arr):
 
 def test_probe_examples():
     arr = np.array([0, 0, 1, 1, 0])
-    prober = RunProber(acc(arr).session(), np.array([3, 1, 5, 4]))
-    prober.advance(8)
-    assert prober.confirmed().tolist() == [2, 2, 1, 2]
-    prober = RunProber(acc(all_ones(100)).session(), np.array([50, 1, 100]))
-    prober.advance(8)
-    assert prober.confirmed().tolist() == [8, 8, 8]
+    assert RunProber(acc(arr).session(), np.array([3, 1, 5, 4])).advance(8).tolist() == [2, 2, 1, 2]
+    ones = RunProber(acc(all_ones(100)).session(), np.array([50, 1, 100]))
+    assert ones.advance(8).tolist() == [8, 8, 8]
 
 
 def test_probe_matches_direct_computation():
@@ -67,45 +64,52 @@ def test_probe_matches_direct_computation():
         arr = rng.integers(0, 2, size=n).astype(np.uint8)
         ts = rng.integers(1, n + 1, size=200)
         cap = int(rng.integers(1, 13))
-        prober = RunProber(acc(arr).session(), ts)
-        prober.advance(cap)
-        expect = np.minimum(true_run_lengths(arr)[ts - 1], cap)
-        assert np.array_equal(prober.confirmed(), expect)
+        conf = RunProber(acc(arr).session(), ts).advance(cap)
+        assert np.array_equal(conf, np.minimum(true_run_lengths(arr)[ts - 1], cap))
 
 
 def test_probe_query_budget():
     sess = acc(all_ones(10_000)).session()
-    prober = RunProber(sess, np.array([5_000]))
-    prober.advance(64)
-    assert prober.confirmed().tolist() == [64]
-    assert sess.queries <= 2 * 64 + 1
+    assert RunProber(sess, np.array([5_000])).advance(64).tolist() == [64]
+    assert sess.queries <= 64 + 1
 
 
-def test_probe_resumes_where_it_stopped():
-    arr = random_symbols(3_000, 2, seed=14)
-    arr[1000:1100] = 1
-    ts = make_rng(3).integers(1, arr.size + 1, size=400)
-    ts[:3] = (1, 1050, arr.size)
-    fresh, staged = acc(arr).session(), acc(arr).session()
-    p_fresh, p_staged = RunProber(fresh, ts), RunProber(staged, ts)
-    p_fresh.advance(16)
-    p_staged.advance(4)
-    p_staged.advance(16)
-    assert np.array_equal(p_staged.confirmed(), p_fresh.confirmed())
-    assert staged.queries == fresh.queries
+class RecordingSession:
+    """What a prober uses of a session, recording every position it reads."""
+
+    def __init__(self, arr):
+        self.arr, self.length, self.requested = arr, arr.size, []
+
+    def read_many(self, positions):
+        self.requested += np.asarray(positions).tolist()
+        return self.arr[np.asarray(positions) - 1]
 
 
-def test_probe_upto_leaves_later_probes_unread():
-    k = 3
-    ts = np.array([10, 2_000, 4_000, 6_000, 8_000])
-    sess = acc(all_ones(10_000)).session()
-    prober = RunProber(sess, ts)
-    prober.advance(32, upto=k)
-    conf = prober.confirmed()
-    assert conf[:k].tolist() == [32] * k
-    assert conf[k:].tolist() == [1] * (ts.size - k)
-    # only the starting symbols of the later probes were read
-    assert sess.queries == ts.size + k * 31
+def short_and_long_runs(rng, n, sigma):
+    longest = int(rng.choice([1, 3, 12, 40]))
+    runs = [np.full(int(rng.integers(1, longest + 1)), rng.integers(0, sigma)) for _ in range(n)]
+    return np.concatenate(runs)[:n].astype(np.uint8)
+
+
+def test_final_cap_pass_matches_staged_reference():
+    # a pass at each probe's final cap confirms the same lengths and reads
+    # the same positions as the walk through its whole rising cap history
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        n = int(rng.integers(1, 81))
+        arr = short_and_long_runs(rng, n, int(rng.integers(2, 5)))
+        ts = np.concatenate([[1, n, n], rng.integers(1, n + 1, size=int(rng.integers(1, 25)))])
+        histories = [np.sort(rng.integers(1, 2 * n + 3, size=int(rng.integers(1, 5)))) for _ in ts]
+        finals = np.array([hist[-1] for hist in histories])
+        expect = [staged_probe(arr, int(t), hist) for t, hist in zip(ts, histories)]
+        sess = RecordingSession(arr)
+        conf = RunProber(sess, ts).advance(finals)
+        assert conf.tolist() == [length for length, _ in expect]
+        assert set(sess.requested) == set().union(*(read for _, read in expect))
+        for t, cap, (_, read) in zip(ts, finals, expect):
+            one = RecordingSession(arr)
+            RunProber(one, np.array([t])).advance(cap)
+            assert set(one.requested) == read and len(one.requested) <= cap + 1
 
 
 def test_contribution_dominated_by_decreasing_envelope():
@@ -172,7 +176,7 @@ def test_additive_budget_and_contract_on_random():
         exact = exact_rle_cost(arr, 2).total_cost
         q = config.additive_sample_count(eps, 2)
         ell0 = additive_probe_cap(eps, 2)
-        assert rep.queries_used <= q * (2 * ell0 + 1)
+        assert rep.queries_used <= q * (ell0 + 1)
         assert rep.queries_used <= config.additive_query_ceiling(eps, 2)
         hits += abs(rep.estimate - exact) <= eps * n
     assert hits >= 27
