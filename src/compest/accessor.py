@@ -163,7 +163,7 @@ class QueryCountedString:
             self._provider = provider
             self.length = int(length)
             self.alphabet_size = max(2, int(alphabet_size))
-        self._lock = threading.Lock()  # guards the provider
+        self._lock = threading.Lock()  # serializes every provider call
 
     # -- constructors -----------------------------------------------------
 
@@ -221,7 +221,7 @@ class QueryCountedString:
         """
         if self._data is not None:
             return self._data.copy()
-        return np.asarray(self._provider(np.arange(self.length, dtype=np.int64)))
+        return self._fetch(np.arange(self.length, dtype=np.int64))
 
 
 class QuerySession:

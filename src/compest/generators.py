@@ -24,7 +24,6 @@ tightness argument:
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,7 +104,8 @@ class _ColorBlockProvider:
     performs exactly one read of the colors string to learn the block's
     color; the block's content is a uniform random string derived from
     (seed, color), so equal colors always yield byte-identical blocks and
-    query order cannot change the instance.
+    query order cannot change the instance. It takes no lock of its own: the
+    accessor serializes every call, ``materialize()`` included.
     """
 
     def __init__(self, tau: QueryCountedString, k: int, alphabet_size: int, seed: int):
@@ -116,7 +116,6 @@ class _ColorBlockProvider:
         self.seed = int(seed)
         self._blocks: dict[int, np.ndarray] = {}
         self._by_color: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     @property
     def blocks_materialized(self) -> int:
@@ -136,18 +135,17 @@ class _ColorBlockProvider:
 
     def __call__(self, idx0: np.ndarray) -> np.ndarray:
         idx0 = np.asarray(idx0, dtype=np.int64)
-        with self._lock:
-            block_ids = idx0 // self.k
-            offsets = idx0 % self.k
-            uniq, inv = np.unique(block_ids, return_inverse=True)
-            missing = [bid for bid in uniq.tolist() if bid not in self._blocks]
-            if missing:
-                colors = self.tau_session.read_many(np.array(missing, dtype=np.int64) + 1)
-                for bid, color in zip(missing, colors.tolist()):
-                    self._blocks[bid] = self._block_for_color(color)
-            table = np.empty((uniq.size, self.k), dtype=np.int64)
-            for j, bid in enumerate(uniq.tolist()):
-                table[j] = self._blocks[bid]
+        block_ids = idx0 // self.k
+        offsets = idx0 % self.k
+        uniq, inv = np.unique(block_ids, return_inverse=True)
+        missing = [bid for bid in uniq.tolist() if bid not in self._blocks]
+        if missing:
+            colors = self.tau_session.read_many(np.array(missing, dtype=np.int64) + 1)
+            for bid, color in zip(missing, colors.tolist()):
+                self._blocks[bid] = self._block_for_color(color)
+        table = np.empty((uniq.size, self.k), dtype=np.int64)
+        for j, bid in enumerate(uniq.tolist()):
+            table[j] = self._blocks[bid]
         return table[inv, offsets]
 
 

@@ -171,6 +171,39 @@ def test_concurrent_sessions_on_a_provider_backed_string():
     assert w.provider.blocks_materialized == w.provider.tau_reads == blocks
 
 
+def _materialize_during_reads(seed):
+    """One thread materializes a fresh col2lz string (blocks of 2) while
+    three read 40 positions of it through sessions, one at a time, so their
+    colors reads overlap its own; all four start together."""
+    spec = GeneratorSpec("col2lz", {"n_prime": 2000, "alpha_prime": 0.5, "colors": 400}, seed=seed)
+    w = spec.build()
+    start = threading.Barrier(4, timeout=60)
+    orders = [np.random.default_rng(i).permutation(w.length)[:40] + 1 for i in range(4)]
+    got = {}
+
+    def worker(i):
+        start.wait()
+        if i == 0:
+            got[i] = w.materialize()
+        else:
+            sess = w.session()
+            got[i] = np.array([sess.read(int(t)) for t in orders[i]])
+
+    _run_threads(worker, 4)
+    return spec, w, orders, got
+
+
+def test_materialize_while_sessions_read_a_provider_backed_string():
+    # the race between materialize() and session reads is narrow, so it is
+    # run on 20 fresh strings; a lost colors read or a failed reader fails it
+    for seed in range(20):
+        spec, w, orders, got = _materialize_during_reads(seed)
+        truth = spec.build().materialize()
+        assert np.array_equal(got[0], truth)
+        assert all(np.array_equal(got[i], truth[orders[i] - 1]) for i in range(1, 4))
+        assert w.provider.blocks_materialized == w.provider.tau_reads == w.length // w.provider.k
+
+
 @pytest.mark.parametrize(
     "values",
     [
