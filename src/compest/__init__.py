@@ -6,7 +6,7 @@ and the adversarial instance families that make those contracts tight.
 """
 
 from .accessor import EstimateReport, QueryCountedString, meets_contract
-from .colors import ColorSample, colors_estimate, colors_estimate_amplified
+from .colors import colors_estimate, colors_estimate_amplified
 from .generators import (
     GeneratorSpec,
     binarize,
@@ -47,7 +47,6 @@ __all__ = [
     "EstimateReport",
     "QueryCountedString",
     "meets_contract",
-    "ColorSample",
     "colors_estimate",
     "colors_estimate_amplified",
     "GeneratorSpec",

@@ -21,23 +21,9 @@ estimates, where each window start is treated as a virtual color.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._rng import make_rng
 from .accessor import EstimateReport, QueryCountedString, distinct_count
-
-
-@dataclass(frozen=True)
-class ColorSample:
-    """One color sample: its size, the distinct symbols seen in it, the factor."""
-
-    sample_size: int
-    distinct_seen: int
-    lam: float
-
-    def __post_init__(self):
-        if self.distinct_seen > self.sample_size:
-            raise ValueError("distinct count cannot exceed the sample size")
 
 
 def sample_count(n: int, lam: float) -> int:
@@ -53,9 +39,8 @@ def _pooled_estimate(
     sess = tau.session()
     s = runs * sample_count(sess.length, lam)
     ts = make_rng(seed).integers(1, sess.length + 1, size=s)
-    sample = ColorSample(sample_size=s, distinct_seen=distinct_count(sess.read_many(ts)), lam=lam)
     return EstimateReport(
-        estimate=float(sample.distinct_seen * lam),
+        estimate=float(distinct_count(sess.read_many(ts)) * lam),
         lam=lam,
         epsilon=0.0,
         queries_used=sess.queries,

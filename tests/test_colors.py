@@ -9,7 +9,7 @@ from compest import (
     meets_contract,
 )
 from compest._rng import make_rng
-from compest.colors import ColorSample, amplification_runs, sample_count
+from compest.colors import amplification_runs, sample_count
 
 
 def multiplicity_instance(n_colors, n_prime, seed):
@@ -67,11 +67,6 @@ def test_sample_budget():
     rep = colors_estimate(w, lam, seed=1)
     assert sample_count(n, lam) == 1000
     assert rep.queries_used <= sample_count(n, lam)  # cache-once dedup only shrinks it
-
-
-def test_color_sample_validation():
-    with pytest.raises(ValueError):
-        ColorSample(sample_size=5, distinct_seen=6, lam=2.0)
 
 
 def test_amplification_runs_is_smallest_power_of_three_covering_delta():
