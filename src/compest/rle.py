@@ -20,7 +20,7 @@ input only through a query-counted session:
 
 Every sampled read goes through one :class:`RunProber` pass per estimate
 (one per search round), which probes the runs around all sampled positions
-in lockstep, each up to the largest cap any bucket asks of it.
+in lockstep, each up to a final cap known before the first read.
 Where the sample count reaches n (for the additive estimator, also where n
 is at most the probe cap) the estimator reads the whole string instead.
 
