@@ -42,17 +42,13 @@ import numpy as np
 from ._rng import derive_seed
 from .accessor import EstimateReport, QueryCountedString, meets_contract
 from .colors import amplification_runs, colors_estimate, colors_estimate_amplified, sample_count
-from .config import (
-    additive_query_ceiling,
-    bucketed_query_ceiling,
-    lz_query_ceiling,
-    search_query_ceiling,
-)
+from .config import search_query_ceiling
 from .generators import GeneratorSpec
-from .lz import lz_estimate
+from .lz import lz_estimate, lz_query_ceiling
 from .oracles import exact_color_count, exact_lz_cost, exact_rle_cost
 from .rle import (
-    additive_probe_cap,
+    additive_query_ceiling,
+    bucketed_query_ceiling,
     rle_additive_estimate,
     rle_bucketed_estimate,
     rle_multiplicative_search,
@@ -72,11 +68,6 @@ def _exact_colors(acc: QueryCountedString) -> float:
 
 def _exact_lz(acc: QueryCountedString) -> float:
     return float(exact_lz_cost(acc.materialize()).total_cost)
-
-
-def _bucketed_ceiling(e: dict, n: int) -> float:
-    ell0 = additive_probe_cap(float(e["epsilon"]), int(e.get("sigma", 2)))
-    return bucketed_query_ceiling(float(e["epsilon"]), float(e.get("delta", 1 / 3)), ell0)
 
 
 class Estimator(NamedTuple):
@@ -101,7 +92,9 @@ ESTIMATORS = {
             acc, float(p["epsilon"]), float(p.get("delta", 1 / 3)), seed
         ),
         _exact_rle,
-        _bucketed_ceiling,
+        lambda e, n: bucketed_query_ceiling(
+            float(e["epsilon"]), float(e.get("delta", 1 / 3)), int(e.get("sigma", 2))
+        ),
     ),
     "rle-search": Estimator(
         lambda acc, p, seed: rle_multiplicative_search(acc, seed),

@@ -88,6 +88,13 @@ def window_pool_size(n: int, ell0: int, B: float, delta: float) -> int | None:
     return amplification_runs(delta) * sample_count(n_virt, B)
 
 
+def lz_query_ceiling(n: int, a_factor: float, epsilon: float) -> float:
+    """Reads :func:`lz_estimate` may make: ell0 per pooled window, or n on the exact lane."""
+    p = LzEstimateParams.derive(a_factor, epsilon, n)
+    size = window_pool_size(n, p.ell0, p.B, p.delta)
+    return float(n if size is None else size * p.ell0)
+
+
 def _distinct_estimates(
     sess: QuerySession, ell0: int, B: float, delta: float, seed: int
 ) -> np.ndarray:

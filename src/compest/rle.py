@@ -132,15 +132,20 @@ def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> E
     sess = w.session()
     if n <= ell0 or q >= n:
         est = float(exact_rle_cost(sess.read_all(), sigma).total_cost)
-        return EstimateReport(est, 1.0, epsilon, sess.queries, seed)
-    rng = make_rng(seed)
-    conf = RunProber(sess, rng.integers(1, n + 1, size=q)).advance(ell0)
-    contrib = np.where(conf >= ell0, 0.0, contribution(np.maximum(conf, 1), sigma))
-    est = float(n * contrib.mean())
+    else:
+        conf = RunProber(sess, make_rng(seed).integers(1, n + 1, size=q)).advance(ell0)
+        contrib = np.where(conf >= ell0, 0.0, contribution(np.maximum(conf, 1), sigma))
+        est = float(n * contrib.mean())
     used = sess.queries
-    if used > q * (ell0 + 1):
+    if used > additive_query_ceiling(epsilon, sigma):
         raise RuntimeError("probe budget exceeded; prober is broken")
     return EstimateReport(est, 1.0, epsilon, used, seed)
+
+
+def additive_query_ceiling(epsilon: float, alphabet_size: int) -> float:
+    """Reads of :func:`rle_additive_estimate`: q probes of <= ell0 + 1, or n <= max(q, ell0)."""
+    ell0 = additive_probe_cap(epsilon, alphabet_size)
+    return float(additive_sample_count(epsilon, alphabet_size) * (ell0 + 1))
 
 
 @dataclass(frozen=True)
@@ -202,18 +207,42 @@ def _geometric_buckets(ell0: int, s_bits: int, ratio: float) -> list[tuple[int, 
     return out
 
 
+def _bucket_plan(
+    epsilon: float, delta: float, alphabet_size: int, ratio: float = 2.0, q_scale: float = 1.0
+) -> tuple[list, int]:
+    """Buckets and sample count q of one bucketed round at (epsilon, delta)."""
+    ell0 = additive_probe_cap(epsilon, alphabet_size)
+    buckets = _geometric_buckets(ell0, alphabet_bits(alphabet_size), ratio)
+    return buckets, math.ceil(bucketed_sample_count(epsilon, delta) * q_scale)
+
+
+def _probe_caps(buckets: list, q: int) -> tuple[list[int], np.ndarray]:
+    """Sample counts q_h = min(q, ceil(q * weight_h)) and each probe's final cap."""
+    q_hs = [min(q, math.ceil(q * weight)) for *_, weight in buckets]
+    caps = np.zeros(q, dtype=np.int64)
+    for (*_, cap, weight), q_h in zip(buckets, q_hs):
+        caps[:q_h] = cap  # caps rise with h: each probe keeps its last bucket's
+    return q_hs, caps
+
+
+def bucketed_query_ceiling(epsilon: float, delta: float, alphabet_size: int) -> float:
+    """Reads of :func:`rle_bucketed_estimate`: q plus the probes' final caps, or n <= q."""
+    buckets, q = _bucket_plan(epsilon, delta, alphabet_size)
+    return float(q + _probe_caps(buckets, q)[1].sum())
+
+
 def _bucketed_core(
     sess: QuerySession,
     buckets: list,
     q: int,
     seed: int,
-) -> tuple[float, BucketTable]:
+) -> tuple[float, BucketTable, int]:
     """Shared engine for the factor-2 and refined bucketed estimators.
 
-    Returns (estimate, table). Degenerates to an exact scan when the sample
-    count reaches the string length; the scan classifies every position, so
-    each beta_h is the true bucket fraction and the output lands within a
-    factor of the bucket width of the true cost.
+    Returns (estimate, table, bound on the reads). Degenerates to an exact scan
+    (bound n) when the sample count reaches the string length; the scan
+    classifies every position, so each beta_h is the true bucket fraction and
+    the output lands within a factor of the bucket width of the true cost.
     """
     n = sess.length
     s_bits = alphabet_bits(sess.alphabet_size)
@@ -229,12 +258,9 @@ def _bucketed_core(
             rows.append(BucketRow(h, low, high, cap, weight, q_h=n, hits=hits))
         table = BucketTable(h0=h0, s_bits=s_bits, q=q, rows=tuple(rows), exact_mode=True)
         table.validate()
-        return est, table
+        return est, table, n
 
-    q_hs = [min(q, math.ceil(q * weight)) for *_, weight in buckets]
-    caps = np.zeros(q, dtype=np.int64)
-    for (*_, cap, weight), q_h in zip(buckets, q_hs):
-        caps[:q_h] = cap  # caps rise with h: each probe keeps its last bucket's
+    q_hs, caps = _probe_caps(buckets, q)
     conf = RunProber(sess, make_rng(seed).integers(1, n + 1, size=q)).advance(caps)
     est = 0.0
     for (h, low, high, cap, weight), q_h in zip(buckets, q_hs):
@@ -244,7 +270,7 @@ def _bucketed_core(
         rows.append(BucketRow(h, low, high, cap, weight, q_h=q_h, hits=hits))
     table = BucketTable(h0=h0, s_bits=s_bits, q=q, rows=tuple(rows), exact_mode=False)
     table.validate()
-    return est, table
+    return est, table, q + int(caps.sum())
 
 
 def rle_bucketed_estimate_detailed(
@@ -255,13 +281,12 @@ def rle_bucketed_estimate_detailed(
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     sess = w.session()
-    sigma = sess.alphabet_size
-    ell0 = additive_probe_cap(epsilon, sigma)
-    buckets = _geometric_buckets(ell0, alphabet_bits(sigma), 2.0)
-    q = bucketed_sample_count(epsilon, delta)
-    est, table = _bucketed_core(sess, buckets, q, seed)
-    report = EstimateReport(est, 3.0, epsilon, sess.queries, seed, confidence=1.0 - delta)
-    return report, table
+    plan = _bucket_plan(epsilon, delta, sess.alphabet_size)
+    est, table, bound = _bucketed_core(sess, *plan, seed)
+    used = sess.queries
+    if used > bound:
+        raise RuntimeError("bucketed probes read past their caps; prober is broken")
+    return EstimateReport(est, 3.0, epsilon, used, seed, confidence=1.0 - delta), table
 
 
 def rle_bucketed_estimate(
@@ -308,21 +333,23 @@ def _interval_search(
     """
     n = w.length
     sess = w.session()
-    sigma = sess.alphabet_size
-    s_bits = alphabet_bits(sigma)
     rounds = []
+    budget = 0
     for j in range(1, SEARCH_MAX_ROUNDS + 1):
         eps_j = 2.0**-j
         delta_j = (1.0 / 3.0) * 2.0**-j
-        ell0 = additive_probe_cap(eps_j, sigma)
-        q = math.ceil(bucketed_sample_count(eps_j, delta_j) * q_scale)
-        est, _ = _bucketed_core(sess, _geometric_buckets(ell0, s_bits, ratio), q, derive_seed(seed, j))
+        plan = _bucket_plan(eps_j, delta_j, sess.alphabet_size, ratio, q_scale)
+        est, _, bound = _bucketed_core(sess, *plan, derive_seed(seed, j))
+        budget += bound
         lower = (est - eps_j * n) * shrink
         upper = (est + eps_j * n) * grow
         rounds.append(SearchRound(j, eps_j, delta_j, est, lower, upper))
         if lower > 0 and upper / lower <= stop_ratio:
+            used = sess.queries
+            if used > budget:
+                raise RuntimeError("search probes read past their caps; prober is broken")
             out = math.sqrt(lower * upper)
-            report = EstimateReport(out, claim_lam, 0.0, sess.queries, seed)
+            report = EstimateReport(out, claim_lam, 0.0, used, seed)
             return SearchTrace(rounds=tuple(rounds), report=report)
     raise RuntimeError("cost search did not converge; this should be impossible")
 

@@ -32,7 +32,8 @@ from compest._rng import derive_seed, make_rng
 from compest.campaign import build_builtin
 from compest import config
 from compest.oracles import distinct_profile, rle_length_bits, run_lengths
-from compest.rle import rle_multiplicative_search_detailed
+from compest.lz import lz_query_ceiling
+from compest.rle import additive_query_ceiling, rle_multiplicative_search_detailed
 from naive import all_ones, alternating, naive_lz_cost, naive_rle_cost, random_symbols
 
 TRIALS = 100
@@ -120,7 +121,7 @@ def test_criterion_04_phased_string_tightness():
 
 def test_criterion_05_additive_estimator_contract():
     n, eps = 100_000, 0.05
-    budget = config.additive_query_ceiling(eps, 2)
+    budget = additive_query_ceiling(eps, 2)
     hits = within_budget = 0
     for t in range(TRIALS):
         arr = random_symbols(n, 2, seed=derive_seed(30_000, t))
@@ -186,7 +187,7 @@ def test_criterion_08_colors_estimator():
 def test_criterion_09_lz_estimator_and_distinguisher():
     n, A, eps = 100_000, 8.0, 0.05
     hits = within = 0
-    ceiling = config.lz_query_ceiling(n, A, eps)
+    ceiling = lz_query_ceiling(n, A, eps)
     for t in range(TRIALS):
         arr = random_symbols(n, 2, seed=derive_seed(34_000, t))
         rep = lz_estimate(acc(arr, 2), A, eps, seed=derive_seed(34_500, t))

@@ -191,6 +191,23 @@ def test_audit_scaling_lz_factor_doubled():
     assert 2 <= ratio <= 32
 
 
+@pytest.mark.parametrize("sigma", [2, 4])
+def test_audit_ceilings_are_the_bounds_runs_assert(sigma):
+    from compest.campaign import ESTIMATORS
+    from compest.lz import lz_query_ceiling
+    from compest.rle import additive_query_ceiling, bucketed_query_ceiling
+
+    n = 10**5
+    cases = [
+        ("rle-additive", {"epsilon": 0.1}, additive_query_ceiling(0.1, sigma)),
+        ("rle-bucketed", {"epsilon": 0.2}, bucketed_query_ceiling(0.2, 1 / 3, sigma)),
+        ("lz", {"A": 8, "epsilon": 0.05}, lz_query_ceiling(n, 8, 0.05)),
+    ]
+    for name, params, bound in cases:
+        entry = dict(params, estimator=name, n=n, sigma=sigma)
+        assert ESTIMATORS[name].ceiling(entry, n) == bound, name
+
+
 def test_audit_rows_flag_violations():
     entries = [
         {"estimator": "rle-additive", "n": 1000, "epsilon": 0.1, "sigma": 2, "queries_used": 50},
@@ -207,13 +224,14 @@ def test_audit_rows_flag_violations():
 
     from compest.colors import amplification_runs, sample_count
     from compest import config
-    from compest.rle import additive_probe_cap
+    from compest.lz import lz_query_ceiling
+    from compest.rle import bucketed_query_ceiling
 
     others = [
         ({"estimator": "rle-bucketed", "n": 1000, "epsilon": 0.2, "delta": 0.1, "sigma": 4},
-         config.bucketed_query_ceiling(0.2, 0.1, additive_probe_cap(0.2, 4))),
+         bucketed_query_ceiling(0.2, 0.1, 4)),
         ({"estimator": "rle-bucketed", "n": 1000, "epsilon": 0.2},
-         config.bucketed_query_ceiling(0.2, 1 / 3, additive_probe_cap(0.2, 2))),
+         bucketed_query_ceiling(0.2, 1 / 3, 2)),
         ({"estimator": "rle-search", "n": 10**5, "exact": 4e4},
          config.search_query_ceiling(10**5, 4e4)),
         ({"estimator": "colors", "n": 5000, "lambda": 3}, float(sample_count(5000, 3))),
@@ -222,7 +240,7 @@ def test_audit_rows_flag_violations():
         ({"estimator": "colors-amplified", "n": 5000, "lambda": 3},
          float(amplification_runs(1 / 3) * sample_count(5000, 3))),
         ({"estimator": "lz", "n": 10**5, "A": 8, "epsilon": 0.05},
-         config.lz_query_ceiling(10**5, 8, 0.05)),
+         lz_query_ceiling(10**5, 8, 0.05)),
     ]
     for entry, ceiling in others:
         below, above = audit_queries([

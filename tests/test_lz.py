@@ -17,8 +17,7 @@ from compest import (
 )
 from compest._rng import derive_seed, make_rng
 from compest.colors import amplification_runs, sample_count
-from compest import config
-from compest.lz import lz_estimate_detailed, window_pool_size
+from compest.lz import lz_estimate_detailed, lz_query_ceiling, window_pool_size
 from naive import all_ones, naive_distinct_prefixes, random_symbols
 
 
@@ -179,7 +178,7 @@ def test_lz_query_ceiling_at_reference_params():
     n = 100_000
     arr = random_symbols(n, 2, seed=31)
     rep = lz_estimate(acc(arr), 8, 0.05, seed=0)
-    assert rep.queries_used <= config.lz_query_ceiling(n, 8, 0.05)
+    assert rep.queries_used <= lz_query_ceiling(n, 8, 0.05)
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +196,7 @@ def sampled_lane_inputs():
 def test_lz_query_ceiling_on_sampled_lane(sampled_lane_inputs):
     A, eps = 64, 0.005
     for name, (arr, _) in sampled_lane_inputs.items():
-        ceiling = config.lz_query_ceiling(arr.size, A, eps)
+        ceiling = lz_query_ceiling(arr.size, A, eps)
         rep = lz_estimate(acc(arr), A, eps, seed=0)
         assert rep.queries_used <= ceiling < arr.size, (name, rep.queries_used, ceiling)
 

@@ -19,6 +19,8 @@ from compest.rle import (
     RunProber,
     _geometric_buckets,
     additive_probe_cap,
+    additive_query_ceiling,
+    bucketed_query_ceiling,
     contribution,
     rle_bucketed_estimate_detailed,
     rle_multiplicative_search_detailed,
@@ -177,7 +179,7 @@ def test_additive_budget_and_contract_on_random():
         q = config.additive_sample_count(eps, 2)
         ell0 = additive_probe_cap(eps, 2)
         assert rep.queries_used <= q * (ell0 + 1)
-        assert rep.queries_used <= config.additive_query_ceiling(eps, 2)
+        assert rep.queries_used <= additive_query_ceiling(eps, 2)
         hits += abs(rep.estimate - exact) <= eps * n
     assert hits >= 27
 
@@ -294,8 +296,31 @@ def test_bucketed_query_ceiling():
     eps, delta = 0.05, 1 / 3
     w = acc(random_symbols(100_000, 2, seed=13))
     rep = rle_bucketed_estimate(w, eps, delta, seed=21)
-    ell0 = additive_probe_cap(eps, 2)
-    assert rep.queries_used <= config.bucketed_query_ceiling(eps, delta, ell0)
+    assert rep.queries_used <= bucketed_query_ceiling(eps, delta, 2)
+
+
+def test_runs_that_read_past_their_bounds_fail(monkeypatch):
+    # A prober that reads the whole string before its real pass returns the
+    # same lengths, so only the runs' read bounds can catch it.
+    n = 10**6
+    w = acc(random_symbols(n, 2, seed=5))
+    assert bucketed_query_ceiling(0.2, 1 / 3, 2) == 159_200 < n
+    assert additive_query_ceiling(0.1, 2) == 405_600 < n
+    # the search stops after 2 rounds on this input, whose bounds sum to 152 448
+    assert len(rle_multiplicative_search_detailed(w, seed=0).rounds) == 2
+    real_advance = RunProber.advance
+
+    def reads_everything(self, caps):
+        self.sess.read_all()
+        return real_advance(self, caps)
+
+    monkeypatch.setattr(RunProber, "advance", reads_everything)
+    with pytest.raises(RuntimeError, match="prober is broken"):
+        rle_bucketed_estimate(w, 0.2, 1 / 3, seed=0)
+    with pytest.raises(RuntimeError, match="prober is broken"):
+        rle_multiplicative_search(w, seed=0)
+    with pytest.raises(RuntimeError, match="prober is broken"):
+        rle_additive_estimate(w, 0.1, seed=0)
 
 
 # -- multiplicative searches ----------------------------------------------
