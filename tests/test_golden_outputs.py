@@ -376,13 +376,13 @@ AUDIT_EXPECTED = (
     '  "all_within": false,\n'
     '  "rows": [\n'
     '    {\n'
-    '      "ceiling": 1011508.4951819777,\n'
+    '      "ceiling": 405600.0,\n'
     '      "label": "rle-additive",\n'
     '      "queries_used": 1500,\n'
     '      "within": true\n'
     '    },\n'
     '    {\n'
-    '      "ceiling": 1851392.0,\n'
+    '      "ceiling": 177280.0,\n'
     '      "label": "rle-bucketed",\n'
     '      "queries_used": 4000,\n'
     '      "within": true\n'
