@@ -282,6 +282,8 @@ class EstimateReport:
             raise ValueError("multiplicative factor must be >= 1")
         if not (0 <= self.epsilon <= 1):
             raise ValueError("additive fraction must be in [0, 1]")
+        if not (0 < self.confidence <= 1):
+            raise ValueError("confidence must be in (0, 1]")
 
     def to_json_dict(self) -> dict:
         return {

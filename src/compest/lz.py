@@ -132,6 +132,8 @@ def estimate_distinct(w, ell: int, B: float, delta: float, *, seed: int = 0) -> 
     n = sess.length
     if not 1 <= ell <= n:
         raise ValueError(f"length {ell} outside [1, {n}]")
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
     dhat = _distinct_estimates(sess, ell, B, delta, derive_seed(seed, "windows", ell))
     return EstimateReport(
         float(dhat[ell - 1]), max(1.0, B), 0.0, sess.queries, seed, confidence=1.0 - delta

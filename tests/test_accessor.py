@@ -296,6 +296,9 @@ def test_report_validation():
         EstimateReport(1.0, 0.5, 0.0, 0, 0)
     with pytest.raises(ValueError):
         EstimateReport(1.0, 1.0, 1.5, 0, 0)
+    for confidence in (7.0, 0.0, -4.0):
+        with pytest.raises(ValueError, match="confidence"):
+            EstimateReport(1.0, 1.0, 0.0, 0, 0, confidence=confidence)
 
 
 def test_json_dict_uses_lambda_key():

@@ -112,6 +112,17 @@ def test_estimate_distinct_validates_length():
         estimate_distinct(w, 101, B=2.0, delta=0.1, seed=0)
 
 
+@pytest.mark.parametrize("B", [0.5, 4.0])  # the exact lane, then the sampled one
+@pytest.mark.parametrize("delta", [5.0, 1.0, 0.0, -0.5])
+def test_estimate_distinct_rejects_delta_before_reading(B, delta):
+    def provider(idx0):
+        raise AssertionError("a position was read")
+
+    w = QueryCountedString.from_provider(provider, 4096, 2)
+    with pytest.raises(ValueError, match="delta"):
+        estimate_distinct(w, 3, B=B, delta=delta, seed=0)
+
+
 # -- parameter derivation ----------------------------------------------------
 
 
