@@ -34,7 +34,7 @@ import math
 import os
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -177,7 +177,7 @@ def build_instance(spec: dict, seed: int | None = None) -> QueryCountedString:
 @dataclass(frozen=True)
 class CampaignConfig:
     estimator: str
-    params: dict
+    params: dict = field(default_factory=dict, kw_only=True)
     instance: dict
     trials: int
     base_seed: int
@@ -190,21 +190,21 @@ class CampaignConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not isinstance(self.per_trial_instances, bool):
+            raise ValueError("per_trial_instances must be true or false")
 
     @staticmethod
     def from_json_file(path) -> "CampaignConfig":
+        """The config in a JSON file; a key that names no field is an error."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        return CampaignConfig(
-            estimator=raw["estimator"],
-            params=raw.get("params", {}),
-            instance=raw["instance"],
-            trials=int(raw["trials"]),
-            base_seed=int(raw["base_seed"]),
-            per_trial_instances=bool(raw.get("per_trial_instances", False)),
-            min_success_rate=float(raw.get("min_success_rate", 0.9)),
-            output=raw.get("output"),
-        )
+        unknown = sorted(set(raw) - {f.name for f in fields(CampaignConfig)})
+        if unknown:
+            raise ValueError(f"unknown campaign config keys: {', '.join(unknown)}")
+        for key, cast in (("trials", int), ("base_seed", int), ("min_success_rate", float)):
+            if key in raw:
+                raw[key] = cast(raw[key])
+        return CampaignConfig(**raw)
 
 
 @dataclass

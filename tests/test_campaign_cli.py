@@ -76,6 +76,28 @@ def test_campaign_unknown_estimator_fails_before_any_work(tmp_path, monkeypatch)
         CampaignConfig.from_json_file(cfg_path)
 
 
+def test_campaign_config_file_rejects_unknown_keys_and_non_booleans(tmp_path):
+    base = {
+        "estimator": "rle-search", "trials": 2, "base_seed": 1,
+        "instance": {"kind": "builtin", "name": "ones", "n": 100},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base))
+    cfg = CampaignConfig.from_json_file(path)
+    assert (cfg.params, cfg.per_trial_instances, cfg.min_success_rate, cfg.output) == (
+        {}, False, 0.9, None
+    )
+    path.write_text(json.dumps(dict(base, min_sucess_rate=1.0, extra=0)))
+    with pytest.raises(ValueError, match="unknown campaign config keys: extra, min_sucess_rate"):
+        CampaignConfig.from_json_file(path)
+    for value in ("false", 0, None):
+        path.write_text(json.dumps(dict(base, per_trial_instances=value)))
+        with pytest.raises(ValueError, match="per_trial_instances"):
+            CampaignConfig.from_json_file(path)
+    sample = CampaignConfig.from_json_file(Path(__file__).parents[1] / "configs/sample-campaign.json")
+    assert sample.min_success_rate == 0.9 and sample.per_trial_instances is False
+
+
 def test_campaign_replay_byte_identical(tmp_path):
     cfg = make_config(tmp_path)
     r1 = run_campaign(cfg)
