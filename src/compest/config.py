@@ -15,8 +15,7 @@ from .oracles import alphabet_bits
 C_Q = 8.0   # additive RLE estimator: q = ceil(C_Q * ((1 + s) / 2)^2 / eps^2)
 C_B = 64.0  # bucketed RLE estimator: q = ceil(C_B * log(1/eps) * loglog(1/eps) / eps)
 
-# Audit ceiling on the search's expected reads, which no run asserts.
-C_SEARCH_AUDIT = 4.0  # x (n / C) * log2(n + 2)^3
+C_SEARCH_AUDIT = 4.0  # x (n / C) * log2(n + 2)^3: the search's expected reads, audit only
 
 # Safety cap on search iterations (termination is guaranteed well below this
 # for any nonempty input; the cap only catches bugs).

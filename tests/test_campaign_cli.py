@@ -94,7 +94,8 @@ def test_campaign_config_file_rejects_unknown_keys_and_non_booleans(tmp_path):
         path.write_text(json.dumps(dict(base, per_trial_instances=value)))
         with pytest.raises(ValueError, match="per_trial_instances"):
             CampaignConfig.from_json_file(path)
-    sample = CampaignConfig.from_json_file(Path(__file__).parents[1] / "configs/sample-campaign.json")
+    sample_path = Path(__file__).parents[1] / "configs" / "sample-campaign.json"
+    sample = CampaignConfig.from_json_file(sample_path)
     assert sample.min_success_rate == 0.9 and sample.per_trial_instances is False
 
 
