@@ -19,8 +19,10 @@ input only through a query-counted session:
   narrower buckets at a poly(1/gamma) query premium.
 
 Every sampled read goes through one :class:`RunProber` pass per estimate
-(one per search round), which probes the runs around all sampled positions
-in lockstep, each up to a final cap known before the first read.
+(one per search round), which probes the runs around all sampled positions,
+each up to a final cap known before the first read. Probes first step in
+lockstep; those still open are then sorted, and probes that share a run
+share one walk of it, so a long run is read about once, not once per probe.
 Where the sample count reaches n (for the additive estimator, also where n
 is at most the probe cap) the estimator reads the whole string instead.
 
@@ -74,21 +76,41 @@ def additive_probe_cap(epsilon: float, alphabet_size: int) -> int:
     return ell0
 
 
+# Steps each side takes in lockstep before the probes still open are sorted
+# and linked. Linking costs an open probe about as much as 5-10 lockstep
+# steps, so it pays only for longer walks. At 8, the runs of random binary,
+# coin and run-mix inputs (all but a few shorter than 9) end in the lockstep
+# and pay for no sort. Each lockstep step costs a long run one read per
+# probe inside it: at 4, wk's search took 5-13% less time, but run-mix's
+# bucketed and refined ops took 13-32% more, and the rle-probe op set 2-8%
+# more in all (n = 1e6, best of 5, three input sets).
+LOCKSTEP_STEPS = 8
+
+# States of a chain of linked probes while its terminal walks.
+_WALKING, _CLOSED, _STOPPED, _MERGED = range(4)
+
+
 class RunProber:
     """Batch run-length prober over sampled positions.
 
-    ``advance(caps)`` expands each probe left first, then right, one offset
-    at a time, stopping at a run boundary, the string edge, or once ``cap``
-    positions of the run are confirmed. All probes advance in lockstep, so
-    reads batch into vectorized calls; a step reads one position per probe
-    still open, in ascending probe order, and costs O(open probes).
+    ``advance(caps)`` finds, for each probe, how far its run extends left
+    and then right, stopping at a run boundary, the string edge, or once
+    ``cap`` positions of the run are confirmed. Each side first takes
+    ``LOCKSTEP_STEPS`` steps in lockstep: a step reads the next position of
+    every probe still open, in one vectorized call, and costs O(open
+    probes). The probes still open after that are sorted by position and
+    linked (:meth:`_link`): probes in one run share a single walk of it,
+    and a round of that walk reads one position per walking chain of probes.
 
     Take a probe with L matching positions to its left and R to its right,
-    and cap C. It reads its own position, then min(L + 1, C - 1) positions
-    to the left, stopping early at position 1. It reads to the right only if
-    L < C - 1, and then at most C - 1 - L positions. So it reads at most
-    C + 1 positions and returns min(L + R + 1, C), both fixed by C alone:
-    walking it through smaller caps first would read nothing else.
+    and cap C. Walking alone, it reads its own position, then
+    min(L + 1, C - 1) positions to the left, stopping early at position 1.
+    It reads to the right only if L < C - 1, and then at most C - 1 - L
+    positions. So it reads at most C + 1 positions and returns
+    min(L + R + 1, C), both fixed by C alone: walking it through smaller caps
+    first would read nothing else. A pass touches exactly the union of these
+    solo walks' reads; sharing walks only changes which probe asks for a
+    position, and how often it is asked for.
     """
 
     def __init__(self, session: QuerySession, positions: np.ndarray):
@@ -96,25 +118,144 @@ class RunProber:
         self.t = np.asarray(positions, dtype=np.int64)
         self.sym = session.read_many(self.t) if self.t.size else np.empty(0)
 
-    def _scan(self, limit: np.ndarray, step: int) -> np.ndarray:
+    def _scan(self, caps: np.ndarray, step: int, left: np.ndarray | None = None) -> np.ndarray:
         """Matching positions next to each probe in direction ``step`` (-1 or
-        +1), counting at most ``limit`` of them per probe."""
+        +1), counting at most ``caps - 1 - left`` of them per probe. ``left``,
+        the extents found on the other side (``None``: none yet), also tells
+        the walks which positions are known to hold each probe's symbol."""
+
+        def limit(i):
+            return caps[i] - 1 if left is None else caps[i] - 1 - left[i]
+
         ext = np.zeros(self.t.size, dtype=np.int64)
         edge = 1 if step < 0 else self.sess.length
-        idx = np.flatnonzero((self.t != edge) & (limit > 0))
-        while idx.size:
-            pos = self.t[idx] + step * (ext[idx] + 1)
-            match = self.sess.read_many(pos) == self.sym[idx]
-            idx, pos = idx[match], pos[match]
-            ext[idx] += 1
-            idx = idx[(pos != edge) & (ext[idx] < limit[idx])]
+        idx = np.flatnonzero((self.t != edge) & (limit(slice(None)) > 0))
+        pos, sym = self.t[idx], self.sym[idx]
+        for k in range(1, LOCKSTEP_STEPS + 1):
+            if not idx.size:
+                return ext
+            pos += step
+            match = self.sess.read_many(pos) == sym
+            ext[idx[match]] = k
+            still = np.flatnonzero(match & (pos != edge) & (limit(idx) > k))
+            idx = idx[still]
+            pos = pos[still]
+            sym = sym[still]
+        if idx.size:
+            del match, still
+            # each open probe's own position, in walk coordinates
+            x = pos + LOCKSTEP_STEPS if step < 0 else self.sess.length + 1 - pos + LOCKSTEP_STEPS
+            del pos
+            order = np.argsort(x)
+            idx, x, sym = idx[order], x[order], sym[order]
+            del order
+            reach = None if left is None else left[idx]
+            ext[idx] = self._link(x, limit(idx), sym, reach, step)
         return ext
+
+    def _link(self, x, lim, sym, reach, step) -> np.ndarray:
+        """Extents of the probes still open after the lockstep, each of which
+        has matched ``LOCKSTEP_STEPS`` positions so far.
+
+        Works in walk coordinates x, sorted ascending: the position for step
+        -1, n + 1 minus it for step +1, so every walk heads for x = 1. A
+        probe's left neighbour is known to hold its own symbol from its x up
+        to x + ``reach`` (``None``: up to x), and the probe walks only the gap
+        down to that region. Meeting the region with the same symbol links
+        the two probes, so each chain of linked probes is one stretch of a
+        run, walked by its first probe, the terminal. Member i, at distance
+        d_i from the terminal, gets min(lim_i, d_i + e), e the terminal's
+        extent, so the terminal walks until a mismatch or the edge, or down
+        to the lowest x_i - lim_i in its chain. Meeting the next chain's
+        region with the same symbol merges the two chains there; so no gap
+        is read twice. A round reads one position per walking chain, and
+        costs O(walking chains) plus O(chains whose walk ended in it).
+        """
+        n = self.sess.length
+        end = np.zeros_like(x)  # last x of the left neighbour's known region; 0: the edge
+        end[1:] = x[:-1] if reach is None else x[:-1] + reach[:-1]
+        del reach
+        same = np.zeros(x.size, dtype=bool)
+        same[1:] = sym[1:] == sym[:-1]
+        nxt = x - (LOCKSTEP_STEPS + 1)  # every open probe has matched LOCKSTEP_STEPS
+        link = (nxt < end) | ((nxt == end) & same)  # an overlap means the same run
+        del nxt, same
+        term = np.flatnonzero(~link)
+
+        # One entry per chain; a group of merged chains keeps its state at its
+        # first chain: where its walk stands, and the lowest x a member needs.
+        tx, tend, tsym, tsame = x[term], end[term], sym[term], np.zeros(term.size, dtype=bool)
+        del end
+        tsame[1:] = tsym[1:] == sym[term[1:] - 1]
+        need = np.minimum.reduceat(x - lim, term)
+        text = np.zeros(term.size, dtype=np.int64)
+        state = np.full(term.size, _WALKING, dtype=np.int8)
+        head = np.arange(term.size)  # at a group's last chain: its first
+        tail = head.copy()           # at a group's first chain: its last
+        mark = np.zeros(term.size, dtype=bool)
+
+        def place(c, at):
+            """Settle chains ``c``, whose walks last read ``at``: the walker
+            slots (chain, at, reads before its next check) of those with more
+            to read, and the chains that met the next chain's symbol."""
+            text[c] = tx[c] - at
+            low = np.maximum(tend[c] + 1, need[c])
+            go = at > low
+            met = ~go & (need[c] < at)  # at the neighbour's region, or the edge
+            state[c] = np.where(go | met, _WALKING, _STOPPED)
+            met = c[met]
+            state[met[~tsame[met]]] = _CLOSED
+            return (c[go], at[go], (at - low)[go]), met[tsame[met]]
+
+        def join(slots, more):
+            return tuple(np.concatenate(pair) for pair in zip(slots, more))
+
+        (walk, at, budget), pend = place(np.arange(term.size), tx - LOCKSTEP_STEPS)
+        while walk.size or pend.size:
+            progress = walk.size
+            if walk.size:
+                at -= 1
+                got = self.sess.read_many(at if step < 0 else n + 1 - at) == tsym[walk]
+                budget -= 1
+                check = ~got | (budget == 0)
+                if check.any():
+                    miss = check & ~got
+                    text[walk[miss]] = tx[walk[miss]] - at[miss] - 1
+                    state[walk[miss]] = _CLOSED
+                    more, met = place(walk[check & got], at[check & got])
+                    walk, at, budget = join((walk[~check], at[~check], budget[~check]), more)
+                    pend = np.concatenate([pend, met])
+            if pend.size:
+                into = head[pend - 1]
+                mark[pend] = True
+                wait = mark[into]  # a group that merges this round takes its followers next round
+                mark[pend] = False
+                merge, into = pend[~wait], into[~wait]
+                progress += merge.size
+                last = tail[merge]
+                head[last], tail[into] = into, last
+                need[into] = np.minimum(need[into], need[merge])
+                state[merge] = _MERGED
+                woken = into[state[into] == _STOPPED]
+                more, met = place(woken, tx[woken] - text[woken])
+                walk, at, budget = join((walk, at, budget), more)
+                pend = np.concatenate([pend[wait], met])
+            if not progress:
+                raise RuntimeError("run walk neither read nor merged; prober is broken")
+
+        group = np.maximum.accumulate(np.where(state == _MERGED, 0, np.arange(term.size)))
+        chain = np.cumsum(~link)
+        chain -= 1
+        out = (text - tx)[group][chain]  # + x: the distance to the terminal plus its extent
+        del chain
+        out += x
+        return np.minimum(out, lim, out=out)
 
     def advance(self, caps) -> np.ndarray:
         """min(run length, cap) for each probe, for one cap or one cap per probe."""
         caps = np.broadcast_to(np.asarray(caps, dtype=np.int64), self.t.shape)
-        left = self._scan(caps - 1, -1)
-        return left + self._scan(caps - 1 - left, 1) + 1
+        left = self._scan(caps, -1)
+        return left + self._scan(caps, 1, left) + 1
 
 
 def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> EstimateReport:
@@ -216,19 +357,37 @@ def _bucket_plan(
     return buckets, math.ceil(bucketed_sample_count(epsilon, delta) * q_scale)
 
 
-def _probe_caps(buckets: list, q: int) -> tuple[list[int], np.ndarray]:
-    """Sample counts q_h = min(q, ceil(q * weight_h)) and each probe's final cap."""
-    q_hs = [min(q, math.ceil(q * weight)) for *_, weight in buckets]
+def _sample_counts(buckets: list, q: int) -> list[int]:
+    """Per-bucket sample counts q_h = min(q, ceil(q * weight_h))."""
+    return [min(q, math.ceil(q * weight)) for *_, weight in buckets]
+
+
+def _probe_caps(buckets: list, q_hs: list[int], q: int) -> np.ndarray:
+    """Each probe's final cap: the cap of the last bucket that samples it."""
     caps = np.zeros(q, dtype=np.int64)
     for (*_, cap, weight), q_h in zip(buckets, q_hs):
         caps[:q_h] = cap  # caps rise with h: each probe keeps its last bucket's
-    return q_hs, caps
+    return caps
+
+
+def _read_bound(buckets: list, q_hs: list[int], q: int) -> int:
+    """q plus the sum of :func:`_probe_caps`, from the (cap, q_h) pairs alone.
+
+    Going from the last bucket back, bucket h sets the caps of the probes
+    from the largest later q_h up to its own q_h; whatever the order of the
+    q_h, that is O(buckets) and allocates no per-probe array.
+    """
+    total, covered = q, 0
+    for (*_, cap, weight), q_h in zip(reversed(buckets), reversed(q_hs)):
+        total += cap * max(0, q_h - covered)
+        covered = max(covered, q_h)
+    return total
 
 
 def bucketed_query_ceiling(epsilon: float, delta: float, alphabet_size: int) -> float:
     """Reads of :func:`rle_bucketed_estimate`: q plus the probes' final caps, or n <= q."""
     buckets, q = _bucket_plan(epsilon, delta, alphabet_size)
-    return float(q + _probe_caps(buckets, q)[1].sum())
+    return float(_read_bound(buckets, _sample_counts(buckets, q), q))
 
 
 def _bucketed_core(
@@ -260,7 +419,8 @@ def _bucketed_core(
         table.validate()
         return est, table, n
 
-    q_hs, caps = _probe_caps(buckets, q)
+    q_hs = _sample_counts(buckets, q)
+    caps = _probe_caps(buckets, q_hs, q)
     conf = RunProber(sess, make_rng(seed).integers(1, n + 1, size=q)).advance(caps)
     est = 0.0
     for (h, low, high, cap, weight), q_h in zip(buckets, q_hs):
@@ -270,7 +430,7 @@ def _bucketed_core(
         rows.append(BucketRow(h, low, high, cap, weight, q_h=q_h, hits=hits))
     table = BucketTable(h0=h0, s_bits=s_bits, q=q, rows=tuple(rows), exact_mode=False)
     table.validate()
-    return est, table, q + int(caps.sum())
+    return est, table, _read_bound(buckets, q_hs, q)
 
 
 def rle_bucketed_estimate_detailed(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,15 @@ from compest import (
 from compest import config
 from compest._rng import make_rng
 from compest.oracles import ceil_log2
+from compest.generators import generate_wk
 from compest.rle import (
+    LOCKSTEP_STEPS,
     RunProber,
+    _bucket_plan,
     _geometric_buckets,
+    _probe_caps,
+    _read_bound,
+    _sample_counts,
     additive_probe_cap,
     additive_query_ceiling,
     bucketed_query_ceiling,
@@ -112,6 +119,56 @@ def test_final_cap_pass_matches_staged_reference():
             one = RecordingSession(arr)
             RunProber(one, np.array([t])).advance(cap)
             assert set(one.requested) == read and len(one.requested) <= cap + 1
+
+
+def long_runs(rng, n, longest):
+    runs = [np.full(int(rng.integers(1, longest + 1)), rng.integers(0, 2)) for _ in range(n)]
+    return np.concatenate(runs)[:n].astype(np.uint8)
+
+
+def check_against_staged_reference(arr, ts, caps):
+    expect = [staged_probe(arr, int(t), [int(cap)]) for t, cap in zip(ts, caps)]
+    sess = RecordingSession(arr)
+    conf = RunProber(sess, ts).advance(caps)
+    assert conf.tolist() == [length for length, _ in expect]
+    assert set(sess.requested) == set().union(*(read for _, read in expect))
+    return len(sess.requested)
+
+
+def test_dense_probes_over_long_runs_match_staged_reference():
+    # More probes than positions, duplicates included, on runs of up to a few
+    # hundred, with bucket-style caps: most small, a few past any run. Runs
+    # hold many probes each, so their walks link into long chains.
+    rng = np.random.default_rng(47)
+    for _ in range(12):
+        n = int(rng.integers(300, 2_500))
+        arr = long_runs(rng, n, int(rng.choice([40, 150, 400])))
+        ts = rng.integers(1, n + 1, size=int(n * rng.uniform(1.0, 1.6)))
+        caps = 2 ** rng.integers(1, 5, size=ts.size)
+        big = rng.random(ts.size) < 0.05
+        caps[big] = rng.integers(2, 2 * n, size=int(big.sum()))
+        requested = check_against_staged_reference(arr, ts, caps)
+        # each probe's own read and its lockstep steps, then each position at
+        # most once per side
+        assert requested <= ts.size * (1 + 2 * LOCKSTEP_STEPS) + 2 * n
+
+
+def test_capped_chains_continue_for_a_far_member():
+    # One long run holds a row of probes, spaced past the lockstep, so each is
+    # its own chain and each stops at its small cap inside its gap. Only the
+    # last probe needs more: its walk crosses every gap to the run's start,
+    # merging the chains on the way, and each capped chain's member keeps
+    # its own cap.
+    spacing = LOCKSTEP_STEPS + 6
+    for n, start, far in ((600, 37, 10**6), (600, 37, 300), (350, 1, 10**6)):
+        arr = np.zeros(n, dtype=np.uint8)
+        arr[start - 1 :] = 1
+        ts = np.arange(start + spacing, n + 1, spacing)
+        caps = np.full(ts.size, LOCKSTEP_STEPS + 3)
+        caps[-1] = far
+        check_against_staged_reference(arr, ts, caps)
+        # and mirrored, so the right pass continues the same way
+        check_against_staged_reference(arr[::-1].copy(), n + 1 - ts, caps)
 
 
 def test_contribution_dominated_by_decreasing_envelope():
@@ -297,6 +354,55 @@ def test_bucketed_query_ceiling():
     w = acc(random_symbols(100_000, 2, seed=13))
     rep = rle_bucketed_estimate(w, eps, delta, seed=21)
     assert rep.queries_used <= bucketed_query_ceiling(eps, delta, 2)
+
+
+def test_read_bound_sums_caps_without_the_caps_array():
+    # the bound adds up the probes' final caps from the (cap, q_h) pairs;
+    # narrow refined buckets (ratio 1.1) have q_h that rise again after falling
+    rising = 0
+    for ratio in (2.0, 1.1):
+        for eps in (0.5, 0.2, 0.05, 0.01):
+            for delta in (1 / 3, 0.01):
+                for sigma in (2, 5, 256):
+                    buckets, q = _bucket_plan(eps, delta, sigma, ratio)
+                    q_hs = _sample_counts(buckets, q)
+                    rising += any(a < b for a, b in zip(q_hs, q_hs[1:]))
+                    total = q + int(_probe_caps(buckets, q_hs, q).sum())
+                    assert _read_bound(buckets, q_hs, q) == total
+                    if ratio == 2.0:
+                        assert bucketed_query_ceiling(eps, delta, sigma) == total
+    assert rising
+    # at eps 1e-5 the sample count is about 1.7e9: no per-probe array
+    tracemalloc.start()
+    try:
+        ceiling = bucketed_query_ceiling(1e-5, 0.01, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ceiling > 1e9 and peak < 2**20
+
+
+def test_provider_backed_runs_match_and_read_only_what_they_count():
+    n = 100_000
+    arr = generate_wk(n, n // 100, seed=3)
+    fetched = []
+
+    def provider(idx0):
+        fetched.append(np.unique(idx0))
+        return arr[idx0]
+
+    lazy = QueryCountedString.from_provider(provider, n, 2)
+    runs = (
+        lambda w: rle_additive_estimate(w, 0.1, seed=4),
+        lambda w: rle_bucketed_estimate(w, 0.05, 1 / 3, seed=4),
+        lambda w: rle_multiplicative_search(w, seed=4),
+    )
+    for run in runs:
+        fetched.clear()
+        report = run(lazy)
+        assert report == run(acc(arr))
+        # every counted read reaches the provider, so equal sizes mean equal sets
+        assert np.unique(np.concatenate(fetched)).size == report.queries_used
 
 
 def test_runs_that_read_past_their_bounds_fail(monkeypatch):
