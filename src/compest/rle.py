@@ -174,7 +174,6 @@ class RunProber:
         n = self.sess.length
         end = np.zeros_like(x)  # last x of the left neighbour's known region; 0: the edge
         end[1:] = x[:-1] if reach is None else x[:-1] + reach[:-1]
-        del reach
         same = np.zeros(x.size, dtype=bool)
         same[1:] = sym[1:] == sym[:-1]
         nxt = x - (LOCKSTEP_STEPS + 1)  # every open probe has matched LOCKSTEP_STEPS

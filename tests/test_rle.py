@@ -94,10 +94,13 @@ class RecordingSession:
         return self.arr[np.asarray(positions) - 1]
 
 
-def short_and_long_runs(rng, n, sigma):
-    longest = int(rng.choice([1, 3, 12, 40]))
+def random_runs(rng, n, sigma, longest):
     runs = [np.full(int(rng.integers(1, longest + 1)), rng.integers(0, sigma)) for _ in range(n)]
     return np.concatenate(runs)[:n].astype(np.uint8)
+
+
+def short_and_long_runs(rng, n, sigma):
+    return random_runs(rng, n, sigma, int(rng.choice([1, 3, 12, 40])))
 
 
 def test_final_cap_pass_matches_staged_reference():
@@ -121,11 +124,6 @@ def test_final_cap_pass_matches_staged_reference():
             assert set(one.requested) == read and len(one.requested) <= cap + 1
 
 
-def long_runs(rng, n, longest):
-    runs = [np.full(int(rng.integers(1, longest + 1)), rng.integers(0, 2)) for _ in range(n)]
-    return np.concatenate(runs)[:n].astype(np.uint8)
-
-
 def check_against_staged_reference(arr, ts, caps):
     expect = [staged_probe(arr, int(t), [int(cap)]) for t, cap in zip(ts, caps)]
     sess = RecordingSession(arr)
@@ -142,7 +140,7 @@ def test_dense_probes_over_long_runs_match_staged_reference():
     rng = np.random.default_rng(47)
     for _ in range(12):
         n = int(rng.integers(300, 2_500))
-        arr = long_runs(rng, n, int(rng.choice([40, 150, 400])))
+        arr = random_runs(rng, n, 2, int(rng.choice([40, 150, 400])))
         ts = rng.integers(1, n + 1, size=int(n * rng.uniform(1.0, 1.6)))
         caps = 2 ** rng.integers(1, 5, size=ts.size)
         big = rng.random(ts.size) < 0.05
