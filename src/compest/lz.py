@@ -33,7 +33,7 @@ from ._rng import derive_seed, make_rng
 from .accessor import EstimateReport, QueryCountedString, QuerySession
 from .colors import amplification_runs, sample_count
 from .oracles import distinct_profile
-from .suffixes import lcp_at_least_counts
+from .suffixes import lcp_at_least_counts, sorted_word_lcps, symbol_offsets, symbol_ranks
 
 
 class SharedWindowSamples:
@@ -42,11 +42,15 @@ class SharedWindowSamples:
     Starts are uniform over [1, n - ell0 + 1], so every start is valid for
     every length up to ell0; the length-ell view of a sampled window is just
     its prefix, which costs no extra reads. ``distinct_counts(ell)`` returns
-    the number of distinct length-ell prefixes in the pool. The first call
-    sorts the windows lexicographically once; in that order the LCP of two
-    adjacent windows is their first differing column, and the distinct
-    length-ell prefixes are the window count minus the adjacent pairs with
-    LCP >= ell.
+    the number of distinct length-ell prefixes in the pool. The windows hold
+    the symbols' offsets from the pool's smallest symbol, or, where ell0 of
+    those take more than 64 bits, the dense ranks of the pool's alphabet.
+    The first call sorts the windows lexicographically once: as one packed
+    uint64 word each when a window fits in 64 bits, where the highest set
+    bit of the XOR of two adjacent words gives their LCP, and column by
+    column otherwise, where the LCP is the first differing column. The
+    distinct length-ell prefixes are the window count minus the adjacent
+    pairs with LCP >= ell.
     """
 
     def __init__(self, session: QuerySession, ell0: int, size: int, seed: int):
@@ -57,10 +61,13 @@ class SharedWindowSamples:
         self.starts = make_rng(seed).integers(1, n - ell0 + 2, size=int(size))
         self.starts.flags.writeable = False
         positions = self.starts[:, None] + np.arange(self.ell0)
-        window = session.read_many(positions.ravel()).reshape(positions.shape)
-        low = int(window.min())
-        # narrow keys let lexsort's stable passes run as radix sorts
-        self._rows = (window - low).astype(np.min_scalar_type(int(window.max()) - low))
+        window = session.read_many(positions.ravel())
+        sym, top = symbol_offsets(window)
+        if sym is None or self.ell0 * top.bit_length() > 64:  # too wide: try the alphabet's own width
+            sym, sigma = symbol_ranks(window)
+            top = max(sigma - 1, 0)
+        self._bits = max(1, top.bit_length())
+        self._rows = sym.astype(np.min_scalar_type(top), copy=False).reshape(positions.shape)
         self._counts: np.ndarray | None = None
 
     def distinct_counts(self, ell: int) -> int:
@@ -68,9 +75,17 @@ class SharedWindowSamples:
         if not 1 <= ell <= self.ell0:
             raise ValueError(f"length {ell} outside [1, {self.ell0}]")
         if self._counts is None:
-            rows = self._rows[np.lexsort(self._rows.T[::-1])]
-            lcp = np.zeros(len(rows), dtype=np.int64)  # the first window has no predecessor
-            lcp[1:] = np.logical_and.accumulate(rows[1:] == rows[:-1], axis=1).sum(axis=1)
+            rows, bits = self._rows, self._bits
+            if self.ell0 * bits <= 64:
+                words = np.zeros(len(rows), dtype=np.uint64)
+                for column in rows.T:
+                    words <<= bits
+                    words |= column
+                words.sort()
+                lcp = sorted_word_lcps(words, self.ell0, bits)
+            else:
+                rows = rows[np.lexsort(rows.T[::-1])]
+                lcp = np.logical_and.accumulate(rows[1:] == rows[:-1], axis=1).sum(axis=1)
             self._counts = len(rows) - lcp_at_least_counts(lcp, self.ell0)
         return int(self._counts[ell - 1])
 
@@ -232,8 +247,10 @@ def distinguish_compressible(
     A * eps = 1/16, so ell0 = 32 (33 where float rounding lands just above
     32) and B = n^(1/4) / (8 sqrt(5)). B < 1 for n < 1.0e5, and B^2 <= 10
     keeps the basic sample at every window start up to n = 1.0e7, so such
-    calls take the exact lane of :func:`window_pool_size`: a prefix
-    doubling stopped at length 32.
+    calls take the exact lane of :func:`window_pool_size`: the distinct
+    profile up to length 32, which on a binary string sorts the n windows
+    packed 2 bits per symbol into one word each, and on wider alphabets
+    runs a prefix doubling stopped at length 32.
     """
     n = w.length
     if not 1 <= threshold_lo < threshold_hi <= n:

@@ -1,74 +1,190 @@
 """Suffix-array machinery backing the exact oracles.
 
-One prefix-doubling pass (Manber-Myers) builds the suffix array and keeps
-the rank array of every round. Each round sorts one packed key per
-position, stored in the narrowest unsigned type its largest value fits, so
-the early rounds on small alphabets sort 8- or 16-bit keys. Those rank
-levels give the LCP of every suffix-array-adjacent pair by binary lifting,
-vectorized over all pairs.
+Every sort of suffixes or windows here is one word-packed ``np.sort``: the
+compared key sits in the high bits of a uint64 and, where the order of ties
+matters, the text position in the low bits, so the sorted words carry both
+the order and the keys, ties in text order, with no stable argsort and no
+gather of keys. Symbols enter as dense ranks, so the key width follows the
+alphabet, not the range of the symbol values.
+
+Prefix doubling (Manber-Myers) builds the suffix array and keeps the rank
+array of every round. Its first sort packs as many symbols per position as
+fit beside the position, and the first rank levels are prefixes of those
+sorted words. Each later round packs a pair of ranks; where the pair and
+the position need more than 64 bits, it sorts twice (minor key, then major).
+The rank levels give the LCP of every suffix-array-adjacent pair by binary
+lifting, vectorized over all pairs.
 
 The LCP-threshold counts behind every distinct-substring count need LCPs
-only up to the longest length asked for, so that doubling takes a stop
-length and ends at the first 2^L reaching it. The longest-previous-factor
-(LPF) array of Crochemore-Ilie, which drives the greedy LZ factorization,
-needs the full suffix array and LCP array. It comes from batch peak
-elimination: vector rounds delete every suffix-array entry that starts
-later than both its neighbours, and a stack pass finishes whatever the
-rounds leave. Everything here is cross-checked against brute-force
-enumerations in the test suite.
+only up to the longest length asked for. When that many symbols fit in one
+word, the windows themselves are sorted and the LCP of two adjacent windows
+is read off the highest set bit of their XOR; otherwise the doubling takes
+a stop length and ends at the first 2^L reaching it. The
+longest-previous-factor (LPF) array of Crochemore-Ilie, which drives the
+greedy LZ factorization, needs the full suffix array and LCP array. It comes
+from batch peak elimination: vector rounds delete every suffix-array entry
+that starts later than both its neighbours, and a stack pass finishes
+whatever the rounds leave. Everything here is cross-checked against
+brute-force enumerations in the test suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MAX_N = 2**31  # rank levels are int32
+_MAX_N = 2**31  # positions and rank levels are int32
+_WORD = 64  # bits in a packed sort word
 
 
-def _rank_level(order: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """Dense ranks of ``sorted_keys`` scattered back to text order, as int32
-    with one extra slot at index n holding -1 (the end of the text)."""
+def symbol_offsets(a: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """Offsets of integer symbols from their minimum, in the unsigned type of
+    the symbols' width (which holds any range, however wide), and the largest
+    offset. ``(None, 0)`` for symbols that are not integers."""
+    a = np.asarray(a)
+    if a.dtype.kind == "b":
+        a = a.view(np.uint8)
+    if a.size == 0 or a.dtype.kind not in "iu":
+        return None, 0
+    off = (a - a.min()).view(f"u{a.itemsize}")
+    return off, int(off.max())
+
+
+def symbol_ranks(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of the symbols of ``a`` (int32, 0 for the smallest) and
+    the number of distinct symbols.
+
+    Offsets up to max(n, 2^16) go through a lookup table, and an alphabet
+    that fills its range keeps its offsets. Wider ranges (int64 symbols
+    near +-2^62, sparse alphabets) go through ``np.unique``.
+    """
+    a = np.asarray(a)
+    off, top = symbol_offsets(a)
+    if off is not None and top < max(a.size, 1 << 16):
+        present = np.zeros(top + 1, dtype=bool)
+        present[off] = True
+        if present.all():
+            return off.astype(np.int32), top + 1
+        table = np.cumsum(present, dtype=np.int32) - 1
+        return table[off], int(table[-1]) + 1
+    values, inverse = np.unique(a, return_inverse=True)
+    return inverse.astype(np.int32).reshape(a.shape), values.size
+
+
+def _pack_windows(sym: np.ndarray, width: int, bits: int) -> np.ndarray:
+    """word[i] holds sym[i : i + width] + 1, ``bits`` bits per symbol, the
+    first symbol highest, and 0 past the end, for ``width * bits`` at most
+    64. Doubling the window takes log2(width) passes."""
+    n = sym.size
+    one = sym.astype(np.uint64)
+    one += 1
+    word, w = one, 1
+    for bit in bin(width)[3:]:
+        word, old = word << (w * bits), word  # word_2w[i] = word_w[i] : word_w[i + w]
+        if w < n:
+            word[: n - w] |= old[w:]
+        del old
+        w *= 2
+        if bit == "1":
+            word <<= bits
+            if w < n:
+                word[: n - w] |= one[w:]
+            w += 1
+    return word
+
+
+def sorted_word_lcps(words: np.ndarray, width: int, bits: int) -> np.ndarray:
+    """Common-prefix lengths, in symbols, of adjacent sorted words that each
+    pack ``width`` symbols of ``bits`` bits, the first symbol highest.
+
+    The first differing symbol holds the highest set bit of the XOR. Clearing
+    every set bit whose upper neighbour is set keeps that bit and leaves no
+    two set bits adjacent, so float64 cannot round the value up into the
+    next power of two, and ``frexp`` reads the bit's index exactly.
+    """
+    x = words[1:] ^ words[:-1]
+    x &= ~(x >> 1)
+    return width - 1 - (np.frexp(x.astype(np.float64))[1] - 1) // bits  # x = 0: index -1
+
+
+def _sort_keys(keys: np.ndarray, p: int) -> np.ndarray:
+    """Text positions sorted by ``keys`` (uint64 below 2^(64 - p)), ties in
+    text order, by one ``np.sort`` of key << p | position. Returns the
+    positions (int32) and leaves the sorted keys in ``keys``."""
+    keys <<= p
+    keys += np.arange(keys.size, dtype=np.uint32)
+    keys.sort()
+    order = np.empty(keys.size, dtype=np.int32)
+    np.bitwise_and(keys, (1 << p) - 1, out=order, casting="unsafe")
+    keys >>= p
+    return order
+
+
+def _rank_level(order: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Dense ranks of sorted keys scattered back to text order, as int32
+    with one extra slot at index n holding -1 (the end of the text).
+    ``new[r - 1]`` says whether the key at sorted index r differs from the
+    one before it."""
     n = order.size
     dense = np.empty(n, dtype=np.int32)
     dense[0] = 0
-    np.cumsum(sorted_keys[1:] != sorted_keys[:-1], out=dense[1:])
+    np.cumsum(new, out=dense[1:])
     rank = np.empty(n + 1, dtype=np.int32)
     rank[order] = dense
     rank[n] = -1
     return rank
 
 
-def _pack_keys(rank: np.ndarray, k: int, top: int) -> np.ndarray:
-    """key[i] = rank[i] * (top + 2) + (rank[i + k] + 1), with 0 past the end,
-    in the narrowest unsigned type that holds ``(top + 2)^2``.
+def _pair_order(rank: np.ndarray, k: int, top: int, word: int = _WORD) -> tuple[np.ndarray, np.ndarray]:
+    """Positions sorted by the pair (rank[i], rank[i + k] + 1), 0 past the
+    end, ties in text order, and ``new`` as :func:`_rank_level` takes it.
 
-    ``rank`` is a level with its -1 slot at index n and ranks in [0, top].
-    The sum is taken in the key's own type: numpy would promote a uint64 key
-    plus the int32 ranks to float64, which rounds keys above 2^53.
+    ``rank`` is a level with ranks in [0, top] and its -1 slot at index n.
+    Where the pair and the position fit in ``word`` bits, one sort does it.
+    Otherwise two do, least significant key first: the minor keys with
+    positions, then the major keys with each entry's index in that order.
+    Both fit, as ranks and positions are below 2^31.
     """
     n = rank.size - 1
-    key = rank[:n].astype(np.min_scalar_type((top + 2) ** 2))
-    key *= top + 2
-    np.add(key[: n - k], rank[k:n] + 1, out=key[: n - k], dtype=key.dtype, casting="unsafe")
-    return key
+    p = (n - 1).bit_length()
+    minor = (top + 1).bit_length()
+    if top.bit_length() + minor + p <= word:
+        keys = rank[:n].astype(np.uint64)
+        keys <<= minor
+        np.add(keys[: n - k], rank[k:n], out=keys[: n - k], dtype=np.uint64, casting="unsafe")
+        keys[: n - k] += 1
+        order = _sort_keys(keys, p)
+        return order, keys[1:] != keys[:-1]
+    keys = np.zeros(n, dtype=np.uint64)
+    np.add(rank[k:n], 1, out=keys[: n - k], casting="unsafe")
+    by_minor = _sort_keys(keys, p)
+    group = np.zeros(n, dtype=np.int32)  # dense rank of the minor key, in by_minor order
+    np.cumsum(keys[1:] != keys[:-1], out=group[1:])
+    del keys
+    keys = rank[by_minor].astype(np.uint64)
+    at = _sort_keys(keys, p)
+    new = keys[1:] != keys[:-1]
+    del keys
+    group = group[at]
+    new |= group[1:] != group[:-1]
+    return by_minor[at], new
 
 
 def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Suffix array by prefix doubling, plus the rank array of every round.
 
-    Returns ``(sa, ranks)``. ``ranks[L][i]`` is the dense rank of the
-    length-2^L prefix of the suffix at i (cut at the end of the text), so
-    two positions share a rank at level L exactly when those prefixes are
-    equal; each level has one extra entry, -1 at index n. The last level's
-    ranks are all distinct.
+    Returns ``(sa, ranks)``, ``sa`` as int32. ``ranks[L][i]`` is the dense
+    rank of the length-2^L prefix of the suffix at i (cut at the end of the
+    text), so two positions share a rank at level L exactly when those
+    prefixes are equal; each level has one extra entry, -1 at index n. The
+    last level's ranks are all distinct.
 
-    Round L + 1 sorts the packed key ``rank * (top + 2) + (rank[i + 2^L] + 1)``
-    (0 past the end), where ``top`` is the largest rank at level L, stored in
-    the narrowest unsigned type that holds ``(top + 2)^2``. The sort is one
-    stable argsort taken in round L's order, so it sees presorted runs, and
-    while keys fit 16 bits numpy runs it as a radix sort. There are
-    log2(max LCP) + 2 rounds at most, so the time is O(n log^2 n) and the
-    levels take 4 (n + 1) bytes each.
+    Level 0 is the dense symbol ranks. The first sort packs the symbol
+    ranks + 1 of the 2^L0 symbols from each position, 0 past the end, beside
+    the position, with 2^L0 the most that fit in a word, so levels 1..L0 are
+    prefixes of one sorted array. Each later round sorts the pairs
+    (rank[i], rank[i + 2^L] + 1) with :func:`_pair_order`. There are
+    log2(max LCP) + 2 levels at most, each taking 4 (n + 1) bytes, and each
+    round sorts one or two arrays of n words.
 
     With ``stop``, the doubling also ends once 2^L >= stop. Then the last
     level may have ties, and ``sa`` is sorted by length-2^L prefixes only,
@@ -80,17 +196,48 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
     if n >= _MAX_N:
         raise ValueError(f"suffix_array supports n < 2^31, got n = {n}")
     if n == 0:
-        return np.empty(0, dtype=np.int64), []
-    order = np.argsort(a, kind="stable").astype(np.int64, copy=False)
-    rank = _rank_level(order, a[order])
+        return np.empty(0, dtype=np.int32), []
+    rank = np.empty(n + 1, dtype=np.int32)
+    rank[:n], sigma = symbol_ranks(a)
+    rank[n] = -1
     ranks = [rank]
-    k = 1
-    top = int(rank[order[-1]])
+    if sigma == n:  # all symbols distinct: level 0 is the last
+        order = np.empty(n, dtype=np.int32)
+        order[rank[:n]] = np.arange(n, dtype=np.int32)
+        return order, ranks
+    p = (n - 1).bit_length()
+    bits = sigma.bit_length()
+    first = ((_WORD - p) // bits).bit_length() - 1  # 2^first symbols fit beside a position
+    if stop is not None:
+        first = min(first, (max(stop, 1) - 1).bit_length())
+    width = 1 << first
+    words = _pack_windows(rank[:n], width, bits)
+    order = _sort_keys(words, p)
+    diff = words[1:] ^ words[:-1]
+    del words
+    news = []  # where the length-2^L prefixes change along the sorted words, L = 1, 2, ...
+    for level in range(1, first + 1):
+        news.append(diff >= 1 << ((width - (1 << level)) * bits))
+        if news[-1].all():
+            break
+    del diff
+    top = sigma - 1
+    if news:  # one scatter for the top level; each level below is a function of it
+        rank = _rank_level(order, news[-1])
+        top = int(rank[order[-1]])
+        for new in news[:-1]:
+            coarse = np.zeros(top + 1, dtype=np.int32)
+            np.cumsum(new[news[-1]], out=coarse[1:])
+            ranks.append(coarse[rank])
+            ranks[-1][n] = -1
+        ranks.append(rank)
+    del news
+    k = 1 << (len(ranks) - 1)
     while top != n - 1 and (stop is None or k < stop):
-        key = _pack_keys(rank, k, top)[order]
-        perm = np.argsort(key, kind="stable")
-        order = order[perm]
-        rank = _rank_level(order, key[perm])
+        del order  # each round sorts afresh
+        order, new = _pair_order(rank, k, top)
+        rank = _rank_level(order, new)
+        del new
         ranks.append(rank)
         top = int(rank[order[-1]])
         k *= 2
@@ -138,16 +285,30 @@ def distinct_length_profile(arr: np.ndarray, ell_max: int) -> np.ndarray:
     """d[ell-1] = number of distinct length-ell substrings, for ell = 1..ell_max.
 
     Uses the identity: distinct windows of length ell = (n - ell + 1) minus
-    the number of suffix-array-adjacent pairs whose LCP is >= ell. Equal
-    length-ell prefixes need only be adjacent, so the doubling stops at the
-    first 2^L >= min(ell_max, n). Lengths past n have no windows: d = 0.
+    the number of adjacent pairs, in sorted suffix order, whose LCP is
+    >= ell. Equal length-ell prefixes need only be adjacent, so only the
+    first top = min(ell_max, n) symbols of each suffix count. When those fit
+    in one word, the n packed windows are sorted and their XOR gives the
+    LCPs, with no suffix array; otherwise the doubling stops at the first
+    2^L >= top. Lengths past n have no windows: d = 0.
     """
     a = np.asarray(arr)
     n = a.size
     d = np.zeros(int(ell_max), dtype=np.int64)
     top = min(d.size, n)
-    sa, ranks = suffix_array(a, stop=top)
-    lcp = lcp_array(sa, ranks)
+    if top == 0:
+        return d
+    sym, sigma = symbol_ranks(a)
+    bits = sigma.bit_length()
+    if top * bits <= _WORD:
+        words = _pack_windows(sym, top, bits)
+        del sym
+        words.sort()
+        lcp = sorted_word_lcps(words, top, bits)
+    else:
+        del sym
+        sa, ranks = suffix_array(a, stop=top)
+        lcp = lcp_array(sa, ranks)
     ells = np.arange(1, top + 1)
     d[:top] = (n - ells + 1) - lcp_at_least_counts(lcp, top)
     return d

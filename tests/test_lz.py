@@ -17,7 +17,9 @@ from compest import (
 )
 from compest._rng import derive_seed, make_rng
 from compest.colors import amplification_runs, sample_count
+from compest import lz
 from compest.lz import lz_estimate_detailed, lz_query_ceiling, window_pool_size
+from compest.suffixes import sorted_word_lcps
 from naive import all_ones, naive_distinct_prefixes, random_symbols
 
 
@@ -50,6 +52,40 @@ def test_sort_backend_agrees_on_wide_alphabet():
     # alphabets this wide need 16- and 32-bit sort keys
     for sigma in (50_000, 100_000):
         _check_counts_against_prefix_reference(sigma)
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 4, 5])
+def test_window_pool_word_boundary(sigma, monkeypatch):
+    # a pooled window takes bit_length(sigma - 1) bits per symbol, at least 1
+    arr = make_rng(sigma).integers(0, sigma, size=400)
+    width = 64 // max(1, (sigma - 1).bit_length())
+    calls = []
+    monkeypatch.setattr(lz, "sorted_word_lcps", lambda *a: calls.append(1) or sorted_word_lcps(*a))
+    for ell0, packed in ((width, True), (width + 1, False)):
+        calls.clear()
+        shared = SharedWindowSamples(acc(arr).session(), ell0, 300, seed=ell0)
+        windows = [tuple(arr[t - 1 : t - 1 + ell0].tolist()) for t in shared.starts]
+        for ell in range(1, ell0 + 1):
+            assert shared.distinct_counts(ell) == naive_distinct_prefixes(windows, ell), (ell0, ell)
+        assert bool(calls) == packed
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.array([-(2**62)]),
+        np.full(40, 7),
+        make_rng(3).choice(np.array([-(2**62), -(2**62) + 1, 0, 2**62 - 1, 2**62]), 300),
+        make_rng(4).choice(np.array([0, 2**40, 2**41]), 300),
+    ],
+    ids=["n1", "one-symbol", "int64-near-2^62", "sparse"],
+)
+def test_window_pool_on_edge_symbols(arr):
+    for ell0 in sorted({1, min(arr.size, 8), min(arr.size, 30)}):
+        shared = SharedWindowSamples(acc(arr).session(), ell0, 200, seed=ell0)
+        windows = [tuple(arr[t - 1 : t - 1 + ell0].tolist()) for t in shared.starts]
+        for ell in range(1, ell0 + 1):
+            assert shared.distinct_counts(ell) == naive_distinct_prefixes(windows, ell), (ell0, ell)
 
 
 def test_shared_starts_reused_across_lengths():

@@ -1,10 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
 
+from compest import suffixes
 from compest._rng import make_rng
 from compest.campaign import build_builtin
 from compest.suffixes import (
-    _pack_keys,
+    _WORD,
+    _pair_order,
     distinct_length_profile,
     lcp_array,
     longest_previous_factor,
@@ -52,6 +56,11 @@ def _corpus():
     for max_run, sigma in ((8, 2), (32, 4), (200, 2)):
         yield _run_mix(3000, max_run, sigma, seed=max_run + sigma)
     yield np.concatenate([random_symbols(1000, 2, 7), np.ones(2000, dtype=np.uint8)])
+    # wide symbol values: int64 near +-2^62, whose range overflows int64, and a sparse alphabet
+    yield rng.choice(np.array([-(2**62), -(2**62) + 1, 0, 2**62 - 1, 2**62]), 300)
+    yield rng.choice(np.array([0, 2**40, 2**41]), 300)
+    yield np.array([-(2**62)])
+    yield np.full(5, 2**41)
 
 
 CORPUS = list(_corpus())
@@ -62,6 +71,8 @@ LEVEL_INPUTS = [np.full(33, 2), np.tile([0, 1, 1], 14)[:40], _fibonacci_word(89)
 def test_suffix_layer_matches_naive(arr):
     sa, ranks = suffix_array(arr)
     assert sa.tolist() == naive_suffix_array(arr)
+    distinct = [np.unique(rank[:-1]).size == arr.size for rank in ranks]
+    assert distinct[-1] and not any(distinct[:-1])  # the doubling stops at the first distinct level
     lcp = lcp_array(sa, ranks)
     assert lcp.tolist() == naive_lcp(arr, sa.tolist())
     lpf = naive_lpf(arr)
@@ -164,21 +175,55 @@ def test_wide_packed_keys(arr, width):
     assert np.array_equal(lcp_array(sa, ranks), lcp)
 
 
-@pytest.mark.parametrize(
-    "top, dtype",
-    [(0, np.uint8), (13, np.uint8), (14, np.uint16), (65_533, np.uint32), (65_534, np.uint64), (2**31 - 2, np.uint64)],
-)
-def test_pack_keys_are_exact(top, dtype):
-    # top = 2^31 - 2 is the largest rank below n = 2^31; its keys near 2^62
-    # differ by 1, which float64 arithmetic would round together
-    pattern = [top, top, top, top - 1, top, 0, 1, top, top - 1, 0, top, top]
-    n = len(pattern)
+@pytest.mark.parametrize("top", [0, 13, 14, 65_533, 65_534, 2**31 - 2])
+@pytest.mark.parametrize("n", [4, 12])
+@pytest.mark.parametrize("word", [64, 0], ids=["fitting-word", "forced-split"])
+def test_pair_order_keeps_keys_exact(top, n, word):
+    # top = 2^31 - 2 is the largest rank below n = 2^31; its pairs differ by 1
+    # in a 31-bit field, and at n = 4 the pair and the position fill all 64 bits
+    pattern = [top, top, top, top - 1, top, 0, 1, top, top - 1, 0, top, top][:n]
     rank = np.array([max(r, 0) for r in pattern] + [-1], dtype=np.int32)
     for k in (1, 2, 4, 8):
-        key = _pack_keys(rank, k, top)
-        assert key.dtype == dtype
-        want = [int(rank[i]) * (top + 2) + (int(rank[i + k]) + 1 if i + k < n else 0) for i in range(n)]
-        assert [int(v) for v in key] == want
+        if k >= n:
+            continue
+        pairs = [(int(rank[i]), int(rank[i + k]) + 1 if i + k < n else 0) for i in range(n)]
+        want = sorted(range(n), key=lambda i: (pairs[i], i))
+        order, new = _pair_order(rank, k, top, word=word)
+        assert order.dtype == np.int32 and order.tolist() == want
+        assert new.tolist() == [pairs[a] != pairs[b] for a, b in zip(want[1:], want[:-1])]
+
+
+def test_forced_split_rounds_match_one_word_rounds(monkeypatch):
+    # no test input reaches n >= 2^21, where the pair rounds split for real
+    want = [suffix_array(arr) for arr in CORPUS]
+    monkeypatch.setattr(suffixes, "_pair_order", functools.partial(_pair_order, word=0))
+    for arr, (sa, ranks) in zip(CORPUS, want):
+        got_sa, got_ranks = suffix_array(arr)
+        assert np.array_equal(got_sa, sa)
+        assert len(got_ranks) == len(ranks) and all(map(np.array_equal, got_ranks, ranks))
+
+
+WORD_BOUNDARY = {  # symbol ranks + 1 take bit_length(sigma) bits
+    "sigma-1": np.full(100, 4, dtype=np.uint8),  # 64 symbols of 1 bit
+    "sigma-2": random_symbols(300, 2, 21),  # 32 of 2 bits
+    "sigma-4": random_symbols(300, 4, 22),  # 21 of 3 bits, 63 of 64
+    "sigma-200": random_symbols(2000, 200, 23),  # 8 of 8 bits
+    # "0 1^31" and "1 0^31" sort next to each other and XOR to 64 set bits,
+    # which float64 rounds up to 2^64
+    "complements": np.repeat(np.array([0, 1, 0], dtype=np.uint8), [1, 40, 40]),
+}
+
+
+@pytest.mark.parametrize("arr", WORD_BOUNDARY.values(), ids=WORD_BOUNDARY)
+def test_distinct_profile_word_boundary(arr, monkeypatch):
+    width = _WORD // np.unique(arr).size.bit_length()
+    naive = [naive_distinct(arr, ell) for ell in range(1, width + 2)]
+    calls = []
+    monkeypatch.setattr(suffixes, "suffix_array", lambda *a, **k: calls.append(1) or suffix_array(*a, **k))
+    assert distinct_length_profile(arr, width).tolist() == naive[:width]
+    assert not calls  # one word per window: no suffix array
+    assert distinct_length_profile(arr, width + 1).tolist() == naive
+    assert calls
 
 
 def test_suffix_array_rejects_int32_overflow():
