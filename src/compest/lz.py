@@ -33,7 +33,21 @@ from ._rng import derive_seed, make_rng
 from .accessor import EstimateReport, QueryCountedString, QuerySession
 from .colors import amplification_runs, sample_count
 from .oracles import distinct_profile
-from .suffixes import lcp_at_least_counts, sorted_word_lcps, symbol_offsets, symbol_ranks
+from .suffixes import lcp_at_least_counts, symbol_ranks
+
+
+def _word_lcps(words: np.ndarray, width: int, bits: int) -> np.ndarray:
+    """Common-prefix lengths, in symbols, of adjacent sorted words that each
+    pack ``width`` symbols of ``bits`` bits, the first symbol highest.
+
+    The first differing symbol holds the highest set bit of the XOR. Clearing
+    every set bit whose upper neighbour is set keeps that bit and leaves no
+    two set bits adjacent, so float64 cannot round the value up into the
+    next power of two, and ``frexp`` reads the bit's index exactly.
+    """
+    x = words[1:] ^ words[:-1]
+    x &= ~(x >> 1)
+    return width - 1 - (np.frexp(x.astype(np.float64))[1] - 1) // bits  # x = 0: index -1
 
 
 class SharedWindowSamples:
@@ -43,14 +57,12 @@ class SharedWindowSamples:
     every length up to ell0; the length-ell view of a sampled window is just
     its prefix, which costs no extra reads. ``distinct_counts(ell)`` returns
     the number of distinct length-ell prefixes in the pool. The windows hold
-    the symbols' offsets from the pool's smallest symbol, or, where ell0 of
-    those take more than 64 bits, the dense ranks of the pool's alphabet.
-    The first call sorts the windows lexicographically once: as one packed
-    uint64 word each when a window fits in 64 bits, where the highest set
-    bit of the XOR of two adjacent words gives their LCP, and column by
-    column otherwise, where the LCP is the first differing column. The
-    distinct length-ell prefixes are the window count minus the adjacent
-    pairs with LCP >= ell.
+    the dense ranks of the pool's alphabet. The first call sorts the windows
+    lexicographically once: as one packed uint64 word each when a window
+    fits in 64 bits, where the highest set bit of the XOR of two adjacent
+    words gives their LCP, and column by column otherwise, where the LCP is
+    the first differing column. The distinct length-ell prefixes are the
+    window count minus the adjacent pairs with LCP >= ell.
     """
 
     def __init__(self, session: QuerySession, ell0: int, size: int, seed: int):
@@ -62,10 +74,8 @@ class SharedWindowSamples:
         self.starts.flags.writeable = False
         positions = self.starts[:, None] + np.arange(self.ell0)
         window = session.read_many(positions.ravel())
-        sym, top = symbol_offsets(window)
-        if sym is None or self.ell0 * top.bit_length() > 64:  # too wide: try the alphabet's own width
-            sym, sigma = symbol_ranks(window)
-            top = max(sigma - 1, 0)
+        sym, sigma = symbol_ranks(window)
+        top = max(sigma - 1, 0)
         self._bits = max(1, top.bit_length())
         self._rows = sym.astype(np.min_scalar_type(top), copy=False).reshape(positions.shape)
         self._counts: np.ndarray | None = None
@@ -82,7 +92,7 @@ class SharedWindowSamples:
                     words <<= bits
                     words |= column
                 words.sort()
-                lcp = sorted_word_lcps(words, self.ell0, bits)
+                lcp = _word_lcps(words, self.ell0, bits)
             else:
                 rows = rows[np.lexsort(rows.T[::-1])]
                 lcp = np.logical_and.accumulate(rows[1:] == rows[:-1], axis=1).sum(axis=1)
@@ -248,9 +258,9 @@ def distinguish_compressible(
     32) and B = n^(1/4) / (8 sqrt(5)). B < 1 for n < 1.0e5, and B^2 <= 10
     keeps the basic sample at every window start up to n = 1.0e7, so such
     calls take the exact lane of :func:`window_pool_size`: the distinct
-    profile up to length 32, which on a binary string sorts the n windows
-    packed 2 bits per symbol into one word each, and on wider alphabets
-    runs a prefix doubling stopped at length 32.
+    profile up to length 32, a prefix doubling stopped at length 32. On a
+    binary string its first sort packs 16 symbols per position, so one pair
+    round finishes it.
     """
     n = w.length
     if not 1 <= threshold_lo < threshold_hi <= n:

@@ -1,6 +1,6 @@
 """Suffix-array machinery backing the exact oracles.
 
-Every sort of suffixes or windows here is one word-packed ``np.sort``: the
+Every sort of suffixes here is one word-packed ``np.sort``: the
 compared key sits in the high bits of a uint64 and, where the order of ties
 matters, the text position in the low bits, so the sorted words carry both
 the order and the keys, ties in text order, with no stable argsort and no
@@ -10,21 +10,20 @@ alphabet, not the range of the symbol values.
 Prefix doubling (Manber-Myers) builds the suffix array and keeps the rank
 array of every round. Its first sort packs as many symbols per position as
 fit beside the position, and the first rank levels are prefixes of those
-sorted words. Each later round packs a pair of ranks; where the pair and
-the position need more than 64 bits, it sorts twice (minor key, then major).
+sorted words (where two symbols do not fit, the first sort is skipped).
+Each later round packs a pair of ranks; where the pair and the position
+need more than 64 bits, it sorts twice (minor key, then major).
 The rank levels give the LCP of every suffix-array-adjacent pair by binary
 lifting, vectorized over all pairs.
 
 The LCP-threshold counts behind every distinct-substring count need LCPs
-only up to the longest length asked for. When that many symbols fit in one
-word, the windows themselves are sorted and the LCP of two adjacent windows
-is read off the highest set bit of their XOR; otherwise the doubling takes
-a stop length and ends at the first 2^L reaching it. The
-longest-previous-factor (LPF) array of Crochemore-Ilie, which drives the
-greedy LZ factorization, needs the full suffix array and LCP array. It comes
-from batch peak elimination: vector rounds delete every suffix-array entry
-that starts later than both its neighbours, and a stack pass finishes
-whatever the rounds leave. Everything here is cross-checked against
+only up to the longest length asked for, so that doubling takes a stop
+length and ends at the first 2^L reaching it. The longest-previous-factor
+(LPF) array of Crochemore-Ilie, which drives the greedy LZ factorization,
+needs the full suffix array and LCP array. It comes from batch peak
+elimination: vector rounds delete every suffix-array entry that starts
+later than both its neighbours, and a stack pass finishes whatever the
+rounds leave. Everything here is cross-checked against
 brute-force enumerations in the test suite.
 """
 
@@ -36,29 +35,23 @@ _MAX_N = 2**31  # positions and rank levels are int32
 _WORD = 64  # bits in a packed sort word
 
 
-def symbol_offsets(a: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """Offsets of integer symbols from their minimum, in the unsigned type of
-    the symbols' width (which holds any range, however wide), and the largest
-    offset. ``(None, 0)`` for symbols that are not integers."""
-    a = np.asarray(a)
-    if a.dtype.kind == "b":
-        a = a.view(np.uint8)
-    if a.size == 0 or a.dtype.kind not in "iu":
-        return None, 0
-    off = (a - a.min()).view(f"u{a.itemsize}")
-    return off, int(off.max())
-
-
 def symbol_ranks(a: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense ranks of the symbols of ``a`` (int32, 0 for the smallest) and
     the number of distinct symbols.
 
-    Offsets up to max(n, 2^16) go through a lookup table, and an alphabet
-    that fills its range keeps its offsets. Wider ranges (int64 symbols
-    near +-2^62, sparse alphabets) go through ``np.unique``.
+    Integer symbols whose offsets from their minimum stay below
+    max(n, 2^16) go through a lookup table, and an alphabet that fills its
+    range keeps its offsets. The offsets are taken in the unsigned type of
+    the symbols' width, which holds any range. Wider ranges (int64 symbols
+    near +-2^62, sparse alphabets) and other dtypes go through ``np.unique``.
     """
     a = np.asarray(a)
-    off, top = symbol_offsets(a)
+    if a.dtype.kind == "b":
+        a = a.view(np.uint8)
+    off = top = None
+    if a.size and a.dtype.kind in "iu":
+        off = (a - a.min()).view(f"u{a.itemsize}")
+        top = int(off.max())
     if off is not None and top < max(a.size, 1 << 16):
         present = np.zeros(top + 1, dtype=bool)
         present[off] = True
@@ -90,20 +83,6 @@ def _pack_windows(sym: np.ndarray, width: int, bits: int) -> np.ndarray:
                 word[: n - w] |= one[w:]
             w += 1
     return word
-
-
-def sorted_word_lcps(words: np.ndarray, width: int, bits: int) -> np.ndarray:
-    """Common-prefix lengths, in symbols, of adjacent sorted words that each
-    pack ``width`` symbols of ``bits`` bits, the first symbol highest.
-
-    The first differing symbol holds the highest set bit of the XOR. Clearing
-    every set bit whose upper neighbour is set keeps that bit and leaves no
-    two set bits adjacent, so float64 cannot round the value up into the
-    next power of two, and ``frexp`` reads the bit's index exactly.
-    """
-    x = words[1:] ^ words[:-1]
-    x &= ~(x >> 1)
-    return width - 1 - (np.frexp(x.astype(np.float64))[1] - 1) // bits  # x = 0: index -1
 
 
 def _sort_keys(keys: np.ndarray, p: int) -> np.ndarray:
@@ -181,7 +160,8 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
     Level 0 is the dense symbol ranks. The first sort packs the symbol
     ranks + 1 of the 2^L0 symbols from each position, 0 past the end, beside
     the position, with 2^L0 the most that fit in a word, so levels 1..L0 are
-    prefixes of one sorted array. Each later round sorts the pairs
+    prefixes of one sorted array; with L0 = 0 (wide alphabets at large n)
+    that sort is skipped. Each later round sorts the pairs
     (rank[i], rank[i + 2^L] + 1) with :func:`_pair_order`. There are
     log2(max LCP) + 2 levels at most, each taking 4 (n + 1) bytes, and each
     round sorts one or two arrays of n words.
@@ -210,28 +190,29 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
     first = ((_WORD - p) // bits).bit_length() - 1  # 2^first symbols fit beside a position
     if stop is not None:
         first = min(first, (max(stop, 1) - 1).bit_length())
-    width = 1 << first
-    words = _pack_windows(rank[:n], width, bits)
-    order = _sort_keys(words, p)
-    diff = words[1:] ^ words[:-1]
-    del words
-    news = []  # where the length-2^L prefixes change along the sorted words, L = 1, 2, ...
-    for level in range(1, first + 1):
-        news.append(diff >= 1 << ((width - (1 << level)) * bits))
-        if news[-1].all():
-            break
-    del diff
     top = sigma - 1
-    if news:  # one scatter for the top level; each level below is a function of it
-        rank = _rank_level(order, news[-1])
+    order = None
+    if first:  # else two symbols do not fit: the pair rounds start at level 0
+        width = 1 << first
+        words = _pack_windows(rank[:n], width, bits)
+        order = _sort_keys(words, p)
+        diff = words[1:] ^ words[:-1]
+        del words
+        news = []  # where the length-2^L prefixes change along the sorted words, L = 1, 2, ...
+        for level in range(1, first + 1):
+            news.append(diff >= 1 << ((width - (1 << level)) * bits))
+            if news[-1].all():
+                break
+        del diff
+        rank = _rank_level(order, news[-1])  # one scatter for the top level
         top = int(rank[order[-1]])
-        for new in news[:-1]:
+        for new in news[:-1]:  # each level below is a function of the top one
             coarse = np.zeros(top + 1, dtype=np.int32)
             np.cumsum(new[news[-1]], out=coarse[1:])
             ranks.append(coarse[rank])
             ranks[-1][n] = -1
         ranks.append(rank)
-    del news
+        del news
     k = 1 << (len(ranks) - 1)
     while top != n - 1 and (stop is None or k < stop):
         del order  # each round sorts afresh
@@ -241,6 +222,8 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
         ranks.append(rank)
         top = int(rank[order[-1]])
         k *= 2
+    if order is None:  # stop <= 1: suffixes in order of their first symbol
+        order = _sort_keys(rank[:n].astype(np.uint64), p)
     return order, ranks
 
 
@@ -285,12 +268,9 @@ def distinct_length_profile(arr: np.ndarray, ell_max: int) -> np.ndarray:
     """d[ell-1] = number of distinct length-ell substrings, for ell = 1..ell_max.
 
     Uses the identity: distinct windows of length ell = (n - ell + 1) minus
-    the number of adjacent pairs, in sorted suffix order, whose LCP is
-    >= ell. Equal length-ell prefixes need only be adjacent, so only the
-    first top = min(ell_max, n) symbols of each suffix count. When those fit
-    in one word, the n packed windows are sorted and their XOR gives the
-    LCPs, with no suffix array; otherwise the doubling stops at the first
-    2^L >= top. Lengths past n have no windows: d = 0.
+    the number of suffix-array-adjacent pairs whose LCP is >= ell. Equal
+    length-ell prefixes need only be adjacent, so the doubling stops at the
+    first 2^L >= min(ell_max, n). Lengths past n have no windows: d = 0.
     """
     a = np.asarray(arr)
     n = a.size
@@ -298,17 +278,8 @@ def distinct_length_profile(arr: np.ndarray, ell_max: int) -> np.ndarray:
     top = min(d.size, n)
     if top == 0:
         return d
-    sym, sigma = symbol_ranks(a)
-    bits = sigma.bit_length()
-    if top * bits <= _WORD:
-        words = _pack_windows(sym, top, bits)
-        del sym
-        words.sort()
-        lcp = sorted_word_lcps(words, top, bits)
-    else:
-        del sym
-        sa, ranks = suffix_array(a, stop=top)
-        lcp = lcp_array(sa, ranks)
+    sa, ranks = suffix_array(a, stop=top)
+    lcp = lcp_array(sa, ranks)
     ells = np.arange(1, top + 1)
     d[:top] = (n - ells + 1) - lcp_at_least_counts(lcp, top)
     return d

@@ -19,7 +19,6 @@ from compest._rng import derive_seed, make_rng
 from compest.colors import amplification_runs, sample_count
 from compest import lz
 from compest.lz import lz_estimate_detailed, lz_query_ceiling, window_pool_size
-from compest.suffixes import sorted_word_lcps
 from naive import all_ones, naive_distinct_prefixes, random_symbols
 
 
@@ -60,7 +59,8 @@ def test_window_pool_word_boundary(sigma, monkeypatch):
     arr = make_rng(sigma).integers(0, sigma, size=400)
     width = 64 // max(1, (sigma - 1).bit_length())
     calls = []
-    monkeypatch.setattr(lz, "sorted_word_lcps", lambda *a: calls.append(1) or sorted_word_lcps(*a))
+    word_lcps = lz._word_lcps
+    monkeypatch.setattr(lz, "_word_lcps", lambda *a: calls.append(1) or word_lcps(*a))
     for ell0, packed in ((width, True), (width + 1, False)):
         calls.clear()
         shared = SharedWindowSamples(acc(arr).session(), ell0, 300, seed=ell0)
@@ -68,6 +68,14 @@ def test_window_pool_word_boundary(sigma, monkeypatch):
         for ell in range(1, ell0 + 1):
             assert shared.distinct_counts(ell) == naive_distinct_prefixes(windows, ell), (ell0, ell)
         assert bool(calls) == packed
+
+
+def test_word_lcps_read_the_first_differing_symbol():
+    # "0 1^63" and "1 0^63" XOR to 64 set bits, which float64 rounds up to 2^64
+    words = np.array([2**63 - 1, 2**63, 2**63], dtype=np.uint64)
+    assert lz._word_lcps(words, 64, 1).tolist() == [0, 64]
+    words = np.array([0b01_10_11, 0b01_11_00, 0b01_11_01, 0b10_00_00], dtype=np.uint64)
+    assert lz._word_lcps(words, 3, 2).tolist() == [1, 2, 0]
 
 
 @pytest.mark.parametrize(

@@ -7,13 +7,14 @@ from compest import suffixes
 from compest._rng import make_rng
 from compest.campaign import build_builtin
 from compest.suffixes import (
-    _WORD,
+    _pack_windows,
     _pair_order,
     distinct_length_profile,
     lcp_array,
     longest_previous_factor,
     lz_factorize,
     suffix_array,
+    symbol_ranks,
 )
 from naive import naive_distinct, naive_lcp, naive_lpf, naive_suffix_array, random_symbols, stack_lpf
 
@@ -163,10 +164,13 @@ def _prefix_sorted(arr: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]
 @pytest.mark.parametrize(
     "arr, width",
     [
-        (make_rng(41).integers(0, 200_000, 150_000), 4),  # 105 519 symbols: uint64 keys
-        (make_rng(42).integers(0, 2, 150_000).astype(np.uint8), 64),  # uint8 through uint32 keys
+        (make_rng(41).integers(0, 200_000, 150_000), 4),  # 105 519 symbols: 2 per first-sort word
+        (make_rng(42).integers(0, 2, 150_000).astype(np.uint8), 64),  # 16 per first-sort word
+        # 16 symbols of 3 bits beside a 16-bit position fill the word; one more position bit, 8 symbols
+        (make_rng(43).integers(0, 4, 2**16).astype(np.uint8), 40),
+        (make_rng(44).integers(0, 4, 2**16 + 1).astype(np.uint8), 40),
     ],
-    ids=["sigma-200k", "binary"],
+    ids=["sigma-200k", "binary", "sigma-4-full-word", "sigma-4-past-full-word"],
 )
 def test_wide_packed_keys(arr, width):
     sa, ranks = suffix_array(arr)
@@ -203,27 +207,19 @@ def test_forced_split_rounds_match_one_word_rounds(monkeypatch):
         assert len(got_ranks) == len(ranks) and all(map(np.array_equal, got_ranks, ranks))
 
 
-WORD_BOUNDARY = {  # symbol ranks + 1 take bit_length(sigma) bits
-    "sigma-1": np.full(100, 4, dtype=np.uint8),  # 64 symbols of 1 bit
-    "sigma-2": random_symbols(300, 2, 21),  # 32 of 2 bits
-    "sigma-4": random_symbols(300, 4, 22),  # 21 of 3 bits, 63 of 64
-    "sigma-200": random_symbols(2000, 200, 23),  # 8 of 8 bits
-    # "0 1^31" and "1 0^31" sort next to each other and XOR to 64 set bits,
-    # which float64 rounds up to 2^64
-    "complements": np.repeat(np.array([0, 1, 0], dtype=np.uint8), [1, 40, 40]),
-}
-
-
-@pytest.mark.parametrize("arr", WORD_BOUNDARY.values(), ids=WORD_BOUNDARY)
-def test_distinct_profile_word_boundary(arr, monkeypatch):
-    width = _WORD // np.unique(arr).size.bit_length()
-    naive = [naive_distinct(arr, ell) for ell in range(1, width + 2)]
-    calls = []
-    monkeypatch.setattr(suffixes, "suffix_array", lambda *a, **k: calls.append(1) or suffix_array(*a, **k))
-    assert distinct_length_profile(arr, width).tolist() == naive[:width]
-    assert not calls  # one word per window: no suffix array
-    assert distinct_length_profile(arr, width + 1).tolist() == naive
-    assert calls
+def test_first_sort_is_skipped_when_two_symbols_do_not_fit(monkeypatch):
+    # wide alphabets at n >~ 2^21 leave room for one symbol beside a position,
+    # so the pair rounds start at level 0; a word of p + bits bits does that here
+    cases = [(arr, stop) for arr in CORPUS for stop in (None, 1, 2, 5)]
+    want = [suffix_array(arr, stop) for arr, stop in cases]
+    packed = []
+    monkeypatch.setattr(suffixes, "_pack_windows", lambda *a: packed.append(1) or _pack_windows(*a))
+    for (arr, stop), (sa, ranks) in zip(cases, want):
+        monkeypatch.setattr(suffixes, "_WORD", (arr.size - 1).bit_length() + symbol_ranks(arr)[1].bit_length())
+        got_sa, got_ranks = suffix_array(arr, stop)
+        assert np.array_equal(got_sa, sa)
+        assert len(got_ranks) == len(ranks) and all(map(np.array_equal, got_ranks, ranks))
+    assert not packed
 
 
 def test_suffix_array_rejects_int32_overflow():
