@@ -41,8 +41,7 @@ import numpy as np
 
 from ._rng import derive_seed
 from .accessor import EstimateReport, QueryCountedString, meets_contract
-from .colors import amplification_runs, colors_estimate, colors_estimate_amplified, sample_count
-from .config import search_query_ceiling
+from .colors import amplification_runs, colors_estimate, colors_estimate_amplified, pool_size
 from .generators import GeneratorSpec
 from .lz import lz_estimate, lz_query_ceiling
 from .oracles import exact_color_count, exact_lz_cost, exact_rle_cost
@@ -53,6 +52,7 @@ from .rle import (
     rle_bucketed_estimate,
     rle_multiplicative_search,
     rle_refined_search,
+    search_query_ceiling,
 )
 
 CSV_FIELDS = ["trial", "seed", "estimate", "exact", "queries", "contract_pass", "valid", "error"]
@@ -111,7 +111,7 @@ ESTIMATORS = {
     "colors": Estimator(
         lambda acc, p, seed: colors_estimate(acc, float(p["lambda"]), seed),
         _exact_colors,
-        lambda e, n: float(sample_count(n, float(e["lambda"]))),
+        lambda e, n: float(pool_size(n, float(e["lambda"]), 1)),
     ),
     "colors-amplified": Estimator(
         lambda acc, p, seed: colors_estimate_amplified(
@@ -119,7 +119,7 @@ ESTIMATORS = {
         ),
         _exact_colors,
         lambda e, n: float(
-            amplification_runs(float(e.get("delta", 1 / 3))) * sample_count(n, float(e["lambda"]))
+            pool_size(n, float(e["lambda"]), amplification_runs(float(e.get("delta", 1 / 3))))
         ),
     ),
     "lz": Estimator(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .accessor import QueryCountedString, distinct_count
 from .campaign import ESTIMATORS, CampaignConfig, audit_queries, run_campaign, write_result
-from .generators import GeneratorSpec
+from .generators import FAMILIES, GeneratorSpec
 from .lz import distinguish_compressible
 from .oracles import (
     CostBreakdown,
@@ -51,10 +51,6 @@ def _emit_breakdown(b: CostBreakdown) -> None:
         sep = ",\n"
     out.write("\n  ]" if b.starts.size else "]")
     out.write(f',\n  "scheme": {json.dumps(b.scheme)},\n  "total_cost": {int(b.total_cost)}\n}}\n')
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("COMPEST_SEED", "0"))
 
 
 def _cmd_exact(args) -> int:
@@ -171,13 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
         "with exact oracles and adversarial generators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # A string default goes through type=int only for the subcommand parsed,
+    # so a malformed $COMPEST_SEED fails only a seeded subcommand.
+    seed_default = os.environ.get("COMPEST_SEED", "0")
 
     def add_common(p, needs_seed=True):
         p.add_argument("file", help="input file (raw bytes)")
         p.add_argument("--alphabet-size", type=int, default=None,
                        help="override the alphabet size (default: distinct bytes)")
         if needs_seed:
-            p.add_argument("--seed", type=int, default=_default_seed(),
+            p.add_argument("--seed", type=int, default=seed_default,
                            help="RNG seed (default: $COMPEST_SEED or 0)")
 
     p = sub.add_parser("exact", help="exact compression cost via the linear-time oracles")
@@ -216,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lz_distinguish)
 
     p = sub.add_parser("gen", help="generate adversarial instances")
-    p.add_argument("--family", choices=["wk", "coin", "lztight", "col2lz"], required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--n", type=int, default=1024, help="length (wk, coin)")
     p.add_argument("--k", type=int, default=16, help="block count (wk)")
     p.add_argument("--p", type=float, default=0.5, help="heads bias (coin)")
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", default=None, help="colors-instance file (col2lz)")
     p.add_argument("--n-prime", type=int, default=500, help="colors length if no --source")
     p.add_argument("--colors", type=int, default=50, help="distinct colors if no --source")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--out", required=True, help="output file (raw bytes)")
     p.add_argument("--emit-meta", action="store_true",
                    help="also write OUT.meta.json with exact oracle costs")

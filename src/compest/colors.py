@@ -30,6 +30,11 @@ def sample_count(n: int, lam: float) -> int:
     return math.ceil(10.0 * n / lam**2)
 
 
+def pool_size(n: int, lam: float, runs: int) -> int:
+    """Positions one pool of ``runs`` basic sample sizes draws, and so may read."""
+    return runs * sample_count(n, lam)
+
+
 def _pooled_estimate(
     tau: QueryCountedString, lam: float, runs: int, seed: int, confidence: float
 ) -> EstimateReport:
@@ -37,8 +42,7 @@ def _pooled_estimate(
     if lam <= 1:
         raise ValueError("lambda must be > 1")
     sess = tau.session()
-    s = runs * sample_count(sess.length, lam)
-    ts = make_rng(seed).integers(1, sess.length + 1, size=s)
+    ts = make_rng(seed).integers(1, sess.length + 1, size=pool_size(sess.length, lam, runs))
     return EstimateReport(
         estimate=float(distinct_count(sess.read_many(ts)) * lam),
         lam=lam,

@@ -171,7 +171,7 @@ def generate_colors_to_lz(
     return acc
 
 
-_FAMILIES = ("wk", "coin", "lztight", "col2lz")
+FAMILIES = ("wk", "coin", "lztight", "col2lz")
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,8 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
 
     def build(self):
         """Materialize the instance: an array, or a lazy accessor for col2lz."""

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._rng import derive_seed, make_rng
 from .accessor import EstimateReport, QueryCountedString, QuerySession
-from .colors import amplification_runs, sample_count
+from .colors import amplification_runs, pool_size, sample_count
 from .oracles import distinct_profile
 from .suffixes import lcp_at_least_counts, symbol_ranks
 
@@ -110,7 +110,7 @@ def window_pool_size(n: int, ell0: int, B: float, delta: float) -> int | None:
     n_virt = n - ell0 + 1
     if B <= 1.0 or sample_count(n_virt, B) >= n_virt:
         return None
-    return amplification_runs(delta) * sample_count(n_virt, B)
+    return pool_size(n_virt, B, amplification_runs(delta))
 
 
 def lz_query_ceiling(n: int, a_factor: float, epsilon: float) -> float:

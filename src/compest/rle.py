@@ -43,8 +43,38 @@ import numpy as np
 
 from ._rng import derive_seed, make_rng
 from .accessor import EstimateReport, QueryCountedString, QuerySession
-from .config import SEARCH_MAX_ROUNDS, additive_sample_count, bucketed_sample_count
 from .oracles import alphabet_bits, ceil_log2, exact_rle_cost, run_lengths
+
+# The sampling theorems fix only asymptotics; the constants below are
+# calibration choices. The read bounds that runs assert are derived from
+# these sample counts next to each estimator; only the search's ceiling is
+# audit-only.
+C_Q = 8.0   # additive RLE estimator: q = ceil(C_Q * ((1 + s) / 2)^2 / eps^2)
+C_B = 64.0  # bucketed RLE estimator: q = ceil(C_B * log(1/eps) * loglog(1/eps) / eps)
+
+C_SEARCH_AUDIT = 4.0  # x (n / C) * log2(n + 2)^3: the search's expected reads, audit only
+
+# Safety cap on search iterations (termination is guaranteed well below this
+# for any nonempty input; the cap only catches bugs).
+SEARCH_MAX_ROUNDS = 64
+
+
+def additive_sample_count(epsilon: float, alphabet_size: int) -> int:
+    # c(t) lies in (0, 1 + s], s = ceil(log2(sigma)): the sampling error of a
+    # mean of contributions grows with that range, so the sample count grows
+    # with its square. The factor is 1 at sigma = 2.
+    range_factor = ((1 + alphabet_bits(alphabet_size)) / 2) ** 2
+    return math.ceil(C_Q * range_factor / epsilon**2)
+
+
+def bucketed_sample_count(epsilon: float, delta: float) -> int:
+    # log factors guarded below 1 so the formula stays meaningful for
+    # eps >= 1/2 (the analysis only needs the asymptotic shape).
+    l1 = max(1.0, math.log2(1.0 / epsilon))
+    l2 = max(1.0, math.log2(max(2.0, l1)))
+    base = math.ceil(C_B * l1 * l2 / epsilon)
+    amp = math.ceil(math.log2(3.0 / delta))
+    return base * max(1, amp)
 
 
 def contribution(length, alphabet_size: int) -> np.ndarray:
@@ -312,20 +342,9 @@ class BucketTable:
     full scan (``exact_mode``) q_h is the full population n instead.
     """
 
-    h0: int
-    s_bits: int
     q: int
     rows: tuple
     exact_mode: bool = False
-
-    def validate(self) -> None:
-        for row in self.rows:
-            if not 0.0 <= row.beta <= 1.0:
-                raise AssertionError(f"beta out of range in bucket {row.h}")
-            if not self.exact_mode:
-                expect = min(self.q, math.ceil(self.q * row.weight))
-                if row.q_h != expect:
-                    raise AssertionError(f"bucket {row.h}: q_h {row.q_h} != {expect}")
 
 
 def _geometric_buckets(ell0: int, s_bits: int, ratio: float) -> list[tuple[int, float, float, int, float]]:
@@ -403,8 +422,6 @@ def _bucketed_core(
     the output lands within a factor of the bucket width of the true cost.
     """
     n = sess.length
-    s_bits = alphabet_bits(sess.alphabet_size)
-    h0 = max((h for h, *_ in buckets), default=0)
     rows = []
     if q >= n:
         data = sess.read_all()
@@ -414,9 +431,7 @@ def _bucketed_core(
             hits = int(lens[(lens >= low) & (lens < high)].sum())
             est += (hits / n) * n * weight
             rows.append(BucketRow(h, low, high, cap, weight, q_h=n, hits=hits))
-        table = BucketTable(h0=h0, s_bits=s_bits, q=q, rows=tuple(rows), exact_mode=True)
-        table.validate()
-        return est, table, n
+        return est, BucketTable(q, tuple(rows), exact_mode=True), n
 
     q_hs = _sample_counts(buckets, q)
     caps = _probe_caps(buckets, q_hs, q)
@@ -427,9 +442,7 @@ def _bucketed_core(
         hits = int(np.count_nonzero((conf[:q_h] >= math.ceil(low)) & (conf[:q_h] < high)))
         est += (n / q_h) * hits * weight
         rows.append(BucketRow(h, low, high, cap, weight, q_h=q_h, hits=hits))
-    table = BucketTable(h0=h0, s_bits=s_bits, q=q, rows=tuple(rows), exact_mode=False)
-    table.validate()
-    return est, table, _read_bound(buckets, q_hs, q)
+    return est, BucketTable(q, tuple(rows)), _read_bound(buckets, q_hs, q)
 
 
 def rle_bucketed_estimate_detailed(
@@ -470,6 +483,10 @@ class SearchRound:
 class SearchTrace:
     rounds: tuple
     report: EstimateReport
+
+
+def search_query_ceiling(n: int, exact_cost: float) -> float:
+    return C_SEARCH_AUDIT * (n / max(1.0, exact_cost)) * math.log2(n + 2) ** 3
 
 
 def _interval_search(

@@ -30,10 +30,13 @@ from compest import (
 )
 from compest._rng import derive_seed, make_rng
 from compest.campaign import build_builtin
-from compest import config
 from compest.oracles import distinct_profile, rle_length_bits, run_lengths
 from compest.lz import lz_query_ceiling
-from compest.rle import additive_query_ceiling, rle_multiplicative_search_detailed
+from compest.rle import (
+    additive_query_ceiling,
+    rle_multiplicative_search_detailed,
+    search_query_ceiling,
+)
 from naive import all_ones, alternating, naive_lz_cost, naive_rle_cost, random_symbols
 
 TRIALS = 100
@@ -164,7 +167,7 @@ def test_criterion_07_multiplicative_search():
         rep = rle_multiplicative_search_detailed(acc(ones, 2), seed=derive_seed(32_500, t)).report
         hits_ones += exact_ones / 4 <= rep.estimate <= 4 * exact_ones
     mean_q = float(np.mean(measured))
-    ceiling = config.search_query_ceiling(n, exact_alt)
+    ceiling = search_query_ceiling(n, exact_alt)
     check(7, "4x search: in [C/4, 4C] on alternating and all-ones, query ceiling on alternating",
           hits_alt >= 90 and hits_ones >= 90 and mean_q <= ceiling,
           f"alt={hits_alt} ones={hits_ones} mean_q={mean_q:.0f} ceiling={ceiling:.0f}")

@@ -216,9 +216,12 @@ def test_audit_scaling_lz_factor_doubled():
 
 @pytest.mark.parametrize("sigma", [2, 4])
 def test_audit_ceilings_are_the_bounds_runs_assert(sigma):
+    from compest import QueryCountedString
     from compest.campaign import ESTIMATORS
+    from compest.colors import amplification_runs, pool_size
     from compest.lz import lz_query_ceiling
     from compest.rle import additive_query_ceiling, bucketed_query_ceiling
+    from naive import random_symbols
 
     n = 10**5
     cases = [
@@ -229,6 +232,23 @@ def test_audit_ceilings_are_the_bounds_runs_assert(sigma):
     for name, params, bound in cases:
         entry = dict(params, estimator=name, n=n, sigma=sigma)
         assert ESTIMATORS[name].ceiling(entry, n) == bound, name
+
+    # The colors rows audit the pool a run draws: a real run reads no more.
+    # At lambda 3 the pool exceeds n; at lambda 8 it is below n.
+    w = QueryCountedString.from_tokens(random_symbols(n, sigma, seed=sigma), sigma)
+    cases = [
+        (name, dict(params, **{"lambda": lam}), pool_size(n, lam, runs))
+        for lam in (3, 8)
+        for name, params, runs in [
+            ("colors", {}, 1),
+            ("colors-amplified", {"delta": 0.1}, amplification_runs(0.1)),
+        ]
+    ]
+    assert pool_size(n, 8, amplification_runs(0.1)) < n
+    for name, params, bound in cases:
+        entry = dict(params, estimator=name, n=n, sigma=sigma)
+        assert ESTIMATORS[name].ceiling(entry, n) == bound, name
+        assert ESTIMATORS[name].run(w, params, 5).queries_used <= bound, name
 
 
 def test_audit_rows_flag_violations():
@@ -246,9 +266,8 @@ def test_audit_rows_flag_violations():
     assert rows[0].within and not rows[1].within
 
     from compest.colors import amplification_runs, sample_count
-    from compest import config
     from compest.lz import lz_query_ceiling
-    from compest.rle import bucketed_query_ceiling
+    from compest.rle import bucketed_query_ceiling, search_query_ceiling
 
     others = [
         ({"estimator": "rle-bucketed", "n": 1000, "epsilon": 0.2, "delta": 0.1, "sigma": 4},
@@ -256,7 +275,7 @@ def test_audit_rows_flag_violations():
         ({"estimator": "rle-bucketed", "n": 1000, "epsilon": 0.2},
          bucketed_query_ceiling(0.2, 1 / 3, 2)),
         ({"estimator": "rle-search", "n": 10**5, "exact": 4e4},
-         config.search_query_ceiling(10**5, 4e4)),
+         search_query_ceiling(10**5, 4e4)),
         ({"estimator": "colors", "n": 5000, "lambda": 3}, float(sample_count(5000, 3))),
         ({"estimator": "colors-amplified", "n": 5000, "lambda": 3, "delta": 0.1},
          float(amplification_runs(0.1) * sample_count(5000, 3))),
@@ -383,6 +402,17 @@ def test_cli_gen_col2lz(tmp_path):
     assert raw.size == 50 * 5  # n' * ceil(1/alpha')
 
 
+def test_cli_gen_families_are_the_generators():
+    from compest.generators import FAMILIES
+
+    parser = cli.build_parser()
+    for family in FAMILIES:
+        assert parser.parse_args(["gen", "--family", family, "--out", "x"]).family == family
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["gen", "--family", "wkk", "--out", "x"])
+    assert exc.value.code == 2
+
+
 def test_cli_campaign_run_and_audit(tmp_path, sample_file):
     cfg = {
         "estimator": "rle-additive",
@@ -430,6 +460,13 @@ def test_cli_env_var_seed(sample_file, monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["rle-est", sample_file])
     assert args.seed == 123
+    # a malformed value fails only the subcommands that take a seed
+    monkeypatch.setenv("COMPEST_SEED", "abc")
+    code, out = run_cli(["exact", "--scheme", "rle", sample_file])
+    assert code == 0 and json.loads(out)["total_cost"] == 2 * 4096
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["rle-est", sample_file])
+    assert exc.value.code == 2
 
 
 def test_cli_entry_point_subprocess(sample_file):

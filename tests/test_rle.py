@@ -13,7 +13,6 @@ from compest import (
     rle_multiplicative_search,
     rle_refined_search,
 )
-from compest import config
 from compest._rng import make_rng
 from compest.oracles import ceil_log2
 from compest.generators import generate_wk
@@ -27,6 +26,7 @@ from compest.rle import (
     _sample_counts,
     additive_probe_cap,
     additive_query_ceiling,
+    additive_sample_count,
     bucketed_query_ceiling,
     contribution,
     rle_bucketed_estimate_detailed,
@@ -231,7 +231,7 @@ def test_additive_budget_and_contract_on_random():
         w = acc(arr)
         rep = rle_additive_estimate(w, eps, seed=seed)
         exact = exact_rle_cost(arr, 2).total_cost
-        q = config.additive_sample_count(eps, 2)
+        q = additive_sample_count(eps, 2)
         ell0 = additive_probe_cap(eps, 2)
         assert rep.queries_used <= q * (ell0 + 1)
         assert rep.queries_used <= additive_query_ceiling(eps, 2)
@@ -274,7 +274,7 @@ def test_additive_matches_its_own_sample():
     n, eps, seed = 50_000, 0.1, 6
     arr = random_symbols(n, 2, seed=12)
     rep = rle_additive_estimate(acc(arr), eps, seed=seed)
-    ts = make_rng(seed).integers(1, n + 1, size=config.additive_sample_count(eps, 2))
+    ts = make_rng(seed).integers(1, n + 1, size=additive_sample_count(eps, 2))
     lengths = true_run_lengths(arr)[ts - 1]
     ell0 = additive_probe_cap(eps, 2)
     contrib = np.where(lengths >= ell0, 0.0, contribution(lengths, 2))
@@ -320,7 +320,6 @@ def test_bucketed_all_ones_estimates_zero():
 def test_bucketed_sample_counts_follow_weights():
     w = acc(random_symbols(100_000, 2, seed=3))
     _, table = rle_bucketed_estimate_detailed(w, 0.05, 1 / 3, seed=6)
-    table.validate()
     for row in table.rows:
         expect = min(table.q, math.ceil(table.q * row.weight))
         assert row.q_h == expect and row.q_h <= table.q
