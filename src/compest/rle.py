@@ -23,8 +23,11 @@ Every sampled read goes through one :class:`RunProber` pass per estimate
 each up to a final cap known before the first read. Probes first step in
 lockstep; those still open are then sorted, and probes that share a run
 share one walk of it, so a long run is read about once, not once per probe.
-Where the sample count reaches n (for the additive estimator, also where n
-is at most the probe cap) the estimator reads the whole string instead.
+Where the sample count reaches ``SCAN_SHARE * n`` (for the additive
+estimator, also where n is at most the probe cap) the estimator reads the
+whole string instead: a sampled pass that plans that many probes reads most
+of n anyway, one probe walk at a time, and costs several times a scan. The
+searches also scan once their reads so far reach that share.
 
 The per-position cost contribution of index t in a run of length ell is
 c(t) = (ceil(log2(ell + 1)) + ceil(log2(sigma))) / ell, so that the total
@@ -53,6 +56,12 @@ C_Q = 8.0   # additive RLE estimator: q = ceil(C_Q * ((1 + s) / 2)^2 / eps^2)
 C_B = 64.0  # bucketed RLE estimator: q = ceil(C_B * log(1/eps) * loglog(1/eps) / eps)
 
 C_SEARCH_AUDIT = 4.0  # x (n / C) * log2(n + 2)^3: the search's expected reads, audit only
+
+# Share of n at which a run scans the whole string instead of sampling: the
+# planned sample count for every estimator, and also the reads so far before
+# each search round. Past it a sampled pass reads most of n in any case, at
+# several times the cost of one scan.
+SCAN_SHARE = 0.25
 
 # Safety cap on search iterations (termination is guaranteed well below this
 # for any nonempty input; the cap only catches bugs).
@@ -290,8 +299,9 @@ class RunProber:
 def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> EstimateReport:
     """Estimate the RLE cost to within an additive eps*n, claiming (1, eps).
 
-    Degenerate inputs (n below the probe cap, or sample count at least n)
-    fall back to an exact scan; sublinearity is meaningless below the budget.
+    Degenerate inputs (n below the probe cap, or sample count at least
+    ``SCAN_SHARE * n``) fall back to an exact scan; sublinearity is
+    meaningless below the budget.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
@@ -300,7 +310,7 @@ def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> E
     ell0 = additive_probe_cap(epsilon, sigma)
     q = additive_sample_count(epsilon, sigma)
     sess = w.session()
-    if n <= ell0 or q >= n:
+    if n <= ell0 or q >= SCAN_SHARE * n:
         est = float(exact_rle_cost(sess.read_all(), sigma).total_cost)
     else:
         conf = RunProber(sess, make_rng(seed).integers(1, n + 1, size=q)).advance(ell0)
@@ -313,7 +323,8 @@ def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> E
 
 
 def additive_query_ceiling(epsilon: float, alphabet_size: int) -> float:
-    """Reads of :func:`rle_additive_estimate`: q probes of <= ell0 + 1, or n <= max(q, ell0)."""
+    """Reads of :func:`rle_additive_estimate`: q probes of <= ell0 + 1, or a scan of
+    n <= max(q / SCAN_SHARE, ell0)."""
     ell0 = additive_probe_cap(epsilon, alphabet_size)
     return float(additive_sample_count(epsilon, alphabet_size) * (ell0 + 1))
 
@@ -339,7 +350,8 @@ class BucketTable:
 
     In the sampled regime the sample counts obey
     q_h = min(q, ceil(q * weight_h)); when the estimator degenerates to a
-    full scan (``exact_mode``) q_h is the full population n instead.
+    full scan (``exact_mode``, taken once q reaches ``SCAN_SHARE * n``) q_h
+    is the full population n instead.
     """
 
     q: int
@@ -403,7 +415,8 @@ def _read_bound(buckets: list, q_hs: list[int], q: int) -> int:
 
 
 def bucketed_query_ceiling(epsilon: float, delta: float, alphabet_size: int) -> float:
-    """Reads of :func:`rle_bucketed_estimate`: q plus the probes' final caps, or n <= q."""
+    """Reads of :func:`rle_bucketed_estimate`: q plus the probes' final caps (at least
+    5q), or a scan of n <= q / SCAN_SHARE."""
     buckets, q = _bucket_plan(epsilon, delta, alphabet_size)
     return float(_read_bound(buckets, _sample_counts(buckets, q), q))
 
@@ -417,13 +430,13 @@ def _bucketed_core(
     """Shared engine for the factor-2 and refined bucketed estimators.
 
     Returns (estimate, table, bound on the reads). Degenerates to an exact scan
-    (bound n) when the sample count reaches the string length; the scan
+    (bound n) when the sample count reaches ``SCAN_SHARE * n``; the scan
     classifies every position, so each beta_h is the true bucket fraction and
     the output lands within a factor of the bucket width of the true cost.
     """
     n = sess.length
     rows = []
-    if q >= n:
+    if q >= SCAN_SHARE * n:
         data = sess.read_all()
         _, lens = run_lengths(data)
         est = 0.0
@@ -506,28 +519,43 @@ def _interval_search(
     ``stop_ratio``. A non-positive lower end means the ratio is treated as
     infinite and the loop continues. The output sqrt(lower * upper) is then
     within sqrt(stop_ratio) of the cost whenever every interval was valid.
+
+    Once a round plans, or the rounds so far have read, ``SCAN_SHARE * n``
+    positions, the search reads the string once instead and ends on a last
+    round whose estimate and interval are the exact cost.
     """
     n = w.length
     sess = w.session()
     rounds = []
     budget = 0
+
+    def checked_reads():
+        used = sess.queries
+        if used > budget:
+            raise RuntimeError("search probes read past their caps; prober is broken")
+        return used
+
     for j in range(1, SEARCH_MAX_ROUNDS + 1):
         eps_j = 2.0**-j
         delta_j = (1.0 / 3.0) * 2.0**-j
-        plan = _bucket_plan(eps_j, delta_j, sess.alphabet_size, ratio, q_scale)
-        est, _, bound = _bucketed_core(sess, *plan, derive_seed(seed, j))
+        buckets, q = _bucket_plan(eps_j, delta_j, sess.alphabet_size, ratio, q_scale)
+        if max(q, checked_reads()) >= SCAN_SHARE * n:
+            out = float(exact_rle_cost(sess.read_all(), sess.alphabet_size).total_cost)
+            rounds.append(SearchRound(j, 0.0, 0.0, out, out, out))
+            break
+        est, _, bound = _bucketed_core(sess, buckets, q, derive_seed(seed, j))
         budget += bound
         lower = (est - eps_j * n) * shrink
         upper = (est + eps_j * n) * grow
         rounds.append(SearchRound(j, eps_j, delta_j, est, lower, upper))
         if lower > 0 and upper / lower <= stop_ratio:
-            used = sess.queries
-            if used > budget:
-                raise RuntimeError("search probes read past their caps; prober is broken")
+            checked_reads()
             out = math.sqrt(lower * upper)
-            report = EstimateReport(out, claim_lam, 0.0, used, seed)
-            return SearchTrace(rounds=tuple(rounds), report=report)
-    raise RuntimeError("cost search did not converge; this should be impossible")
+            break
+    else:
+        raise RuntimeError("cost search did not converge; this should be impossible")
+    report = EstimateReport(out, claim_lam, 0.0, sess.queries, seed)
+    return SearchTrace(rounds=tuple(rounds), report=report)
 
 
 def rle_multiplicative_search_detailed(w: QueryCountedString, seed: int) -> SearchTrace:

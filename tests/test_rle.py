@@ -14,10 +14,12 @@ from compest import (
     rle_refined_search,
 )
 from compest._rng import make_rng
+from compest.campaign import build_builtin
 from compest.oracles import ceil_log2
 from compest.generators import generate_wk
 from compest.rle import (
     LOCKSTEP_STEPS,
+    SCAN_SHARE,
     RunProber,
     _bucket_plan,
     _geometric_buckets,
@@ -270,6 +272,17 @@ def test_additive_small_input_goes_exact():
     assert rep.queries_used == 100
 
 
+def test_additive_scans_once_its_sample_reaches_the_scan_share():
+    # q = 800 probes at eps 0.1 plan 0.4 n on n = 2000, above the probe cap 506
+    n, eps = 2000, 0.1
+    assert additive_probe_cap(eps, 2) < n
+    assert SCAN_SHARE * n <= additive_sample_count(eps, 2) < n
+    arr = random_symbols(n, 2, seed=8)
+    rep = rle_additive_estimate(acc(arr), eps, seed=0)
+    assert rep.estimate == exact_rle_cost(arr, 2).total_cost
+    assert rep.queries_used == n
+
+
 def test_additive_matches_its_own_sample():
     n, eps, seed = 50_000, 0.1, 6
     arr = random_symbols(n, 2, seed=12)
@@ -309,7 +322,7 @@ def test_bucketed_alternating_concentrates_in_first_bucket():
 
 
 def test_bucketed_all_ones_estimates_zero():
-    n = 100_000
+    n = 400_000  # q = 46 728 at eps 0.05 stays below SCAN_SHARE * n
     w = acc(all_ones(n))
     rep, table = rle_bucketed_estimate_detailed(w, 0.05, 1 / 3, seed=5)
     assert not table.exact_mode
@@ -318,8 +331,9 @@ def test_bucketed_all_ones_estimates_zero():
 
 
 def test_bucketed_sample_counts_follow_weights():
-    w = acc(random_symbols(100_000, 2, seed=3))
+    w = acc(random_symbols(400_000, 2, seed=3))
     _, table = rle_bucketed_estimate_detailed(w, 0.05, 1 / 3, seed=6)
+    assert not table.exact_mode
     for row in table.rows:
         expect = min(table.q, math.ceil(table.q * row.weight))
         assert row.q_h == expect and row.q_h <= table.q
@@ -344,6 +358,29 @@ def test_bucketed_full_sampling_two_sided_identity():
         # ignored tail (runs past the last bucket) is bounded by eps*n/2
         assert exact - 0.3 * arr.size / 2 <= rep.estimate <= 2 * exact
         assert rep.queries_used == arr.size
+
+
+def test_bucketed_scans_once_its_sample_reaches_the_scan_share():
+    # q = 46 728 at eps 0.05 plans 0.47 n on n = 1e5: short of n, past the share
+    n, eps = 100_000, 0.05
+    for seed in range(3):
+        arr = random_symbols(n, 2, seed + 910)
+        rep, table = rle_bucketed_estimate_detailed(acc(arr), eps, 1 / 3, seed=seed)
+        assert SCAN_SHARE * n <= table.q < n
+        assert table.exact_mode and rep.queries_used == n
+        assert all(row.q_h == n for row in table.rows)
+        exact = exact_rle_cost(arr, 2).total_cost
+        assert exact - eps * n / 2 <= rep.estimate <= 2 * exact
+
+
+def test_sampled_lanes_below_the_scan_share_stay_sampled():
+    n = 10**6
+    w = acc(random_symbols(n, 2, seed=14))
+    rep, table = rle_bucketed_estimate_detailed(w, 0.05, 1 / 3, seed=0)
+    assert not table.exact_mode and rep.queries_used < SCAN_SHARE * n
+    trace = rle_multiplicative_search_detailed(acc(build_builtin("run-mix", n, 3)), seed=0)
+    assert all(r.epsilon > 0 for r in trace.rounds)  # no round is the scan
+    assert trace.report.queries_used < SCAN_SHARE * n
 
 
 def test_bucketed_query_ceiling():
@@ -427,6 +464,20 @@ def test_runs_that_read_past_their_bounds_fail(monkeypatch):
 
 
 # -- multiplicative searches ----------------------------------------------
+
+
+def test_search_scans_once_its_reads_reach_the_scan_share():
+    n = 100_000
+    arr = generate_wk(n, n // 100, seed=3)
+    trace = rle_multiplicative_search_detailed(acc(arr), seed=0)
+    exact = float(exact_rle_cost(arr, 2).total_cost)
+    *sampled, last = trace.rounds
+    # rounds 1-2 leave 0.73 n read, and round 3 plans only 0.17 n: the reads switch it
+    assert len(sampled) == 2 and all(r.epsilon > 0 for r in sampled)
+    assert _bucket_plan(2.0**-3, 2.0**-3 / 3, 2)[1] < SCAN_SHARE * n
+    assert (last.epsilon, last.estimate, last.lower, last.upper) == (0.0, exact, exact, exact)
+    assert trace.report.estimate == exact and trace.report.queries_used == n
+    assert (trace.report.lam, trace.report.epsilon) == (4.0, 0.0)
 
 
 def test_search_terminates_fast_on_incompressible():
