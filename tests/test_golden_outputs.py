@@ -6,7 +6,9 @@ code before its estimator dispatch was folded into one table, so any change
 in an output byte fails here, not only a difference between two runs of the
 same code (which is all criterion 12 checks). The outputs that depend on the
 number of colors and window samples drawn were recaptured when median
-amplification gave way to one pooled sample.
+amplification gave way to one pooled sample. The RLE outputs whose planned
+sample or search reads reach a quarter of n were recaptured when that share,
+not n, became the point where RLE runs scan the whole string.
 
 ``compest exact --scheme rle|lz`` prints one JSON part per run or phrase,
 megabytes on the 2e5-byte inputs below, so those outputs are pinned by
@@ -164,7 +166,7 @@ CLI_EXPECTED = {
         '  "epsilon": 0.2,\n'
         '  "estimate": 8192.0,\n'
         '  "lambda": 3.0,\n'
-        '  "queries_used": 3786,\n'
+        '  "queries_used": 4096,\n'
         '  "seed": 5\n'
         '}\n'
     ),
@@ -184,7 +186,7 @@ CLI_EXPECTED = {
         '{\n'
         '  "confidence": 0.6666666666666666,\n'
         '  "epsilon": 0.0,\n'
-        '  "estimate": 7283.919162260997,\n'
+        '  "estimate": 8192.0,\n'
         '  "lambda": 1.5,\n'
         '  "queries_used": 4096,\n'
         '  "seed": 5\n'
@@ -291,17 +293,17 @@ CAMPAIGN_EXPECTED = {
     'rle-search': (
         (
             '{"base_seed": 17, "estimator": "rle-search", "instance": {"kind": "builtin", "n"'
-            ': 20000, "name": "run-mix", "seed": 2}, "mean_queries": 19966.5, "min_success_ra'
+            ': 20000, "name": "run-mix", "seed": 2}, "mean_queries": 20000.0, "min_success_ra'
             'te": 0.9, "params": {}, "rows": [{"contract_pass": 1, "error": "", "estimate": 1'
-            '5254.671661304752, "exact": 15522.0, "queries": 19966, "seed": 18135116925315326'
-            '96, "trial": 0, "valid": 1}, {"contract_pass": 1, "error": "", "estimate": 15310'
-            '.551902776333, "exact": 15522.0, "queries": 19967, "seed": 8231200177987496774, '
-            '"trial": 1, "valid": 1}], "success_rate": 1.0, "trials": 2}'
+            '5522.0, "exact": 15522.0, "queries": 20000, "seed": 1813511692531532696, "trial"'
+            ': 0, "valid": 1}, {"contract_pass": 1, "error": "", "estimate": 15522.0, "exact"'
+            ': 15522.0, "queries": 20000, "seed": 8231200177987496774, "trial": 1, "valid": 1'
+            '}], "success_rate": 1.0, "trials": 2}'
         ),
         (
             'trial,seed,estimate,exact,queries,contract_pass,valid,error\n'
-            '0,1813511692531532696,15254.671661304752,15522.0,19966,1,1,\n'
-            '1,8231200177987496774,15310.551902776333,15522.0,19967,1,1,\n'
+            '0,1813511692531532696,15522.0,15522.0,20000,1,1,\n'
+            '1,8231200177987496774,15522.0,15522.0,20000,1,1,\n'
         ),
     ),
     'rle-refined': (
@@ -309,15 +311,15 @@ CAMPAIGN_EXPECTED = {
             '{"base_seed": 17, "estimator": "rle-refined", "instance": {"kind": "builtin", "n'
             '": 20000, "name": "run-mix", "seed": 2}, "mean_queries": 20000.0, "min_success_r'
             'ate": 0.9, "params": {"gamma": 0.5}, "rows": [{"contract_pass": 1, "error": "", '
-            '"estimate": 13729.885606876898, "exact": 15522.0, "queries": 20000, "seed": 1813'
-            '511692531532696, "trial": 0, "valid": 1}, {"contract_pass": 1, "error": "", "est'
-            'imate": 13729.885606876898, "exact": 15522.0, "queries": 20000, "seed": 82312001'
-            '77987496774, "trial": 1, "valid": 1}], "success_rate": 1.0, "trials": 2}'
+            '"estimate": 15522.0, "exact": 15522.0, "queries": 20000, "seed": 181351169253153'
+            '2696, "trial": 0, "valid": 1}, {"contract_pass": 1, "error": "", "estimate": 155'
+            '22.0, "exact": 15522.0, "queries": 20000, "seed": 8231200177987496774, "trial": '
+            '1, "valid": 1}], "success_rate": 1.0, "trials": 2}'
         ),
         (
             'trial,seed,estimate,exact,queries,contract_pass,valid,error\n'
-            '0,1813511692531532696,13729.885606876898,15522.0,20000,1,1,\n'
-            '1,8231200177987496774,13729.885606876898,15522.0,20000,1,1,\n'
+            '0,1813511692531532696,15522.0,15522.0,20000,1,1,\n'
+            '1,8231200177987496774,15522.0,15522.0,20000,1,1,\n'
         ),
     ),
     'colors': (
