@@ -23,11 +23,9 @@ Every sampled read goes through one :class:`RunProber` pass per estimate
 each up to a final cap known before the first read. Probes first step in
 lockstep; those still open are then sorted, and probes that share a run
 share one walk of it, so a long run is read about once, not once per probe.
-Where the sample count reaches ``SCAN_SHARE * n`` (for the additive
-estimator, also where n is at most the probe cap) the estimator reads the
-whole string instead: a sampled pass that plans that many probes reads most
-of n anyway, one probe walk at a time, and costs several times a scan. The
-searches also scan once their reads so far reach that share.
+Where the sample count, or a search's reads so far, reach ``SCAN_SHARE * n``
+(for the additive estimator, also where n is at most the probe cap) the
+estimator reads the whole string instead.
 
 The per-position cost contribution of index t in a run of length ell is
 c(t) = (ceil(log2(ell + 1)) + ceil(log2(sigma))) / ell, so that the total
@@ -57,10 +55,9 @@ C_B = 64.0  # bucketed RLE estimator: q = ceil(C_B * log(1/eps) * loglog(1/eps) 
 
 C_SEARCH_AUDIT = 4.0  # x (n / C) * log2(n + 2)^3: the search's expected reads, audit only
 
-# Share of n at which a run scans the whole string instead of sampling: the
-# planned sample count for every estimator, and also the reads so far before
-# each search round. Past it a sampled pass reads most of n in any case, at
-# several times the cost of one scan.
+# Planned draws (or a search's reads so far) at which a run scans instead:
+# past a quarter of n a sampled pass reads most of n anyway, at several
+# times the cost of one scan.
 SCAN_SHARE = 0.25
 
 # Safety cap on search iterations (termination is guaranteed well below this

@@ -348,29 +348,18 @@ def test_ratio_two_bucket_rows(ell0, s_bits):
 
 
 def test_bucketed_full_sampling_two_sided_identity():
-    # with the whole string classified, the output lands in [exact, 2*exact]
-    for seed in range(8):
-        arr = random_symbols(1000, 2, seed + 900)
-        w = acc(arr)
-        rep, table = rle_bucketed_estimate_detailed(w, 0.3, 1 / 3, seed=seed)
-        assert table.exact_mode  # sample count >= n triggers the full scan
-        exact = exact_rle_cost(arr, 2).total_cost
-        # ignored tail (runs past the last bucket) is bounded by eps*n/2
-        assert exact - 0.3 * arr.size / 2 <= rep.estimate <= 2 * exact
-        assert rep.queries_used == arr.size
-
-
-def test_bucketed_scans_once_its_sample_reaches_the_scan_share():
-    # q = 46 728 at eps 0.05 plans 0.47 n on n = 1e5: short of n, past the share
-    n, eps = 100_000, 0.05
-    for seed in range(3):
-        arr = random_symbols(n, 2, seed + 910)
-        rep, table = rle_bucketed_estimate_detailed(acc(arr), eps, 1 / 3, seed=seed)
-        assert SCAN_SHARE * n <= table.q < n
-        assert table.exact_mode and rep.queries_used == n
-        assert all(row.q_h == n for row in table.rows)
-        exact = exact_rle_cost(arr, 2).total_cost
-        assert exact - eps * n / 2 <= rep.estimate <= 2 * exact
+    # with the whole string classified, the output lands in [exact, 2*exact];
+    # q >= n at eps 0.3 on n = 1000, and q = 0.47 n, past SCAN_SHARE, at eps 0.05 on n = 1e5
+    for n, eps in ((1000, 0.3), (100_000, 0.05)):
+        for seed in range(8):
+            arr = random_symbols(n, 2, seed + 900)
+            rep, table = rle_bucketed_estimate_detailed(acc(arr), eps, 1 / 3, seed=seed)
+            assert table.exact_mode and table.q >= SCAN_SHARE * n
+            assert all(row.q_h == n for row in table.rows)
+            exact = exact_rle_cost(arr, 2).total_cost
+            # ignored tail (runs past the last bucket) is bounded by eps*n/2
+            assert exact - eps * n / 2 <= rep.estimate <= 2 * exact
+            assert rep.queries_used == n
 
 
 def test_sampled_lanes_below_the_scan_share_stay_sampled():
