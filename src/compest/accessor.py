@@ -243,6 +243,13 @@ class QuerySession:
     def queries(self) -> int:
         return len(self._touched)
 
+    def queries_within(self, bound: int) -> int:
+        """``queries``, which must not pass the run's planned ``bound``."""
+        used = self.queries
+        if used > bound:
+            raise RuntimeError(f"{used} reads past the planned {bound}; the sampler is broken")
+        return used
+
     def read_many(self, positions: np.ndarray) -> np.ndarray:
         idx0 = self.parent._check(np.asarray(positions))
         self._touched.add(idx0)
@@ -254,6 +261,16 @@ class QuerySession:
     def read_all(self) -> np.ndarray:
         """Read the whole string through the session (n queries)."""
         return self.read_many(np.arange(1, self.length + 1, dtype=np.int64))
+
+
+@dataclass(frozen=True)
+class ReadPlan:
+    """A run's reads, fixed before its first: ``draws`` sampled positions, or
+    an exact ``scan`` (no draws), in at most ``bound`` reads (n for a scan)."""
+
+    scan: bool
+    draws: int
+    bound: int
 
 
 @dataclass(frozen=True)

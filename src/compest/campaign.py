@@ -40,14 +40,14 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import derive_seed
-from .accessor import EstimateReport, QueryCountedString, meets_contract
-from .colors import amplification_runs, colors_estimate, colors_estimate_amplified, pool_size
+from .accessor import EstimateReport, QueryCountedString, ReadPlan, meets_contract
+from .colors import amplification_runs, colors_estimate, colors_estimate_amplified, colors_plan
 from .generators import GeneratorSpec
-from .lz import lz_estimate, lz_query_ceiling
+from .lz import LzEstimateParams, lz_estimate, window_plan
 from .oracles import exact_color_count, exact_lz_cost, exact_rle_cost
 from .rle import (
-    additive_query_ceiling,
-    bucketed_query_ceiling,
+    additive_plan,
+    bucketed_plan,
     rle_additive_estimate,
     rle_bucketed_estimate,
     rle_multiplicative_search,
@@ -70,11 +70,17 @@ def _exact_lz(acc: QueryCountedString) -> float:
     return float(exact_lz_cost(acc.materialize()).total_cost)
 
 
+def _lz_plan(e: dict, n: int) -> ReadPlan:
+    p = LzEstimateParams.derive(float(e["A"]), float(e["epsilon"]), n)
+    return window_plan(n, p.ell0, p.B, p.delta)
+
+
 class Estimator(NamedTuple):
     """How to call an estimator from a params dict and a seed, the exact cost
-    it is judged against, and its audit ceiling from a report entry and n
-    (None: it claims none). The calls name estimators and oracles as module
-    globals, so they resolve at call time and a patched attribute applies."""
+    it is judged against, and its audit ceiling from a report entry and n: its
+    plan's read bound (None: it claims none). The calls name estimators and
+    oracles as module globals, so they resolve at call time and a patched
+    attribute applies."""
 
     run: Callable[[QueryCountedString, dict, int], EstimateReport]
     exact: Callable[[QueryCountedString], float]
@@ -85,16 +91,16 @@ ESTIMATORS = {
     "rle-additive": Estimator(
         lambda acc, p, seed: rle_additive_estimate(acc, float(p["epsilon"]), seed),
         _exact_rle,
-        lambda e, n: additive_query_ceiling(float(e["epsilon"]), int(e.get("sigma", 2))),
+        lambda e, n: additive_plan(n, int(e.get("sigma", 2)), float(e["epsilon"])).bound,
     ),
     "rle-bucketed": Estimator(
         lambda acc, p, seed: rle_bucketed_estimate(
             acc, float(p["epsilon"]), float(p.get("delta", 1 / 3)), seed
         ),
         _exact_rle,
-        lambda e, n: bucketed_query_ceiling(
-            float(e["epsilon"]), float(e.get("delta", 1 / 3)), int(e.get("sigma", 2))
-        ),
+        lambda e, n: bucketed_plan(
+            n, int(e.get("sigma", 2)), float(e["epsilon"]), float(e.get("delta", 1 / 3))
+        ).bound,
     ),
     "rle-search": Estimator(
         lambda acc, p, seed: rle_multiplicative_search(acc, seed),
@@ -111,21 +117,21 @@ ESTIMATORS = {
     "colors": Estimator(
         lambda acc, p, seed: colors_estimate(acc, float(p["lambda"]), seed),
         _exact_colors,
-        lambda e, n: float(pool_size(n, float(e["lambda"]), 1)),
+        lambda e, n: colors_plan(n, float(e["lambda"]), 1).bound,
     ),
     "colors-amplified": Estimator(
         lambda acc, p, seed: colors_estimate_amplified(
             acc, float(p["lambda"]), float(p.get("delta", 1 / 3)), seed
         ),
         _exact_colors,
-        lambda e, n: float(
-            pool_size(n, float(e["lambda"]), amplification_runs(float(e.get("delta", 1 / 3))))
-        ),
+        lambda e, n: colors_plan(
+            n, float(e["lambda"]), amplification_runs(float(e.get("delta", 1 / 3)))
+        ).bound,
     ),
     "lz": Estimator(
         lambda acc, p, seed: lz_estimate(acc, float(p["A"]), float(p["epsilon"]), seed),
         _exact_lz,
-        lambda e, n: lz_query_ceiling(n, float(e["A"]), float(e["epsilon"])),
+        lambda e, n: _lz_plan(e, n).bound,
     ),
 }
 
@@ -307,6 +313,7 @@ def write_result(result: CampaignResult, output_prefix: str) -> tuple[str, str]:
 @dataclass(frozen=True)
 class AuditRow:
     label: str
+    n: int
     queries_used: int
     ceiling: float
 
@@ -314,14 +321,19 @@ class AuditRow:
     def within(self) -> bool:
         return self.queries_used <= self.ceiling
 
+    @property
+    def vacuous(self) -> bool:
+        """A ceiling of n or more, which no run can pass: it proves nothing."""
+        return self.ceiling >= self.n
+
 
 def audit_queries(entries: list) -> list[AuditRow]:
-    """Check measured reads against the configured asymptotic ceilings.
+    """Check measured reads against each estimator's ceiling.
 
     Each entry is a dict with keys ``estimator``, ``n``, ``queries_used``,
     plus the estimator's parameters (``epsilon``, ``delta``, ``A``,
-    ``exact`` for the search). Rows exceeding their ceiling are flagged; the
-    caller decides whether that is fatal.
+    ``exact`` for the search). Rows exceeding their ceiling are flagged, and
+    so are ceilings of n or more; the caller decides whether that is fatal.
     """
     rows = []
     for e in entries:
@@ -333,5 +345,5 @@ def audit_queries(entries: list) -> list[AuditRow]:
         ceiling = ESTIMATORS[name].ceiling
         if ceiling is None:
             raise ValueError(f"{name} has no query ceiling")
-        rows.append(AuditRow(label=name, queries_used=used, ceiling=ceiling(e, n)))
+        rows.append(AuditRow(label=name, n=n, queries_used=used, ceiling=float(ceiling(e, n))))
     return rows

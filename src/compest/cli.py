@@ -150,6 +150,7 @@ def _cmd_campaign(args) -> int:
                     "label": r.label,
                     "queries_used": r.queries_used,
                     "ceiling": r.ceiling,
+                    "vacuous": r.vacuous,
                     "within": r.within,
                 }
                 for r in rows

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from ._rng import make_rng
-from .accessor import EstimateReport, QueryCountedString, distinct_count
+from .accessor import EstimateReport, QueryCountedString, ReadPlan, distinct_count
 
 
 def sample_count(n: int, lam: float) -> int:
@@ -31,8 +31,14 @@ def sample_count(n: int, lam: float) -> int:
 
 
 def pool_size(n: int, lam: float, runs: int) -> int:
-    """Positions one pool of ``runs`` basic sample sizes draws, and so may read."""
+    """Positions one pool of ``runs`` basic sample sizes draws."""
     return runs * sample_count(n, lam)
+
+
+def colors_plan(n: int, lam: float, runs: int) -> ReadPlan:
+    """A run's one pool, which reads no more positions than it draws."""
+    size = pool_size(n, lam, runs)
+    return ReadPlan(False, size, size)
 
 
 def _pooled_estimate(
@@ -42,12 +48,13 @@ def _pooled_estimate(
     if lam <= 1:
         raise ValueError("lambda must be > 1")
     sess = tau.session()
-    ts = make_rng(seed).integers(1, sess.length + 1, size=pool_size(sess.length, lam, runs))
+    plan = colors_plan(sess.length, lam, runs)
+    ts = make_rng(seed).integers(1, sess.length + 1, size=plan.draws)
     return EstimateReport(
         estimate=float(distinct_count(sess.read_many(ts)) * lam),
         lam=lam,
         epsilon=0.0,
-        queries_used=sess.queries,
+        queries_used=sess.queries_within(plan.bound),
         seed=seed,
         confidence=confidence,
     )

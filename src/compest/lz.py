@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_seed, make_rng
-from .accessor import EstimateReport, QueryCountedString, QuerySession
+from .accessor import EstimateReport, QueryCountedString, QuerySession, ReadPlan
 from .colors import amplification_runs, pool_size, sample_count
 from .oracles import distinct_profile
 from .suffixes import lcp_at_least_counts, symbol_ranks
@@ -100,24 +100,15 @@ class SharedWindowSamples:
         return int(self._counts[ell - 1])
 
 
-def window_pool_size(n: int, ell0: int, B: float, delta: float) -> int | None:
-    """Windows the sampled lane draws for factor B, confidence 1 - delta per length.
-
-    None marks the exact lane: a requested factor B <= 1, or a basic sample
-    count that already reaches the n - ell0 + 1 window starts (an exact count
-    is a valid B-estimate for any B >= 1).
-    """
+def window_plan(n: int, ell0: int, B: float, delta: float) -> ReadPlan:
+    """Windows of ell0 reads for factor B, confidence 1 - delta per length, or
+    a scan where B <= 1 or a basic sample would reach the n - ell0 + 1 window
+    starts (an exact count is a valid B-estimate for any B >= 1)."""
     n_virt = n - ell0 + 1
     if B <= 1.0 or sample_count(n_virt, B) >= n_virt:
-        return None
-    return pool_size(n_virt, B, amplification_runs(delta))
-
-
-def lz_query_ceiling(n: int, a_factor: float, epsilon: float) -> float:
-    """Reads :func:`lz_estimate` may make: ell0 per pooled window, or n on the exact lane."""
-    p = LzEstimateParams.derive(a_factor, epsilon, n)
-    size = window_pool_size(n, p.ell0, p.B, p.delta)
-    return float(n if size is None else size * p.ell0)
+        return ReadPlan(True, 0, n)
+    size = pool_size(n_virt, B, amplification_runs(delta))
+    return ReadPlan(False, size, size * ell0)
 
 
 def _distinct_estimates(
@@ -125,7 +116,7 @@ def _distinct_estimates(
 ) -> np.ndarray:
     """Estimates of d_1..d_ell0 within a factor max(1, B), confidence 1 - delta each.
 
-    The exact lane of :func:`window_pool_size` is answered from a full scan.
+    The exact lane of :func:`window_plan` is answered from a full scan.
     Otherwise each d_ell is B times the distinct length-ell prefixes in one
     shared pool of amplification_runs(delta) basic sample sizes of windows.
     The pool holds no more distinct prefixes than the string, so no estimate
@@ -133,14 +124,14 @@ def _distinct_estimates(
     samples it is made of would fail low on its own, each with probability
     at most 1/3, so with probability at most 3^-k <= delta.
     """
-    size = window_pool_size(sess.length, ell0, B, delta)
-    if size is None:
-        return distinct_profile(sess.read_all(), ell0).astype(np.float64)
-    shared = SharedWindowSamples(sess, ell0, size, seed)
-    counts = [shared.distinct_counts(ell) for ell in range(1, ell0 + 1)]
-    dhat = B * np.array(counts, dtype=np.float64)
-    if sess.queries > size * ell0:
-        raise RuntimeError("window sampling read more than its reuse budget")
+    plan = window_plan(sess.length, ell0, B, delta)
+    if plan.scan:
+        dhat = distinct_profile(sess.read_all(), ell0).astype(np.float64)
+    else:
+        shared = SharedWindowSamples(sess, ell0, plan.draws, seed)
+        counts = [shared.distinct_counts(ell) for ell in range(1, ell0 + 1)]
+        dhat = B * np.array(counts, dtype=np.float64)
+    sess.queries_within(plan.bound)
     return dhat
 
 
@@ -149,7 +140,7 @@ def estimate_distinct(w, ell: int, B: float, delta: float, *, seed: int = 0) -> 
 
     Views each window start as a virtual color and runs the pooled colors
     estimator over the n - ell + 1 virtual positions, falling back to an
-    exact scan on the exact lane of :func:`window_pool_size`, whose exact
+    exact scan on the exact lane of :func:`window_plan`, whose exact
     count meets lambda = 1. The report claims (max(1, B), 0), and its
     ``queries_used`` is the distinct positions the run read.
     """
@@ -257,7 +248,7 @@ def distinguish_compressible(
     A * eps = 1/16, so ell0 = 32 (33 where float rounding lands just above
     32) and B = n^(1/4) / (8 sqrt(5)). B < 1 for n < 1.0e5, and B^2 <= 10
     keeps the basic sample at every window start up to n = 1.0e7, so such
-    calls take the exact lane of :func:`window_pool_size`: the distinct
+    calls take the exact lane of :func:`window_plan`: the distinct
     profile up to length 32, a prefix doubling stopped at length 32. On a
     binary string its first sort packs 16 symbols per position, so one pair
     round finishes it.

@@ -18,14 +18,15 @@ input only through a query-counted session:
   :func:`rle_refined_search` sharpens the factor to (1 + gamma) with
   narrower buckets at a poly(1/gamma) query premium.
 
-Every sampled read goes through one :class:`RunProber` pass per estimate
-(one per search round), which probes the runs around all sampled positions,
-each up to a final cap known before the first read. Probes first step in
-lockstep; those still open are then sorted, and probes that share a run
-share one walk of it, so a long run is read about once, not once per probe.
-Where the sample count, or a search's reads so far, reach ``SCAN_SHARE * n``
-(for the additive estimator, also where n is at most the probe cap) the
-estimator reads the whole string instead.
+Each estimate (each search round) first fixes its plan (:func:`additive_plan`,
+:func:`bucketed_plan`): a scan, or one :class:`RunProber` pass over sampled
+positions, and the read bound that the run asserts and the audit reports.
+The pass probes the runs around all sampled positions, each up to a final
+cap known before the first read. Probes first step in lockstep; those still
+open are then sorted, and probes that share a run share one walk of it, so a
+long run is read about once, not once per probe. A plan scans once its
+sample count reaches ``SCAN_SHARE * n`` (additive: also once n is at most
+the probe cap), and a search also scans once its reads reach that share.
 
 The per-position cost contribution of index t in a run of length ell is
 c(t) = (ceil(log2(ell + 1)) + ceil(log2(sigma))) / ell, so that the total
@@ -43,13 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_seed, make_rng
-from .accessor import EstimateReport, QueryCountedString, QuerySession
+from .accessor import EstimateReport, QueryCountedString, QuerySession, ReadPlan
 from .oracles import alphabet_bits, ceil_log2, exact_rle_cost, run_lengths
 
 # The sampling theorems fix only asymptotics; the constants below are
-# calibration choices. The read bounds that runs assert are derived from
-# these sample counts next to each estimator; only the search's ceiling is
-# audit-only.
+# calibration choices. Each run asserts the read bound of its plan, and the
+# campaign audit reports that same bound; only the search's audit ceiling
+# has a formula of its own.
 C_Q = 8.0   # additive RLE estimator: q = ceil(C_Q * ((1 + s) / 2)^2 / eps^2)
 C_B = 64.0  # bucketed RLE estimator: q = ceil(C_B * log(1/eps) * loglog(1/eps) / eps)
 
@@ -293,37 +294,32 @@ class RunProber:
         return left + self._scan(caps, 1, left) + 1
 
 
-def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> EstimateReport:
-    """Estimate the RLE cost to within an additive eps*n, claiming (1, eps).
+def additive_plan(n: int, alphabet_size: int, epsilon: float) -> ReadPlan:
+    """q probes of at most ell0 + 1 reads each, or a scan once n <= ell0 or
+    q >= ``SCAN_SHARE * n``: sublinearity is meaningless below the budget."""
+    ell0 = additive_probe_cap(epsilon, alphabet_size)
+    q = additive_sample_count(epsilon, alphabet_size)
+    if n <= ell0 or q >= SCAN_SHARE * n:
+        return ReadPlan(True, 0, n)
+    return ReadPlan(False, q, q * (ell0 + 1))
 
-    Degenerate inputs (n below the probe cap, or sample count at least
-    ``SCAN_SHARE * n``) fall back to an exact scan; sublinearity is
-    meaningless below the budget.
-    """
+
+def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> EstimateReport:
+    """Estimate the RLE cost to within an additive eps*n, claiming (1, eps)."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     n = w.length
     sigma = w.alphabet_size
-    ell0 = additive_probe_cap(epsilon, sigma)
-    q = additive_sample_count(epsilon, sigma)
+    plan = additive_plan(n, sigma, epsilon)
     sess = w.session()
-    if n <= ell0 or q >= SCAN_SHARE * n:
+    if plan.scan:
         est = float(exact_rle_cost(sess.read_all(), sigma).total_cost)
     else:
-        conf = RunProber(sess, make_rng(seed).integers(1, n + 1, size=q)).advance(ell0)
+        ell0 = additive_probe_cap(epsilon, sigma)
+        conf = RunProber(sess, make_rng(seed).integers(1, n + 1, size=plan.draws)).advance(ell0)
         contrib = np.where(conf >= ell0, 0.0, contribution(np.maximum(conf, 1), sigma))
         est = float(n * contrib.mean())
-    used = sess.queries
-    if used > additive_query_ceiling(epsilon, sigma):
-        raise RuntimeError("probe budget exceeded; prober is broken")
-    return EstimateReport(est, 1.0, epsilon, used, seed)
-
-
-def additive_query_ceiling(epsilon: float, alphabet_size: int) -> float:
-    """Reads of :func:`rle_additive_estimate`: q probes of <= ell0 + 1, or a scan of
-    n <= max(q / SCAN_SHARE, ell0)."""
-    ell0 = additive_probe_cap(epsilon, alphabet_size)
-    return float(additive_sample_count(epsilon, alphabet_size) * (ell0 + 1))
+    return EstimateReport(est, 1.0, epsilon, sess.queries_within(plan.bound), seed)
 
 
 @dataclass(frozen=True)
@@ -343,13 +339,9 @@ class BucketRow:
 
 @dataclass(frozen=True)
 class BucketTable:
-    """Per-bucket sampling record for the bucketed estimator.
-
-    In the sampled regime the sample counts obey
-    q_h = min(q, ceil(q * weight_h)); when the estimator degenerates to a
-    full scan (``exact_mode``, taken once q reaches ``SCAN_SHARE * n``) q_h
-    is the full population n instead.
-    """
+    """Per-bucket sampling record for the bucketed estimator: each row's q_h
+    is its plan's (:class:`BucketPlan`), or the full population n where the
+    plan is a scan (``exact_mode``)."""
 
     q: int
     rows: tuple
@@ -375,84 +367,68 @@ def _geometric_buckets(ell0: int, s_bits: int, ratio: float) -> list[tuple[int, 
     return out
 
 
-def _bucket_plan(
-    epsilon: float, delta: float, alphabet_size: int, ratio: float = 2.0, q_scale: float = 1.0
-) -> tuple[list, int]:
-    """Buckets and sample count q of one bucketed round at (epsilon, delta)."""
-    ell0 = additive_probe_cap(epsilon, alphabet_size)
-    buckets = _geometric_buckets(ell0, alphabet_bits(alphabet_size), ratio)
-    return buckets, math.ceil(bucketed_sample_count(epsilon, delta) * q_scale)
+@dataclass(frozen=True)
+class BucketPlan(ReadPlan):
+    """A bucketed round's plan: q draws, ``buckets`` rows (h, low, high, cap,
+    weight) and each row's q_h = min(q, ceil(q * weight_h))."""
+
+    q: int
+    buckets: tuple
+    q_hs: tuple
 
 
-def _sample_counts(buckets: list, q: int) -> list[int]:
-    """Per-bucket sample counts q_h = min(q, ceil(q * weight_h))."""
-    return [min(q, math.ceil(q * weight)) for *_, weight in buckets]
-
-
-def _probe_caps(buckets: list, q_hs: list[int], q: int) -> np.ndarray:
-    """Each probe's final cap: the cap of the last bucket that samples it."""
-    caps = np.zeros(q, dtype=np.int64)
-    for (*_, cap, weight), q_h in zip(buckets, q_hs):
-        caps[:q_h] = cap  # caps rise with h: each probe keeps its last bucket's
-    return caps
-
-
-def _read_bound(buckets: list, q_hs: list[int], q: int) -> int:
-    """q plus the sum of :func:`_probe_caps`, from the (cap, q_h) pairs alone.
+def bucketed_plan(
+    n: int, alphabet_size: int, epsilon: float, delta: float, ratio: float = 2.0, q_scale: float = 1.0
+) -> BucketPlan:
+    """One bucketed round at (epsilon, delta): a scan once q reaches
+    ``SCAN_SHARE * n``, else q reads plus the probes' final caps.
 
     Going from the last bucket back, bucket h sets the caps of the probes
     from the largest later q_h up to its own q_h; whatever the order of the
-    q_h, that is O(buckets) and allocates no per-probe array.
+    q_h, the bound takes O(buckets) and allocates no per-probe array.
     """
-    total, covered = q, 0
+    ell0 = additive_probe_cap(epsilon, alphabet_size)
+    buckets = tuple(_geometric_buckets(ell0, alphabet_bits(alphabet_size), ratio))
+    q = math.ceil(bucketed_sample_count(epsilon, delta) * q_scale)
+    q_hs = tuple(min(q, math.ceil(q * weight)) for *_, weight in buckets)
+    if q >= SCAN_SHARE * n:
+        return BucketPlan(True, 0, n, q, buckets, q_hs)
+    bound, covered = q, 0
     for (*_, cap, weight), q_h in zip(reversed(buckets), reversed(q_hs)):
-        total += cap * max(0, q_h - covered)
+        bound += cap * max(0, q_h - covered)
         covered = max(covered, q_h)
-    return total
+    return BucketPlan(False, q, bound, q, buckets, q_hs)
 
 
-def bucketed_query_ceiling(epsilon: float, delta: float, alphabet_size: int) -> float:
-    """Reads of :func:`rle_bucketed_estimate`: q plus the probes' final caps (at least
-    5q), or a scan of n <= q / SCAN_SHARE."""
-    buckets, q = _bucket_plan(epsilon, delta, alphabet_size)
-    return float(_read_bound(buckets, _sample_counts(buckets, q), q))
-
-
-def _bucketed_core(
-    sess: QuerySession,
-    buckets: list,
-    q: int,
-    seed: int,
-) -> tuple[float, BucketTable, int]:
+def _bucketed_core(sess: QuerySession, plan: BucketPlan, seed: int) -> tuple[float, BucketTable]:
     """Shared engine for the factor-2 and refined bucketed estimators.
 
-    Returns (estimate, table, bound on the reads). Degenerates to an exact scan
-    (bound n) when the sample count reaches ``SCAN_SHARE * n``; the scan
-    classifies every position, so each beta_h is the true bucket fraction and
-    the output lands within a factor of the bucket width of the true cost.
+    Returns (estimate, table). On the scan lane the scan classifies every
+    position, so each beta_h is the true bucket fraction and the output lands
+    within a factor of the bucket width of the true cost.
     """
     n = sess.length
     rows = []
-    if q >= SCAN_SHARE * n:
-        data = sess.read_all()
-        _, lens = run_lengths(data)
+    if plan.scan:
+        _, lens = run_lengths(sess.read_all())
         est = 0.0
-        for h, low, high, cap, weight in buckets:
+        for h, low, high, cap, weight in plan.buckets:
             hits = int(lens[(lens >= low) & (lens < high)].sum())
             est += (hits / n) * n * weight
             rows.append(BucketRow(h, low, high, cap, weight, q_h=n, hits=hits))
-        return est, BucketTable(q, tuple(rows), exact_mode=True), n
+        return est, BucketTable(plan.q, tuple(rows), exact_mode=True)
 
-    q_hs = _sample_counts(buckets, q)
-    caps = _probe_caps(buckets, q_hs, q)
-    conf = RunProber(sess, make_rng(seed).integers(1, n + 1, size=q)).advance(caps)
+    caps = np.zeros(plan.q, dtype=np.int64)  # each probe's final cap: its last bucket's
+    for (*_, cap, weight), q_h in zip(plan.buckets, plan.q_hs):
+        caps[:q_h] = cap  # caps rise with h
+    conf = RunProber(sess, make_rng(seed).integers(1, n + 1, size=plan.q)).advance(caps)
     est = 0.0
-    for (h, low, high, cap, weight), q_h in zip(buckets, q_hs):
+    for (h, low, high, cap, weight), q_h in zip(plan.buckets, plan.q_hs):
         # high <= cap <= the probe's cap, so a length below high is exact
         hits = int(np.count_nonzero((conf[:q_h] >= math.ceil(low)) & (conf[:q_h] < high)))
         est += (n / q_h) * hits * weight
         rows.append(BucketRow(h, low, high, cap, weight, q_h=q_h, hits=hits))
-    return est, BucketTable(q, tuple(rows)), _read_bound(buckets, q_hs, q)
+    return est, BucketTable(plan.q, tuple(rows))
 
 
 def rle_bucketed_estimate_detailed(
@@ -463,11 +439,9 @@ def rle_bucketed_estimate_detailed(
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     sess = w.session()
-    plan = _bucket_plan(epsilon, delta, sess.alphabet_size)
-    est, table, bound = _bucketed_core(sess, *plan, seed)
-    used = sess.queries
-    if used > bound:
-        raise RuntimeError("bucketed probes read past their caps; prober is broken")
+    plan = bucketed_plan(sess.length, sess.alphabet_size, epsilon, delta)
+    est, table = _bucketed_core(sess, plan, seed)
+    used = sess.queries_within(plan.bound)
     return EstimateReport(est, 3.0, epsilon, used, seed, confidence=1.0 - delta), table
 
 
@@ -517,41 +491,36 @@ def _interval_search(
     infinite and the loop continues. The output sqrt(lower * upper) is then
     within sqrt(stop_ratio) of the cost whenever every interval was valid.
 
-    Once a round plans, or the rounds so far have read, ``SCAN_SHARE * n``
-    positions, the search reads the string once instead and ends on a last
-    round whose estimate and interval are the exact cost.
+    Once a round's plan is a scan, or the rounds so far have read
+    ``SCAN_SHARE * n`` positions, the search reads the string once instead
+    and ends on a last round whose estimate and interval are the exact cost.
+    Before each round and at the end, the reads must stay within the sum of
+    the sampled rounds' plan bounds (n once the search scans).
     """
     n = w.length
     sess = w.session()
     rounds = []
     budget = 0
-
-    def checked_reads():
-        used = sess.queries
-        if used > budget:
-            raise RuntimeError("search probes read past their caps; prober is broken")
-        return used
-
     for j in range(1, SEARCH_MAX_ROUNDS + 1):
         eps_j = 2.0**-j
         delta_j = (1.0 / 3.0) * 2.0**-j
-        buckets, q = _bucket_plan(eps_j, delta_j, sess.alphabet_size, ratio, q_scale)
-        if max(q, checked_reads()) >= SCAN_SHARE * n:
+        plan = bucketed_plan(n, sess.alphabet_size, eps_j, delta_j, ratio, q_scale)
+        if sess.queries_within(budget) >= SCAN_SHARE * n or plan.scan:
+            budget = n
             out = float(exact_rle_cost(sess.read_all(), sess.alphabet_size).total_cost)
             rounds.append(SearchRound(j, 0.0, 0.0, out, out, out))
             break
-        est, _, bound = _bucketed_core(sess, buckets, q, derive_seed(seed, j))
-        budget += bound
+        est, _ = _bucketed_core(sess, plan, derive_seed(seed, j))
+        budget += plan.bound
         lower = (est - eps_j * n) * shrink
         upper = (est + eps_j * n) * grow
         rounds.append(SearchRound(j, eps_j, delta_j, est, lower, upper))
         if lower > 0 and upper / lower <= stop_ratio:
-            checked_reads()
             out = math.sqrt(lower * upper)
             break
     else:
         raise RuntimeError("cost search did not converge; this should be impossible")
-    report = EstimateReport(out, claim_lam, 0.0, sess.queries, seed)
+    report = EstimateReport(out, claim_lam, 0.0, sess.queries_within(budget), seed)
     return SearchTrace(rounds=tuple(rounds), report=report)
 
 

@@ -31,9 +31,9 @@ from compest import (
 from compest._rng import derive_seed, make_rng
 from compest.campaign import build_builtin
 from compest.oracles import distinct_profile, rle_length_bits, run_lengths
-from compest.lz import lz_query_ceiling
+from compest.lz import LzEstimateParams, window_plan
 from compest.rle import (
-    additive_query_ceiling,
+    additive_plan,
     rle_multiplicative_search_detailed,
     search_query_ceiling,
 )
@@ -124,7 +124,7 @@ def test_criterion_04_phased_string_tightness():
 
 def test_criterion_05_additive_estimator_contract():
     n, eps = 100_000, 0.05
-    budget = additive_query_ceiling(eps, 2)
+    budget = additive_plan(n, 2, eps).bound
     hits = within_budget = 0
     for t in range(TRIALS):
         arr = random_symbols(n, 2, seed=derive_seed(30_000, t))
@@ -190,7 +190,8 @@ def test_criterion_08_colors_estimator():
 def test_criterion_09_lz_estimator_and_distinguisher():
     n, A, eps = 100_000, 8.0, 0.05
     hits = within = 0
-    ceiling = lz_query_ceiling(n, A, eps)
+    p = LzEstimateParams.derive(A, eps, n)
+    ceiling = window_plan(n, p.ell0, p.B, p.delta).bound
     for t in range(TRIALS):
         arr = random_symbols(n, 2, seed=derive_seed(34_000, t))
         rep = lz_estimate(acc(arr, 2), A, eps, seed=derive_seed(34_500, t))

@@ -218,37 +218,46 @@ def test_audit_scaling_lz_factor_doubled():
 def test_audit_ceilings_are_the_bounds_runs_assert(sigma):
     from compest import QueryCountedString
     from compest.campaign import ESTIMATORS
-    from compest.colors import amplification_runs, pool_size
-    from compest.lz import lz_query_ceiling
-    from compest.rle import additive_query_ceiling, bucketed_query_ceiling
+    from compest.colors import amplification_runs, colors_plan, pool_size
+    from compest.lz import LzEstimateParams, window_plan
+    from compest.rle import additive_plan, bucketed_plan
     from naive import random_symbols
 
-    n = 10**5
-    cases = [
-        ("rle-additive", {"epsilon": 0.1}, additive_query_ceiling(0.1, sigma)),
-        ("rle-bucketed", {"epsilon": 0.2}, bucketed_query_ceiling(0.2, 1 / 3, sigma)),
-        ("lz", {"A": 8, "epsilon": 0.05}, lz_query_ceiling(n, 8, 0.05)),
-    ]
-    for name, params, bound in cases:
-        entry = dict(params, estimator=name, n=n, sigma=sigma)
-        assert ESTIMATORS[name].ceiling(entry, n) == bound, name
+    def lz_plan(n, A, eps):
+        p = LzEstimateParams.derive(A, eps, n)
+        return window_plan(n, p.ell0, p.B, p.delta)
 
-    # The colors rows audit the pool a run draws: a real run reads no more.
-    # At lambda 3 the pool exceeds n; at lambda 8 it is below n.
-    w = QueryCountedString.from_tokens(random_symbols(n, sigma, seed=sigma), sigma)
+    # Each row's ceiling is the bound of the plan its run executes, and a real
+    # run reads no more. The colors pool exceeds n at lambda 3 and is below n
+    # at lambda 8. On the exact lanes (bucketed at n = 4096, additive at
+    # n = 2000, LZ at (8, 0.05)) the ceiling is n, and the run reads all of n.
     cases = [
-        (name, dict(params, **{"lambda": lam}), pool_size(n, lam, runs))
+        (10**5, "rle-additive", {"epsilon": 0.1}, additive_plan(10**5, sigma, 0.1)),
+        (2000, "rle-additive", {"epsilon": 0.1}, additive_plan(2000, sigma, 0.1)),
+        (10**5, "rle-bucketed", {"epsilon": 0.2}, bucketed_plan(10**5, sigma, 0.2, 1 / 3)),
+        (4096, "rle-bucketed", {"epsilon": 0.2}, bucketed_plan(4096, sigma, 0.2, 1 / 3)),
+        (10**5, "lz", {"A": 8, "epsilon": 0.05}, lz_plan(10**5, 8, 0.05)),
+        (2 * 10**5, "lz", {"A": 64, "epsilon": 0.005}, lz_plan(2 * 10**5, 64, 0.005)),
+    ] + [
+        (10**5, name, dict(params, **{"lambda": lam}), colors_plan(10**5, lam, runs))
         for lam in (3, 8)
         for name, params, runs in [
             ("colors", {}, 1),
             ("colors-amplified", {"delta": 0.1}, amplification_runs(0.1)),
         ]
     ]
-    assert pool_size(n, 8, amplification_runs(0.1)) < n
-    for name, params, bound in cases:
+    assert pool_size(10**5, 8, amplification_runs(0.1)) < 10**5
+    scans = 0
+    for n, name, params, plan in cases:
+        w = QueryCountedString.from_tokens(random_symbols(n, sigma, seed=sigma), sigma)
         entry = dict(params, estimator=name, n=n, sigma=sigma)
-        assert ESTIMATORS[name].ceiling(entry, n) == bound, name
-        assert ESTIMATORS[name].run(w, params, 5).queries_used <= bound, name
+        assert ESTIMATORS[name].ceiling(entry, n) == plan.bound, (name, n)
+        used = ESTIMATORS[name].run(w, params, 5).queries_used
+        assert used <= plan.bound, (name, n)
+        if plan.scan:
+            scans += 1
+            assert plan.bound == n == used, (name, n)
+    assert scans == 3
 
 
 def test_audit_rows_flag_violations():
@@ -264,16 +273,21 @@ def test_audit_rows_flag_violations():
     ]
     rows = audit_queries(entries)
     assert rows[0].within and not rows[1].within
+    # q = 800 >= 1000 / 4 plans a scan: the ceiling is n, which proves nothing
+    assert rows[0].ceiling == rows[0].n == 1000 and rows[0].vacuous
 
     from compest.colors import amplification_runs, sample_count
-    from compest.lz import lz_query_ceiling
-    from compest.rle import bucketed_query_ceiling, search_query_ceiling
+    from compest.lz import LzEstimateParams, window_plan
+    from compest.rle import bucketed_plan, search_query_ceiling
 
+    p = LzEstimateParams.derive(8, 0.05, 10**5)
     others = [
         ({"estimator": "rle-bucketed", "n": 1000, "epsilon": 0.2, "delta": 0.1, "sigma": 4},
-         bucketed_query_ceiling(0.2, 0.1, 4)),
+         bucketed_plan(1000, 4, 0.2, 0.1).bound),
         ({"estimator": "rle-bucketed", "n": 1000, "epsilon": 0.2},
-         bucketed_query_ceiling(0.2, 1 / 3, 2)),
+         bucketed_plan(1000, 2, 0.2, 1 / 3).bound),
+        ({"estimator": "rle-bucketed", "n": 10**6, "epsilon": 0.2},
+         bucketed_plan(10**6, 2, 0.2, 1 / 3).bound),
         ({"estimator": "rle-search", "n": 10**5, "exact": 4e4},
          search_query_ceiling(10**5, 4e4)),
         ({"estimator": "colors", "n": 5000, "lambda": 3}, float(sample_count(5000, 3))),
@@ -281,9 +295,11 @@ def test_audit_rows_flag_violations():
          float(amplification_runs(0.1) * sample_count(5000, 3))),
         ({"estimator": "colors-amplified", "n": 5000, "lambda": 3},
          float(amplification_runs(1 / 3) * sample_count(5000, 3))),
+        ({"estimator": "colors", "n": 5000, "lambda": 8}, float(sample_count(5000, 8))),
         ({"estimator": "lz", "n": 10**5, "A": 8, "epsilon": 0.05},
-         lz_query_ceiling(10**5, 8, 0.05)),
+         window_plan(10**5, p.ell0, p.B, p.delta).bound),
     ]
+    vacuous = []
     for entry, ceiling in others:
         below, above = audit_queries([
             dict(entry, queries_used=int(ceiling)),
@@ -292,6 +308,9 @@ def test_audit_rows_flag_violations():
         assert below.label == above.label == entry["estimator"]
         assert below.ceiling == above.ceiling == ceiling
         assert below.within and not above.within, entry
+        assert below.vacuous == above.vacuous == (ceiling >= entry["n"]), entry
+        vacuous.append(below.vacuous)
+    assert vacuous == [True, True, False, False, True, True, True, False, True]
 
     with pytest.raises(ValueError, match="rle-refined has no query ceiling"):
         audit_queries([{"estimator": "rle-refined", "n": 1000, "gamma": 0.5, "queries_used": 1}])

@@ -18,7 +18,7 @@ from compest import (
 from compest._rng import derive_seed, make_rng
 from compest.colors import amplification_runs, sample_count
 from compest import lz
-from compest.lz import lz_estimate_detailed, lz_query_ceiling, window_pool_size
+from compest.lz import lz_estimate_detailed, window_plan
 from naive import all_ones, naive_distinct_prefixes, random_symbols
 
 
@@ -229,11 +229,18 @@ def test_lz_estimate_deterministic_replay():
     assert lz_estimate(acc(arr), 8, 0.05, seed=4) == lz_estimate(acc(arr), 8, 0.05, seed=4)
 
 
+def plan_of(n, A, eps):
+    p = LzEstimateParams.derive(A, eps, n)
+    return window_plan(n, p.ell0, p.B, p.delta)
+
+
 def test_lz_query_ceiling_at_reference_params():
+    # (8, 0.05) takes the exact lane: it reads, and is bounded by, all of n
     n = 100_000
     arr = random_symbols(n, 2, seed=31)
     rep = lz_estimate(acc(arr), 8, 0.05, seed=0)
-    assert rep.queries_used <= lz_query_ceiling(n, 8, 0.05)
+    plan = plan_of(n, 8, 0.05)
+    assert plan.scan and rep.queries_used <= plan.bound == n
 
 
 @pytest.fixture(scope="module")
@@ -251,17 +258,18 @@ def sampled_lane_inputs():
 def test_lz_query_ceiling_on_sampled_lane(sampled_lane_inputs):
     A, eps = 64, 0.005
     for name, (arr, _) in sampled_lane_inputs.items():
-        ceiling = lz_query_ceiling(arr.size, A, eps)
+        plan = plan_of(arr.size, A, eps)
+        p = LzEstimateParams.derive(A, eps, arr.size)
+        assert not plan.scan and plan.bound == plan.draws * p.ell0
         rep = lz_estimate(acc(arr), A, eps, seed=0)
-        assert rep.queries_used <= ceiling < arr.size, (name, rep.queries_used, ceiling)
+        assert rep.queries_used <= plan.bound < arr.size, (name, rep.queries_used, plan.bound)
 
 
 @pytest.mark.parametrize("A, eps", [(32, 0.01), (64, 0.005)])
 def test_lz_contract_on_sampled_lane(sampled_lane_inputs, A, eps):
     for name, (arr, exact) in sampled_lane_inputs.items():
         n = arr.size
-        p = LzEstimateParams.derive(A, eps, n)
-        assert window_pool_size(n, p.ell0, p.B, p.delta) is not None  # not the exact lane
+        assert not plan_of(n, A, eps).scan
         upper = two_sided = 0
         for seed in range(20):
             rep = lz_estimate(acc(arr), A, eps, seed=seed)

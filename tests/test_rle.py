@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from compest import (
+    LzEstimateParams,
     QueryCountedString,
+    colors_estimate,
+    colors_estimate_amplified,
+    estimate_distinct,
     exact_rle_cost,
+    lz_estimate,
     meets_contract,
     rle_additive_estimate,
     rle_bucketed_estimate,
@@ -14,22 +19,21 @@ from compest import (
     rle_refined_search,
 )
 from compest._rng import make_rng
+from compest.accessor import QuerySession
 from compest.campaign import build_builtin
+from compest.colors import amplification_runs, colors_plan
+from compest.lz import window_plan
 from compest.oracles import ceil_log2
 from compest.generators import generate_wk
 from compest.rle import (
     LOCKSTEP_STEPS,
     SCAN_SHARE,
     RunProber,
-    _bucket_plan,
     _geometric_buckets,
-    _probe_caps,
-    _read_bound,
-    _sample_counts,
+    additive_plan,
     additive_probe_cap,
-    additive_query_ceiling,
     additive_sample_count,
-    bucketed_query_ceiling,
+    bucketed_plan,
     contribution,
     rle_bucketed_estimate_detailed,
     rle_multiplicative_search_detailed,
@@ -236,7 +240,7 @@ def test_additive_budget_and_contract_on_random():
         q = additive_sample_count(eps, 2)
         ell0 = additive_probe_cap(eps, 2)
         assert rep.queries_used <= q * (ell0 + 1)
-        assert rep.queries_used <= additive_query_ceiling(eps, 2)
+        assert rep.queries_used <= additive_plan(n, 2, eps).bound
         hits += abs(rep.estimate - exact) <= eps * n
     assert hits >= 27
 
@@ -373,36 +377,44 @@ def test_sampled_lanes_below_the_scan_share_stay_sampled():
 
 
 def test_bucketed_query_ceiling():
+    # q = 0.47 n at eps 0.05 on n = 1e5 plans a scan; on n = 4e5 it samples
     eps, delta = 0.05, 1 / 3
-    w = acc(random_symbols(100_000, 2, seed=13))
-    rep = rle_bucketed_estimate(w, eps, delta, seed=21)
-    assert rep.queries_used <= bucketed_query_ceiling(eps, delta, 2)
+    for n, scan in ((100_000, True), (400_000, False)):
+        w = acc(random_symbols(n, 2, seed=13))
+        rep = rle_bucketed_estimate(w, eps, delta, seed=21)
+        plan = bucketed_plan(n, 2, eps, delta)
+        assert plan.scan == scan and rep.queries_used <= plan.bound
+        assert (plan.bound == n) == scan
 
 
 def test_read_bound_sums_caps_without_the_caps_array():
     # the bound adds up the probes' final caps from the (cap, q_h) pairs;
-    # narrow refined buckets (ratio 1.1) have q_h that rise again after falling
+    # narrow refined buckets (ratio 1.1) have q_h that rise again after falling.
+    # n = 1e12 keeps every plan here on the sampled lane.
+    n = 10**12
     rising = 0
     for ratio in (2.0, 1.1):
         for eps in (0.5, 0.2, 0.05, 0.01):
             for delta in (1 / 3, 0.01):
                 for sigma in (2, 5, 256):
-                    buckets, q = _bucket_plan(eps, delta, sigma, ratio)
-                    q_hs = _sample_counts(buckets, q)
+                    plan = bucketed_plan(n, sigma, eps, delta, ratio)
+                    q_hs = plan.q_hs
+                    assert not plan.scan and plan.draws == plan.q
+                    assert q_hs == tuple(min(plan.q, math.ceil(plan.q * b[-1])) for b in plan.buckets)
                     rising += any(a < b for a, b in zip(q_hs, q_hs[1:]))
-                    total = q + int(_probe_caps(buckets, q_hs, q).sum())
-                    assert _read_bound(buckets, q_hs, q) == total
-                    if ratio == 2.0:
-                        assert bucketed_query_ceiling(eps, delta, sigma) == total
+                    caps = np.zeros(plan.q, dtype=np.int64)  # each probe's last bucket's cap
+                    for (*_, cap, _), q_h in zip(plan.buckets, q_hs):
+                        caps[:q_h] = cap
+                    assert plan.bound == plan.q + int(caps.sum())
     assert rising
     # at eps 1e-5 the sample count is about 1.7e9: no per-probe array
     tracemalloc.start()
     try:
-        ceiling = bucketed_query_ceiling(1e-5, 0.01, 2)
+        plan = bucketed_plan(n, 2, 1e-5, 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ceiling > 1e9 and peak < 2**20
+    assert not plan.scan and plan.q > 1.5e9 and plan.bound > 1e9 and peak < 2**20
 
 
 def test_provider_backed_runs_match_and_read_only_what_they_count():
@@ -433,8 +445,8 @@ def test_runs_that_read_past_their_bounds_fail(monkeypatch):
     # same lengths, so only the runs' read bounds can catch it.
     n = 10**6
     w = acc(random_symbols(n, 2, seed=5))
-    assert bucketed_query_ceiling(0.2, 1 / 3, 2) == 159_200 < n
-    assert additive_query_ceiling(0.1, 2) == 405_600 < n
+    assert bucketed_plan(n, 2, 0.2, 1 / 3).bound == 159_200 < n
+    assert additive_plan(n, 2, 0.1).bound == 405_600 < n
     # the search stops after 2 rounds on this input, whose bounds sum to 152 448
     assert len(rle_multiplicative_search_detailed(w, seed=0).rounds) == 2
     real_advance = RunProber.advance
@@ -444,12 +456,39 @@ def test_runs_that_read_past_their_bounds_fail(monkeypatch):
         return real_advance(self, caps)
 
     monkeypatch.setattr(RunProber, "advance", reads_everything)
-    with pytest.raises(RuntimeError, match="prober is broken"):
+    with pytest.raises(RuntimeError, match="the sampler is broken"):
         rle_bucketed_estimate(w, 0.2, 1 / 3, seed=0)
-    with pytest.raises(RuntimeError, match="prober is broken"):
+    with pytest.raises(RuntimeError, match="the sampler is broken"):
         rle_multiplicative_search(w, seed=0)
-    with pytest.raises(RuntimeError, match="prober is broken"):
+    with pytest.raises(RuntimeError, match="the sampler is broken"):
         rle_additive_estimate(w, 0.1, seed=0)
+
+
+def test_colors_and_lz_runs_that_read_past_their_plans_fail(monkeypatch):
+    # Reading the whole string beside each batch leaves every estimate as it
+    # was, so only the plans' read bounds can catch it.
+    n = 200_000
+    w = acc(random_symbols(n, 256, seed=61), 256)
+    p = LzEstimateParams.derive(64, 0.005, n)
+    lz_plan = window_plan(n, p.ell0, p.B, p.delta)
+    assert not lz_plan.scan and lz_plan.bound < n
+    assert colors_plan(n, 8, amplification_runs(0.1)).bound < n
+    real_read_many = QuerySession.read_many
+
+    def reads_everything(self, positions):
+        real_read_many(self, np.arange(1, self.length + 1))
+        return real_read_many(self, positions)
+
+    monkeypatch.setattr(QuerySession, "read_many", reads_everything)
+    runs = (
+        lambda: colors_estimate(w, 8, seed=0),
+        lambda: colors_estimate_amplified(w, 8, 0.1, seed=0),
+        lambda: lz_estimate(w, 64, 0.005, seed=0),
+        lambda: estimate_distinct(w, p.ell0, p.B, p.delta, seed=0),
+    )
+    for run in runs:
+        with pytest.raises(RuntimeError, match="the sampler is broken"):
+            run()
 
 
 # -- multiplicative searches ----------------------------------------------
@@ -463,7 +502,7 @@ def test_search_scans_once_its_reads_reach_the_scan_share():
     *sampled, last = trace.rounds
     # rounds 1-2 leave 0.73 n read, and round 3 plans only 0.17 n: the reads switch it
     assert len(sampled) == 2 and all(r.epsilon > 0 for r in sampled)
-    assert _bucket_plan(2.0**-3, 2.0**-3 / 3, 2)[1] < SCAN_SHARE * n
+    assert not bucketed_plan(n, 2, 2.0**-3, 2.0**-3 / 3).scan
     assert (last.epsilon, last.estimate, last.lower, last.upper) == (0.0, exact, exact, exact)
     assert trace.report.estimate == exact and trace.report.queries_used == n
     assert (trace.report.lam, trace.report.epsilon) == (4.0, 0.0)
