@@ -8,7 +8,9 @@ same code (which is all criterion 12 checks). The outputs that depend on the
 number of colors and window samples drawn were recaptured when median
 amplification gave way to one pooled sample. The RLE outputs whose planned
 sample or search reads reach a quarter of n were recaptured when that share,
-not n, became the point where RLE runs scan the whole string.
+not n, became the point where RLE runs scan the whole string. The audit was
+recaptured when its ceilings became the read bounds of the runs' plans (a
+plan that scans reports n) and each row gained ``vacuous``.
 
 ``compest exact --scheme rle|lz`` prints one JSON part per run or phrase,
 megabytes on the 2e5-byte inputs below, so those outputs are pinned by
@@ -381,36 +383,42 @@ AUDIT_EXPECTED = (
     '      "ceiling": 405600.0,\n'
     '      "label": "rle-additive",\n'
     '      "queries_used": 1500,\n'
+    '      "vacuous": true,\n'
     '      "within": true\n'
     '    },\n'
     '    {\n'
-    '      "ceiling": 177280.0,\n'
+    '      "ceiling": 4096.0,\n'
     '      "label": "rle-bucketed",\n'
     '      "queries_used": 4000,\n'
+    '      "vacuous": true,\n'
     '      "within": true\n'
     '    },\n'
     '    {\n'
     '      "ceiling": 45822.94097111732,\n'
     '      "label": "rle-search",\n'
     '      "queries_used": 99000,\n'
+    '      "vacuous": false,\n'
     '      "within": false\n'
     '    },\n'
     '    {\n'
     '      "ceiling": 4552.0,\n'
     '      "label": "colors",\n'
     '      "queries_used": 455,\n'
+    '      "vacuous": true,\n'
     '      "within": true\n'
     '    },\n'
     '    {\n'
     '      "ceiling": 13656.0,\n'
     '      "label": "colors-amplified",\n'
     '      "queries_used": 20000,\n'
+    '      "vacuous": true,\n'
     '      "within": false\n'
     '    },\n'
     '    {\n'
     '      "ceiling": 4096.0,\n'
     '      "label": "lz",\n'
     '      "queries_used": 4096,\n'
+    '      "vacuous": true,\n'
     '      "within": true\n'
     '    }\n'
     '  ]\n'
