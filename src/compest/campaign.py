@@ -323,27 +323,39 @@ class AuditRow:
 
     @property
     def vacuous(self) -> bool:
-        """A ceiling of n or more, which no run can pass: it proves nothing."""
+        """A ceiling of n or more, which no run reads past: it proves nothing."""
         return self.ceiling >= self.n
 
 
 def audit_queries(entries: list) -> list[AuditRow]:
     """Check measured reads against each estimator's ceiling.
 
-    Each entry is a dict with keys ``estimator``, ``n``, ``queries_used``,
-    plus the estimator's parameters (``epsilon``, ``delta``, ``A``,
-    ``exact`` for the search). Rows exceeding their ceiling are flagged, and
-    so are ceilings of n or more; the caller decides whether that is fatal.
+    Each entry is a dict with keys ``estimator``, ``n`` and ``queries_used``,
+    plus the parameters its estimator's ceiling takes: ``epsilon`` for
+    ``rle-additive``; ``epsilon`` and ``delta`` (default 1/3) for
+    ``rle-bucketed``; ``exact``, the exact cost, for ``rle-search``;
+    ``lambda`` for ``colors``; ``lambda`` and ``delta`` (default 1/3) for
+    ``colors-amplified``; ``A`` and ``epsilon`` for ``lz``. The RLE rows also
+    take ``sigma``, the alphabet size (default 2). A missing key raises a
+    ``ValueError`` naming the entry. Rows exceeding their ceiling are
+    flagged, and so are ceilings of n or more; the caller decides whether
+    that is fatal.
     """
     rows = []
-    for e in entries:
-        name = e["estimator"]
-        n = int(e["n"])
-        used = int(e["queries_used"])
-        if name not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {name!r}")
-        ceiling = ESTIMATORS[name].ceiling
-        if ceiling is None:
-            raise ValueError(f"{name} has no query ceiling")
-        rows.append(AuditRow(label=name, n=n, queries_used=used, ceiling=float(ceiling(e, n))))
+    for i, e in enumerate(entries):
+        try:
+            name = e["estimator"]
+            if name not in ESTIMATORS:
+                raise ValueError(f"unknown estimator {name!r}")
+            ceiling = ESTIMATORS[name].ceiling
+            if ceiling is None:
+                raise ValueError(f"{name} has no query ceiling")
+            n = int(e["n"])
+            used = int(e["queries_used"])
+            rows.append(AuditRow(label=name, n=n, queries_used=used, ceiling=float(ceiling(e, n))))
+        except KeyError as exc:
+            key = exc.args[0]
+            if key in e:
+                raise
+            raise ValueError(f"audit entry {i} ({e.get('estimator')}) lacks key {key!r}") from None
     return rows

@@ -23,8 +23,9 @@ Each estimate (each search round) first fixes its plan (:func:`additive_plan`,
 positions, and the read bound that the run asserts and the audit reports.
 The pass probes the runs around all sampled positions, each up to a final
 cap known before the first read. Probes first step in lockstep; those still
-open are then sorted, and probes that share a run share one walk of it, so a
-long run is read about once, not once per probe. A plan scans once its
+open then walk on in order, and a walk that reaches the probe ahead of it in
+the same run stops there if that probe may walk as far, so probes with one
+cap read a long run about once, not once per probe. A plan scans once its
 sample count reaches ``SCAN_SHARE * n`` (additive: also once n is at most
 the probe cap), and a search also scans once its reads reach that share.
 
@@ -114,17 +115,14 @@ def additive_probe_cap(epsilon: float, alphabet_size: int) -> int:
 
 
 # Steps each side takes in lockstep before the probes still open are sorted
-# and linked. Linking costs an open probe about as much as 5-10 lockstep
-# steps, so it pays only for longer walks. At 8, the runs of random binary,
-# coin and run-mix inputs (all but a few shorter than 9) end in the lockstep
-# and pay for no sort. Each lockstep step costs a long run one read per
-# probe inside it: at 4, wk's search took 5-13% less time, but run-mix's
-# bucketed and refined ops took 13-32% more, and the rle-probe op set 2-8%
-# more in all (n = 1e6, best of 5, three input sets).
+# to walk on. The sort and the walk's per-event bookkeeping pay only for
+# longer walks: at 8, the runs of random binary, coin and run-mix inputs (all
+# but a few shorter than 9) end in the lockstep and pay for no sort. Each
+# lockstep step costs a long run one read per probe inside it. Against 4 and
+# 12 (rle-probe op set, n = 1e6, best of 3 cycles, two seeds): at 4 the op
+# set took 5-7% more time, run-mix's search and refined ops 25-30% more; 12
+# was no faster.
 LOCKSTEP_STEPS = 8
-
-# States of a chain of linked probes while its terminal walks.
-_WALKING, _CLOSED, _STOPPED, _MERGED = range(4)
 
 
 class RunProber:
@@ -136,8 +134,12 @@ class RunProber:
     ``LOCKSTEP_STEPS`` steps in lockstep: a step reads the next position of
     every probe still open, in one vectorized call, and costs O(open
     probes). The probes still open after that are sorted by position and
-    linked (:meth:`_link`): probes in one run share a single walk of it,
-    and a round of that walk reads one position per walking chain of probes.
+    walk on, a round reading one position per walker, each walker heading
+    for the open probe ahead of it, its target. A walker whose reads all
+    match up to its target's known stretch is in the target's run. It rides
+    the target if the target may walk at least as far: it stops, and its
+    extent becomes the target's plus the distance between them, up to its
+    own limit. Otherwise it passes on to the next probe ahead.
 
     Take a probe with L matching positions to its left and R to its right,
     and cap C. Walking alone, it reads its own position, then
@@ -146,8 +148,9 @@ class RunProber:
     positions. So it reads at most C + 1 positions and returns
     min(L + R + 1, C), both fixed by C alone: walking it through smaller caps
     first would read nothing else. A pass touches exactly the union of these
-    solo walks' reads; sharing walks only changes which probe asks for a
-    position, and how often it is asked for.
+    solo walks' reads: a walker reads only what its solo walk reads, and a
+    rider leaves unread only what its target's walk reads or had read.
+    Riding only changes which probe asks for a position, and how often.
     """
 
     def __init__(self, session: QuerySession, positions: np.ndarray):
@@ -160,13 +163,11 @@ class RunProber:
         +1), counting at most ``caps - 1 - left`` of them per probe. ``left``,
         the extents found on the other side (``None``: none yet), also tells
         the walks which positions are known to hold each probe's symbol."""
-
-        def limit(i):
-            return caps[i] - 1 if left is None else caps[i] - 1 - left[i]
-
+        n = self.sess.length
+        lim = caps - 1 if left is None else caps - 1 - left
         ext = np.zeros(self.t.size, dtype=np.int64)
-        edge = 1 if step < 0 else self.sess.length
-        idx = np.flatnonzero((self.t != edge) & (limit(slice(None)) > 0))
+        edge = 1 if step < 0 else n
+        idx = np.flatnonzero((self.t != edge) & (lim > 0))
         pos, sym = self.t[idx], self.sym[idx]
         for k in range(1, LOCKSTEP_STEPS + 1):
             if not idx.size:
@@ -174,118 +175,70 @@ class RunProber:
             pos += step
             match = self.sess.read_many(pos) == sym
             ext[idx[match]] = k
-            still = np.flatnonzero(match & (pos != edge) & (limit(idx) > k))
-            idx = idx[still]
-            pos = pos[still]
-            sym = sym[still]
-        if idx.size:
-            del match, still
-            # each open probe's own position, in walk coordinates
-            x = pos + LOCKSTEP_STEPS if step < 0 else self.sess.length + 1 - pos + LOCKSTEP_STEPS
-            del pos
-            order = np.argsort(x)
-            idx, x, sym = idx[order], x[order], sym[order]
-            del order
-            reach = None if left is None else left[idx]
-            ext[idx] = self._link(x, limit(idx), sym, reach, step)
+            still = np.flatnonzero(match & (pos != edge) & (lim[idx] > k))
+            idx, pos, sym = idx[still], pos[still], sym[still]
+        if not idx.size:
+            return ext
+        del match, still
+        # Walk coordinates: the position for step -1, n + 1 minus it for +1,
+        # so every walk heads for x = 1. Sorted by x, each open probe heads
+        # for the open probe ahead of it, its target, whose stretch x..top
+        # is known to hold the target's symbol.
+        x = pos + LOCKSTEP_STEPS if step < 0 else n + 1 - pos + LOCKSTEP_STEPS
+        order = np.argsort(x)
+        idx, x, sym = idx[order], x[order], sym[order]
+        del pos, order
+        lim = lim[idx]
+        top = np.append(x if left is None else x + left[idx], 0)  # [-1]: no target, past the edge
+        need = x - lim  # the lowest x a walk may read
+        out, tgt, par = lim.copy(), np.arange(x.size) - 1, np.arange(x.size)
+
+        def place(c, at, miss):
+            """Walkers ``c`` whose reads down to ``at`` matched, save a
+            ``miss`` just below: end those at a miss, the edge or their
+            limit, and let those in their target's stretch ride it if its
+            walk goes as deep, else head for the next target. Returns
+            (walker, at, reads before its next event) for the rest."""
+            parts = []
+            while c.size:
+                t, seen = tgt[c], x[c] - at  # seen: the positions matched so far
+                end = miss | (at == 1) | (seen == lim[c])
+                out[c[end]] = seen[end]
+                there = ~end & (at <= top[t])
+                ride = there & (need[t] <= need[c])
+                par[c[ride]] = t[ride]
+                tgt[c[there & ~ride]] -= 1
+                rest = ~end & ~ride
+                c, at, seen, miss = c[rest], at[rest], seen[rest], False
+                todo = np.minimum(np.minimum(at - 1, lim[c] - seen), at - top[tgt[c]])
+                go = todo > 0
+                parts.append((c[go], at[go], todo[go]))
+                c, at = c[~go], at[~go]  # already in the next target's stretch
+            return parts
+
+        start = place(np.arange(x.size), x - LOCKSTEP_STEPS, False)
+        walk, at, todo = map(np.concatenate, zip(*start))
+        while walk.size:
+            at -= 1
+            got = self.sess.read_many(at if step < 0 else n + 1 - at) == sym[walk]
+            todo -= 1
+            check = ~got | (todo == 0)
+            if check.any():
+                miss = ~got[check]
+                more = place(walk[check], at[check] + miss, miss)
+                keep = (walk[~check], at[~check], todo[~check])
+                walk, at, todo = map(np.concatenate, zip(keep, *more))
+        # A rider's extent is min(lim, its distance to its target + the
+        # target's extent): jump the pointers, composing those pairs, until
+        # each reaches a walk that ended on its own.
+        while True:
+            np.minimum(out, x - x[par] + out[par], out=out)
+            up = par[par]
+            if np.array_equal(up, par):
+                break
+            par = up
+        ext[idx] = out
         return ext
-
-    def _link(self, x, lim, sym, reach, step) -> np.ndarray:
-        """Extents of the probes still open after the lockstep, each of which
-        has matched ``LOCKSTEP_STEPS`` positions so far.
-
-        Works in walk coordinates x, sorted ascending: the position for step
-        -1, n + 1 minus it for step +1, so every walk heads for x = 1. A
-        probe's left neighbour is known to hold its own symbol from its x up
-        to x + ``reach`` (``None``: up to x), and the probe walks only the gap
-        down to that region. Meeting the region with the same symbol links
-        the two probes, so each chain of linked probes is one stretch of a
-        run, walked by its first probe, the terminal. Member i, at distance
-        d_i from the terminal, gets min(lim_i, d_i + e), e the terminal's
-        extent, so the terminal walks until a mismatch or the edge, or down
-        to the lowest x_i - lim_i in its chain. Meeting the next chain's
-        region with the same symbol merges the two chains there; so no gap
-        is read twice. A round reads one position per walking chain, and
-        costs O(walking chains) plus O(chains whose walk ended in it).
-        """
-        n = self.sess.length
-        end = np.zeros_like(x)  # last x of the left neighbour's known region; 0: the edge
-        end[1:] = x[:-1] if reach is None else x[:-1] + reach[:-1]
-        same = np.zeros(x.size, dtype=bool)
-        same[1:] = sym[1:] == sym[:-1]
-        nxt = x - (LOCKSTEP_STEPS + 1)  # every open probe has matched LOCKSTEP_STEPS
-        link = (nxt < end) | ((nxt == end) & same)  # an overlap means the same run
-        del nxt, same
-        term = np.flatnonzero(~link)
-
-        # One entry per chain; a group of merged chains keeps its state at its
-        # first chain: where its walk stands, and the lowest x a member needs.
-        tx, tend, tsym, tsame = x[term], end[term], sym[term], np.zeros(term.size, dtype=bool)
-        del end
-        tsame[1:] = tsym[1:] == sym[term[1:] - 1]
-        need = np.minimum.reduceat(x - lim, term)
-        text = np.zeros(term.size, dtype=np.int64)
-        state = np.full(term.size, _WALKING, dtype=np.int8)
-        head = np.arange(term.size)  # at a group's last chain: its first
-        tail = head.copy()           # at a group's first chain: its last
-        mark = np.zeros(term.size, dtype=bool)
-
-        def place(c, at):
-            """Settle chains ``c``, whose walks last read ``at``: the walker
-            slots (chain, at, reads before its next check) of those with more
-            to read, and the chains that met the next chain's symbol."""
-            text[c] = tx[c] - at
-            low = np.maximum(tend[c] + 1, need[c])
-            go = at > low
-            met = ~go & (need[c] < at)  # at the neighbour's region, or the edge
-            state[c] = np.where(go | met, _WALKING, _STOPPED)
-            met = c[met]
-            state[met[~tsame[met]]] = _CLOSED
-            return (c[go], at[go], (at - low)[go]), met[tsame[met]]
-
-        def join(slots, more):
-            return tuple(np.concatenate(pair) for pair in zip(slots, more))
-
-        (walk, at, budget), pend = place(np.arange(term.size), tx - LOCKSTEP_STEPS)
-        while walk.size or pend.size:
-            progress = walk.size
-            if walk.size:
-                at -= 1
-                got = self.sess.read_many(at if step < 0 else n + 1 - at) == tsym[walk]
-                budget -= 1
-                check = ~got | (budget == 0)
-                if check.any():
-                    miss = check & ~got
-                    text[walk[miss]] = tx[walk[miss]] - at[miss] - 1
-                    state[walk[miss]] = _CLOSED
-                    more, met = place(walk[check & got], at[check & got])
-                    walk, at, budget = join((walk[~check], at[~check], budget[~check]), more)
-                    pend = np.concatenate([pend, met])
-            if pend.size:
-                into = head[pend - 1]
-                mark[pend] = True
-                wait = mark[into]  # a group that merges this round takes its followers next round
-                mark[pend] = False
-                merge, into = pend[~wait], into[~wait]
-                progress += merge.size
-                last = tail[merge]
-                head[last], tail[into] = into, last
-                need[into] = np.minimum(need[into], need[merge])
-                state[merge] = _MERGED
-                woken = into[state[into] == _STOPPED]
-                more, met = place(woken, tx[woken] - text[woken])
-                walk, at, budget = join((walk, at, budget), more)
-                pend = np.concatenate([pend[wait], met])
-            if not progress:
-                raise RuntimeError("run walk neither read nor merged; prober is broken")
-
-        group = np.maximum.accumulate(np.where(state == _MERGED, 0, np.arange(term.size)))
-        chain = np.cumsum(~link)
-        chain -= 1
-        out = (text - tx)[group][chain]  # + x: the distance to the terminal plus its extent
-        del chain
-        out += x
-        return np.minimum(out, lim, out=out)
 
     def advance(self, caps) -> np.ndarray:
         """min(run length, cap) for each probe, for one cap or one cap per probe."""

@@ -316,6 +316,16 @@ def test_audit_rows_flag_violations():
         audit_queries([{"estimator": "rle-refined", "n": 1000, "gamma": 0.5, "queries_used": 1}])
     with pytest.raises(ValueError, match="unknown estimator"):
         audit_queries([{"estimator": "colorz", "n": 1000, "queries_used": 1}])
+    # a missing key names the entry, its estimator and the key
+    ok = {"estimator": "rle-additive", "n": 100, "epsilon": 0.1, "queries_used": 5}
+    with pytest.raises(ValueError, match=r"audit entry 1 \(rle-additive\) lacks key 'epsilon'"):
+        audit_queries([ok, {"estimator": "rle-additive", "n": 100, "queries_used": 5}])
+    with pytest.raises(ValueError, match=r"audit entry 0 \(rle-search\) lacks key 'exact'"):
+        audit_queries([{"estimator": "rle-search", "n": 100, "queries_used": 5}])
+    with pytest.raises(ValueError, match=r"audit entry 0 \(lz\) lacks key 'n'"):
+        audit_queries([{"estimator": "lz", "A": 8, "epsilon": 0.05, "queries_used": 5}])
+    with pytest.raises(ValueError, match=r"audit entry 0 \(None\) lacks key 'estimator'"):
+        audit_queries([{"n": 100, "queries_used": 5}])
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -9,6 +9,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# The warning filters of CI's tier-1 step: a demo that warns fails as a test does.
+WARNINGS_AS_ERRORS = [
+    f"-Werror::{w}" for w in ("RuntimeWarning", "DeprecationWarning", "FutureWarning", "ResourceWarning")
+]
 
 
 def test_all_six_demos_found():
@@ -19,6 +23,7 @@ def test_all_six_demos_found():
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, *WARNINGS_AS_ERRORS, str(script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -23,7 +23,7 @@ from compest.accessor import QuerySession
 from compest.campaign import build_builtin
 from compest.colors import amplification_runs, colors_plan
 from compest.lz import window_plan
-from compest.oracles import ceil_log2
+from compest.oracles import ceil_log2, run_lengths
 from compest.generators import generate_wk
 from compest.rle import (
     LOCKSTEP_STEPS,
@@ -131,18 +131,20 @@ def test_final_cap_pass_matches_staged_reference():
 
 
 def check_against_staged_reference(arr, ts, caps):
+    """Returns the number of positions requested and the solo walks' total size."""
     expect = [staged_probe(arr, int(t), [int(cap)]) for t, cap in zip(ts, caps)]
     sess = RecordingSession(arr)
     conf = RunProber(sess, ts).advance(caps)
     assert conf.tolist() == [length for length, _ in expect]
     assert set(sess.requested) == set().union(*(read for _, read in expect))
-    return len(sess.requested)
+    return len(sess.requested), sum(len(read) for _, read in expect)
 
 
 def test_dense_probes_over_long_runs_match_staged_reference():
     # More probes than positions, duplicates included, on runs of up to a few
     # hundred, with bucket-style caps: most small, a few past any run. Runs
-    # hold many probes each, so their walks link into long chains.
+    # hold many probes each, so most walks reach the probe ahead and ride it
+    # or pass it.
     rng = np.random.default_rng(47)
     for _ in range(12):
         n = int(rng.integers(300, 2_500))
@@ -151,18 +153,51 @@ def test_dense_probes_over_long_runs_match_staged_reference():
         caps = 2 ** rng.integers(1, 5, size=ts.size)
         big = rng.random(ts.size) < 0.05
         caps[big] = rng.integers(2, 2 * n, size=int(big.sum()))
-        requested = check_against_staged_reference(arr, ts, caps)
+        requested, _ = check_against_staged_reference(arr, ts, caps)
         # each probe's own read and its lockstep steps, then each position at
         # most once per side
         assert requested <= ts.size * (1 + 2 * LOCKSTEP_STEPS) + 2 * n
+    # Sparse probes, 2-10% of n, on runs of up to 5 000 (log-uniform lengths),
+    # with one cap for all, powers of two, or arbitrary caps up to 2n: walks
+    # cross long gaps to the probe ahead and pass probes with smaller caps.
+    for kind in range(3):
+        n = int(rng.integers(1_000, 5_000))
+        lens = np.exp(rng.uniform(0, math.log(5_000), size=n)).astype(np.int64)
+        lens = lens[: np.searchsorted(np.cumsum(lens), n) + 1]
+        arr = np.repeat(np.arange(lens.size) % 2, lens)[:n].astype(np.uint8)
+        ts = rng.integers(1, n + 1, size=int(n * rng.uniform(0.02, 0.1)))
+        caps = (
+            np.full(ts.size, rng.integers(2, 2 * n)),
+            2 ** rng.integers(1, 13, size=ts.size),
+            rng.integers(1, 2 * n, size=ts.size),
+        )[kind]
+        requested, solo = check_against_staged_reference(arr, ts, caps)
+        # no probe asks for a position twice, or for one off its solo walk
+        assert requested <= solo
+
+
+def test_single_cap_walks_read_each_position_once_per_side():
+    # With one cap for every probe, as in the additive pass, a walk that
+    # reaches the probe ahead of it in its run can always ride it, so no
+    # probe passes another: past the lockstep, each side reads each position
+    # at most once. Without riding, 3 200 probes walking runs longer than the
+    # cap would ask for millions of positions.
+    n, cap = 10**5, additive_probe_cap(0.05, 2)
+    ts = make_rng(11).integers(1, n + 1, size=3_200)
+    for arr in (all_ones(n), generate_wk(n, 64, 3), generate_wk(n, 100, 3)):
+        for a in (arr, arr[::-1].copy()):
+            sess = RecordingSession(a)
+            conf = RunProber(sess, ts).advance(cap)
+            _, lens = run_lengths(a)
+            assert np.array_equal(conf, np.minimum(np.repeat(lens, lens)[ts - 1], cap))
+            assert len(sess.requested) <= ts.size * (1 + 2 * LOCKSTEP_STEPS) + 2 * n
 
 
 def test_capped_chains_continue_for_a_far_member():
-    # One long run holds a row of probes, spaced past the lockstep, so each is
-    # its own chain and each stops at its small cap inside its gap. Only the
-    # last probe needs more: its walk crosses every gap to the run's start,
-    # merging the chains on the way, and each capped chain's member keeps
-    # its own cap.
+    # One long run holds a row of probes, spaced past the lockstep, so each
+    # stops at its small cap inside its gap. Only the last probe needs more:
+    # its walk passes every capped probe on its way to the run's start, and
+    # each capped probe keeps its own cap.
     spacing = LOCKSTEP_STEPS + 6
     for n, start, far in ((600, 37, 10**6), (600, 37, 300), (350, 1, 10**6)):
         arr = np.zeros(n, dtype=np.uint8)
