@@ -19,6 +19,9 @@ Conventions:
   (not counted), and in no other way.
 * A session's touched-position ledger costs O(q) memory for q distinct
   reads, until q nears n / 64; see :class:`_TouchedSet`.
+* :meth:`QuerySession.read_all` marks the ledger full in O(1) and returns
+  the backing array read-only, with no index array or copy. Every array a
+  session returns fits ``alphabet_size``: the accessor checks it, not callers.
 """
 
 from __future__ import annotations
@@ -69,6 +72,16 @@ def distinct_count(values) -> int:
     return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
+def _alphabet_for(symbols: np.ndarray, declared: int | None) -> int:
+    """``declared`` (default: the distinct count of ``symbols``), at least 2;
+    raises if ``symbols`` hold more distinct symbols than that."""
+    inferred = distinct_count(symbols)
+    size = max(2, inferred if declared is None else int(declared))
+    if inferred > size:
+        raise ValueError(f"{inferred} distinct symbols exceed declared alphabet size {size}")
+    return size
+
+
 class _TouchedSet:
     """Distinct touched 0-indexed positions out of ``length``.
 
@@ -81,21 +94,29 @@ class _TouchedSet:
 
     While sorted, each :meth:`add` copies the whole array (``np.insert``), so
     it costs O(len + batch log batch): read positions in batches, not one at
-    a time.
+    a time. :meth:`fill` marks every position touched in O(1), for good.
     """
 
     def __init__(self, length: int):
         self._length = length
         self._sorted = np.empty(0, dtype=np.int64)
         self._bitmap: np.ndarray | None = None
+        self._full = False
 
     def __len__(self) -> int:
+        if self._full:
+            return self._length
         if self._bitmap is None:
             return int(self._sorted.size)
         return int(np.count_nonzero(self._bitmap))
 
+    def fill(self) -> None:  # every position, for good: later adds are no-ops
+        self._full, self._sorted, self._bitmap = True, None, None
+
     def add(self, idx0: np.ndarray) -> None:
         """Record the 0-indexed positions ``idx0``."""
+        if self._full:
+            return
         idx0 = np.ravel(idx0)
         if self._bitmap is None and self._sorted.size + idx0.size > self._length // 64:
             self._bitmap = np.zeros(self._length, dtype=bool)
@@ -148,12 +169,7 @@ class QueryCountedString:
             self._data = data
             self._provider = None
             self.length = int(data.size)
-            inferred = distinct_count(data)
-            self.alphabet_size = max(2, inferred if alphabet_size is None else int(alphabet_size))
-            if inferred > self.alphabet_size:
-                raise ValueError(
-                    f"{inferred} distinct symbols exceed declared alphabet size {self.alphabet_size}"
-                )
+            self.alphabet_size = _alphabet_for(data, alphabet_size)
         else:
             if length is None or alphabet_size is None:
                 raise ValueError("provider-backed strings need explicit length and alphabet_size")
@@ -203,6 +219,16 @@ class QueryCountedString:
         with self._lock:
             return np.asarray(self._provider(idx0))
 
+    def _whole(self) -> np.ndarray:
+        """Every symbol, read-only; a provider's are checked against the alphabet."""
+        if self._data is not None:
+            out = self._data.view()
+        else:
+            out = self._fetch(np.arange(self.length, dtype=np.int64)).view()
+            _alphabet_for(out, self.alphabet_size)
+        out.flags.writeable = False
+        return out
+
     def _check(self, positions) -> np.ndarray:
         idx0 = np.asarray(positions, dtype=np.int64) - 1
         if idx0.size and (idx0.min() < 0 or idx0.max() >= self.length):
@@ -250,7 +276,12 @@ class QuerySession:
             raise RuntimeError(f"{used} reads past the planned {bound}; the sampler is broken")
         return used
 
-    def read_many(self, positions: np.ndarray) -> np.ndarray:
+    def read_many(self, positions) -> np.ndarray:
+        """Symbols at 1-indexed ``positions``, in their shape. ``range(1, n + 1)``
+        marks the ledger full and returns the whole string read-only, uncopied."""
+        if isinstance(positions, range) and positions == range(1, self.length + 1):
+            self._touched.fill()
+            return self.parent._whole()
         idx0 = self.parent._check(np.asarray(positions))
         self._touched.add(idx0)
         return self.parent._fetch(idx0)
@@ -259,8 +290,9 @@ class QuerySession:
         return int(self.read_many(np.array([position], dtype=np.int64))[0])
 
     def read_all(self) -> np.ndarray:
-        """Read the whole string through the session (n queries)."""
-        return self.read_many(np.arange(1, self.length + 1, dtype=np.int64))
+        """The whole string (n queries), read-only: a view of the backing array,
+        or a provider's symbols, which must fit the declared alphabet."""
+        return self.read_many(range(1, self.length + 1))
 
 
 @dataclass(frozen=True)

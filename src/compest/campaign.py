@@ -44,7 +44,7 @@ from .accessor import EstimateReport, QueryCountedString, ReadPlan, meets_contra
 from .colors import amplification_runs, colors_estimate, colors_estimate_amplified, colors_plan
 from .generators import GeneratorSpec
 from .lz import LzEstimateParams, lz_estimate, window_plan
-from .oracles import exact_color_count, exact_lz_cost, exact_rle_cost
+from .oracles import exact_color_count, exact_lz_cost, rle_total_cost
 from .rle import (
     additive_plan,
     bucketed_plan,
@@ -59,7 +59,7 @@ CSV_FIELDS = ["trial", "seed", "estimate", "exact", "queries", "contract_pass", 
 
 
 def _exact_rle(acc: QueryCountedString) -> float:
-    return float(exact_rle_cost(acc.materialize(), acc.alphabet_size).total_cost)
+    return float(rle_total_cost(acc.materialize(), acc.alphabet_size))
 
 
 def _exact_colors(acc: QueryCountedString) -> float:
@@ -336,20 +336,25 @@ def audit_queries(entries: list) -> list[AuditRow]:
     ``rle-bucketed``; ``exact``, the exact cost, for ``rle-search``;
     ``lambda`` for ``colors``; ``lambda`` and ``delta`` (default 1/3) for
     ``colors-amplified``; ``A`` and ``epsilon`` for ``lz``. The RLE rows also
-    take ``sigma``, the alphabet size (default 2). A missing key raises a
-    ``ValueError`` naming the entry. Rows exceeding their ceiling are
-    flagged, and so are ceilings of n or more; the caller decides whether
-    that is fatal.
+    take ``sigma``, the alphabet size (default 2). ``entries`` that are not a
+    list, and an entry that is not a dict, lacks a key, or names an estimator
+    with no ceiling, raise a ``ValueError`` naming the entry. Rows exceeding
+    their ceiling are flagged, and so are ceilings of n or more; the caller
+    decides whether that is fatal.
     """
+    if not isinstance(entries, list):
+        raise ValueError(f"audit entries must be a list, not {type(entries).__name__}")
     rows = []
     for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ValueError(f"audit entry {i} must be an object, not {type(e).__name__}")
         try:
             name = e["estimator"]
             if name not in ESTIMATORS:
-                raise ValueError(f"unknown estimator {name!r}")
+                raise ValueError(f"audit entry {i}: unknown estimator {name!r}")
             ceiling = ESTIMATORS[name].ceiling
             if ceiling is None:
-                raise ValueError(f"{name} has no query ceiling")
+                raise ValueError(f"audit entry {i}: {name} has no query ceiling")
             n = int(e["n"])
             used = int(e["queries_used"])
             rows.append(AuditRow(label=name, n=n, queries_used=used, ceiling=float(ceiling(e, n))))

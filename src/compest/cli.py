@@ -28,6 +28,7 @@ from .oracles import (
     exact_distinct_substrings,
     exact_lz_cost,
     exact_rle_cost,
+    rle_total_cost,
 )
 
 
@@ -110,14 +111,14 @@ def _cmd_gen(args) -> int:
     with open(args.out, "wb") as fh:
         fh.write(raw)
     if args.emit_meta:
-        alphabet = distinct_count(arr)
+        alphabet = max(2, distinct_count(arr))
         meta = {
             "family": args.family,
             "seed": args.seed,
             "n": int(arr.size),
             "token_width_bytes": width,
-            "alphabet_size": max(2, alphabet),
-            "exact_rle_cost": exact_rle_cost(arr).total_cost,
+            "alphabet_size": alphabet,
+            "exact_rle_cost": rle_total_cost(arr, alphabet),
             "exact_lz_cost": exact_lz_cost(arr).total_cost,
         }
         with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
@@ -140,9 +141,12 @@ def _cmd_campaign(args) -> int:
         )
         _emit(result.to_json_dict())
         return 0 if result.passed else 1
-    with open(args.reports, "r", encoding="utf-8") as fh:
-        entries = json.load(fh)
-    rows = audit_queries(entries)
+    try:
+        with open(args.reports, "r", encoding="utf-8") as fh:
+            rows = audit_queries(json.load(fh))
+    except ValueError as exc:  # malformed JSON included
+        print(f"compest: error: {exc}", file=sys.stderr)
+        return 2
     _emit(
         {
             "rows": [

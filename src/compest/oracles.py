@@ -71,15 +71,61 @@ class CostBreakdown:
     scheme: str = ""
 
 
-def run_lengths(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts0, lengths) of the maximal runs of identical symbols."""
+RUN_CHUNK = 1 << 18  # symbols per step of the run pass: 0.48 s for 1e8 random bits, +7 MB RSS
+
+
+def _run_length_chunks(arr: np.ndarray):
+    """The lengths of the maximal runs of ``arr`` in order, one array per
+    ``RUN_CHUNK`` symbols, in O(chunk) extra memory: the run still open at a
+    chunk's end is carried into the next."""
     n = arr.size
     if n == 0:
         raise ValueError("empty string")
-    boundaries = np.flatnonzero(arr[1:] != arr[:-1])
-    starts = np.concatenate([[0], boundaries + 1])
-    lengths = np.diff(np.concatenate([starts, [n]]))
-    return starts, lengths
+    open_at = 0  # 0-indexed start of the run not yet closed
+    for lo in range(1, n, RUN_CHUNK):
+        hi = min(lo + RUN_CHUNK, n)
+        starts = np.flatnonzero(arr[lo:hi] != arr[lo - 1 : hi - 1])
+        if starts.size:
+            starts += lo
+            yield np.diff(starts, prepend=open_at)
+            open_at = int(starts[-1])
+    yield np.array([n - open_at])
+
+
+def run_lengths(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts0, lengths) of the maximal runs of identical symbols."""
+    lengths = np.concatenate(list(_run_length_chunks(arr)))
+    return np.cumsum(lengths) - lengths, lengths
+
+
+def _rle_bits_and_runs(arr: np.ndarray) -> tuple[int, int]:
+    """(sum over runs of ceil(log2(ell + 1)), number of runs)."""
+    bits = runs = 0
+    for lengths in _run_length_chunks(arr):
+        # ceil(log2(ell + 1)) is the binary exponent e of ell = m * 2^e, 0.5 <= m < 1
+        bits += int(np.frexp(lengths)[1].sum(dtype=np.int64))
+        runs += lengths.size
+    return bits, runs
+
+
+def rle_total_cost(w, alphabet_size: int) -> int:
+    """``exact_rle_cost(w, alphabet_size).total_cost`` from one chunked pass,
+    with no per-run columns. ``alphabet_size`` is trusted, not checked against
+    the symbols: a :class:`QueryCountedString` has checked it."""
+    bits, runs = _rle_bits_and_runs(as_symbols(w))
+    return bits + runs * alphabet_bits(alphabet_size)
+
+
+def run_length_sums(w, edges) -> np.ndarray:
+    """For ascending integer ``edges``, the number of positions in runs of
+    length in [edges[i], edges[i + 1]), for each i, from one chunked pass."""
+    arr = as_symbols(w)
+    edges = np.asarray(edges, dtype=np.int64)
+    sums = np.zeros(edges.size + 1, dtype=np.int64)
+    for lengths in _run_length_chunks(arr):
+        slot = np.searchsorted(edges, lengths, side="right")
+        sums += np.bincount(slot, weights=lengths, minlength=sums.size).astype(np.int64)
+    return sums[1:-1]
 
 
 def exact_rle_cost(w, alphabet_size: int | None = None) -> CostBreakdown:
@@ -101,9 +147,7 @@ def exact_rle_cost(w, alphabet_size: int | None = None) -> CostBreakdown:
 
 def rle_length_bits(w) -> int:
     """Sum over runs of ceil(log2(ell + 1)) only, without the per-run symbol bits."""
-    arr = as_symbols(w)
-    _, lengths = run_lengths(arr)
-    return int(ceil_log2(lengths + 1).sum())
+    return _rle_bits_and_runs(as_symbols(w))[0]
 
 
 def exact_lz_cost(w) -> CostBreakdown:

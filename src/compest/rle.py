@@ -27,7 +27,8 @@ open then walk on in order, and a walk that reaches the probe ahead of it in
 the same run stops there if that probe may walk as far, so probes with one
 cap read a long run about once, not once per probe. A plan scans once its
 sample count reaches ``SCAN_SHARE * n`` (additive: also once n is at most
-the probe cap), and a search also scans once its reads reach that share.
+the probe cap), and a search also scans once its reads reach that share. A
+scan is one ``read_all`` and one chunked pass over the runs, with no columns.
 
 The per-position cost contribution of index t in a run of length ell is
 c(t) = (ceil(log2(ell + 1)) + ceil(log2(sigma))) / ell, so that the total
@@ -46,7 +47,7 @@ import numpy as np
 
 from ._rng import derive_seed, make_rng
 from .accessor import EstimateReport, QueryCountedString, QuerySession, ReadPlan
-from .oracles import alphabet_bits, ceil_log2, exact_rle_cost, run_lengths
+from .oracles import alphabet_bits, ceil_log2, rle_total_cost, run_length_sums
 
 # The sampling theorems fix only asymptotics; the constants below are
 # calibration choices. Each run asserts the read bound of its plan, and the
@@ -266,7 +267,7 @@ def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> E
     plan = additive_plan(n, sigma, epsilon)
     sess = w.session()
     if plan.scan:
-        est = float(exact_rle_cost(sess.read_all(), sigma).total_cost)
+        est = float(rle_total_cost(sess.read_all(), sigma))
     else:
         ell0 = additive_probe_cap(epsilon, sigma)
         conf = RunProber(sess, make_rng(seed).integers(1, n + 1, size=plan.draws)).advance(ell0)
@@ -363,10 +364,11 @@ def _bucketed_core(sess: QuerySession, plan: BucketPlan, seed: int) -> tuple[flo
     n = sess.length
     rows = []
     if plan.scan:
-        _, lens = run_lengths(sess.read_all())
+        # a bucket's integer lengths are ceil(low) .. cap - 1, and cap is the next one's ceil(low)
+        edges = [math.ceil(low) for _, low, *_ in plan.buckets] + [plan.buckets[-1][3]]
+        sums = run_length_sums(sess.read_all(), edges).tolist()
         est = 0.0
-        for h, low, high, cap, weight in plan.buckets:
-            hits = int(lens[(lens >= low) & (lens < high)].sum())
+        for (h, low, high, cap, weight), hits in zip(plan.buckets, sums):
             est += (hits / n) * n * weight
             rows.append(BucketRow(h, low, high, cap, weight, q_h=n, hits=hits))
         return est, BucketTable(plan.q, tuple(rows), exact_mode=True)
@@ -460,7 +462,7 @@ def _interval_search(
         plan = bucketed_plan(n, sess.alphabet_size, eps_j, delta_j, ratio, q_scale)
         if sess.queries_within(budget) >= SCAN_SHARE * n or plan.scan:
             budget = n
-            out = float(exact_rle_cost(sess.read_all(), sess.alphabet_size).total_cost)
+            out = float(rle_total_cost(sess.read_all(), sess.alphabet_size))
             rounds.append(SearchRound(j, 0.0, 0.0, out, out, out))
             break
         est, _ = _bucketed_core(sess, plan, derive_seed(seed, j))

@@ -58,6 +58,51 @@ def test_counter_never_exceeds_length():
     assert sess.queries == 4 == w.length
 
 
+def test_read_all_is_a_read_only_view_that_fills_the_ledger():
+    data = np.arange(1000, dtype=np.int64) % 7
+    w = QueryCountedString.from_tokens(data)
+    sess = w.session()
+    sess.read_many(np.array([5, 900]))  # a sorted ledger first, then full
+    whole = sess.read_all()
+    assert np.shares_memory(whole, w._data) and np.array_equal(whole, data)
+    with pytest.raises(ValueError):
+        whole[0] = 3
+    assert sess.queries == 1000
+    assert np.array_equal(sess.read_many(np.array([3, 1000, 3])), [2, 5, 2])
+    sess.read_many(np.arange(1, 1001))  # would switch a ledger to its bitmap
+    assert sess.queries == 1000
+    assert sess._touched._bitmap is None and sess._touched._sorted is None  # no ledger kept
+    with pytest.raises(IndexError):
+        sess.read(1001)
+    assert w.session().queries == 0  # other sessions are untouched
+
+
+def test_read_many_of_a_partial_range_takes_the_generic_path():
+    w = QueryCountedString.from_tokens(np.arange(100) % 5)
+    sess = w.session()
+    got = sess.read_many(range(1, 100))
+    assert sess.queries == 99 and not sess._touched._full
+    assert not np.shares_memory(got, w._data) and got.flags.writeable
+    assert np.array_equal(sess.read_many(range(2, 101, 2)), np.arange(1, 100, 2) % 5)
+    assert sess.queries == 100
+
+
+def test_read_all_checks_a_providers_alphabet():
+    data = np.arange(64) % 3
+
+    def provider(idx0):
+        return data[idx0]
+
+    sess = QueryCountedString.from_provider(provider, 64, 3).session()
+    whole = sess.read_all()
+    assert np.array_equal(whole, data) and not whole.flags.writeable
+    assert data.flags.writeable  # the provider's own array stays writable
+    sess = QueryCountedString.from_provider(provider, 64, 2).session()
+    assert np.array_equal(sess.read_many(np.arange(1, 65)), data)  # sampled reads do not count symbols
+    with pytest.raises(ValueError, match="3 distinct symbols exceed declared alphabet size 2"):
+        sess.read_all()
+
+
 def test_empty_rejected():
     with pytest.raises(ValueError):
         QueryCountedString.from_string("")

@@ -136,10 +136,10 @@ def test_campaign_generator_instances_per_trial(tmp_path):
 
 
 @pytest.mark.parametrize("name, params, estimator, oracle", [
-    ("rle-additive", {"epsilon": 0.1}, "rle_additive_estimate", "exact_rle_cost"),
-    ("rle-bucketed", {"epsilon": 0.2}, "rle_bucketed_estimate", "exact_rle_cost"),
-    ("rle-search", {}, "rle_multiplicative_search", "exact_rle_cost"),
-    ("rle-refined", {"gamma": 0.5}, "rle_refined_search", "exact_rle_cost"),
+    ("rle-additive", {"epsilon": 0.1}, "rle_additive_estimate", "rle_total_cost"),
+    ("rle-bucketed", {"epsilon": 0.2}, "rle_bucketed_estimate", "rle_total_cost"),
+    ("rle-search", {}, "rle_multiplicative_search", "rle_total_cost"),
+    ("rle-refined", {"gamma": 0.5}, "rle_refined_search", "rle_total_cost"),
     ("colors", {"lambda": 3}, "colors_estimate", "exact_color_count"),
     ("colors-amplified", {"lambda": 3}, "colors_estimate_amplified", "exact_color_count"),
     ("lz", {"A": 4, "epsilon": 0.1}, "lz_estimate", "exact_lz_cost"),
@@ -326,6 +326,11 @@ def test_audit_rows_flag_violations():
         audit_queries([{"estimator": "lz", "A": 8, "epsilon": 0.05, "queries_used": 5}])
     with pytest.raises(ValueError, match=r"audit entry 0 \(None\) lacks key 'estimator'"):
         audit_queries([{"n": 100, "queries_used": 5}])
+    # so does an entry that is not a dict; entries that are not a list name their type
+    with pytest.raises(ValueError, match="audit entry 1 must be an object, not list"):
+        audit_queries([ok, ["rle-additive", 100]])
+    with pytest.raises(ValueError, match="audit entries must be a list, not dict"):
+        audit_queries(ok)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -466,6 +471,26 @@ def test_cli_campaign_run_and_audit(tmp_path, sample_file):
     reports.write_text(json.dumps(entries))
     code, out = run_cli(["campaign", "audit", "--reports", str(reports)])
     assert code == 0 and json.loads(out)["all_within"]
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([{"estimator": "colorz", "n": 10, "queries_used": 1}],
+     "audit entry 0: unknown estimator 'colorz'"),
+    ([{"estimator": "rle-additive", "n": 100, "queries_used": 5}],
+     "audit entry 0 (rle-additive) lacks key 'epsilon'"),
+    ([{"estimator": "rle-refined", "n": 1000, "gamma": 0.5, "queries_used": 1}],
+     "audit entry 0: rle-refined has no query ceiling"),
+    ({"estimator": "rle-additive", "n": 100, "epsilon": 0.1, "queries_used": 5},
+     "audit entries must be a list, not dict"),
+    ([{"estimator": "rle-additive", "n": 100, "epsilon": 0.1, "queries_used": 5}, 7],
+     "audit entry 1 must be an object, not int"),
+])
+def test_cli_campaign_audit_input_errors_exit_2(tmp_path, capsys, entries, message):
+    reports = tmp_path / "reports.json"
+    reports.write_text(json.dumps(entries))
+    code, out = run_cli(["campaign", "audit", "--reports", str(reports)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"compest: error: {message}\n"
 
 
 def test_cli_campaign_failing_threshold_exits_nonzero(tmp_path, sample_file):

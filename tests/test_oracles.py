@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,12 @@ from compest import (
     exact_rle_cost,
     verify_structural_lemmas,
 )
-from compest.oracles import rle_length_bits
+from compest import oracles
+from compest.oracles import rle_length_bits, rle_total_cost, run_length_sums, run_lengths
+from compest.rle import _geometric_buckets
 from naive import (
+    all_ones,
+    alternating,
     expand_lz_parts,
     naive_color_count,
     naive_distinct,
@@ -64,6 +71,52 @@ def test_rle_length_bits_component():
     arr = np.array([0, 0, 0, 1, 0, 0])
     # runs 3,1,2 -> ceil(log2(4)) + ceil(log2(2)) + ceil(log2(3)) = 2 + 1 + 2
     assert rle_length_bits(arr) == 5
+
+
+def run_pass_corpus():
+    """(symbols, sigma): n = 1, one run, all runs of 1, long runs, and int64
+    symbols near +-2^62 from up to 70 000 values."""
+    rng = np.random.default_rng(17)
+    yield np.array([3]), 2
+    yield all_ones(40), 2
+    yield alternating(41), 2
+    for _ in range(4):
+        runs = rng.integers(1, 30, size=25)
+        yield np.repeat(rng.integers(0, 3, size=runs.size).astype(np.uint8), runs), 3
+    for sign in (1, -1):
+        values = sign * 2**62 + rng.integers(0, 70_000, size=60)
+        yield np.repeat(values, rng.integers(1, 5, size=60)), 70_000
+
+
+def grouped_run_lengths(arr) -> np.ndarray:
+    return np.array([len(list(run)) for _, run in itertools.groupby(arr.tolist())])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_chunked_run_pass_matches_the_columns(monkeypatch, chunk):
+    # runs cross many chunk edges at these sizes, and the open run is carried over each
+    monkeypatch.setattr(oracles, "RUN_CHUNK", chunk)
+    for arr, sigma in run_pass_corpus():
+        lengths = run_lengths(arr)[1]
+        assert np.array_equal(lengths, grouped_run_lengths(arr))
+        total = rle_total_cost(arr, sigma)
+        assert total == exact_rle_cost(arr, sigma).total_cost == naive_rle_cost(arr.tolist(), sigma)
+        assert rle_length_bits(arr) == total - lengths.size * math.ceil(math.log2(sigma))
+
+
+@pytest.mark.parametrize("ratio", [2.0, 1.25])
+def test_run_length_sums_match_the_bucket_masks(monkeypatch, ratio):
+    buckets = _geometric_buckets(1200, 1, ratio)
+    edges = [math.ceil(low) for _, low, *_ in buckets] + [buckets[-1][3]]
+    rng = np.random.default_rng(23)
+    arrays = [arr for arr, _ in run_pass_corpus()]
+    arrays += [np.repeat(alternating(300), rng.integers(1, 2000, size=300)), all_ones(5000)]
+    for chunk in (3, oracles.RUN_CHUNK):
+        monkeypatch.setattr(oracles, "RUN_CHUNK", chunk)
+        for arr in arrays:
+            lens = grouped_run_lengths(arr)
+            want = [int(lens[(lens >= low) & (lens < high)].sum()) for _, low, high, *_ in buckets]
+            assert run_length_sums(arr, edges).tolist() == want
 
 
 # -- LZ ----------------------------------------------------------------

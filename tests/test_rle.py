@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -399,6 +400,31 @@ def test_bucketed_full_sampling_two_sided_identity():
             # ignored tail (runs past the last bucket) is bounded by eps*n/2
             assert exact - eps * n / 2 <= rep.estimate <= 2 * exact
             assert rep.queries_used == n
+
+
+def test_bucketed_scan_takes_one_pass_in_o_chunk_memory():
+    # delta 1e-7 puts q = 0.29 n past SCAN_SHARE at eps 0.01 on n = 1e7; the
+    # scan views the array in place and sums the buckets chunk by chunk
+    n = 10**7
+    arr = random_symbols(n, 2, seed=27)
+    w = acc(arr)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rep, table = rle_bucketed_estimate_detailed(w, 0.01, 1e-7, seed=0)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.exact_mode and rep.queries_used == n
+    assert peak < 64 * 2**20 and elapsed < 2.0, (peak, elapsed)
+    lens = run_lengths(arr)[1]
+    est = 0.0
+    for row in table.rows:
+        hits = int(lens[(lens >= row.low) & (lens < row.high)].sum())
+        assert row.hits == hits
+        est += (hits / n) * n * row.weight
+    assert rep.estimate == est
 
 
 def test_sampled_lanes_below_the_scan_share_stay_sampled():
