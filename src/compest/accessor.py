@@ -250,6 +250,17 @@ class QueryCountedString:
         return self._fetch(np.arange(self.length, dtype=np.int64))
 
 
+class _AllPositions:
+    """Positions 1..n, as :meth:`QuerySession.read_all` asks for them: ``size``
+    (what ``np.size`` reads) is n, and no index array exists unless asked for."""
+
+    def __init__(self, n: int):
+        self.size = n
+
+    def __array__(self, dtype=None, copy=None):
+        return np.arange(1, self.size + 1, dtype=dtype)
+
+
 class QuerySession:
     """One estimator run's reads of a :class:`QueryCountedString`.
 
@@ -277,9 +288,9 @@ class QuerySession:
         return used
 
     def read_many(self, positions) -> np.ndarray:
-        """Symbols at 1-indexed ``positions``, in their shape. ``range(1, n + 1)``
-        marks the ledger full and returns the whole string read-only, uncopied."""
-        if isinstance(positions, range) and positions == range(1, self.length + 1):
+        """Symbols at 1-indexed ``positions``, in their shape. ``read_all``'s
+        positions mark the ledger full and return the whole string read-only."""
+        if isinstance(positions, _AllPositions) and positions.size == self.length:
             self._touched.fill()
             return self.parent._whole()
         idx0 = self.parent._check(np.asarray(positions))
@@ -292,7 +303,7 @@ class QuerySession:
     def read_all(self) -> np.ndarray:
         """The whole string (n queries), read-only: a view of the backing array,
         or a provider's symbols, which must fit the declared alphabet."""
-        return self.read_many(range(1, self.length + 1))
+        return self.read_many(_AllPositions(self.length))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from compest import (
     meets_contract,
     rle_additive_estimate,
 )
-from compest.accessor import distinct_count
+from compest.accessor import QuerySession, distinct_count
 
 
 def test_read_counts_once():
@@ -77,14 +77,20 @@ def test_read_all_is_a_read_only_view_that_fills_the_ledger():
     assert w.session().queries == 0  # other sessions are untouched
 
 
-def test_read_many_of_a_partial_range_takes_the_generic_path():
+def test_read_many_of_a_range_takes_the_generic_path(monkeypatch):
     w = QueryCountedString.from_tokens(np.arange(100) % 5)
     sess = w.session()
     got = sess.read_many(range(1, 100))
     assert sess.queries == 99 and not sess._touched._full
     assert not np.shares_memory(got, w._data) and got.flags.writeable
-    assert np.array_equal(sess.read_many(range(2, 101, 2)), np.arange(1, 100, 2) % 5)
-    assert sess.queries == 100
+    assert np.array_equal(sess.read_many(range(1, 101)), np.arange(100) % 5)
+    assert sess.queries == 100 and not sess._touched._full
+    # read_all's own positions are n of them by np.size, in O(1), and 1..n as an array
+    asked = []
+    real = QuerySession.read_many
+    monkeypatch.setattr(QuerySession, "read_many", lambda self, pos: asked.append(pos) or real(self, pos))
+    w.session().read_all()
+    assert np.size(asked[0]) == 100 and np.array_equal(np.asarray(asked[0]), np.arange(1, 101))
 
 
 def test_read_all_checks_a_providers_alphabet():
