@@ -22,6 +22,9 @@ Conventions:
 * :meth:`QuerySession.read_all` marks the ledger full in O(1) and returns
   the backing array read-only, with no index array or copy. Every array a
   session returns fits ``alphabet_size``: the accessor checks it, not callers.
+* A session may carry a read budget: a :meth:`QuerySession.read_many` that
+  carries its distinct reads past it raises :class:`ReadBudgetSpent`, so a
+  sampler can stop mid-pass and scan instead. ``read_all`` is never budgeted.
 """
 
 from __future__ import annotations
@@ -80,6 +83,10 @@ def _alphabet_for(symbols: np.ndarray, declared: int | None) -> int:
     if inferred > size:
         raise ValueError(f"{inferred} distinct symbols exceed declared alphabet size {size}")
     return size
+
+
+class ReadBudgetSpent(Exception):
+    """A budgeted session's distinct reads passed its budget."""
 
 
 class _TouchedSet:
@@ -236,8 +243,10 @@ class QueryCountedString:
             raise IndexError(f"position {int(bad)} outside [1, {self.length}]")
         return idx0
 
-    def session(self) -> "QuerySession":
-        return QuerySession(self)
+    def session(self, budget: float | None = None) -> "QuerySession":
+        """A new counted session; with a ``budget``, a read that carries its
+        distinct reads past it raises :class:`ReadBudgetSpent`."""
+        return QuerySession(self, budget)
 
     def materialize(self) -> np.ndarray:
         """Full copy of the string, read by no session and counted nowhere.
@@ -270,11 +279,15 @@ class QuerySession:
     session is not shared between threads; concurrent runs each open their own.
     """
 
-    def __init__(self, parent: QueryCountedString):
+    def __init__(self, parent: QueryCountedString, budget: float | None = None):
         self.parent = parent
         self.length = parent.length
         self.alphabet_size = parent.alphabet_size
         self._touched = _TouchedSet(parent.length)
+        self._budget = budget
+        # budget minus the reads at the last count and the positions asked for
+        # since: while it stays >= 0, the reads cannot have passed the budget
+        self._room = budget
 
     @property
     def queries(self) -> int:
@@ -289,12 +302,23 @@ class QuerySession:
 
     def read_many(self, positions) -> np.ndarray:
         """Symbols at 1-indexed ``positions``, in their shape. ``read_all``'s
-        positions mark the ledger full and return the whole string read-only."""
+        positions mark the ledger full and return the whole string read-only.
+
+        In a budgeted session, a batch that carries the distinct reads past
+        the budget is recorded and raises :class:`ReadBudgetSpent` instead of
+        returning. ``queries`` is recounted only once the positions asked for
+        since the last count could have carried it past the budget."""
         if isinstance(positions, _AllPositions) and positions.size == self.length:
             self._touched.fill()
             return self.parent._whole()
         idx0 = self.parent._check(np.asarray(positions))
         self._touched.add(idx0)
+        if self._budget is not None:
+            self._room -= idx0.size
+            if self._room < 0:
+                self._room = self._budget - self.queries
+                if self._room < 0:
+                    raise ReadBudgetSpent(f"{self._budget - self._room} reads, budget {self._budget}")
         return self.parent._fetch(idx0)
 
     def read(self, position: int) -> int:

@@ -124,8 +124,17 @@ def run_length_sums(w, edges) -> np.ndarray:
     arr = as_symbols(w)
     edges = np.asarray(edges, dtype=np.int64)
     sums = np.zeros(edges.size + 1, dtype=np.int64)
+    # Slots of lengths 0..top from a table of at most RUN_CHUNK entries. Its
+    # last entry is also every longer length's once top is the last edge;
+    # otherwise the at most n / RUN_CHUNK longer runs are searched.
+    last = int(edges[-1]) if edges.size else 0
+    top = max(0, min(last, RUN_CHUNK - 1))
+    table = np.searchsorted(edges, np.arange(top + 1), side="right")
     for lengths in _run_length_chunks(arr):
-        slot = np.searchsorted(edges, lengths, side="right")
+        slot = table[np.minimum(lengths, top)]
+        if top < last:
+            far = np.flatnonzero(lengths > top)
+            slot[far] = np.searchsorted(edges, lengths[far], side="right")
         sums += np.bincount(slot, weights=lengths, minlength=sums.size).astype(np.int64)
     return sums[1:-1]
 

@@ -27,8 +27,10 @@ open then walk on in order, and a walk that reaches the probe ahead of it in
 the same run stops there if that probe may walk as far, so probes with one
 cap read a long run about once, not once per probe. A plan scans once its
 sample count reaches ``SCAN_SHARE * n`` (additive: also once n is at most
-the probe cap), and a search also scans once its reads reach that share. A
-scan is one ``read_all`` and one chunked pass over the runs, with no columns.
+the probe cap). A search reads through a session budgeted at that share and
+scans as soon as its reads pass it, mid-round; it skips the rounds whose
+interval cannot close. A scan is one ``read_all`` and one chunked pass over
+the runs, with no columns.
 
 The per-position cost contribution of index t in a run of length ell is
 c(t) = (ceil(log2(ell + 1)) + ceil(log2(sigma))) / ell, so that the total
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_seed, make_rng
-from .accessor import EstimateReport, QueryCountedString, QuerySession, ReadPlan
+from .accessor import EstimateReport, QueryCountedString, QuerySession, ReadBudgetSpent, ReadPlan
 from .oracles import alphabet_bits, ceil_log2, rle_total_cost, run_length_sums
 
 # The sampling theorems fix only asymptotics; the constants below are
@@ -58,9 +60,9 @@ C_B = 64.0  # bucketed RLE estimator: q = ceil(C_B * log(1/eps) * loglog(1/eps) 
 
 C_SEARCH_AUDIT = 4.0  # x (n / C) * log2(n + 2)^3: the search's expected reads, audit only
 
-# Planned draws (or a search's reads so far) at which a run scans instead:
-# past a quarter of n a sampled pass reads most of n anyway, at several
-# times the cost of one scan.
+# Planned draws at which a run scans instead, and a search's read budget,
+# past which it stops sampling mid-round and scans: past a quarter of n a
+# sampled pass reads most of n anyway, at several times the cost of one scan.
 SCAN_SHARE = 0.25
 
 # Safety cap on search iterations (termination is guaranteed well below this
@@ -446,36 +448,55 @@ def _interval_search(
     infinite and the loop continues. The output sqrt(lower * upper) is then
     within sqrt(stop_ratio) of the cost whenever every interval was valid.
 
-    Once a round's plan is a scan, or the rounds so far have read
-    ``SCAN_SHARE * n`` positions, the search reads the string once instead
-    and ends on a last round whose estimate and interval are the exact cost.
-    Before each round and at the end, the reads must stay within the sum of
-    the sampled rounds' plan bounds (n once the search scans).
+    The search reads through a session budgeted at ``SCAN_SHARE * n``. Once a
+    round's plan is a scan, or a round's reads pass the budget (mid-round),
+    the search reads the string once instead and ends on a last round whose
+    estimate and interval are the exact cost. After each sampled round and at
+    the end, the reads must stay within the sum of the sampled rounds' plan
+    bounds (n once the search scans). Rounds that cannot stop are skipped.
     """
     n = w.length
-    sess = w.session()
+    sess = w.session(budget=SCAN_SHARE * n)
+    # Every bucketed estimate is at most (1 + s) n: a bucket with weight
+    # w_h >= 1 has q_h = q, one with w_h < 1 has q_h >= q w_h, each probe
+    # lands in at most one bucket, and w_1 = 1 + s is the largest weight. As
+    # (est + e) / (est - e) falls while est grows, a round whose interval
+    # would not close at est = (1 + s) n cannot stop; it is skipped unread.
+    top = (1 + alphabet_bits(sess.alphabet_size)) * n
+
+    def interval(est, eps):
+        return (est - eps * n) * shrink, (est + eps * n) * grow
+
+    def closes(lower, upper):
+        return lower > 0 and upper / lower <= stop_ratio
+
     rounds = []
-    budget = 0
+    bound = 0
     for j in range(1, SEARCH_MAX_ROUNDS + 1):
         eps_j = 2.0**-j
         delta_j = (1.0 / 3.0) * 2.0**-j
+        if not closes(*interval(top, eps_j)):
+            continue
         plan = bucketed_plan(n, sess.alphabet_size, eps_j, delta_j, ratio, q_scale)
-        if sess.queries_within(budget) >= SCAN_SHARE * n or plan.scan:
-            budget = n
+        try:
+            est = None if plan.scan else _bucketed_core(sess, plan, derive_seed(seed, j))[0]
+        except ReadBudgetSpent:
+            est = None
+        if est is None:
+            bound = n
             out = float(rle_total_cost(sess.read_all(), sess.alphabet_size))
             rounds.append(SearchRound(j, 0.0, 0.0, out, out, out))
             break
-        est, _ = _bucketed_core(sess, plan, derive_seed(seed, j))
-        budget += plan.bound
-        lower = (est - eps_j * n) * shrink
-        upper = (est + eps_j * n) * grow
+        bound += plan.bound
+        sess.queries_within(bound)
+        lower, upper = interval(est, eps_j)
         rounds.append(SearchRound(j, eps_j, delta_j, est, lower, upper))
-        if lower > 0 and upper / lower <= stop_ratio:
+        if closes(lower, upper):
             out = math.sqrt(lower * upper)
             break
     else:
         raise RuntimeError("cost search did not converge; this should be impossible")
-    report = EstimateReport(out, claim_lam, 0.0, sess.queries_within(budget), seed)
+    report = EstimateReport(out, claim_lam, 0.0, sess.queries_within(bound), seed)
     return SearchTrace(rounds=tuple(rounds), report=report)
 
 

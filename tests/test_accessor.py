@@ -13,7 +13,7 @@ from compest import (
     meets_contract,
     rle_additive_estimate,
 )
-from compest.accessor import QuerySession, distinct_count
+from compest.accessor import QuerySession, ReadBudgetSpent, distinct_count
 
 
 def test_read_counts_once():
@@ -180,6 +180,52 @@ def test_ledger_crossing_the_bitmap_switch_counts_distinct_positions():
     s1.read_many(np.arange(250, 350))  # repeats across batches, bitmap side
     seen1.update(range(250, 350))
     assert s1.queries == len(seen1)
+
+
+def test_budget_raises_once_distinct_reads_pass_it():
+    w = QueryCountedString.from_tokens(np.arange(10_000) % 3)
+    sess = w.session(budget=10)  # the ledger stays sorted: 10 reads, n // 64 = 156
+    sess.read_many([1, 2, 2, 3, 3, 3])  # duplicates in a batch count once
+    sess.read_many(np.tile([1, 2, 3], 20))  # re-reads count nothing, though a recount runs
+    assert sess.queries == 3
+    assert sess.read_many(np.arange(4, 11)).tolist() == (np.arange(3, 10) % 3).tolist()
+    assert sess.queries == 10  # exactly on the budget
+    sess.read_many(np.arange(1, 11))
+    with pytest.raises(ReadBudgetSpent):
+        sess.read_many([5, 11])  # one more distinct position
+    assert sess.queries == 11  # the batch that passed the budget is recorded
+    assert sess._touched._bitmap is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_budget_holds_across_the_bitmap_switch(seed):
+    n, budget = 6400, 120  # the sorted ledger holds at most n // 64 = 100 positions
+    w = QueryCountedString.from_tokens(np.arange(n) % 5)
+    sess, seen = w.session(budget=budget), set()
+    rng = np.random.default_rng(seed)
+    while True:
+        batch = rng.integers(1, 200, size=int(rng.integers(1, 25)))
+        seen.update(batch.tolist())
+        if len(seen) > budget:
+            with pytest.raises(ReadBudgetSpent):
+                sess.read_many(batch)
+            break
+        sess.read_many(batch)
+        assert sess.queries == len(seen)
+    assert sess._touched._bitmap is not None and sess.queries == len(seen)
+
+
+def test_unbudgeted_sessions_and_read_all_never_raise():
+    n = 5000
+    w = QueryCountedString.from_tokens(np.arange(n) % 4)
+    sess = w.session()
+    for lo in range(1, n + 1, 700):
+        sess.read_many(np.arange(lo, min(lo + 700, n + 1)))
+    assert sess.queries == n
+    for budget in (0, 10):
+        sess = w.session(budget=budget)
+        sess.read_many(np.arange(1, budget + 1))
+        assert sess.read_all().size == n and sess.queries == n
 
 
 def test_concurrent_sessions_are_safe_on_the_sorted_ledger():

@@ -19,8 +19,8 @@ from compest import (
     rle_multiplicative_search,
     rle_refined_search,
 )
-from compest._rng import make_rng
-from compest.accessor import QuerySession
+from compest._rng import derive_seed, make_rng
+from compest.accessor import EstimateReport, QuerySession
 from compest.campaign import build_builtin
 from compest.colors import amplification_runs, colors_plan
 from compest.lz import window_plan
@@ -30,6 +30,8 @@ from compest.rle import (
     LOCKSTEP_STEPS,
     SCAN_SHARE,
     RunProber,
+    SearchRound,
+    _bucketed_core,
     _geometric_buckets,
     additive_plan,
     additive_probe_cap,
@@ -560,13 +562,45 @@ def test_search_scans_once_its_reads_reach_the_scan_share():
     arr = generate_wk(n, n // 100, seed=3)
     trace = rle_multiplicative_search_detailed(acc(arr), seed=0)
     exact = float(exact_rle_cost(arr, 2).total_cost)
-    *sampled, last = trace.rounds
-    # rounds 1-2 leave 0.73 n read, and round 3 plans only 0.17 n: the reads switch it
-    assert len(sampled) == 2 and all(r.epsilon > 0 for r in sampled)
-    assert not bucketed_plan(n, 2, 2.0**-3, 2.0**-3 / 3).scan
-    assert (last.epsilon, last.estimate, last.lower, last.upper) == (0.0, exact, exact, exact)
+    first, last = trace.rounds
+    # round 1 reads 0.15 n; round 2 plans a sampled pass that would leave
+    # 0.73 n read, and the session's budget switches it inside that pass
+    sess = acc(arr).session()
+    _bucketed_core(sess, bucketed_plan(n, 2, 0.5, 1 / 6), derive_seed(0, 1))
+    assert first.j == 1 and first.epsilon > 0 and sess.queries < SCAN_SHARE * n
+    assert not bucketed_plan(n, 2, 0.25, 1 / 12).scan
+    assert (last.j, last.epsilon, last.estimate, last.lower, last.upper) == (2, 0.0, exact, exact, exact)
     assert trace.report.estimate == exact and trace.report.queries_used == n
     assert (trace.report.lam, trace.report.epsilon) == (4.0, 0.0)
+
+
+def test_refined_skips_the_round_that_cannot_stop():
+    # At sigma 2 and gamma 0.5, round 1's interval cannot close even at the
+    # largest estimate 2n: 2.667 > 2.541. The report is the one that round 1's
+    # scan gave before the skip (q = 127k plans a scan at 2^16).
+    n = 2**16
+    trace = rle_refined_search_detailed(acc(alternating(n)), 0.5, seed=3)
+    assert trace.rounds == (SearchRound(2, 0.0, 0.0, 2.0 * n, 2.0 * n, 2.0 * n),)
+    assert trace.report == EstimateReport(2.0 * n, 1.5, 0.0, n, 3)
+    # the 4x search never skips (7.5 <= 8 at s = 1), nor refined above sigma 2
+    for sigma in (2, 4, 256):
+        w = acc(np.arange(2**14) % sigma, sigma)
+        assert rle_multiplicative_search_detailed(w, seed=1).rounds[0].j == 1
+        assert rle_refined_search_detailed(w, 0.5, seed=1).rounds[0].j == (2 if sigma == 2 else 1)
+
+
+@pytest.mark.parametrize("sigma", [2, 4, 256])
+def test_bucketed_estimates_stay_below_the_largest_weight_times_n(sigma):
+    # the bound the search's round skip rests on, est <= (1 + s) n, on the
+    # costliest input (every run of length 1) and a random one
+    n = 2**14
+    top = (1 + math.ceil(math.log2(sigma))) * n
+    for arr in (np.arange(n) % sigma, random_symbols(n, sigma, seed=sigma)):
+        for j in range(1, 6):
+            for ratio in (2.0, 1.25):
+                plan = bucketed_plan(n, sigma, 2.0**-j, 2.0**-j / 3, ratio)
+                est, _ = _bucketed_core(acc(arr, sigma).session(), plan, seed=j)
+                assert est <= top
 
 
 def test_search_terminates_fast_on_incompressible():
