@@ -10,7 +10,10 @@ amplification gave way to one pooled sample. The RLE outputs whose planned
 sample or search reads reach a quarter of n were recaptured when that share,
 not n, became the point where RLE runs scan the whole string. The audit was
 recaptured when its ceilings became the read bounds of the runs' plans (a
-plan that scans reports n) and each row gained ``vacuous``.
+plan that scans reports n) and each row gained ``vacuous``. ``rle-est --mode
+search`` was recaptured when a search began to scan as soon as its reads
+pass a quarter of n, inside a round: its first round reads 1526 of 4096
+positions, so it now scans and prints the exact cost.
 
 ``compest exact --scheme rle|lz`` prints one JSON part per run or phrase,
 megabytes on the 2e5-byte inputs below, so those outputs are pinned by
@@ -177,9 +180,9 @@ CLI_EXPECTED = {
         '{\n'
         '  "confidence": 0.6666666666666666,\n'
         '  "epsilon": 0.0,\n'
-        '  "estimate": 7931.86989303279,\n'
+        '  "estimate": 8192.0,\n'
         '  "lambda": 4.0,\n'
-        '  "queries_used": 1526,\n'
+        '  "queries_used": 4096,\n'
         '  "seed": 5\n'
         '}\n'
     ),
