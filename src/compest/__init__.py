@@ -34,7 +34,6 @@ from .oracles import (
     verify_structural_lemmas,
 )
 from .rle import (
-    BucketTable,
     rle_additive_estimate,
     rle_bucketed_estimate,
     rle_multiplicative_search,
@@ -69,7 +68,6 @@ __all__ = [
     "exact_lz_cost",
     "exact_rle_cost",
     "verify_structural_lemmas",
-    "BucketTable",
     "rle_additive_estimate",
     "rle_bucketed_estimate",
     "rle_multiplicative_search",

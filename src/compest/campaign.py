@@ -34,7 +34,7 @@ import math
 import os
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -59,15 +59,15 @@ CSV_FIELDS = ["trial", "seed", "estimate", "exact", "queries", "contract_pass", 
 
 
 def _exact_rle(acc: QueryCountedString) -> float:
-    return float(rle_total_cost(acc.materialize(), acc.alphabet_size))
+    return float(rle_total_cost(acc.session().read_all(), acc.alphabet_size))
 
 
 def _exact_colors(acc: QueryCountedString) -> float:
-    return float(exact_color_count(acc.materialize()))
+    return float(exact_color_count(acc.session().read_all()))
 
 
 def _exact_lz(acc: QueryCountedString) -> float:
-    return float(exact_lz_cost(acc.materialize()).total_cost)
+    return float(exact_lz_cost(acc.session().read_all()).total_cost)
 
 
 def _lz_plan(e: dict, n: int) -> ReadPlan:
@@ -201,12 +201,20 @@ class CampaignConfig:
 
     @staticmethod
     def from_json_file(path) -> "CampaignConfig":
-        """The config in a JSON file; a key that names no field is an error."""
+        """The config in a JSON file. Malformed JSON, a document that is not an
+        object, a key that names no field and a missing required key each
+        raise a ``ValueError``."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        unknown = sorted(set(raw) - {f.name for f in fields(CampaignConfig)})
+        if not isinstance(raw, dict):
+            raise ValueError(f"campaign config must be an object, not {type(raw).__name__}")
+        names = {f.name: f for f in fields(CampaignConfig)}
+        unknown = sorted(set(raw) - set(names))
         if unknown:
             raise ValueError(f"unknown campaign config keys: {', '.join(unknown)}")
+        missing = [k for k, f in names.items() if k not in raw and f.default is f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"campaign config lacks keys: {', '.join(missing)}")
         for key, cast in (("trials", int), ("base_seed", int), ("min_success_rate", float)):
             if key in raw:
                 raw[key] = cast(raw[key])

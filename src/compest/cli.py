@@ -129,7 +129,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_campaign(args) -> int:
     if args.action == "run":
-        config = CampaignConfig.from_json_file(args.config)
+        try:
+            config = CampaignConfig.from_json_file(args.config)
+        except ValueError as exc:  # malformed JSON included
+            print(f"compest: error: {exc}", file=sys.stderr)
+            return 2
         result = run_campaign(config)
         if config.output:
             write_result(result, config.output)

@@ -118,27 +118,6 @@ def rle_total_cost(w, alphabet_size: int) -> int:
     return bits + runs * alphabet_bits(alphabet_size)
 
 
-def run_length_sums(w, edges) -> np.ndarray:
-    """For ascending integer ``edges``, the number of positions in runs of
-    length in [edges[i], edges[i + 1]), for each i, from one chunked pass."""
-    arr = as_symbols(w)
-    edges = np.asarray(edges, dtype=np.int64)
-    sums = np.zeros(edges.size + 1, dtype=np.int64)
-    # Slots of lengths 0..top from a table of at most RUN_CHUNK entries. Its
-    # last entry is also every longer length's once top is the last edge;
-    # otherwise the at most n / RUN_CHUNK longer runs are searched.
-    last = int(edges[-1]) if edges.size else 0
-    top = max(0, min(last, RUN_CHUNK - 1))
-    table = np.searchsorted(edges, np.arange(top + 1), side="right")
-    for lengths in _run_length_chunks(arr):
-        slot = table[np.minimum(lengths, top)]
-        if top < last:
-            far = np.flatnonzero(lengths > top)
-            slot[far] = np.searchsorted(edges, lengths[far], side="right")
-        sums += np.bincount(slot, weights=lengths, minlength=sums.size).astype(np.int64)
-    return sums[1:-1]
-
-
 def exact_rle_cost(w, alphabet_size: int | None = None) -> CostBreakdown:
     """Exact run-length encoding cost of ``w``.
 

@@ -9,8 +9,9 @@ input only through a query-counted session:
   than the probe cap are dropped; their per-position contribution is at most
   eps/2, which the cap is chosen to guarantee.
 * :func:`rle_bucketed_estimate` - a (3, eps) estimate from O~(1/eps) reads.
-  Groups positions into geometric buckets by run length and estimates each
-  bucket's population with precision proportional to its weight.
+  Groups sampled positions into geometric buckets by run length and
+  estimates each bucket's population with precision proportional to its
+  weight.
 * :func:`rle_multiplicative_search` - a pure 4-multiplicative estimate with
   no additive term, by calling the bucketed estimator with geometrically
   shrinking eps until the implied cost interval is tight. Expected reads
@@ -29,8 +30,10 @@ cap read a long run about once, not once per probe. A plan scans once its
 sample count reaches ``SCAN_SHARE * n`` (additive: also once n is at most
 the probe cap). A search reads through a session budgeted at that share and
 scans as soon as its reads pass it, mid-round; it skips the rounds whose
-interval cannot close. A scan is one ``read_all`` and one chunked pass over
-the runs, with no columns.
+interval cannot close. Every scan, of any estimator or search round, is one
+``read_all`` and one chunked :func:`rle_total_cost` pass over the runs, with
+no columns, and reports the exact cost: it keeps any (lambda, eps) claim at
+confidence 1.
 
 The per-position cost contribution of index t in a run of length ell is
 c(t) = (ceil(log2(ell + 1)) + ceil(log2(sigma))) / ell, so that the total
@@ -49,7 +52,7 @@ import numpy as np
 
 from ._rng import derive_seed, make_rng
 from .accessor import EstimateReport, QueryCountedString, QuerySession, ReadBudgetSpent, ReadPlan
-from .oracles import alphabet_bits, ceil_log2, rle_total_cost, run_length_sums
+from .oracles import alphabet_bits, ceil_log2, rle_total_cost
 
 # The sampling theorems fix only asymptotics; the constants below are
 # calibration choices. Each run asserts the read bound of its plan, and the
@@ -278,32 +281,6 @@ def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> E
     return EstimateReport(est, 1.0, epsilon, sess.queries_within(plan.bound), seed)
 
 
-@dataclass(frozen=True)
-class BucketRow:
-    h: int
-    low: float        # run lengths in [low, high) land in the bucket
-    high: float
-    cap: int          # probe cap that decides membership
-    weight: float     # cost estimate per position in the bucket
-    q_h: int
-    hits: int
-
-    @property
-    def beta(self) -> float:
-        return self.hits / self.q_h if self.q_h else 0.0
-
-
-@dataclass(frozen=True)
-class BucketTable:
-    """Per-bucket sampling record for the bucketed estimator: each row's q_h
-    is its plan's (:class:`BucketPlan`), or the full population n where the
-    plan is a scan (``exact_mode``)."""
-
-    q: int
-    rows: tuple
-    exact_mode: bool = False
-
-
 def _geometric_buckets(ell0: int, s_bits: int, ratio: float) -> list[tuple[int, float, float, int, float]]:
     """Rows (h, low, high, cap, weight) for the run lengths in [ratio^(h-1), ratio^h),
     h = 1..ceil(log_ratio(ell0)); ``cap = ceil(high)`` is the smallest probe
@@ -325,10 +302,10 @@ def _geometric_buckets(ell0: int, s_bits: int, ratio: float) -> list[tuple[int, 
 
 @dataclass(frozen=True)
 class BucketPlan(ReadPlan):
-    """A bucketed round's plan: q draws, ``buckets`` rows (h, low, high, cap,
-    weight) and each row's q_h = min(q, ceil(q * weight_h))."""
+    """A bucketed round's plan: ``buckets`` rows (h, low, high, cap, weight)
+    and each row's q_h = min(q, ceil(q * weight_h)), q the round's sample
+    count (its ``draws`` when it samples)."""
 
-    q: int
     buckets: tuple
     q_hs: tuple
 
@@ -348,66 +325,50 @@ def bucketed_plan(
     q = math.ceil(bucketed_sample_count(epsilon, delta) * q_scale)
     q_hs = tuple(min(q, math.ceil(q * weight)) for *_, weight in buckets)
     if q >= SCAN_SHARE * n:
-        return BucketPlan(True, 0, n, q, buckets, q_hs)
+        return BucketPlan(True, 0, n, buckets, q_hs)
     bound, covered = q, 0
     for (*_, cap, weight), q_h in zip(reversed(buckets), reversed(q_hs)):
         bound += cap * max(0, q_h - covered)
         covered = max(covered, q_h)
-    return BucketPlan(False, q, bound, q, buckets, q_hs)
+    return BucketPlan(False, q, bound, buckets, q_hs)
 
 
-def _bucketed_core(sess: QuerySession, plan: BucketPlan, seed: int) -> tuple[float, BucketTable]:
-    """Shared engine for the factor-2 and refined bucketed estimators.
-
-    Returns (estimate, table). On the scan lane the scan classifies every
-    position, so each beta_h is the true bucket fraction and the output lands
-    within a factor of the bucket width of the true cost.
-    """
+def _bucketed_core(sess: QuerySession, plan: BucketPlan, seed: int) -> float:
+    """The sampled pass of a bucketed round, shared by the factor-2 and
+    refined estimators: one :class:`RunProber` pass over ``plan.draws``
+    positions, each probe capped at its last bucket's cap, and the sum over
+    buckets of (n / q_h) * hits_h * weight_h. A scan plan has no sampled
+    pass; its callers take the exact cost instead."""
     n = sess.length
-    rows = []
-    if plan.scan:
-        # a bucket's integer lengths are ceil(low) .. cap - 1, and cap is the next one's ceil(low)
-        edges = [math.ceil(low) for _, low, *_ in plan.buckets] + [plan.buckets[-1][3]]
-        sums = run_length_sums(sess.read_all(), edges).tolist()
-        est = 0.0
-        for (h, low, high, cap, weight), hits in zip(plan.buckets, sums):
-            est += (hits / n) * n * weight
-            rows.append(BucketRow(h, low, high, cap, weight, q_h=n, hits=hits))
-        return est, BucketTable(plan.q, tuple(rows), exact_mode=True)
-
-    caps = np.zeros(plan.q, dtype=np.int64)  # each probe's final cap: its last bucket's
-    for (*_, cap, weight), q_h in zip(plan.buckets, plan.q_hs):
+    caps = np.zeros(plan.draws, dtype=np.int64)  # each probe's final cap: its last bucket's
+    for (*_, cap, _), q_h in zip(plan.buckets, plan.q_hs):
         caps[:q_h] = cap  # caps rise with h
-    conf = RunProber(sess, make_rng(seed).integers(1, n + 1, size=plan.q)).advance(caps)
+    conf = RunProber(sess, make_rng(seed).integers(1, n + 1, size=plan.draws)).advance(caps)
     est = 0.0
-    for (h, low, high, cap, weight), q_h in zip(plan.buckets, plan.q_hs):
+    for (_, low, high, _, weight), q_h in zip(plan.buckets, plan.q_hs):
         # high <= cap <= the probe's cap, so a length below high is exact
         hits = int(np.count_nonzero((conf[:q_h] >= math.ceil(low)) & (conf[:q_h] < high)))
         est += (n / q_h) * hits * weight
-        rows.append(BucketRow(h, low, high, cap, weight, q_h=q_h, hits=hits))
-    return est, BucketTable(plan.q, tuple(rows))
+    return est
 
 
-def rle_bucketed_estimate_detailed(
+def rle_bucketed_estimate(
     w: QueryCountedString, epsilon: float, delta: float, seed: int
-) -> tuple[EstimateReport, BucketTable]:
+) -> EstimateReport:
+    """Bucketed (3, eps)-estimate of the RLE cost, confidence 1 - delta; a
+    plan that scans reports the exact cost."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     sess = w.session()
     plan = bucketed_plan(sess.length, sess.alphabet_size, epsilon, delta)
-    est, table = _bucketed_core(sess, plan, seed)
+    if plan.scan:
+        est = float(rle_total_cost(sess.read_all(), sess.alphabet_size))
+    else:
+        est = _bucketed_core(sess, plan, seed)
     used = sess.queries_within(plan.bound)
-    return EstimateReport(est, 3.0, epsilon, used, seed, confidence=1.0 - delta), table
-
-
-def rle_bucketed_estimate(
-    w: QueryCountedString, epsilon: float, delta: float, seed: int
-) -> EstimateReport:
-    """Bucketed (3, eps)-estimate of the RLE cost, confidence 1 - delta."""
-    report, _ = rle_bucketed_estimate_detailed(w, epsilon, delta, seed)
-    return report
+    return EstimateReport(est, 3.0, epsilon, used, seed, confidence=1.0 - delta)
 
 
 @dataclass(frozen=True)
@@ -479,7 +440,7 @@ def _interval_search(
             continue
         plan = bucketed_plan(n, sess.alphabet_size, eps_j, delta_j, ratio, q_scale)
         try:
-            est = None if plan.scan else _bucketed_core(sess, plan, derive_seed(seed, j))[0]
+            est = None if plan.scan else _bucketed_core(sess, plan, derive_seed(seed, j))
         except ReadBudgetSpent:
             est = None
         if est is None:

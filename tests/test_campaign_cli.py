@@ -493,6 +493,25 @@ def test_cli_campaign_audit_input_errors_exit_2(tmp_path, capsys, entries, messa
     assert capsys.readouterr().err == f"compest: error: {message}\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{", "Expecting property name"),
+    ("[1, 2]", "campaign config must be an object, not list"),
+    (json.dumps({"estimator": "rle-additive", "trials": 2, "base_seed": 1}),
+     "campaign config lacks keys: instance"),
+    (json.dumps({"estimator": "rle-nope", "instance": {}, "trials": 2, "base_seed": 1}),
+     "unknown estimator 'rle-nope'"),
+    (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": 0, "base_seed": 1}),
+     "trials must be >= 1"),
+], ids=["malformed-json", "not-an-object", "no-instance", "unknown-estimator", "zero-trials"])
+def test_cli_campaign_run_config_errors_exit_2(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "broken.json"
+    cfg_path.write_text(text)
+    code, out = run_cli(["campaign", "run", str(cfg_path)])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("compest: error: ") and err.count("\n") == 1 and message in err
+
+
 def test_cli_campaign_failing_threshold_exits_nonzero(tmp_path, sample_file):
     cfg = {
         "estimator": "rle-additive",
@@ -521,6 +540,13 @@ def test_cli_env_var_seed(sample_file, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run_cli(["rle-est", sample_file])
     assert exc.value.code == 2
+
+
+def test_every_public_name_resolves():
+    import compest
+
+    for name in compest.__all__:
+        getattr(compest, name)
 
 
 def test_cli_entry_point_subprocess(sample_file):

@@ -13,7 +13,11 @@ recaptured when its ceilings became the read bounds of the runs' plans (a
 plan that scans reports n) and each row gained ``vacuous``. ``rle-est --mode
 search`` was recaptured when a search began to scan as soon as its reads
 pass a quarter of n, inside a round: its first round reads 1526 of 4096
-positions, so it now scans and prints the exact cost.
+positions, so it now scans and prints the exact cost. When the bucketed
+estimator's scan lane began to print the exact cost instead of a sum over
+its buckets, no output here moved: ``rle-est --mode bucketed`` scans the
+alternating file, where that sum was already the exact cost, and the
+bucketed campaign samples.
 
 ``compest exact --scheme rle|lz`` prints one JSON part per run or phrase,
 megabytes on the 2e5-byte inputs below, so those outputs are pinned by

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +14,7 @@ from compest import (
     verify_structural_lemmas,
 )
 from compest import oracles
-from compest.oracles import rle_length_bits, rle_total_cost, run_length_sums, run_lengths
-from compest.rle import _geometric_buckets
+from compest.oracles import rle_length_bits, rle_total_cost, run_lengths
 from naive import (
     all_ones,
     alternating,
@@ -103,40 +101,6 @@ def test_chunked_run_pass_matches_the_columns(monkeypatch, chunk):
         total = rle_total_cost(arr, sigma)
         assert total == exact_rle_cost(arr, sigma).total_cost == naive_rle_cost(arr.tolist(), sigma)
         assert rle_length_bits(arr) == total - lengths.size * math.ceil(math.log2(sigma))
-
-
-@pytest.mark.parametrize("ratio", [2.0, 1.25])
-def test_run_length_sums_match_the_bucket_masks(monkeypatch, ratio):
-    buckets = _geometric_buckets(1200, 1, ratio)
-    edges = [math.ceil(low) for _, low, *_ in buckets] + [buckets[-1][3]]
-    rng = np.random.default_rng(23)
-    arrays = [arr for arr, _ in run_pass_corpus()]
-    arrays += [np.repeat(alternating(300), rng.integers(1, 2000, size=300)), all_ones(5000)]
-    # lengths on each side of the slot table's end at chunk 100 (99) and of the edges
-    around = [1, 2, 63, 64, 65, 98, 99, 100, 101, 127, 128, 129, 1023, 1024, 1025, 2047, 2048, 2049, 5000]
-    arrays.append(np.repeat(alternating(len(around)), around))
-    # the table holds RUN_CHUNK slots: at 3 and 100 it ends below the last
-    # edge (2048 at ratio 2) and longer runs are searched; at 2^18 it holds all
-    for chunk in (3, 100, oracles.RUN_CHUNK):
-        monkeypatch.setattr(oracles, "RUN_CHUNK", chunk)
-        for arr in arrays:
-            lens = grouped_run_lengths(arr)
-            want = [int(lens[(lens >= low) & (lens < high)].sum()) for _, low, high, *_ in buckets]
-            assert run_length_sums(arr, edges).tolist() == want
-
-
-def test_run_length_sums_table_holds_at_most_run_chunk_slots():
-    # a last edge far past RUN_CHUNK (a tiny eps) must not size the slot table;
-    # the 300 000-run lies past the table and is searched
-    arr = np.repeat(alternating(6), [1, 3, 70_000, 2, 300_000, 5])
-    tracemalloc.start()
-    try:
-        sums = run_length_sums(arr, [1, 2, 4, 2**16, 2**23])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sums.tolist() == [1, 5, 5, 370_000]
-    assert peak < 32 * oracles.RUN_CHUNK  # two int64 tables of 2^23 would take 128 MB
 
 
 # -- LZ ----------------------------------------------------------------

@@ -24,8 +24,8 @@ from compest.accessor import EstimateReport, QuerySession
 from compest.campaign import build_builtin
 from compest.colors import amplification_runs, colors_plan
 from compest.lz import window_plan
-from compest.oracles import ceil_log2, run_lengths
-from compest.generators import generate_wk
+from compest.oracles import ceil_log2, rle_total_cost, run_lengths
+from compest.generators import generate_coin_runs, generate_wk
 from compest.rle import (
     LOCKSTEP_STEPS,
     SCAN_SHARE,
@@ -37,8 +37,8 @@ from compest.rle import (
     additive_probe_cap,
     additive_sample_count,
     bucketed_plan,
+    bucketed_sample_count,
     contribution,
-    rle_bucketed_estimate_detailed,
     rle_multiplicative_search_detailed,
     rle_refined_search_detailed,
 )
@@ -355,30 +355,31 @@ def test_bucketed_rejects_bad_params():
 
 
 def test_bucketed_alternating_concentrates_in_first_bucket():
-    n = 100_000
-    w = acc(alternating(n))
-    rep, table = rle_bucketed_estimate_detailed(w, 0.05, 1 / 3, seed=5)
-    assert table.rows[0].beta == 1.0  # every position sits in a unit run
+    # every probe lands in a unit run, and bucket 1 (weight 2) counts all draws
+    n = 400_000
+    plan = bucketed_plan(n, 2, 0.05, 1 / 3)
+    assert not plan.scan and plan.q_hs[0] == plan.draws
+    rep = rle_bucketed_estimate(acc(alternating(n)), 0.05, 1 / 3, seed=5)
     assert rep.estimate == pytest.approx(2.0 * n)
     assert rep.lam == 3.0 and rep.confidence == pytest.approx(2 / 3)
 
 
 def test_bucketed_all_ones_estimates_zero():
     n = 400_000  # q = 46 728 at eps 0.05 stays below SCAN_SHARE * n
-    w = acc(all_ones(n))
-    rep, table = rle_bucketed_estimate_detailed(w, 0.05, 1 / 3, seed=5)
-    assert not table.exact_mode
+    assert not bucketed_plan(n, 2, 0.05, 1 / 3).scan
+    rep = rle_bucketed_estimate(acc(all_ones(n)), 0.05, 1 / 3, seed=5)
     assert rep.estimate == 0.0  # runs exceed every bucket cap
     assert meets_contract(rep, exact_rle_cost(all_ones(n), 2).total_cost, n)
 
 
 def test_bucketed_sample_counts_follow_weights():
-    w = acc(random_symbols(400_000, 2, seed=3))
-    _, table = rle_bucketed_estimate_detailed(w, 0.05, 1 / 3, seed=6)
-    assert not table.exact_mode
-    for row in table.rows:
-        expect = min(table.q, math.ceil(table.q * row.weight))
-        assert row.q_h == expect and row.q_h <= table.q
+    n = 400_000
+    plan = bucketed_plan(n, 2, 0.05, 1 / 3)
+    q = bucketed_sample_count(0.05, 1 / 3)
+    assert not plan.scan and plan.draws == q
+    assert plan.q_hs == tuple(min(q, math.ceil(q * weight)) for *_, weight in plan.buckets)
+    rep = rle_bucketed_estimate(acc(random_symbols(n, 2, seed=3)), 0.05, 1 / 3, seed=6)
+    assert rep.queries_used <= plan.bound
 
 
 @pytest.mark.parametrize("ell0", [2, 3, 1000, 1024, 1025, 2**31, 2**31 + 1, 2**44])
@@ -390,50 +391,45 @@ def test_ratio_two_bucket_rows(ell0, s_bits):
 
 
 def test_bucketed_full_sampling_two_sided_identity():
-    # with the whole string classified, the output lands in [exact, 2*exact];
-    # q >= n at eps 0.3 on n = 1000, and q = 0.47 n, past SCAN_SHARE, at eps 0.05 on n = 1e5
+    # a plan whose draws reach SCAN_SHARE * n reads the whole string and
+    # reports the exact cost, which meets the (3, eps) claim at confidence 1;
+    # q >= n at eps 0.3 on n = 1000, and q = 0.47 n at eps 0.05 on n = 1e5
     for n, eps in ((1000, 0.3), (100_000, 0.05)):
+        plan = bucketed_plan(n, 2, eps, 1 / 3)
+        assert plan.scan and (plan.draws, plan.bound) == (0, n)
+        assert bucketed_sample_count(eps, 1 / 3) >= SCAN_SHARE * n
         for seed in range(8):
             arr = random_symbols(n, 2, seed + 900)
-            rep, table = rle_bucketed_estimate_detailed(acc(arr), eps, 1 / 3, seed=seed)
-            assert table.exact_mode and table.q >= SCAN_SHARE * n
-            assert all(row.q_h == n for row in table.rows)
-            exact = exact_rle_cost(arr, 2).total_cost
-            # ignored tail (runs past the last bucket) is bounded by eps*n/2
-            assert exact - eps * n / 2 <= rep.estimate <= 2 * exact
+            rep = rle_bucketed_estimate(acc(arr), eps, 1 / 3, seed=seed)
+            assert rep.estimate == exact_rle_cost(arr, 2).total_cost
             assert rep.queries_used == n
 
 
 def test_bucketed_scan_takes_one_pass_in_o_chunk_memory():
     # delta 1e-7 puts q = 0.29 n past SCAN_SHARE at eps 0.01 on n = 1e7; the
-    # scan views the array in place and sums the buckets chunk by chunk
+    # scan views the array in place and costs the runs chunk by chunk
     n = 10**7
     arr = random_symbols(n, 2, seed=27)
     w = acc(arr)
+    assert bucketed_plan(n, 2, 0.01, 1e-7).scan
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        rep, table = rle_bucketed_estimate_detailed(w, 0.01, 1e-7, seed=0)
+        rep = rle_bucketed_estimate(w, 0.01, 1e-7, seed=0)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.exact_mode and rep.queries_used == n
+    assert rep.queries_used == n
     assert peak < 64 * 2**20 and elapsed < 2.0, (peak, elapsed)
-    lens = run_lengths(arr)[1]
-    est = 0.0
-    for row in table.rows:
-        hits = int(lens[(lens >= row.low) & (lens < row.high)].sum())
-        assert row.hits == hits
-        est += (hits / n) * n * row.weight
-    assert rep.estimate == est
+    assert rep.estimate == rle_total_cost(arr, 2)
 
 
 def test_sampled_lanes_below_the_scan_share_stay_sampled():
     n = 10**6
     w = acc(random_symbols(n, 2, seed=14))
-    rep, table = rle_bucketed_estimate_detailed(w, 0.05, 1 / 3, seed=0)
-    assert not table.exact_mode and rep.queries_used < SCAN_SHARE * n
+    rep = rle_bucketed_estimate(w, 0.05, 1 / 3, seed=0)
+    assert not bucketed_plan(n, 2, 0.05, 1 / 3).scan and rep.queries_used < SCAN_SHARE * n
     trace = rle_multiplicative_search_detailed(acc(build_builtin("run-mix", n, 3)), seed=0)
     assert all(r.epsilon > 0 for r in trace.rounds)  # no round is the scan
     assert trace.report.queries_used < SCAN_SHARE * n
@@ -462,13 +458,14 @@ def test_read_bound_sums_caps_without_the_caps_array():
                 for sigma in (2, 5, 256):
                     plan = bucketed_plan(n, sigma, eps, delta, ratio)
                     q_hs = plan.q_hs
-                    assert not plan.scan and plan.draws == plan.q
-                    assert q_hs == tuple(min(plan.q, math.ceil(plan.q * b[-1])) for b in plan.buckets)
+                    q = plan.draws
+                    assert not plan.scan and q == bucketed_sample_count(eps, delta)
+                    assert q_hs == tuple(min(q, math.ceil(q * b[-1])) for b in plan.buckets)
                     rising += any(a < b for a, b in zip(q_hs, q_hs[1:]))
-                    caps = np.zeros(plan.q, dtype=np.int64)  # each probe's last bucket's cap
+                    caps = np.zeros(q, dtype=np.int64)  # each probe's last bucket's cap
                     for (*_, cap, _), q_h in zip(plan.buckets, q_hs):
                         caps[:q_h] = cap
-                    assert plan.bound == plan.q + int(caps.sum())
+                    assert plan.bound == q + int(caps.sum())
     assert rising
     # at eps 1e-5 the sample count is about 1.7e9: no per-probe array
     tracemalloc.start()
@@ -477,7 +474,7 @@ def test_read_bound_sums_caps_without_the_caps_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not plan.scan and plan.q > 1.5e9 and plan.bound > 1e9 and peak < 2**20
+    assert not plan.scan and plan.draws > 1.5e9 and plan.bound > 1e9 and peak < 2**20
 
 
 def test_provider_backed_runs_match_and_read_only_what_they_count():
@@ -554,6 +551,45 @@ def test_colors_and_lz_runs_that_read_past_their_plans_fail(monkeypatch):
             run()
 
 
+# -- the exact lane -------------------------------------------------------
+
+SCAN_N = 2**13
+
+# Each run's scan at n = 2^13: the additive plan's 3200 draws and the
+# bucketed plan's 46 728 reach SCAN_SHARE * n; both searches plan 3072 or
+# more draws in round 2, where none of these inputs closes its interval.
+SCAN_RUNS = {
+    "additive": lambda w: (rle_additive_estimate(w, 0.05, seed=1), additive_plan(SCAN_N, 2, 0.05).scan),
+    "bucketed": lambda w: (
+        rle_bucketed_estimate(w, 0.05, 1 / 3, seed=1), bucketed_plan(SCAN_N, 2, 0.05, 1 / 3).scan
+    ),
+    "search": lambda w: _switched(rle_multiplicative_search_detailed(w, seed=1)),
+    "refined": lambda w: _switched(rle_refined_search_detailed(w, 0.5, seed=1)),
+}
+
+SCAN_INPUTS = {
+    "random-binary": lambda: build_builtin("random-binary", SCAN_N, 4),
+    "coin": lambda: generate_coin_runs(SCAN_N, 0.5, seed=4),
+    "run-mix": lambda: build_builtin("run-mix", SCAN_N, 4),
+    "wk": lambda: generate_wk(SCAN_N, SCAN_N // 100, seed=4),
+}
+
+
+def _switched(trace):
+    """The report, and whether the search ended on its exact round."""
+    return trace.report, trace.rounds[-1].epsilon == 0.0
+
+
+@pytest.mark.parametrize("inp", SCAN_INPUTS)
+@pytest.mark.parametrize("run", SCAN_RUNS)
+def test_every_rle_scan_reports_the_exact_cost(run, inp):
+    arr = SCAN_INPUTS[inp]()
+    report, scanned = SCAN_RUNS[run](acc(arr))
+    assert scanned
+    assert report.estimate == rle_total_cost(arr, 2)
+    assert report.queries_used == arr.size
+
+
 # -- multiplicative searches ----------------------------------------------
 
 
@@ -599,7 +635,10 @@ def test_bucketed_estimates_stay_below_the_largest_weight_times_n(sigma):
         for j in range(1, 6):
             for ratio in (2.0, 1.25):
                 plan = bucketed_plan(n, sigma, 2.0**-j, 2.0**-j / 3, ratio)
-                est, _ = _bucketed_core(acc(arr, sigma).session(), plan, seed=j)
+                if plan.scan:  # the search reports the exact cost then
+                    est = rle_total_cost(arr, sigma)
+                else:
+                    est = _bucketed_core(acc(arr, sigma).session(), plan, seed=j)
                 assert est <= top
 
 
