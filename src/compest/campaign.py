@@ -208,11 +208,11 @@ class CampaignConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"campaign config must be an object, not {type(raw).__name__}")
-        names = {f.name: f for f in fields(CampaignConfig)}
-        unknown = sorted(set(raw) - set(names))
+        fs = fields(CampaignConfig)
+        unknown = sorted(set(raw) - {f.name for f in fs})
         if unknown:
             raise ValueError(f"unknown campaign config keys: {', '.join(unknown)}")
-        missing = [k for k, f in names.items() if k not in raw and f.default is f.default_factory is MISSING]
+        missing = [f.name for f in fs if f.name not in raw and f.default is MISSING is f.default_factory]
         if missing:
             raise ValueError(f"campaign config lacks keys: {', '.join(missing)}")
         for key, cast in (("trials", int), ("base_seed", int), ("min_success_rate", float)):

@@ -352,9 +352,7 @@ def _bucketed_core(sess: QuerySession, plan: BucketPlan, seed: int) -> float:
     return est
 
 
-def rle_bucketed_estimate(
-    w: QueryCountedString, epsilon: float, delta: float, seed: int
-) -> EstimateReport:
+def rle_bucketed_estimate(w: QueryCountedString, epsilon: float, delta: float, seed: int) -> EstimateReport:
     """Bucketed (3, eps)-estimate of the RLE cost, confidence 1 - delta; a
     plan that scans reports the exact cost."""
     if not 0 < epsilon < 1:

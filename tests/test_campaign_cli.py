@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compest import cli
+from compest import QueryCountedString, cli
 from compest.campaign import (
+    ESTIMATORS,
     CampaignConfig,
     audit_queries,
     build_builtin,
@@ -18,7 +19,14 @@ from compest.campaign import (
     run_campaign,
     write_result,
 )
-from compest.oracles import CostBreakdown, exact_lz_cost, exact_rle_cost, run_lengths
+from compest.oracles import (
+    CostBreakdown,
+    exact_color_count,
+    exact_lz_cost,
+    exact_rle_cost,
+    rle_total_cost,
+    run_lengths,
+)
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -133,6 +141,24 @@ def test_campaign_generator_instances_per_trial(tmp_path):
     )
     result = run_campaign(cfg)
     assert len({row["exact"] for row in result.rows}) > 1  # instances actually vary
+
+
+def test_campaign_oracles_read_every_symbol_and_check_a_providers_alphabet():
+    arr = np.random.default_rng(8).integers(0, 4, size=3000).astype(np.uint8)
+    want = {
+        "rle-additive": rle_total_cost(arr, 4),
+        "colors": exact_color_count(arr),
+        "lz": exact_lz_cost(arr).total_cost,
+    }
+    for acc in (
+        QueryCountedString.from_tokens(arr, 4),
+        QueryCountedString.from_provider(lambda idx0: arr[idx0], arr.size, 4),
+    ):
+        for name, exact in want.items():
+            assert ESTIMATORS[name].exact(acc) == exact
+    five = QueryCountedString.from_provider(lambda idx0: idx0 % 5, arr.size, 4)
+    with pytest.raises(ValueError, match="exceed declared alphabet size 4"):
+        ESTIMATORS["colors"].exact(five)
 
 
 @pytest.mark.parametrize("name, params, estimator, oracle", [
