@@ -77,12 +77,12 @@ def distinct_count(values) -> int:
 
 def _alphabet_for(symbols: np.ndarray, declared: int | None) -> int:
     """``declared`` (default: the distinct count of ``symbols``), at least 2;
-    raises if ``symbols`` hold more distinct symbols than that."""
+    raises if ``symbols`` hold more distinct symbols than declared."""
     inferred = distinct_count(symbols)
-    size = max(2, inferred if declared is None else int(declared))
+    size = inferred if declared is None else int(declared)
     if inferred > size:
         raise ValueError(f"{inferred} distinct symbols exceed declared alphabet size {size}")
-    return size
+    return max(2, size)
 
 
 class ReadBudgetSpent(Exception):

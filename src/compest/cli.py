@@ -6,6 +6,11 @@ raw byte files; the alphabet size defaults to the number of distinct bytes
 unless ``--alphabet-size`` overrides it. All stochastic subcommands take
 ``--seed`` (default from $COMPEST_SEED, else 0) and print deterministic JSON:
 replaying with the same seed reproduces the output byte for byte.
+
+Exit codes, for every subcommand: 0 when done; 1 only when ``campaign run``
+measures a success rate below ``min_success_rate`` or a ``campaign audit`` row
+reads past its ceiling; 2 for a usage or input fault, which prints one
+``compest: error: <message>`` line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -56,14 +61,14 @@ def _emit_breakdown(b: CostBreakdown) -> None:
 
 def _cmd_exact(args) -> int:
     acc = QueryCountedString.from_file(args.file, args.alphabet_size)
-    data = acc.materialize()
+    data = acc.session().read_all()
     if args.scheme == "rle":
         _emit_breakdown(exact_rle_cost(data, acc.alphabet_size))
     elif args.scheme == "lz":
         _emit_breakdown(exact_lz_cost(data))
     elif args.scheme == "distinct":
         if args.ell is None:
-            raise SystemExit("--ell is required with --scheme distinct")
+            raise ValueError("--ell is required with --scheme distinct")
         _emit({"ell": args.ell, "count": exact_distinct_substrings(data, args.ell)})
     else:
         _emit({"colors": exact_color_count(data)})
@@ -127,30 +132,24 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_campaign(args) -> int:
-    if args.action == "run":
-        try:
-            config = CampaignConfig.from_json_file(args.config)
-        except ValueError as exc:  # malformed JSON included
-            print(f"compest: error: {exc}", file=sys.stderr)
-            return 2
-        result = run_campaign(config)
-        if config.output:
-            write_result(result, config.output)
-        print(
-            f"campaign: {config.estimator} trials={config.trials} "
-            f"success_rate={result.success_rate:.3f} mean_queries={result.mean_queries:.1f} "
-            f"wall={result.wall_time_s:.2f}s",
-            file=sys.stderr,
-        )
-        _emit(result.to_json_dict())
-        return 0 if result.passed else 1
-    try:
-        with open(args.reports, "r", encoding="utf-8") as fh:
-            rows = audit_queries(json.load(fh))
-    except ValueError as exc:  # malformed JSON included
-        print(f"compest: error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_campaign_run(args) -> int:
+    config = CampaignConfig.from_json_file(args.config)
+    result = run_campaign(config)
+    if config.output:
+        write_result(result, config.output)
+    print(
+        f"campaign: {config.estimator} trials={config.trials} "
+        f"success_rate={result.success_rate:.3f} mean_queries={result.mean_queries:.1f} "
+        f"wall={result.wall_time_s:.2f}s",
+        file=sys.stderr,
+    )
+    _emit(result.to_json_dict())
+    return 0 if result.passed else 1
+
+
+def _cmd_campaign_audit(args) -> int:
+    with open(args.reports, "r", encoding="utf-8") as fh:
+        rows = audit_queries(json.load(fh))
     _emit(
         {
             "rows": [
@@ -242,22 +241,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("campaign", help="batch experiments and query audits")
-    p.add_argument("action", choices=["run", "audit"])
-    p.add_argument("config", nargs="?", help="campaign config JSON (run)")
-    p.add_argument("--reports", default=None, help="report-entry JSON file (audit)")
-    p.set_defaults(func=_cmd_campaign)
+    actions = p.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("run", help="run a campaign config's trials")
+    p.add_argument("config", help="campaign config JSON")
+    p.set_defaults(func=_cmd_campaign_run)
+    p = actions.add_parser("audit", help="check measured reads against query ceilings")
+    p.add_argument("--reports", required=True, help="report-entry JSON file")
+    p.set_defaults(func=_cmd_campaign_audit)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "campaign":
-        if args.action == "run" and not args.config:
-            raise SystemExit("campaign run needs a config file")
-        if args.action == "audit" and not args.reports:
-            raise SystemExit("campaign audit needs --reports FILE")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, KeyError) as exc:
+        # A KeyError gets here only from a JSON object that lacks the key.
+        message = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        print(f"compest: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -65,23 +65,19 @@ def symbol_ranks(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _pack_windows(sym: np.ndarray, width: int, bits: int) -> np.ndarray:
     """word[i] holds sym[i : i + width] + 1, ``bits`` bits per symbol, the
-    first symbol highest, and 0 past the end, for ``width * bits`` at most
-    64. Doubling the window takes log2(width) passes."""
+    first symbol highest, and 0 past the end, for ``width`` a power of two
+    and ``width * bits`` at most 64. Doubling the window takes log2(width)
+    passes."""
     n = sym.size
-    one = sym.astype(np.uint64)
-    one += 1
-    word, w = one, 1
-    for bit in bin(width)[3:]:
+    word = sym.astype(np.uint64)
+    word += 1
+    w = 1
+    while w < width:
         word, old = word << (w * bits), word  # word_2w[i] = word_w[i] : word_w[i + w]
         if w < n:
             word[: n - w] |= old[w:]
         del old
         w *= 2
-        if bit == "1":
-            word <<= bits
-            if w < n:
-                word[: n - w] |= one[w:]
-            w += 1
     return word
 
 

@@ -119,6 +119,14 @@ def test_alphabet_size_floor_and_validation():
     assert w.alphabet_size == 2
     with pytest.raises(ValueError):
         QueryCountedString.from_tokens(np.arange(5), alphabet_size=3)
+    # a declared size is checked before the floor: below the distinct count it raises
+    for declared in (1, 0, -3):
+        with pytest.raises(ValueError, match="exceed declared alphabet size"):
+            QueryCountedString.from_tokens([0, 1, 1, 0], alphabet_size=declared)
+    assert QueryCountedString.from_tokens(np.zeros(5, dtype=np.uint8), alphabet_size=1).alphabet_size == 2
+    # provider-backed strings have no symbols to check at construction and keep the floor
+    lazy = QueryCountedString.from_provider(lambda idx: np.zeros(idx.size, np.uint8), 5, 1)
+    assert lazy.alphabet_size == 2
 
 
 def _run_threads(worker, count):

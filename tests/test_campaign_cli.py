@@ -19,6 +19,7 @@ from compest.campaign import (
     run_campaign,
     write_result,
 )
+from compest.generators import GeneratorSpec, generate_lz_tight
 from compest.oracles import (
     CostBreakdown,
     exact_color_count,
@@ -205,6 +206,18 @@ def test_build_instance_from_file(tmp_path):
     path.write_bytes(b"\x00\x01\x00\x01")
     acc = build_instance({"kind": "file", "path": str(path)})
     assert acc.length == 4 and acc.alphabet_size == 2
+
+
+def test_build_instance_returns_a_provider_backed_col2lz():
+    spec = {
+        "kind": "generator",
+        "family": "col2lz",
+        "params": {"n_prime": 40, "colors": 6, "alpha_prime": 0.2, "sigma": 3},
+    }
+    acc = build_instance(spec, seed=5)
+    assert acc.provider is not None and acc.length == 40 * 5 and acc.alphabet_size == 3
+    expected = GeneratorSpec("col2lz", spec["params"], 5).build()
+    assert acc.materialize().tolist() == expected.materialize().tolist()
 
 
 def test_audit_scaling_additive_epsilon_halved():
@@ -462,6 +475,33 @@ def test_cli_gen_col2lz(tmp_path):
     assert raw.size == 50 * 5  # n' * ceil(1/alpha')
 
 
+def test_cli_gen_col2lz_from_source(tmp_path):
+    source = tmp_path / "tau.bin"
+    source.write_bytes(bytes([0, 1, 2, 1, 0, 3, 3, 2, 1, 0]))
+    out = str(tmp_path / "c.bin")
+    code, _ = run_cli(["gen", "--family", "col2lz", "--source", str(source),
+                       "--alpha-prime", "0.25", "--seed", "3", "--out", out])
+    assert code == 0
+    raw = np.frombuffer(Path(out).read_bytes(), dtype=np.uint8)
+    tau = np.frombuffer(source.read_bytes(), dtype=np.uint8)
+    expected = GeneratorSpec("col2lz", {"tau": tau, "alpha_prime": 0.25}, 3).build()
+    assert raw.size == 10 * 4  # n' * ceil(1/alpha')
+    assert raw.tolist() == expected.materialize().tolist()
+
+
+def test_cli_gen_writes_multibyte_tokens(tmp_path):
+    out = str(tmp_path / "t.bin")
+    code, _ = run_cli(["gen", "--family", "lztight", "--m", "300", "--ell0", "2",
+                       "--out", out, "--emit-meta"])
+    assert code == 0
+    expected = generate_lz_tight(300, 2)
+    assert int(expected.max()) > 255
+    meta = json.loads(Path(out + ".meta.json").read_text())
+    assert meta["token_width_bytes"] == 2 and meta["n"] == expected.size
+    raw = np.frombuffer(Path(out).read_bytes(), dtype="<u2")
+    assert raw.tolist() == expected.tolist()
+
+
 def test_cli_gen_families_are_the_generators():
     from compest.generators import FAMILIES
 
@@ -536,6 +576,63 @@ def test_cli_campaign_run_config_errors_exit_2(tmp_path, capsys, text, message):
     assert (code, out) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("compest: error: ") and err.count("\n") == 1 and message in err
+
+
+def _config_text(**overrides):
+    cfg = {
+        "estimator": "rle-additive",
+        "params": {"epsilon": 0.1},
+        "instance": {"kind": "builtin", "name": "alternating", "n": 100},
+        "trials": 2,
+        "base_seed": 1,
+    }
+    return json.dumps(dict(cfg, **overrides))
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["campaign", "run", "{tmp}/c.json"],
+     {"c.json": _config_text(instance={"kind": "builtin", "name": "nope", "n": 100})},
+     "unknown builtin instance 'nope'"),
+    (["campaign", "run", "{tmp}/c.json"], {"c.json": _config_text(params={})},
+     "missing key 'epsilon'"),
+    (["campaign", "run", "{tmp}/c.json"],
+     {"c.json": _config_text(instance={"name": "alternating", "n": 100})},
+     "missing key 'kind'"),
+    (["campaign", "run", "{tmp}/nope.json"], {}, "No such file or directory"),
+    (["campaign", "audit", "--reports", "{tmp}/nope.json"], {}, "No such file or directory"),
+    (["rle-est", "{tmp}/nope.bin"], {}, "No such file or directory"),
+    (["rle-est", "{tmp}/empty.bin"], {"empty.bin": ""}, "empty string"),
+    (["rle-est", "--epsilon", "5", "{sample}"], {}, "epsilon must be in (0, 1)"),
+    (["rle-est", "--alphabet-size", "1", "{sample}"], {},
+     "2 distinct symbols exceed declared alphabet size 1"),
+    (["exact", "--scheme", "distinct", "{sample}"], {}, "--ell is required"),
+    (["gen", "--family", "wk", "--n", "10", "--k", "1", "--out", "{tmp}/wk.bin"], {},
+     "need 2 <= k <= n/2"),
+    (["lz-distinguish", "--lo", "3", "--hi", "2", "{sample}"], {},
+     "need 1 <= threshold_lo < threshold_hi"),
+], ids=["unknown-builtin", "no-epsilon", "no-kind", "missing-config", "missing-reports",
+        "missing-input", "empty-input", "epsilon-5", "alphabet-below-distinct",
+        "distinct-without-ell", "wk-k-1", "lo-above-hi"])
+def test_cli_input_faults_exit_2(tmp_path, capsys, sample_file, argv, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out = run_cli([a.format(tmp=tmp_path, sample=sample_file) for a in argv])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("compest: error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "run"],
+    ["campaign", "audit"],
+    ["campaign", "run", "cfg.json", "--reports", "r.json"],
+    ["campaign", "audit", "cfg.json", "--reports", "r.json"],
+], ids=["run-without-config", "audit-without-reports", "run-with-reports", "audit-with-config"])
+def test_cli_campaign_usage_errors_exit_2_through_argparse(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "usage: compest" in capsys.readouterr().err
 
 
 def test_cli_campaign_failing_threshold_exits_nonzero(tmp_path, sample_file):
