@@ -29,8 +29,11 @@ the same run stops there if that probe may walk as far, so probes with one
 cap read a long run about once, not once per probe. A plan scans once its
 sample count reaches ``SCAN_SHARE * n`` (additive: also once n is at most
 the probe cap). A search reads through a session budgeted at that share and
-scans as soon as its reads pass it, mid-round; it skips the rounds whose
-interval cannot close. Every scan, of any estimator or search round, is one
+scans in one of three ways: its round plans a scan; after a round, its
+reads so far plus those forecast up to the round that would close reach the
+budget (a first round forecasts itself from a pilot of its draws); or its
+reads pass the budget mid-round. It skips the rounds whose interval cannot
+close. Every scan, of any estimator or search round, is one
 ``read_all`` and one chunked :func:`rle_total_cost` pass over the runs, with
 no columns, and reports the exact cost: it keeps any (lambda, eps) claim at
 confidence 1.
@@ -45,6 +48,7 @@ probes and coarse buckets stand in for exact lengths.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +71,12 @@ C_SEARCH_AUDIT = 4.0  # x (n / C) * log2(n + 2)^3: the search's expected reads, 
 # past which it stops sampling mid-round and scans: past a quarter of n a
 # sampled pass reads most of n anyway, at several times the cost of one scan.
 SCAN_SHARE = 0.25
+
+# A search's first sampled round, which has no earlier round's reads per draw
+# to forecast from, probes a pilot first if its bound could pass the budget:
+# every stride-th draw, the stride putting the pilot's bound near this share
+# of the budget left, so that the pilot costs a small part of a scan.
+PILOT_SHARE = 1 / 16
 
 # Safety cap on search iterations (termination is guaranteed well below this
 # for any nonempty input; the cap only catches bugs).
@@ -333,17 +343,38 @@ def bucketed_plan(
     return BucketPlan(False, q, bound, buckets, q_hs)
 
 
-def _bucketed_core(sess: QuerySession, plan: BucketPlan, seed: int) -> float:
+def _bucketed_core(sess: QuerySession, plan: BucketPlan, seed: int, room: float | None = None) -> float | None:
     """The sampled pass of a bucketed round, shared by the factor-2 and
     refined estimators: one :class:`RunProber` pass over ``plan.draws``
     positions, each probe capped at its last bucket's cap, and the sum over
     buckets of (n / q_h) * hits_h * weight_h. A scan plan has no sampled
-    pass; its callers take the exact cost instead."""
+    pass; its callers take the exact cost instead.
+
+    Given the ``room`` of reads left to the round, if its bound could pass
+    that room, the pass first probes a pilot, every stride-th draw (a stride, not a
+    prefix: the first probes have the largest caps). The pilot reads through
+    a session of its own, budgeted at the room's share for its probes: if it
+    passes that budget, the round is forecast past the room, and the pass
+    returns None, unread. A probe's reads and extent are fixed by its
+    position and cap (:class:`RunProber`), so a pass that goes on reads the
+    pilot's positions again, touches the same positions and returns the same
+    estimate as one without a pilot.
+    """
     n = sess.length
-    caps = np.zeros(plan.draws, dtype=np.int64)  # each probe's final cap: its last bucket's
-    for (*_, cap, _), q_h in zip(plan.buckets, plan.q_hs):
-        caps[:q_h] = cap  # caps rise with h
-    conf = RunProber(sess, make_rng(seed).integers(1, n + 1, size=plan.draws)).advance(caps)
+    # Each probe's final cap is its last bucket's (caps rise with h): probes
+    # below the largest q_h of buckets h.. but not of buckets h + 1.. end in
+    # h. Bucket 1 has q_1 = q (w_1 = 1 + s), so every draw gets a cap.
+    reach = np.maximum.accumulate(plan.q_hs[::-1])
+    caps = np.repeat([cap for *_, cap, _ in reversed(plan.buckets)], np.diff(reach, prepend=0))
+    t = make_rng(seed).integers(1, n + 1, size=plan.draws)
+    if room is not None and plan.bound > room:
+        stride = math.ceil(plan.bound / (PILOT_SHARE * room))
+        pilot = sess.parent.session(budget=room * t[::stride].size / plan.draws)
+        try:
+            RunProber(pilot, t[::stride]).advance(caps[::stride])
+        except ReadBudgetSpent:
+            return None
+    conf = RunProber(sess, t).advance(caps)
     est = 0.0
     for (_, low, high, _, weight), q_h in zip(plan.buckets, plan.q_hs):
         # high <= cap <= the probe's cap, so a length below high is exact
@@ -381,8 +412,14 @@ class SearchRound:
 
 @dataclass(frozen=True)
 class SearchTrace:
+    """A search's rounds and report, and why it scanned: ``switch`` is ""
+    (it stayed sampled), "plan" (its round planned a scan), "forecast" (its
+    reads were forecast to reach the budget) or "budget" (its reads passed
+    the budget mid-round)."""
+
     rounds: tuple
     report: EstimateReport
+    switch: str = ""
 
 
 def search_query_ceiling(n: int, exact_cost: float) -> float:
@@ -406,22 +443,30 @@ def _interval_search(
     ``stop_ratio``. A non-positive lower end means the ratio is treated as
     infinite and the loop continues. The output sqrt(lower * upper) is then
     within sqrt(stop_ratio) of the cost whenever every interval was valid.
+    Rounds that cannot stop are skipped.
 
-    The search reads through a session budgeted at ``SCAN_SHARE * n``. Once a
-    round's plan is a scan, or a round's reads pass the budget (mid-round),
-    the search reads the string once instead and ends on a last round whose
-    estimate and interval are the exact cost. After each sampled round and at
-    the end, the reads must stay within the sum of the sampled rounds' plan
-    bounds (n once the search scans). Rounds that cannot stop are skipped.
+    The search reads through a session budgeted at ``SCAN_SHARE * n``, and
+    reads the string once instead, ending on a last round whose estimate and
+    interval are the exact cost, in three ways (``SearchTrace.switch``):
+    a round's plan is a scan; the reads are forecast to reach the budget;
+    or a round's reads pass it, mid-round. After a sampled round that does
+    not close, the forecast finds the first round j* whose interval would
+    close at that round's estimate, and prices rounds j + 1 .. j* at its
+    reads per draw (infinite if no round closes or one of them plans a
+    scan). The first sampled round forecasts itself from a pilot if its
+    bound could pass the budget (:func:`_bucketed_core`). After each sampled
+    round and at the end, the reads must stay within the sum of the sampled
+    rounds' plan bounds (n once the search scans).
     """
-    n = w.length
-    sess = w.session(budget=SCAN_SHARE * n)
+    n, sigma = w.length, w.alphabet_size
+    budget = SCAN_SHARE * n
+    sess = w.session(budget=budget)
     # Every bucketed estimate is at most (1 + s) n: a bucket with weight
     # w_h >= 1 has q_h = q, one with w_h < 1 has q_h >= q w_h, each probe
     # lands in at most one bucket, and w_1 = 1 + s is the largest weight. As
     # (est + e) / (est - e) falls while est grows, a round whose interval
     # would not close at est = (1 + s) n cannot stop; it is skipped unread.
-    top = (1 + alphabet_bits(sess.alphabet_size)) * n
+    top = (1 + alphabet_bits(sigma)) * n
 
     def interval(est, eps):
         return (est - eps * n) * shrink, (est + eps * n) * grow
@@ -429,34 +474,53 @@ def _interval_search(
     def closes(lower, upper):
         return lower > 0 and upper / lower <= stop_ratio
 
-    rounds = []
-    bound = 0
+    @functools.cache
+    def plan(j):
+        return bucketed_plan(n, sigma, 2.0**-j, (1.0 / 3.0) * 2.0**-j, ratio, q_scale)
+
+    def forecast(est, j, per_draw):
+        # no round after a sampled one is skipped: intervals narrow as j grows
+        draws = 0
+        for k in range(j + 1, SEARCH_MAX_ROUNDS + 1):
+            if plan(k).scan:
+                return math.inf
+            draws += plan(k).draws
+            if closes(*interval(est, 2.0**-k)):
+                return per_draw * draws
+        return math.inf
+
+    rounds, bound, used, switch = [], 0, 0, ""
     for j in range(1, SEARCH_MAX_ROUNDS + 1):
         eps_j = 2.0**-j
-        delta_j = (1.0 / 3.0) * 2.0**-j
         if not closes(*interval(top, eps_j)):
             continue
-        plan = bucketed_plan(n, sess.alphabet_size, eps_j, delta_j, ratio, q_scale)
-        try:
-            est = None if plan.scan else _bucketed_core(sess, plan, derive_seed(seed, j))
-        except ReadBudgetSpent:
-            est = None
-        if est is None:
-            bound = n
-            out = float(rle_total_cost(sess.read_all(), sess.alphabet_size))
+        if plan(j).scan:
+            switch = "plan"
+        elif not switch:
+            try:
+                est = _bucketed_core(sess, plan(j), derive_seed(seed, j), None if rounds else budget)
+            except ReadBudgetSpent:
+                switch = "budget"
+            else:
+                switch = "forecast" if est is None else ""
+        if switch:
+            out = float(rle_total_cost(sess.read_all(), sigma))
             rounds.append(SearchRound(j, 0.0, 0.0, out, out, out))
+            used = sess.queries_within(n)
             break
-        bound += plan.bound
-        sess.queries_within(bound)
+        bound += plan(j).bound
+        prev, used = used, sess.queries_within(bound)
         lower, upper = interval(est, eps_j)
-        rounds.append(SearchRound(j, eps_j, delta_j, est, lower, upper))
+        rounds.append(SearchRound(j, eps_j, (1.0 / 3.0) * eps_j, est, lower, upper))
         if closes(lower, upper):
             out = math.sqrt(lower * upper)
             break
+        if used + forecast(est, j, (used - prev) / plan(j).draws) >= budget:
+            switch = "forecast"
     else:
         raise RuntimeError("cost search did not converge; this should be impossible")
-    report = EstimateReport(out, claim_lam, 0.0, sess.queries_within(bound), seed)
-    return SearchTrace(rounds=tuple(rounds), report=report)
+    report = EstimateReport(out, claim_lam, 0.0, used, seed)
+    return SearchTrace(rounds=tuple(rounds), report=report, switch=switch)
 
 
 def rle_multiplicative_search_detailed(w: QueryCountedString, seed: int) -> SearchTrace:

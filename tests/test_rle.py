@@ -26,8 +26,10 @@ from compest.colors import amplification_runs, colors_plan
 from compest.lz import window_plan
 from compest.oracles import ceil_log2, rle_total_cost, run_lengths
 from compest.generators import generate_coin_runs, generate_wk
+from compest import rle
 from compest.rle import (
     LOCKSTEP_STEPS,
+    PILOT_SHARE,
     SCAN_SHARE,
     RunProber,
     SearchRound,
@@ -593,21 +595,122 @@ def test_every_rle_scan_reports_the_exact_cost(run, inp):
 # -- multiplicative searches ----------------------------------------------
 
 
-def test_search_scans_once_its_reads_reach_the_scan_share():
+def test_search_scans_once_its_forecast_reaches_the_scan_share():
     n = 100_000
     arr = generate_wk(n, n // 100, seed=3)
     trace = rle_multiplicative_search_detailed(acc(arr), seed=0)
     exact = float(exact_rle_cost(arr, 2).total_cost)
     first, last = trace.rounds
-    # round 1 reads 0.15 n; round 2 plans a sampled pass that would leave
-    # 0.73 n read, and the session's budget switches it inside that pass
+    # round 1 reads 0.15 n at 24 reads per draw; its estimate (0.013 n)
+    # closes no round before round 4 plans a scan, so the forecast is
+    # infinite and round 2, which would read past the budget, is never run
     sess = acc(arr).session()
     _bucketed_core(sess, bucketed_plan(n, 2, 0.5, 1 / 6), derive_seed(0, 1))
     assert first.j == 1 and first.epsilon > 0 and sess.queries < SCAN_SHARE * n
-    assert not bucketed_plan(n, 2, 0.25, 1 / 12).scan
+    assert not bucketed_plan(n, 2, 0.25, 1 / 12).scan and bucketed_plan(n, 2, 2**-4, 1 / 48).scan
+    assert trace.switch == "forecast"
     assert (last.j, last.epsilon, last.estimate, last.lower, last.upper) == (2, 0.0, exact, exact, exact)
     assert trace.report.estimate == exact and trace.report.queries_used == n
     assert (trace.report.lam, trace.report.epsilon) == (4.0, 0.0)
+
+
+def half_alternating(n):
+    """Blocks of 1000: 600 alternating symbols, then a run of 401 ones."""
+    i = np.arange(n) % 1000
+    return np.where(i < 600, i % 2, 1).astype(np.uint8)
+
+
+def test_search_scans_mid_round_once_its_reads_pass_the_budget():
+    # Round 1 reads 0.041 n at 11.5 reads per draw and forecasts that round
+    # 2 closes after 0.196 n more, 0.237 n in all. Round 2's probes in the
+    # long runs walk further under its larger caps: it would read 0.261 n,
+    # so the session's budget stops it inside its pass.
+    n = 180_000
+    arr = half_alternating(n)
+    exact = float(rle_total_cost(arr, 2))
+    for seed in range(3):
+        trace = rle_multiplicative_search_detailed(acc(arr), seed=seed)
+        first, last = trace.rounds
+        assert trace.switch == "budget" and first.epsilon > 0 and not bucketed_plan(n, 2, 0.25, 1 / 12).scan
+        assert (last.j, last.epsilon, last.estimate) == (2, 0.0, exact)
+        assert trace.report.estimate == exact and trace.report.queries_used == n
+
+
+LANE_N = 10**6
+
+# Each search's lane at 1e6. Random binary and coin close in round 2 after
+# 0.02 n reads. Run-mix closes in round 3 after 0.167 n; its forecast after
+# round 2 is 0.180 n, the closest of these to the 0.25 n budget. On wk and
+# all-ones, round 1's estimate closes no round before one plans a scan.
+LANE_INPUTS = {
+    "random-binary": (lambda: build_builtin("random-binary", LANE_N, 3), ""),
+    "coin": (lambda: generate_coin_runs(LANE_N, 0.5, 3), ""),
+    "run-mix": (lambda: build_builtin("run-mix", LANE_N, 3), ""),
+    "wk": (lambda: generate_wk(LANE_N, LANE_N // 100, 3), "forecast"),
+    "ones": (lambda: all_ones(LANE_N), "forecast"),
+}
+
+
+@pytest.mark.parametrize("inp", LANE_INPUTS)
+def test_search_lanes_at_a_million(inp):
+    build, switch = LANE_INPUTS[inp]
+    arr = build()
+    trace = rle_multiplicative_search_detailed(acc(arr), seed=0)
+    assert trace.switch == switch
+    if switch:
+        assert [r.j for r in trace.rounds] == [1, 2] and trace.rounds[-1].epsilon == 0.0
+        assert trace.report.estimate == rle_total_cost(arr, 2) and trace.report.queries_used == LANE_N
+    else:
+        assert all(r.epsilon > 0 for r in trace.rounds)
+        assert trace.report.queries_used < SCAN_SHARE * LANE_N
+    if inp == "run-mix":
+        assert len(trace.rounds) == 3 and 0.16 < trace.report.queries_used / LANE_N < 0.18
+
+
+def test_refined_pilot_probes_only_its_stride_and_scans(monkeypatch):
+    # Refined gamma 0.5 at 1e7 skips round 1, and round 2 plans 0.061 n
+    # draws with a bound 7.5 times the budget. Its pilot on all-ones reads
+    # past its share of the budget at once, and the search scans instead.
+    n = 10**7
+    probed, plans = [], []
+    real_plan = rle.bucketed_plan
+
+    class Spy(RunProber):
+        def __init__(self, session, positions):
+            probed.append(np.asarray(positions))
+            super().__init__(session, positions)
+
+    monkeypatch.setattr(rle, "RunProber", Spy)
+    monkeypatch.setattr(rle, "bucketed_plan", lambda *a: plans.append(real_plan(*a)) or plans[-1])
+    arr = all_ones(n)
+    trace = rle_refined_search_detailed(acc(arr), 0.5, seed=5)
+    (plan,), (pilot,) = plans, probed
+    stride = math.ceil(plan.bound / (PILOT_SHARE * SCAN_SHARE * n))
+    assert plan.bound > 7 * SCAN_SHARE * n and stride > 100
+    draws = make_rng(derive_seed(5, 2)).integers(1, n + 1, size=plan.draws)
+    assert np.array_equal(pilot, draws[::stride])
+    assert trace.switch == "forecast"
+    exact = float(rle_total_cost(arr, 2))
+    assert trace.rounds == (SearchRound(2, 0.0, 0.0, exact, exact, exact),)
+    assert trace.report.queries_used == n
+
+
+def test_a_pilot_that_goes_on_changes_nothing(monkeypatch):
+    # At 2^16 round 1's bound (17 280) passes the 4x search's budget
+    # (16 384), so it probes a pilot first; on alternating input the round
+    # goes on and closes, with the estimate and reads of a pass without one.
+    n = 2**16
+    arr = alternating(n)
+    probed = []
+    real_init = RunProber.__init__
+    monkeypatch.setattr(RunProber, "__init__", lambda self, s, t: probed.append(len(t)) or real_init(self, s, t))
+    trace = rle_multiplicative_search_detailed(acc(arr), seed=4)
+    plan = bucketed_plan(n, 2, 0.5, 1 / 6)
+    assert plan.bound > SCAN_SHARE * n and probed == [38, plan.draws]  # every 17th of 640
+    sess = acc(arr).session()
+    est = _bucketed_core(sess, plan, derive_seed(4, 1))
+    assert trace.switch == "" and [(r.j, r.estimate) for r in trace.rounds] == [(1, est)]
+    assert trace.report.queries_used == sess.queries
 
 
 def test_refined_skips_the_round_that_cannot_stop():
@@ -653,7 +756,8 @@ def test_search_terminates_fast_on_incompressible():
 
 
 def test_search_continues_while_lower_bound_nonpositive():
-    n = 2**16
+    # at 2^16 a pilot would forecast round 1 past the budget unread
+    n = 2**18
     w = acc(all_ones(n))
     trace = rle_multiplicative_search_detailed(w, seed=11)
     nonpos = [r for r in trace.rounds if r.lower <= 0]
