@@ -41,14 +41,15 @@ for seed in range(5):
 rep = colors_estimate_amplified(tau, 5.0, delta=0.01, seed=0)
 print(f"  amplified (delta=0.01): estimate {rep.estimate:.0f}, confidence {rep.confidence:.2f}")
 
-print("\n== distinct substrings by window sampling ==")
+print("\n== distinct substrings by window sampling, factor B = 16 ==")
+# A pool whose window reads would reach n scans instead and counts exactly.
 arr = rng.integers(0, 2, size=50_000).astype(np.uint8)
 for ell in (3, 6, 9):
     w = QueryCountedString.from_tokens(arr, 2)
-    rep = estimate_distinct(w, ell, B=4.0, delta=0.05, seed=2)
+    rep = estimate_distinct(w, ell, B=16.0, delta=0.05, seed=2)
     exact_d = exact_distinct_substrings(arr, ell)
     print(
         f"  ell={ell}: estimate {rep.estimate:8.0f}   exact d_ell = {exact_d:5d}   "
-        f"factor-4 interval [{exact_d / 4:.0f}, {exact_d * 4:.0f}]   "
+        f"interval [{exact_d / 16:.0f}, {exact_d * 16:.0f}]   "
         f"reads {rep.queries_used} of {arr.size}"
     )

@@ -72,7 +72,7 @@ def _exact_lz(acc: QueryCountedString) -> float:
 
 def _lz_plan(e: dict, n: int) -> ReadPlan:
     p = LzEstimateParams.derive(float(e["A"]), float(e["epsilon"]), n)
-    return window_plan(n, p.ell0, p.B, p.delta)
+    return window_plan(n, p.ell0, p.B)
 
 
 class Estimator(NamedTuple):

@@ -16,10 +16,15 @@ so the total read cost is one window-read per sample rather than one per
 once by one sort of the sampled windows, with the suffix-array identity the
 exact oracle uses: d_ell = windows - #(sort-adjacent pairs with LCP >= ell).
 
-Confidence comes from pooling, as in the amplified colors estimator: the
-window pool holds k = amplification_runs(delta) basic sample sizes, and B
-times its distinct prefix count can only fail low, with probability at most
-3^-k <= delta, never high.
+Confidence needs no union bound over the ell0 lengths. A pool holds no
+more distinct prefixes than the string, so B * count_ell <= B * d_ell on
+every run, and the estimate max over ell of B * count_ell / ell never exceeds
+B * m. Its lower side, mhat >= m / B, holds whenever the one length ell* that
+attains m (fixed by the input, not by the sample) has
+count_ell* >= d_ell* / B^2, which one basic sample size of windows gives with
+probability 2/3. So the pool holds one basic sample size, the report's own
+confidence. estimate_distinct claims 1 - delta for its one length and pools
+amplification_runs(delta) of them.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from ._rng import derive_seed, make_rng
 from .accessor import EstimateReport, QueryCountedString, QuerySession, ReadPlan
-from .colors import amplification_runs, pool_size, sample_count
+from .colors import amplification_runs, pool_size
 from .oracles import distinct_profile
 from .suffixes import lcp_at_least_counts, symbol_ranks
 
@@ -100,29 +105,28 @@ class SharedWindowSamples:
         return int(self._counts[ell - 1])
 
 
-def window_plan(n: int, ell0: int, B: float, delta: float) -> ReadPlan:
+def window_plan(n: int, ell0: int, B: float, delta: float = 1 / 3) -> ReadPlan:
     """Windows of ell0 reads for factor B, confidence 1 - delta per length, or
-    a scan where B <= 1 or a basic sample would reach the n - ell0 + 1 window
-    starts (an exact count is a valid B-estimate for any B >= 1)."""
-    n_virt = n - ell0 + 1
-    if B <= 1.0 or sample_count(n_virt, B) >= n_virt:
-        return ReadPlan(True, 0, n)
-    size = pool_size(n_virt, B, amplification_runs(delta))
-    return ReadPlan(False, size, size * ell0)
+    a scan where the pool's window reads would reach n, so a sampled bound is
+    below n (an exact count is a valid B-estimate for any B >= 1)."""
+    if B > 1.0:
+        size = pool_size(n - ell0 + 1, B, amplification_runs(delta))
+        if size * ell0 < n:
+            return ReadPlan(False, size, size * ell0)
+    return ReadPlan(True, 0, n)
 
 
 def _distinct_estimates(
-    sess: QuerySession, ell0: int, B: float, delta: float, seed: int
+    sess: QuerySession, ell0: int, B: float, seed: int, delta: float = 1 / 3
 ) -> np.ndarray:
     """Estimates of d_1..d_ell0 within a factor max(1, B), confidence 1 - delta each.
 
     The exact lane of :func:`window_plan` is answered from a full scan.
     Otherwise each d_ell is B times the distinct length-ell prefixes in one
     shared pool of amplification_runs(delta) basic sample sizes of windows.
-    The pool holds no more distinct prefixes than the string, so no estimate
-    exceeds B * d_ell. It fails low only if each of the k independent basic
-    samples it is made of would fail low on its own, each with probability
-    at most 1/3, so with probability at most 3^-k <= delta.
+    No estimate exceeds B * d_ell. One fails low only if each of the k
+    independent basic samples in the pool would, so with probability at most
+    3^-k <= delta; the LZ estimate needs this for one length only.
     """
     plan = window_plan(sess.length, ell0, B, delta)
     if plan.scan:
@@ -150,7 +154,7 @@ def estimate_distinct(w, ell: int, B: float, delta: float, *, seed: int = 0) -> 
         raise ValueError(f"length {ell} outside [1, {n}]")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    dhat = _distinct_estimates(sess, ell, B, delta, derive_seed(seed, "windows", ell))
+    dhat = _distinct_estimates(sess, ell, B, derive_seed(seed, "windows", ell), delta)
     return EstimateReport(
         float(dhat[ell - 1]), max(1.0, B), 0.0, sess.queries, seed, confidence=1.0 - delta
     )
@@ -182,11 +186,6 @@ class LzEstimateParams:
         ell0 = min(math.ceil(raw), n)
         return LzEstimateParams(A, epsilon, ell0, A / (2.0 * math.sqrt(math.log2(raw))))
 
-    @property
-    def delta(self) -> float:
-        """Failure probability per length; a union bound over the ell0 lengths leaves 1/3."""
-        return 1.0 / (3.0 * self.ell0)
-
 
 def lz_estimate_detailed(
     w: QueryCountedString, A: float, epsilon: float, seed: int
@@ -195,7 +194,7 @@ def lz_estimate_detailed(
     params = LzEstimateParams.derive(A, epsilon, n)
     sess = w.session()
     ell0 = params.ell0
-    dhat = _distinct_estimates(sess, ell0, params.B, params.delta, derive_seed(seed, "windows"))
+    dhat = _distinct_estimates(sess, ell0, params.B, derive_seed(seed, "windows"))
     mhat = float(max(dhat[ell - 1] / ell for ell in range(1, ell0 + 1)))
     est = mhat * (params.A / max(1.0, params.B)) + epsilon * n
     report = EstimateReport(est, params.A, epsilon, sess.queries, seed)
@@ -246,12 +245,12 @@ def distinguish_compressible(
 
     At lo = sqrt(n), hi = n/4 (the README example): A = n^(1/4) / 4 and
     A * eps = 1/16, so ell0 = 32 (33 where float rounding lands just above
-    32) and B = n^(1/4) / (8 sqrt(5)). B < 1 for n < 1.0e5, and B^2 <= 10
-    keeps the basic sample at every window start up to n = 1.0e7, so such
-    calls take the exact lane of :func:`window_plan`: the distinct
-    profile up to length 32, a prefix doubling stopped at length 32. On a
-    binary string its first sort packs 16 symbols per position, so one pair
-    round finishes it.
+    32) and B = n^(1/4) / (8 sqrt(5)). B < 1 for n < 1.0e5, and one basic
+    sample of windows plans about 320 n / B^2 reads, at least n while
+    B^2 <= 320, up to about n = 1e10. So such calls take the exact lane of
+    :func:`window_plan`: the distinct profile up to length 32, a prefix
+    doubling stopped at length 32. On a binary string its first sort packs 16
+    symbols per position, so one pair round finishes it.
     """
     n = w.length
     if not 1 <= threshold_lo < threshold_hi <= n:

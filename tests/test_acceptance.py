@@ -191,7 +191,7 @@ def test_criterion_09_lz_estimator_and_distinguisher():
     n, A, eps = 100_000, 8.0, 0.05
     hits = within = 0
     p = LzEstimateParams.derive(A, eps, n)
-    ceiling = window_plan(n, p.ell0, p.B, p.delta).bound
+    ceiling = window_plan(n, p.ell0, p.B).bound
     for t in range(TRIALS):
         arr = random_symbols(n, 2, seed=derive_seed(34_000, t))
         rep = lz_estimate(acc(arr, 2), A, eps, seed=derive_seed(34_500, t))

@@ -237,19 +237,20 @@ def test_audit_scaling_additive_epsilon_halved():
 
 
 def test_audit_scaling_lz_factor_doubled():
-    # doubling A shrinks the nominal sample budget ~8x; distinct reads
+    # doubling A shrinks the window pool's read bound ~8x; distinct reads
     # saturate at n on inputs this small, so the audit checks the pre-dedup
-    # budget k * s * ell0 that the query-reuse bound is stated against
-    from compest.colors import amplification_runs, sample_count
-    from compest.lz import LzEstimateParams
+    # bound, draws * ell0, that the plan states. (8, 0.05) scans, so the pair
+    # is (16, 0.05) and (32, 0.05), both on the sampled lane.
+    from compest.lz import LzEstimateParams, window_plan
 
     def raw_budget(a_factor, eps, n):
         p = LzEstimateParams.derive(a_factor, eps, n)
-        k = amplification_runs(1 / (3 * p.ell0))
-        return k * sample_count(n - p.ell0 + 1, p.B) * p.ell0
+        plan = window_plan(n, p.ell0, p.B)
+        assert not plan.scan and plan.bound == plan.draws * p.ell0
+        return plan.bound
 
     n, eps = 100_000, 0.05
-    ratio = raw_budget(8, eps, n) / raw_budget(16, eps, n)
+    ratio = raw_budget(16, eps, n) / raw_budget(32, eps, n)
     assert 2 <= ratio <= 32
 
 
@@ -264,7 +265,7 @@ def test_audit_ceilings_are_the_bounds_runs_assert(sigma):
 
     def lz_plan(n, A, eps):
         p = LzEstimateParams.derive(A, eps, n)
-        return window_plan(n, p.ell0, p.B, p.delta)
+        return window_plan(n, p.ell0, p.B)
 
     # Each row's ceiling is the bound of the plan its run executes, and a real
     # run reads no more. The colors pool exceeds n at lambda 3 and is below n
@@ -336,7 +337,7 @@ def test_audit_rows_flag_violations():
          float(amplification_runs(1 / 3) * sample_count(5000, 3))),
         ({"estimator": "colors", "n": 5000, "lambda": 8}, float(sample_count(5000, 8))),
         ({"estimator": "lz", "n": 10**5, "A": 8, "epsilon": 0.05},
-         window_plan(10**5, p.ell0, p.B, p.delta).bound),
+         window_plan(10**5, p.ell0, p.B).bound),
     ]
     vacuous = []
     for entry, ceiling in others:

@@ -73,7 +73,7 @@ def test_amplification_runs_is_smallest_power_of_three_covering_delta():
     assert [amplification_runs(3**-j) for j in range(1, 7)] == [1, 2, 3, 4, 5, 6]
     assert amplification_runs(0.5) == 1
     assert amplification_runs(0.05) == 3  # 3^-2 > 0.05 >= 3^-3
-    assert amplification_runs(1 / 21) == 3  # the LZ window pool at ell0 = 7
+    assert amplification_runs(1 / 21) == 3  # 3^-2 > 1/21 >= 3^-3
     for delta in (0.0, 1.0, -0.1):
         with pytest.raises(ValueError):
             amplification_runs(delta)

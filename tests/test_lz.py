@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,9 @@ from compest import (
     meets_contract,
 )
 from compest._rng import derive_seed, make_rng
-from compest.colors import amplification_runs, sample_count
+from compest.accessor import ReadPlan
+from compest.colors import sample_count
+from compest.generators import generate_lz_tight
 from compest import lz
 from compest.lz import lz_estimate_detailed, window_plan
 from naive import all_ones, naive_distinct_prefixes, random_symbols
@@ -137,16 +140,18 @@ def test_estimate_distinct_exact_lane_for_small_factor():
 
 
 def test_estimate_distinct_sampled_contract():
+    # A pool of 4 basic samples of length-4 windows reads 160 n / B^2, below n
+    # only for B^2 > 160: at B = 4 this length scans.
     arr = random_symbols(4096, 2, seed=20)
     exact = exact_distinct_substrings(arr, 4)
-    n_virt = arr.size - 4 + 1
-    assert sample_count(n_virt, 4.0) < n_virt  # sampled (not exact) lane
+    assert window_plan(arr.size, 4, 4.0, 1 / 30).scan
+    assert not window_plan(arr.size, 4, 16.0, 1 / 30).scan
     hits = 0
     for seed in range(100):
         w = acc(arr)
-        est = estimate_distinct(w, 4, B=4.0, delta=1 / 30, seed=seed).estimate
-        assert est == int(est / 4.0) * 4.0  # B times an integer distinct count
-        hits += exact / 4.0 <= est <= 4.0 * exact
+        est = estimate_distinct(w, 4, B=16.0, delta=1 / 30, seed=seed).estimate
+        assert est == int(est / 16.0) * 16.0  # B times an integer distinct count
+        hits += exact / 16.0 <= est <= 16.0 * exact
     assert hits >= 90
 
 
@@ -156,7 +161,7 @@ def test_estimate_distinct_validates_length():
         estimate_distinct(w, 101, B=2.0, delta=0.1, seed=0)
 
 
-@pytest.mark.parametrize("B", [0.5, 4.0])  # the exact lane, then the sampled one
+@pytest.mark.parametrize("B", [0.5, 4.0])  # window_plan sizes a pool only for B > 1
 @pytest.mark.parametrize("delta", [5.0, 1.0, 0.0, -0.5])
 def test_estimate_distinct_rejects_delta_before_reading(B, delta):
     def provider(idx0):
@@ -231,7 +236,22 @@ def test_lz_estimate_deterministic_replay():
 
 def plan_of(n, A, eps):
     p = LzEstimateParams.derive(A, eps, n)
-    return window_plan(n, p.ell0, p.B, p.delta)
+    return window_plan(n, p.ell0, p.B)
+
+
+def test_window_plan_scans_once_pool_reads_reach_n():
+    # Plans only, no reads. The pool is one basic sample of windows. (16, 0.02)
+    # draws 0.41 n window starts, 2.9 n window reads, so it scans; (32, 0.01)
+    # plans 0.72 n reads and samples.
+    n = 200_000
+    p = LzEstimateParams.derive(16, 0.02, n)
+    assert p.ell0 == 7 and sample_count(n - p.ell0 + 1, p.B) * p.ell0 > 2.8 * n
+    assert sample_count(n - p.ell0 + 1, p.B) < 0.42 * n
+    assert plan_of(n, 16, 0.02) == ReadPlan(True, 0, n)
+    p = LzEstimateParams.derive(32, 0.01, n)
+    plan = plan_of(n, 32, 0.01)
+    assert not plan.scan and plan.draws == sample_count(n - p.ell0 + 1, p.B)
+    assert plan.bound == plan.draws * p.ell0 < 0.73 * n
 
 
 def test_lz_query_ceiling_at_reference_params():
@@ -245,7 +265,7 @@ def test_lz_query_ceiling_at_reference_params():
 
 @pytest.fixture(scope="module")
 def sampled_lane_inputs():
-    """n = 2e5 inputs that (32, 0.01) and (64, 0.005) estimate from a window pool."""
+    """n = 2e5 inputs that the lz-sampled settings estimate from a window pool."""
     n = 200_000
     inputs = {
         "random-bytes": random_symbols(n, 256, seed=61),
@@ -256,13 +276,15 @@ def sampled_lane_inputs():
 
 
 def test_lz_query_ceiling_on_sampled_lane(sampled_lane_inputs):
-    A, eps = 64, 0.005
-    for name, (arr, _) in sampled_lane_inputs.items():
+    # every lz-sampled setting; (32, 0.01) planned 2.17 n with a pool of 3
+    for (A, eps), (name, (arr, _)) in itertools.product(
+        [(32, 0.01), (64, 0.005), (128, 0.001)], sampled_lane_inputs.items()
+    ):
         plan = plan_of(arr.size, A, eps)
         p = LzEstimateParams.derive(A, eps, arr.size)
         assert not plan.scan and plan.bound == plan.draws * p.ell0
         rep = lz_estimate(acc(arr), A, eps, seed=0)
-        assert rep.queries_used <= plan.bound < arr.size, (name, rep.queries_used, plan.bound)
+        assert rep.queries_used <= plan.bound < arr.size, (A, eps, name, rep.queries_used)
 
 
 @pytest.mark.parametrize("A, eps", [(32, 0.01), (64, 0.005)])
@@ -276,6 +298,32 @@ def test_lz_contract_on_sampled_lane(sampled_lane_inputs, A, eps):
             upper += rep.estimate <= A * exact + eps * n
             two_sided += meets_contract(rep, exact, n)
         assert upper == 20 and two_sided >= 18, (name, upper, two_sided)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_lz_lower_side_at_its_one_length(j):
+    # The pool is one basic sample because the lower side needs only the length
+    # ell* that attains m. Here ell* = 1: lztight's first phase, the d_1 - 1
+    # distinct symbols, planted once in zeros, with d_1 just above j * B^2.
+    # Every other length has d_ell / ell <= (m + 1) / 2 and cannot stand in.
+    # With no eps * n slack the check can fail: cutting the pool to 1/8 of its
+    # size fails it (j = 1: 59 of 90), and 1/7 still passes.
+    n, A, eps, trials = 50_000, 64, 0.005, 90
+    p = LzEstimateParams.derive(A, eps, n)
+    arr = np.zeros(n, dtype=np.int64)
+    d1 = math.floor(j * p.B**2) + 1
+    arr[n // 2 : n // 2 + d1 - 1] = generate_lz_tight(d1 - 1, 1)
+    prof = distinct_profile(arr, p.ell0)
+    ratios = prof / np.arange(1, p.ell0 + 1)
+    m = ratios[0]
+    assert prof[0] == d1 > j * p.B**2 and ratios[1:].max() <= (m + 1) / 2
+    assert not plan_of(n, A, eps).scan
+    lower = 0
+    for seed in range(trials):
+        _, _, dhat = lz_estimate_detailed(acc(arr), A, eps, seed=seed)
+        assert np.all(dhat <= p.B * prof), seed
+        lower += (dhat / np.arange(1, p.ell0 + 1)).max() >= m / p.B
+    assert 3 * lower >= 2 * trials, lower
 
 
 # -- distinguisher ------------------------------------------------------------
@@ -317,7 +365,6 @@ def test_sampled_lane_reuses_queries_across_lengths():
     arr = random_symbols(n, 2, seed=8)
     w = acc(arr)
     rep, params, _ = lz_estimate_detailed(w, 16, 0.05, seed=2)
-    assert params.B > math.sqrt(10)  # sampled (not exact) regime
-    k = amplification_runs(1 / (3 * params.ell0))
-    s = sample_count(n - params.ell0 + 1, params.B)
-    assert rep.queries_used <= k * s * params.ell0 + 1
+    plan = window_plan(n, params.ell0, params.B)
+    assert not plan.scan and plan.bound == plan.draws * params.ell0 < n
+    assert rep.queries_used <= plan.bound

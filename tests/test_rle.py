@@ -532,8 +532,9 @@ def test_colors_and_lz_runs_that_read_past_their_plans_fail(monkeypatch):
     n = 200_000
     w = acc(random_symbols(n, 256, seed=61), 256)
     p = LzEstimateParams.derive(64, 0.005, n)
-    lz_plan = window_plan(n, p.ell0, p.B, p.delta)
+    lz_plan = window_plan(n, p.ell0, p.B)
     assert not lz_plan.scan and lz_plan.bound < n
+    assert not window_plan(n, p.ell0, p.B, 0.05).scan  # estimate_distinct's pool of 3
     assert colors_plan(n, 8, amplification_runs(0.1)).bound < n
     real_read_many = QuerySession.read_many
 
@@ -546,7 +547,7 @@ def test_colors_and_lz_runs_that_read_past_their_plans_fail(monkeypatch):
         lambda: colors_estimate(w, 8, seed=0),
         lambda: colors_estimate_amplified(w, 8, 0.1, seed=0),
         lambda: lz_estimate(w, 64, 0.005, seed=0),
-        lambda: estimate_distinct(w, p.ell0, p.B, p.delta, seed=0),
+        lambda: estimate_distinct(w, p.ell0, p.B, 0.05, seed=0),
     )
     for run in runs:
         with pytest.raises(RuntimeError, match="the sampler is broken"):
