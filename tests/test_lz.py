@@ -276,7 +276,7 @@ def sampled_lane_inputs():
 
 
 def test_lz_query_ceiling_on_sampled_lane(sampled_lane_inputs):
-    # every lz-sampled setting; (32, 0.01) planned 2.17 n with a pool of 3
+    # every lz-sampled setting
     for (A, eps), (name, (arr, _)) in itertools.product(
         [(32, 0.01), (64, 0.005), (128, 0.001)], sampled_lane_inputs.items()
     ):
