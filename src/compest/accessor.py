@@ -18,7 +18,8 @@ Conventions:
 * A string is read through a session (counted) or :meth:`materialize`
   (not counted), and in no other way.
 * A session's touched-position ledger costs O(q) memory for q distinct
-  reads, until q nears n / 64; see :class:`_TouchedSet`.
+  reads, until q nears n / 64, and O(q log q) time in all for q positions
+  asked, in batches of any size; see :class:`_TouchedSet`.
 * :meth:`QuerySession.read_all` marks the ledger full in O(1) and returns
   the backing array read-only, with no index array or copy. Every array a
   session returns fits ``alphabet_size``: the accessor checks it, not callers.
@@ -93,20 +94,27 @@ class _TouchedSet:
     """Distinct touched 0-indexed positions out of ``length``.
 
     Held as a sorted unique int64 array while it has at most ``length // 64``
-    entries, so a run that reads q positions costs O(q) memory and time. A
+    entries, so a run that reads q positions costs O(q) memory. A
     batch that could push it past that bound (checked before the batch is
     sorted) switches it to a ``length``-byte bool bitmap for good: at that
     size the array already takes ``length / 8`` bytes, as much as a
     bit-packed bitmap would.
 
-    While sorted, each :meth:`add` copies the whole array (``np.insert``), so
-    it costs O(len + batch log batch): read positions in batches, not one at
-    a time. :meth:`fill` marks every position touched in O(1), for good.
+    While sorted, :meth:`add` keeps each batch, uncopied, on a pending list.
+    Once the pending batches hold as many entries as the array, they are
+    sorted into it with duplicates dropped. Such a merge handles at most
+    twice the entries pending, so q positions asked cost O(q log q) in all,
+    however they are batched. A count, and a batch that could pass the
+    bitmap bound, merge first too, at O(len) each. The sorted array and the
+    pending batches together hold at most twice the distinct positions plus
+    one batch. :meth:`fill` marks every position touched in O(1), for good.
     """
 
     def __init__(self, length: int):
         self._length = length
         self._sorted = np.empty(0, dtype=np.int64)
+        self._pending: list[np.ndarray] = []
+        self._pending_size = 0
         self._bitmap: np.ndarray | None = None
         self._full = False
 
@@ -114,33 +122,48 @@ class _TouchedSet:
         if self._full:
             return self._length
         if self._bitmap is None:
+            self._merge()
             return int(self._sorted.size)
         return int(np.count_nonzero(self._bitmap))
 
     def fill(self) -> None:  # every position, for good: later adds are no-ops
         self._full, self._sorted, self._bitmap = True, None, None
+        self._pending, self._pending_size = [], 0
+
+    def _merge(self) -> None:
+        """Sort the pending batches into the sorted array, one copy of each."""
+        if not self._pending:
+            return
+        if self._sorted.size == 0 and len(self._pending) == 1:
+            merged = np.sort(self._pending[0])  # the batch is the caller's: no in-place sort
+        else:
+            merged = np.concatenate([self._sorted, *self._pending])
+            merged.sort()
+        keep = np.ones(merged.size, dtype=bool)
+        keep[1:] = merged[1:] != merged[:-1]
+        self._sorted = merged[keep]
+        self._pending, self._pending_size = [], 0
 
     def add(self, idx0: np.ndarray) -> None:
-        """Record the 0-indexed positions ``idx0``."""
+        """Record the 0-indexed positions ``idx0``, which the set may keep
+        uncopied until its next merge, so nothing may write to them."""
         if self._full:
             return
         idx0 = np.ravel(idx0)
-        if self._bitmap is None and self._sorted.size + idx0.size > self._length // 64:
-            self._bitmap = np.zeros(self._length, dtype=bool)
-            self._bitmap[self._sorted] = True
-            self._sorted = None
+        limit = self._length // 64
+        if self._bitmap is None and self._sorted.size + self._pending_size + idx0.size > limit:
+            self._merge()
+            if self._sorted.size + idx0.size > limit:
+                self._bitmap = np.zeros(self._length, dtype=bool)
+                self._bitmap[self._sorted] = True
+                self._sorted = None
         if self._bitmap is not None:
             self._bitmap[idx0] = True
             return
-        batch = np.sort(idx0)
-        keep = np.ones(batch.size, dtype=bool)
-        keep[1:] = batch[1:] != batch[:-1]
-        if self._sorted.size == 0:
-            self._sorted = batch[keep]
-            return
-        at = np.searchsorted(self._sorted, batch)
-        keep &= self._sorted[np.minimum(at, self._sorted.size - 1)] != batch
-        self._sorted = np.insert(self._sorted, at[keep], batch[keep])
+        self._pending.append(idx0)
+        self._pending_size += idx0.size
+        if self._pending_size >= self._sorted.size:
+            self._merge()
 
 
 class QueryCountedString:
@@ -237,8 +260,10 @@ class QueryCountedString:
         return out
 
     def _check(self, positions) -> np.ndarray:
-        idx0 = np.asarray(positions, dtype=np.int64) - 1
-        if idx0.size and (idx0.min() < 0 or idx0.max() >= self.length):
+        idx0 = np.array(positions, dtype=np.int64)  # a copy the session owns
+        idx0 -= 1
+        # as uint64 a negative position is past every length: one max checks both ends
+        if idx0.size and int(idx0.view(np.uint64).max()) >= self.length:
             bad = idx0[(idx0 < 0) | (idx0 >= self.length)][0] + 1
             raise IndexError(f"position {int(bad)} outside [1, {self.length}]")
         return idx0
@@ -312,6 +337,7 @@ class QuerySession:
             self._touched.fill()
             return self.parent._whole()
         idx0 = self.parent._check(np.asarray(positions))
+        idx0.flags.writeable = False  # the ledger may keep it uncopied
         self._touched.add(idx0)
         if self._budget is not None:
             self._room -= idx0.size

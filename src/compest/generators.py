@@ -30,7 +30,6 @@ import numpy as np
 
 from ._rng import derive_seed, make_rng
 from .accessor import QueryCountedString
-from .oracles import ceil_log2
 
 
 def generate_wk(n: int, k: int, seed: int) -> np.ndarray:
@@ -92,7 +91,7 @@ def binarize(w: np.ndarray, m: int) -> np.ndarray:
     arr = np.asarray(w, dtype=np.int64)
     if arr.min() < 1 or arr.max() > m:
         raise ValueError("symbols must lie in [1, m]")
-    width = max(1, int(ceil_log2(np.array([m]))[0]))
+    width = max(1, (int(m) - 1).bit_length())
     shifts = np.arange(width - 1, -1, -1)
     return (((arr[:, None] - 1) >> shifts) & 1).astype(np.uint8).ravel()
 

@@ -51,7 +51,7 @@ def alphabet_bits(alphabet_size: int) -> int:
     """Per-run symbol overhead: ceil(log2(sigma)), sigma >= 2."""
     if alphabet_size < 2:
         raise ValueError("alphabet size must be >= 2")
-    return int(ceil_log2(np.array([alphabet_size]))[0])
+    return (int(alphabet_size) - 1).bit_length()
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +86,13 @@ def _run_length_chunks(arr: np.ndarray):
     open_at = 0  # 0-indexed start of the run not yet closed
     for lo in range(1, n, RUN_CHUNK):
         hi = min(lo + RUN_CHUNK, n)
-        starts = np.flatnonzero(arr[lo:hi] != arr[lo - 1 : hi - 1])
+        starts = np.flatnonzero(arr[lo:hi] != arr[lo - 1 : hi - 1])  # offsets from lo
         if starts.size:
-            starts += lo
-            yield np.diff(starts, prepend=open_at)
-            open_at = int(starts[-1])
+            lengths = np.empty(starts.size, dtype=np.int64)
+            lengths[0] = lo + int(starts[0]) - open_at
+            np.subtract(starts[1:], starts[:-1], out=lengths[1:])
+            yield lengths
+            open_at = lo + int(starts[-1])
     yield np.array([n - open_at])
 
 

@@ -120,7 +120,7 @@ def additive_probe_cap(epsilon: float, alphabet_size: int) -> int:
     # powers of two), but it is dominated by the non-increasing envelope
     # (log2(ell+1) + 1 + s) / ell; asserting the envelope at ell0 bounds the
     # contribution of every ignored position, not just the one at ell0.
-    tail_exact = (int(ceil_log2(np.array([ell0 + 1]))[0]) + s_bits) / ell0
+    tail_exact = (ell0.bit_length() + s_bits) / ell0  # ceil(log2(ell0 + 1)) = bit_length(ell0)
     tail_envelope = (math.log2(ell0 + 1) + 1 + s_bits) / ell0
     if max(tail_exact, tail_envelope) > epsilon / 2:
         raise RuntimeError(
@@ -305,7 +305,7 @@ def _geometric_buckets(ell0: int, s_bits: int, ratio: float) -> list[tuple[int, 
         if lmin >= high:  # no integer run length falls in this bucket
             continue
         cap = math.ceil(high)
-        weight = float((int(ceil_log2(np.array([lmin + 1]))[0]) + s_bits) / lmin)
+        weight = float((lmin.bit_length() + s_bits) / lmin)
         out.append((h, low, high, cap, weight))
     return out
 

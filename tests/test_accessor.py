@@ -13,6 +13,7 @@ from compest import (
     meets_contract,
     rle_additive_estimate,
 )
+from compest import accessor
 from compest.accessor import QuerySession, ReadBudgetSpent, distinct_count
 
 
@@ -31,6 +32,11 @@ def test_read_out_of_range_rejected():
         sess.read(4)
     with pytest.raises(IndexError):
         sess.read(0)
+    # the first bad position is named, a negative or a too-large one, and the batch counts nothing
+    with pytest.raises(IndexError, match="position -5 outside"):
+        sess.read_many([2, -5, 2**62, 1])
+    with pytest.raises(IndexError, match=f"position {2**62} outside"):
+        sess.read_many(np.array([[1, 2], [2**62, -5]]))
     assert sess.queries == 0
 
 
@@ -221,6 +227,92 @@ def test_budget_holds_across_the_bitmap_switch(seed):
         sess.read_many(batch)
         assert sess.queries == len(seen)
     assert sess._touched._bitmap is not None and sess.queries == len(seen)
+
+
+@pytest.mark.parametrize("budget", [None, 300])
+@pytest.mark.parametrize("seed", range(4))
+def test_ledger_matches_a_python_set(seed, budget):
+    n = 64 * 400  # the sorted ledger holds at most n // 64 = 400 positions
+    w = QueryCountedString.from_tokens(np.arange(n) % 5)
+    sess, seen, pending_at_a_count = w.session(budget=budget), set(), 0
+    rng = np.random.default_rng(seed)
+    while sess._touched._bitmap is None:
+        batch = rng.integers(1, 700, size=int(rng.integers(0, 30)))  # empty batches too
+        if rng.random() < 0.3:
+            batch = np.concatenate([batch, batch[: batch.size // 2]])  # repeats inside the batch
+        if batch.size % 2 == 0 and rng.random() < 0.3:
+            batch = batch.reshape(2, -1)
+        seen.update(batch.ravel().tolist())
+        if budget is not None and len(seen) > budget:
+            with pytest.raises(ReadBudgetSpent):
+                sess.read_many(batch)
+            assert sess.queries == len(seen)
+            return
+        got = sess.read_many(batch)
+        assert got.shape == batch.shape and np.array_equal(got, (batch - 1) % 5)
+        if rng.random() < 0.3:
+            pending_at_a_count += bool(sess._touched._pending)
+            assert sess.queries == len(seen)
+    assert pending_at_a_count and sess.queries == len(seen)
+    assert budget is None  # 400 distinct reads pass the budget first
+
+
+def test_budget_raises_on_the_batch_that_passes_it_while_batches_are_pending():
+    w = QueryCountedString.from_tokens(np.arange(64_000) % 3)  # sorted side: up to 1000
+    sess = w.session(budget=130)
+    sess.read_many(np.arange(1, 101))
+    for lo in (101, 111, 121):
+        sess.read_many(np.arange(lo, lo + 10))  # 130 distinct reads, 30 of them pending
+    assert sess._touched._pending
+    with pytest.raises(ReadBudgetSpent):
+        sess.read_many([5, 131])
+    assert sess.queries == 131 and sess._touched._bitmap is None
+
+
+def test_pending_batches_count_in_the_bitmap_switch():
+    w = QueryCountedString.from_tokens(np.arange(6400) % 5)  # sorted side: up to 100
+    sess = w.session()
+    sess.read_many(np.arange(1, 61))
+    sess.read_many(np.arange(41, 71))  # 20 repeats, 10 new: pending
+    assert sess._touched._pending
+    # 60 sorted + 30 pending + 15 asked could pass 100: the merge finds 70
+    # distinct, and 70 + 15 cannot, so the ledger stays sorted
+    sess.read_many(np.arange(71, 86))
+    assert sess._touched._bitmap is None and sess.queries == 85
+    sess.read_many(np.arange(86, 91))
+    assert sess._touched._pending
+    sess.read_many(np.arange(91, 102))  # 90 distinct + 11 asked passes 100
+    assert sess._touched._bitmap is not None and not sess._touched._pending
+    assert sess.queries == 101
+
+
+def test_ledger_merges_cost_about_the_positions_asked(monkeypatch):
+    # every array the ledger sorts, concatenates or inserts into, summed over
+    # 3000 reads of one position each: a copy of the ledger per read would be
+    # about 3000^2 / 2 entries
+    w = QueryCountedString.from_tokens(np.arange(10**6, dtype=np.int64) % 7)
+    built = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            real = getattr(np, name)
+            if name not in ("sort", "concatenate", "insert"):
+                return real
+
+            def counted(*args, **kwargs):
+                out = real(*args, **kwargs)
+                built.append(out.size)
+                return out
+
+            return counted
+
+    positions = np.random.default_rng(0).permutation(10**6)[:3000] + 1
+    monkeypatch.setattr(accessor, "np", CountingNumpy())
+    sess = w.session()
+    for t in positions.tolist():
+        sess.read(t)
+    assert sess.queries == 3000 and sess._touched._bitmap is None
+    assert sum(built) <= 4 * 3000
 
 
 def test_unbudgeted_sessions_and_read_all_never_raise():

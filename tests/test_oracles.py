@@ -14,7 +14,7 @@ from compest import (
     verify_structural_lemmas,
 )
 from compest import oracles
-from compest.oracles import rle_length_bits, rle_total_cost, run_lengths
+from compest.oracles import alphabet_bits, ceil_log2, rle_length_bits, rle_total_cost, run_lengths
 from naive import (
     all_ones,
     alternating,
@@ -101,6 +101,21 @@ def test_chunked_run_pass_matches_the_columns(monkeypatch, chunk):
         total = rle_total_cost(arr, sigma)
         assert total == exact_rle_cost(arr, sigma).total_cost == naive_rle_cost(arr.tolist(), sigma)
         assert rle_length_bits(arr) == total - lengths.size * math.ceil(math.log2(sigma))
+
+
+def test_integer_bit_math_matches_ceil_log2():
+    # alphabet_bits(s) = bit_length(s - 1) and ceil(log2(x + 1)) = bit_length(x),
+    # the scalar forms the estimators use in place of ceil_log2
+    small = np.arange(1, 2**16 + 2, dtype=np.int64)
+    expect = ceil_log2(small).tolist()
+    assert [alphabet_bits(s) for s in small[1:].tolist()] == expect[1:]
+    assert [x.bit_length() for x in small[:-1].tolist()] == expect[1:]
+    for k in range(17, 63):
+        for v in (2**k - 1, 2**k, 2**k + 1):
+            e = next(e for e in itertools.count() if 1 << e >= v)  # ceil(log2(v)), in integers
+            assert alphabet_bits(v) == (v - 1).bit_length() == e
+            if v <= 2**53:  # ceil_log2 goes through float64, exact up to 2^53
+                assert ceil_log2([v])[0] == e
 
 
 # -- LZ ----------------------------------------------------------------
