@@ -26,6 +26,7 @@ Conventions:
 * A session may carry a read budget: a :meth:`QuerySession.read_many` that
   carries its distinct reads past it raises :class:`ReadBudgetSpent`, so a
   sampler can stop mid-pass and scan instead. ``read_all`` is never budgeted.
+* A run takes its plan's lane and checks its bound in :meth:`ReadPlan.run`.
 """
 
 from __future__ import annotations
@@ -364,6 +365,13 @@ class ReadPlan:
     scan: bool
     draws: int
     bound: int
+
+    def run(self, sess: QuerySession, sampled: Callable | None, exact: Callable | None = None):
+        """(value, reads) of the plan's lane on ``sess``: ``exact`` of the
+        whole string, read-only, on a scan, else ``sampled()``; the reads
+        must stay within ``bound``."""
+        value = exact(sess.read_all()) if self.scan else sampled()
+        return value, sess.queries_within(self.bound)
 
 
 @dataclass(frozen=True)

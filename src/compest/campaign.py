@@ -107,8 +107,8 @@ ESTIMATORS = {
         _exact_rle,
         lambda e, n: search_query_ceiling(n, float(e["exact"])),
     ),
-    # The refined search reads close to n on every input measured, so it has
-    # no ceiling below n to claim.
+    # No ceiling below n has been derived for the refined search's reads, so
+    # its row claims none.
     "rle-refined": Estimator(
         lambda acc, p, seed: rle_refined_search(acc, float(p["gamma"]), seed),
         _exact_rle,

@@ -50,14 +50,8 @@ def _pooled_estimate(
     sess = tau.session()
     plan = colors_plan(sess.length, lam, runs)
     ts = make_rng(seed).integers(1, sess.length + 1, size=plan.draws)
-    return EstimateReport(
-        estimate=float(distinct_count(sess.read_many(ts)) * lam),
-        lam=lam,
-        epsilon=0.0,
-        queries_used=sess.queries_within(plan.bound),
-        seed=seed,
-        confidence=confidence,
-    )
+    est, used = plan.run(sess, lambda: float(distinct_count(sess.read_many(ts)) * lam))
+    return EstimateReport(est, lam, 0.0, used, seed, confidence)
 
 
 def colors_estimate(tau: QueryCountedString, lam: float, seed: int) -> EstimateReport:

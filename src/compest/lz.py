@@ -118,8 +118,9 @@ def window_plan(n: int, ell0: int, B: float, delta: float = 1 / 3) -> ReadPlan:
 
 def _distinct_estimates(
     sess: QuerySession, ell0: int, B: float, seed: int, delta: float = 1 / 3
-) -> np.ndarray:
-    """Estimates of d_1..d_ell0 within a factor max(1, B), confidence 1 - delta each.
+) -> tuple[np.ndarray, int]:
+    """Estimates of d_1..d_ell0 within a factor max(1, B), confidence 1 - delta
+    each, and the reads they took.
 
     The exact lane of :func:`window_plan` is answered from a full scan.
     Otherwise each d_ell is B times the distinct length-ell prefixes in one
@@ -129,14 +130,12 @@ def _distinct_estimates(
     3^-k <= delta; the LZ estimate needs this for one length only.
     """
     plan = window_plan(sess.length, ell0, B, delta)
-    if plan.scan:
-        dhat = distinct_profile(sess.read_all(), ell0).astype(np.float64)
-    else:
+
+    def sampled():
         shared = SharedWindowSamples(sess, ell0, plan.draws, seed)
-        counts = [shared.distinct_counts(ell) for ell in range(1, ell0 + 1)]
-        dhat = B * np.array(counts, dtype=np.float64)
-    sess.queries_within(plan.bound)
-    return dhat
+        return B * np.array([shared.distinct_counts(ell) for ell in range(1, ell0 + 1)], dtype=np.float64)
+
+    return plan.run(sess, sampled, lambda symbols: distinct_profile(symbols, ell0).astype(np.float64))
 
 
 def estimate_distinct(w, ell: int, B: float, delta: float, *, seed: int = 0) -> EstimateReport:
@@ -154,10 +153,8 @@ def estimate_distinct(w, ell: int, B: float, delta: float, *, seed: int = 0) -> 
         raise ValueError(f"length {ell} outside [1, {n}]")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    dhat = _distinct_estimates(sess, ell, B, derive_seed(seed, "windows", ell), delta)
-    return EstimateReport(
-        float(dhat[ell - 1]), max(1.0, B), 0.0, sess.queries, seed, confidence=1.0 - delta
-    )
+    dhat, used = _distinct_estimates(sess, ell, B, derive_seed(seed, "windows", ell), delta)
+    return EstimateReport(float(dhat[ell - 1]), max(1.0, B), 0.0, used, seed, confidence=1.0 - delta)
 
 
 @dataclass(frozen=True)
@@ -194,10 +191,10 @@ def lz_estimate_detailed(
     params = LzEstimateParams.derive(A, epsilon, n)
     sess = w.session()
     ell0 = params.ell0
-    dhat = _distinct_estimates(sess, ell0, params.B, derive_seed(seed, "windows"))
+    dhat, used = _distinct_estimates(sess, ell0, params.B, derive_seed(seed, "windows"))
     mhat = float(max(dhat[ell - 1] / ell for ell in range(1, ell0 + 1)))
     est = mhat * (params.A / max(1.0, params.B)) + epsilon * n
-    report = EstimateReport(est, params.A, epsilon, sess.queries, seed)
+    report = EstimateReport(est, params.A, epsilon, used, seed)
     return report, params, dhat
 
 

@@ -38,13 +38,14 @@ def as_symbols(w) -> np.ndarray:
 
 
 def ceil_log2(values) -> np.ndarray:
-    """Exact ceil(log2(v)) for positive integers, with no float log: writing
+    """Exact ceil(log2(v)) for positive int64 values, with no float log: writing
     v = m * 2^e with 0.5 <= m < 1, it is e, or e - 1 when v is a power of two."""
-    v = np.asarray(values, dtype=np.float64)
+    v = np.asarray(values, dtype=np.int64)
     if np.any(v < 1):
         raise ValueError("ceil_log2 needs values >= 1")
-    m, e = np.frexp(v)
-    return (e - (m == 0.5)).astype(np.int64)
+    m, e = np.frexp(v.astype(np.float64))
+    c = (e - (m == 0.5)).astype(np.int64)
+    return c + ((v - 1) >> c > 0)  # above 2^53 float64 may round v down onto 2^c
 
 
 def alphabet_bits(alphabet_size: int) -> int:

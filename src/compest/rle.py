@@ -33,10 +33,10 @@ scans in one of three ways: its round plans a scan; after a round, its
 reads so far plus those forecast up to the round that would close reach the
 budget (a first round forecasts itself from a pilot of its draws); or its
 reads pass the budget mid-round. It skips the rounds whose interval cannot
-close. Every scan, of any estimator or search round, is one
-``read_all`` and one chunked :func:`rle_total_cost` pass over the runs, with
-no columns, and reports the exact cost: it keeps any (lambda, eps) claim at
-confidence 1.
+close. Every run takes its lane in :meth:`ReadPlan.run`. Every scan, of any
+estimator or search round, is one ``read_all`` and one chunked
+:func:`rle_total_cost` pass over the runs, with no columns, and reports the
+exact cost: it keeps any (lambda, eps) claim at confidence 1.
 
 The per-position cost contribution of index t in a run of length ell is
 c(t) = (ceil(log2(ell + 1)) + ceil(log2(sigma))) / ell, so that the total
@@ -263,6 +263,11 @@ class RunProber:
         return left + self._scan(caps, 1, left) + 1
 
 
+def _exact(sigma: int):
+    """The scan lane of every RLE estimator: the exact cost of the whole string."""
+    return lambda symbols: float(rle_total_cost(symbols, sigma))
+
+
 def additive_plan(n: int, alphabet_size: int, epsilon: float) -> ReadPlan:
     """q probes of at most ell0 + 1 reads each, or a scan once n <= ell0 or
     q >= ``SCAN_SHARE * n``: sublinearity is meaningless below the budget."""
@@ -277,18 +282,18 @@ def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> E
     """Estimate the RLE cost to within an additive eps*n, claiming (1, eps)."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    n = w.length
-    sigma = w.alphabet_size
+    n, sigma = w.length, w.alphabet_size
     plan = additive_plan(n, sigma, epsilon)
     sess = w.session()
-    if plan.scan:
-        est = float(rle_total_cost(sess.read_all(), sigma))
-    else:
+
+    def sampled():
         ell0 = additive_probe_cap(epsilon, sigma)
         conf = RunProber(sess, make_rng(seed).integers(1, n + 1, size=plan.draws)).advance(ell0)
         contrib = np.where(conf >= ell0, 0.0, contribution(np.maximum(conf, 1), sigma))
-        est = float(n * contrib.mean())
-    return EstimateReport(est, 1.0, epsilon, sess.queries_within(plan.bound), seed)
+        return float(n * contrib.mean())
+
+    est, used = plan.run(sess, sampled, _exact(sigma))
+    return EstimateReport(est, 1.0, epsilon, used, seed)
 
 
 def _geometric_buckets(ell0: int, s_bits: int, ratio: float) -> list[tuple[int, float, float, int, float]]:
@@ -347,8 +352,7 @@ def _bucketed_core(sess: QuerySession, plan: BucketPlan, seed: int, room: float 
     """The sampled pass of a bucketed round, shared by the factor-2 and
     refined estimators: one :class:`RunProber` pass over ``plan.draws``
     positions, each probe capped at its last bucket's cap, and the sum over
-    buckets of (n / q_h) * hits_h * weight_h. A scan plan has no sampled
-    pass; its callers take the exact cost instead.
+    buckets of (n / q_h) * hits_h * weight_h.
 
     Given the ``room`` of reads left to the round, if its bound could pass
     that room, the pass first probes a pilot, every stride-th draw (a stride, not a
@@ -392,11 +396,7 @@ def rle_bucketed_estimate(w: QueryCountedString, epsilon: float, delta: float, s
         raise ValueError("delta must be in (0, 1)")
     sess = w.session()
     plan = bucketed_plan(sess.length, sess.alphabet_size, epsilon, delta)
-    if plan.scan:
-        est = float(rle_total_cost(sess.read_all(), sess.alphabet_size))
-    else:
-        est = _bucketed_core(sess, plan, seed)
-    used = sess.queries_within(plan.bound)
+    est, used = plan.run(sess, lambda: _bucketed_core(sess, plan, seed), _exact(sess.alphabet_size))
     return EstimateReport(est, 3.0, epsilon, used, seed, confidence=1.0 - delta)
 
 
@@ -504,9 +504,8 @@ def _interval_search(
             else:
                 switch = "forecast" if est is None else ""
         if switch:
-            out = float(rle_total_cost(sess.read_all(), sigma))
+            out, used = ReadPlan(True, 0, n).run(sess, None, _exact(sigma))
             rounds.append(SearchRound(j, 0.0, 0.0, out, out, out))
-            used = sess.queries_within(n)
             break
         bound += plan(j).bound
         prev, used = used, sess.queries_within(bound)

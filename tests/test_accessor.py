@@ -14,7 +14,7 @@ from compest import (
     rle_additive_estimate,
 )
 from compest import accessor
-from compest.accessor import QuerySession, ReadBudgetSpent, distinct_count
+from compest.accessor import QuerySession, ReadBudgetSpent, ReadPlan, distinct_count
 
 
 def test_read_counts_once():
@@ -97,6 +97,23 @@ def test_read_many_of_a_range_takes_the_generic_path(monkeypatch):
     monkeypatch.setattr(QuerySession, "read_many", lambda self, pos: asked.append(pos) or real(self, pos))
     w.session().read_all()
     assert np.size(asked[0]) == 100 and np.array_equal(np.asarray(asked[0]), np.arange(1, 101))
+
+
+def test_plan_run_raises_once_sampled_reads_pass_the_bound():
+    sess = QueryCountedString.from_tokens(np.arange(100) % 5).session()
+    plan = ReadPlan(False, 3, 3)
+    assert plan.run(sess, lambda: int(sess.read_many([1, 2, 3]).sum())) == (3, 3)
+    with pytest.raises(RuntimeError, match="sampler is broken"):
+        plan.run(sess, lambda: sess.read(4))
+
+
+def test_plan_run_scans_with_the_read_only_string():
+    data = np.arange(100) % 5
+    sess = QueryCountedString.from_tokens(data).session()
+    seen = []
+    value, reads = ReadPlan(True, 0, 100).run(sess, None, lambda whole: seen.append(whole) or int(whole.sum()))
+    assert value == int(data.sum()) and reads == 100 == sess.queries
+    assert np.array_equal(seen[0], data) and not seen[0].flags.writeable
 
 
 def test_read_all_checks_a_providers_alphabet():

@@ -17,7 +17,7 @@ from compest import (
     meets_contract,
 )
 from compest._rng import derive_seed, make_rng
-from compest.accessor import ReadPlan
+from compest.accessor import QuerySession, ReadPlan
 from compest.colors import sample_count
 from compest.generators import generate_lz_tight
 from compest import lz
@@ -368,3 +368,18 @@ def test_sampled_lane_reuses_queries_across_lengths():
     plan = window_plan(n, params.ell0, params.B)
     assert not plan.scan and plan.bound == plan.draws * params.ell0 < n
     assert rep.queries_used <= plan.bound
+
+
+def test_sampled_lane_counts_its_reads_once(monkeypatch):
+    # On the ledger's bitmap side a count is an O(n) count_nonzero: the run's
+    # one count is its plan check, and the report reuses it
+    sessions = []
+    real = QuerySession.queries
+    monkeypatch.setattr(QuerySession, "queries", property(lambda self: sessions.append(self) or real.fget(self)))
+    arr = random_symbols(60_000, 2, seed=8)
+    assert not window_plan(arr.size, 4, 16.0, 1 / 30).scan
+    for run in (lambda w: lz_estimate(w, 16, 0.05, seed=2), lambda w: estimate_distinct(w, 4, 16.0, 1 / 30, seed=2)):
+        sessions.clear()
+        rep = run(acc(arr))
+        assert len(sessions) == 1 and sessions[0]._touched._bitmap is not None
+        assert rep.queries_used == real.fget(sessions[0]) > arr.size // 64
