@@ -23,9 +23,13 @@ Conventions:
 * :meth:`QuerySession.read_all` marks the ledger full in O(1) and returns
   the backing array read-only, with no index array or copy. Every array a
   session returns fits ``alphabet_size``: the accessor checks it, not callers.
-* A session may carry a read budget: a :meth:`QuerySession.read_many` that
-  carries its distinct reads past it raises :class:`ReadBudgetSpent`, so a
-  sampler can stop mid-pass and scan instead. ``read_all`` is never budgeted.
+* A session reads positions with :meth:`QuerySession.read_many`, and runs
+  with :meth:`QuerySession.match_run`, which counts only the positions a
+  one-position walk would read, however much of the backing array it
+  compares at once.
+* A session may carry a read budget: a read that carries its distinct reads
+  past it raises :class:`ReadBudgetSpent`, so a sampler can stop mid-pass and
+  scan instead. ``read_all`` is never budgeted.
 * A run takes its plan's lane and checks its bound in :meth:`ReadPlan.run`.
 """
 
@@ -263,6 +267,9 @@ class QueryCountedString:
     def _check(self, positions) -> np.ndarray:
         idx0 = np.array(positions, dtype=np.int64)  # a copy the session owns
         idx0 -= 1
+        return self._in_range(idx0)
+
+    def _in_range(self, idx0: np.ndarray) -> np.ndarray:
         # as uint64 a negative position is past every length: one max checks both ends
         if idx0.size and int(idx0.view(np.uint64).max()) >= self.length:
             bad = idx0[(idx0 < 0) | (idx0 >= self.length)][0] + 1
@@ -338,6 +345,12 @@ class QuerySession:
             self._touched.fill()
             return self.parent._whole()
         idx0 = self.parent._check(np.asarray(positions))
+        self._count(idx0)
+        return self.parent._fetch(idx0)
+
+    def _count(self, idx0: np.ndarray) -> None:
+        """Record 0-indexed ``idx0`` in the ledger, raising once the distinct
+        reads pass the budget."""
         idx0.flags.writeable = False  # the ledger may keep it uncopied
         self._touched.add(idx0)
         if self._budget is not None:
@@ -346,7 +359,42 @@ class QuerySession:
                 self._room = self._budget - self.queries
                 if self._room < 0:
                     raise ReadBudgetSpent(f"{self._budget - self._room} reads, budget {self._budget}")
-        return self.parent._fetch(idx0)
+
+    def match_run(self, starts, step: int, limits, symbols) -> tuple[np.ndarray, np.ndarray]:
+        """(matched, read) for walkers that read from 1-indexed ``starts`` on
+        in direction ``step`` (-1 or +1), each at most its ``limits`` (>= 1)
+        positions: how many positions in a row hold the walker's ``symbols``,
+        and how many it read, which is one more at a mismatch.
+
+        It counts, through the ledger and budget of :meth:`read_many`, exactly
+        the positions that a walk of one position per read would read: up to
+        and including the first mismatch, or up to the limit. On an
+        array-backed string each walker's block of ``limit`` positions is
+        compared at once, and no symbol leaves the session. A provider's block
+        is one position, since a fetch past a mismatch would cost real
+        provider reads."""
+        starts = np.asarray(starts, dtype=np.int64)
+        limits = np.asarray(limits, dtype=np.int64)
+        if step not in (-1, 1) or (limits.size and int(limits.min()) < 1):
+            raise ValueError("a walk steps by -1 or +1 and reads at least one position")
+        if self.parent._data is None:
+            limits = np.ones_like(limits)
+        ends = np.cumsum(limits)  # each block's end in the batch
+        total = int(ends[-1]) if ends.size else 0
+        if total == starts.size:  # one position each: no block to lay out
+            idx0 = self.parent._check(starts)
+            matched = (self.parent._fetch(idx0) == symbols).astype(np.int64)
+            self._count(idx0)
+            return matched, limits
+        first = ends - limits
+        at = np.arange(total, dtype=np.int64)
+        base = np.repeat(starts - 1 - step * first, limits)
+        idx0 = self.parent._in_range(base - at if step < 0 else base + at)
+        match = self.parent._fetch(idx0) == np.repeat(symbols, limits)
+        stop = np.minimum.reduceat(np.where(match, total, at), first)  # each block's first mismatch
+        cut = np.minimum(stop + 1, ends)  # past its last position read
+        self._count(idx0[at < np.repeat(cut, limits)])
+        return np.minimum(stop, ends) - first, cut - first
 
     def read(self, position: int) -> int:
         return int(self.read_many(np.array([position], dtype=np.int64))[0])

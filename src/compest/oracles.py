@@ -107,8 +107,10 @@ def _rle_bits_and_runs(arr: np.ndarray) -> tuple[int, int]:
     """(sum over runs of ceil(log2(ell + 1)), number of runs)."""
     bits = runs = 0
     for lengths in _run_length_chunks(arr):
-        # ceil(log2(ell + 1)) is the binary exponent e of ell = m * 2^e, 0.5 <= m < 1
-        bits += int(np.frexp(lengths)[1].sum(dtype=np.int64))
+        # ceil(log2(ell + 1)) is the binary exponent e of ell = m * 2^e,
+        # 0.5 <= m < 1, which is the biased exponent field of float64(ell)
+        # minus 1022: exact for every ell below 2^53, and every n is below that
+        bits += int((lengths.astype(np.float64).view(np.int64) >> 52).sum()) - 1022 * lengths.size
         runs += lengths.size
     return bits, runs
 

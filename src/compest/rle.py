@@ -24,9 +24,10 @@ Each estimate (each search round) first fixes its plan (:func:`additive_plan`,
 positions, and the read bound that the run asserts and the audit reports.
 The pass probes the runs around all sampled positions, each up to a final
 cap known before the first read. Probes first step in lockstep; those still
-open then walk on in order, and a walk that reaches the probe ahead of it in
-the same run stops there if that probe may walk as far, so probes with one
-cap read a long run about once, not once per probe. A plan scans once its
+open then walk on in order, in blocks that double each round, so a walk
+takes O(log cap) rounds. A walk that reaches the probe ahead of it in the
+same run stops there if that probe may walk as far, so probes with one cap
+read a long run about once, not once per probe. A plan scans once its
 sample count reaches ``SCAN_SHARE * n`` (additive: also once n is at most
 the probe cap). A search reads through a session budgeted at that share and
 scans in one of three ways: its round plans a scan; after a round, its
@@ -137,7 +138,10 @@ def additive_probe_cap(epsilon: float, alphabet_size: int) -> int:
 # lockstep step costs a long run one read per probe inside it. Against 4 and
 # 12 (rle-probe op set, n = 1e6, best of 3 cycles, two seeds): at 4 the op
 # set took 5-7% more time, run-mix's search and refined ops 25-30% more; 12
-# was no faster.
+# was no faster. Taking these steps as doubling blocks (1, 2, 4, 1), or no
+# lockstep at all, was slower too: coin's and run-mix's searches took 13% and
+# 30% more, or 124% and 140% (seed 27001): a block past a short run compares
+# positions that one step at a time would not.
 LOCKSTEP_STEPS = 8
 
 
@@ -150,12 +154,17 @@ class RunProber:
     ``LOCKSTEP_STEPS`` steps in lockstep: a step reads the next position of
     every probe still open, in one vectorized call, and costs O(open
     probes). The probes still open after that are sorted by position and
-    walk on, a round reading one position per walker, each walker heading
-    for the open probe ahead of it, its target. A walker whose reads all
-    match up to its target's known stretch is in the target's run. It rides
-    the target if the target may walk at least as far: it stops, and its
-    extent becomes the target's plus the distance between them, up to its
-    own limit. Otherwise it passes on to the next probe ahead.
+    walk on, each walker heading for the open probe ahead of it, its target.
+    A walk round makes one :meth:`QuerySession.match_run` call, with one
+    block per walker: as long as the stretch it has matched so far, so that
+    blocks double, but never past its next event (its limit, the string's
+    edge, or its target's known stretch). A walk thus takes O(log cap)
+    rounds per target, not O(cap); on a provider-backed string, whose block
+    is one position, it takes one round per position. A walker whose reads
+    all match up to its target's known stretch is in the target's run. It
+    rides the target if the target may walk at least as far: it stops, and
+    its extent becomes the target's plus the distance between them, up to
+    its own limit. Otherwise it passes on to the next probe ahead.
 
     Take a probe with L matching positions to its left and R to its right,
     and cap C. Walking alone, it reads its own position, then
@@ -164,9 +173,11 @@ class RunProber:
     positions. So it reads at most C + 1 positions and returns
     min(L + R + 1, C), both fixed by C alone: walking it through smaller caps
     first would read nothing else. A pass touches exactly the union of these
-    solo walks' reads: a walker reads only what its solo walk reads, and a
-    rider leaves unread only what its target's walk reads or had read.
-    Riding only changes which probe asks for a position, and how often.
+    solo walks' reads: a walker reads only what its solo walk reads (a block
+    counts only the positions up to its first mismatch), and a rider leaves
+    unread only what its target's walk reads or had read. Riding and blocks
+    change only which probe asks for a position, how often, and in how many
+    calls.
     """
 
     def __init__(self, session: QuerySession, positions: np.ndarray):
@@ -214,7 +225,8 @@ class RunProber:
             ``miss`` just below: end those at a miss, the edge or their
             limit, and let those in their target's stretch ride it if its
             walk goes as deep, else head for the next target. Returns
-            (walker, at, reads before its next event) for the rest."""
+            (walker, at, block) for the rest, each block as long as the
+            walker's stretch matched so far, up to its next event."""
             parts = []
             while c.size:
                 t, seen = tgt[c], x[c] - at  # seen: the positions matched so far
@@ -228,22 +240,14 @@ class RunProber:
                 c, at, seen, miss = c[rest], at[rest], seen[rest], False
                 todo = np.minimum(np.minimum(at - 1, lim[c] - seen), at - top[tgt[c]])
                 go = todo > 0
-                parts.append((c[go], at[go], todo[go]))
+                parts.append((c[go], at[go], np.minimum(todo, seen)[go]))
                 c, at = c[~go], at[~go]  # already in the next target's stretch
-            return parts
+            return map(np.concatenate, zip(*parts))
 
-        start = place(np.arange(x.size), x - LOCKSTEP_STEPS, False)
-        walk, at, todo = map(np.concatenate, zip(*start))
+        walk, at, block = place(np.arange(x.size), x - LOCKSTEP_STEPS, False)
         while walk.size:
-            at -= 1
-            got = self.sess.read_many(at if step < 0 else n + 1 - at) == sym[walk]
-            todo -= 1
-            check = ~got | (todo == 0)
-            if check.any():
-                miss = ~got[check]
-                more = place(walk[check], at[check] + miss, miss)
-                keep = (walk[~check], at[~check], todo[~check])
-                walk, at, todo = map(np.concatenate, zip(keep, *more))
+            got, read = self.sess.match_run(at - 1 if step < 0 else n + 2 - at, step, block, sym[walk])
+            walk, at, block = place(walk, at - got, read > got)
         # A rider's extent is min(lim, its distance to its target + the
         # target's extent): jump the pointers, composing those pairs, until
         # each reaches a walk that ended on its own.

@@ -116,6 +116,32 @@ def test_plan_run_scans_with_the_read_only_string():
     assert np.array_equal(seen[0], data) and not seen[0].flags.writeable
 
 
+def test_match_run_counts_up_to_the_first_mismatch():
+    data = np.array([0, 0, 0, 1, 1, 0, 0, 0, 0, 0])
+    sess = QueryCountedString.from_tokens(data).session()
+    matched, read = sess.match_run([1, 6, 4], 1, [5, 5, 1], [0, 0, 1])
+    assert matched.tolist() == [3, 5, 1] and read.tolist() == [4, 5, 1]
+    assert sess.queries == 9  # position 5 lies past both blocks' ends
+    matched, read = sess.match_run([10], -1, [9], [0])
+    assert (matched.tolist(), read.tolist(), sess.queries) == ([5], [6], 10)
+    with pytest.raises(ReadBudgetSpent):
+        QueryCountedString.from_tokens(data).session(budget=3).match_run([1], 1, [9], [0])
+    for starts, step, limits in (([1], 1, [0]), ([1], 2, [2])):
+        with pytest.raises(ValueError):
+            sess.match_run(starts, step, limits, [0])
+    with pytest.raises(IndexError):
+        sess.match_run([8], 1, [4], [0])
+
+
+def test_match_run_on_a_provider_reads_one_position_per_walker():
+    data = np.zeros(10, dtype=np.int64)
+    asked = []
+    w = QueryCountedString.from_provider(lambda idx0: asked.append(idx0.tolist()) or data[idx0], 10, 2)
+    sess = w.session()
+    matched, read = sess.match_run([2, 9], -1, [1, 5], [0, 0])
+    assert matched.tolist() == read.tolist() == [1, 1] and asked == [[1, 8]] and sess.queries == 2
+
+
 def test_read_all_checks_a_providers_alphabet():
     data = np.arange(64) % 3
 

@@ -103,6 +103,20 @@ def test_chunked_run_pass_matches_the_columns(monkeypatch, chunk):
         assert rle_length_bits(arr) == total - lengths.size * math.ceil(math.log2(sigma))
 
 
+@pytest.mark.parametrize("chunk", [None, 1 << 10])
+def test_run_pass_bits_at_powers_of_two(monkeypatch, chunk):
+    # the pass reads ceil(log2(ell + 1)) off the float64 exponent field: check
+    # it at and next to every power of two up to 2^20, at the shipped chunk
+    # and at one that the long runs span many times
+    if chunk is not None:
+        monkeypatch.setattr(oracles, "RUN_CHUNK", chunk)
+    lengths = np.random.default_rng(3).permutation([2**k + d for k in range(21) for d in (-1, 0, 1) if 2**k + d])
+    arr = np.repeat(np.arange(lengths.size) % 3, lengths).astype(np.uint8)
+    bits = sum(int(ell).bit_length() for ell in lengths)
+    assert rle_length_bits(arr) == bits
+    assert rle_total_cost(arr, 3) == exact_rle_cost(arr, 3).total_cost == bits + 2 * lengths.size
+
+
 def test_integer_bit_math_matches_ceil_log2():
     # alphabet_bits(s) = bit_length(s - 1) and ceil(log2(x + 1)) = bit_length(x),
     # the scalar forms the estimators use in place of ceil_log2

@@ -25,7 +25,7 @@ from compest.campaign import build_builtin
 from compest.colors import amplification_runs, colors_plan
 from compest.lz import window_plan
 from compest.oracles import ceil_log2, rle_total_cost, run_lengths
-from compest.generators import generate_coin_runs, generate_wk
+from compest.generators import GeneratorSpec, generate_coin_runs, generate_wk
 from compest import rle
 from compest.rle import (
     LOCKSTEP_STEPS,
@@ -95,14 +95,35 @@ def test_probe_query_budget():
 
 
 class RecordingSession:
-    """What a prober uses of a session, recording every position it reads."""
+    """What a prober uses of a session, recording every position it reads,
+    each ``read_many`` call, and the direction and blocks of each
+    ``match_run`` call."""
 
     def __init__(self, arr):
         self.arr, self.length, self.requested = arr, arr.size, []
+        self.read_calls, self.blocks = 0, []
 
     def read_many(self, positions):
+        self.read_calls += 1
         self.requested += np.asarray(positions).tolist()
         return self.arr[np.asarray(positions) - 1]
+
+    def match_run(self, starts, step, limits, symbols):
+        # the walk primitive as one-position reads: each walker reads on
+        # until a mismatch or its limit
+        self.blocks.append((step, np.asarray(limits).tolist()))
+        matched, read = [], []
+        for start, limit, sym in zip(np.asarray(starts).tolist(), np.asarray(limits).tolist(), symbols):
+            assert limit >= 1
+            k = 0
+            while k < limit:
+                self.requested.append(start + step * k)
+                if self.arr[start + step * k - 1] != sym:
+                    break
+                k += 1
+            matched.append(k)
+            read.append(min(k + 1, limit))
+        return np.array(matched, dtype=np.int64), np.array(read, dtype=np.int64)
 
 
 def random_runs(rng, n, sigma, longest):
@@ -213,6 +234,74 @@ def test_capped_chains_continue_for_a_far_member():
         check_against_staged_reference(arr, ts, caps)
         # and mirrored, so the right pass continues the same way
         check_against_staged_reference(arr[::-1].copy(), n + 1 - ts, caps)
+
+
+@pytest.mark.parametrize("cap", [2, 9, 10, 11, 64, 1_000, 4_097, 30_000])
+def test_a_walk_takes_rounds_logarithmic_in_its_cap(cap):
+    # One probe in a long run, in its middle and a third of a cap from
+    # either edge, so that each side walks far. Past its own read and the
+    # lockstep, each side's walk takes one primitive call per block, and
+    # the blocks double.
+    n = 50_000
+    for t in (1, cap // 3 + 1, n // 2, n - cap // 3, n):
+        sess = RecordingSession(all_ones(n))
+        assert RunProber(sess, np.array([t])).advance(cap).tolist() == [cap]
+        assert sess.read_calls <= 1 + 2 * LOCKSTEP_STEPS
+        for step in (-1, 1):
+            assert sum(s == step for s, _ in sess.blocks) <= 2 * int(ceil_log2([cap])[0]) + 4
+
+
+def walk_inputs(rng):
+    """(name, string, symbols) for each builtin and generator family, about
+    2 000 to 5 000 symbols long; col2lz is read through its provider."""
+    n = int(rng.integers(2_000, 5_001))
+    seed = int(rng.integers(2**31))
+    for name in ("random-binary", "random-bytes", "run-mix"):
+        arr = build_builtin(name, n, seed)
+        yield name, acc(arr, 256 if name == "random-bytes" else 2), arr
+    arr = generate_wk(n, int(rng.choice([n // 100, n // 10])), seed)
+    yield "wk", acc(arr), arr
+    arr = generate_coin_runs(n, float(rng.choice([0.5, 0.05])), seed)
+    yield "coin", acc(arr), arr
+    arr = GeneratorSpec("lztight", {"m": n // 8, "ell0": 8}).build()
+    yield "lztight", acc(arr, n // 8 + 1), arr
+    col2lz = GeneratorSpec("col2lz", {"n_prime": n // 10, "colors": 5, "alpha_prime": 0.1}, seed).build()
+    yield "col2lz", col2lz, col2lz.materialize()
+
+
+def test_block_walks_touch_the_union_of_solo_walks():
+    # Dense and sparse probes, with one cap for all, powers of two, or
+    # arbitrary caps up to 2n, on every input family: the extents and the
+    # positions the ledger counts are those of the solo one-position walks,
+    # and a provider is asked for exactly the positions counted.
+    rng = np.random.default_rng(61)
+    for case in range(2):
+        for i, (name, w, arr) in enumerate(walk_inputs(rng)):
+            n, fetched = arr.size, []
+            if name == "col2lz":
+                inner = w.provider
+                w = QueryCountedString.from_provider(
+                    lambda idx0: fetched.append(np.asarray(idx0)) or inner(idx0), n, w.alphabet_size
+                )
+            for dense, kind in ((True, (i + case) % 3), (False, (i + case + 1) % 3)):
+                size = int(n * (rng.uniform(1.0, 1.6) if dense else rng.uniform(0.02, 0.1)))
+                ts = rng.integers(1, n + 1, size=size)
+                caps = (
+                    np.full(size, rng.integers(2, 2 * n)),
+                    2 ** rng.integers(1, 13, size=size),
+                    rng.integers(1, 2 * n, size=size),
+                )[kind]
+                expect = [staged_probe(arr, int(t), [int(cap)]) for t, cap in zip(ts, caps)]
+                union = np.array(sorted(set().union(*(read for _, read in expect))))
+                fetched.clear()
+                sess = w.session()
+                conf = RunProber(sess, ts).advance(caps)
+                assert conf.tolist() == [length for length, _ in expect], (name, dense, kind)
+                assert sess.queries == union.size, (name, dense, kind)
+                if fetched:
+                    assert np.array_equal(np.unique(np.concatenate(fetched)) + 1, union)
+                sess.read_many(union)  # re-reads are free: every one was counted
+                assert sess.queries == union.size
 
 
 def test_contribution_dominated_by_decreasing_envelope():
