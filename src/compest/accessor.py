@@ -377,15 +377,13 @@ class QuerySession:
         limits = np.asarray(limits, dtype=np.int64)
         if step not in (-1, 1) or (limits.size and int(limits.min()) < 1):
             raise ValueError("a walk steps by -1 or +1 and reads at least one position")
-        if self.parent._data is None:
-            limits = np.ones_like(limits)
+        if self.parent._data is None:  # one position each: counted before the provider is asked
+            idx0 = self.parent._check(starts)
+            self._count(idx0)
+            matched = (self.parent._fetch(idx0) == symbols).astype(np.int64)
+            return matched, np.ones_like(matched)
         ends = np.cumsum(limits)  # each block's end in the batch
         total = int(ends[-1]) if ends.size else 0
-        if total == starts.size:  # one position each: no block to lay out
-            idx0 = self.parent._check(starts)
-            matched = (self.parent._fetch(idx0) == symbols).astype(np.int64)
-            self._count(idx0)
-            return matched, limits
         first = ends - limits
         at = np.arange(total, dtype=np.int64)
         base = np.repeat(starts - 1 - step * first, limits)

@@ -225,8 +225,7 @@ class RunProber:
             ``miss`` just below: end those at a miss, the edge or their
             limit, and let those in their target's stretch ride it if its
             walk goes as deep, else head for the next target. Returns
-            (walker, at, block) for the rest, each block as long as the
-            walker's stretch matched so far, up to its next event."""
+            (walker, at, reads before its next event) for the rest."""
             parts = []
             while c.size:
                 t, seen = tgt[c], x[c] - at  # seen: the positions matched so far
@@ -240,14 +239,22 @@ class RunProber:
                 c, at, seen, miss = c[rest], at[rest], seen[rest], False
                 todo = np.minimum(np.minimum(at - 1, lim[c] - seen), at - top[tgt[c]])
                 go = todo > 0
-                parts.append((c[go], at[go], np.minimum(todo, seen)[go]))
+                parts.append((c[go], at[go], todo[go]))
                 c, at = c[~go], at[~go]  # already in the next target's stretch
-            return map(np.concatenate, zip(*parts))
+            return parts
 
-        walk, at, block = place(np.arange(x.size), x - LOCKSTEP_STEPS, False)
+        walk, at, todo = map(np.concatenate, zip(*place(np.arange(x.size), x - LOCKSTEP_STEPS, False)))
         while walk.size:
+            block = np.minimum(todo, x[walk] - at)  # as long as the stretch matched so far
             got, read = self.sess.match_run(at - 1 if step < 0 else n + 2 - at, step, block, sym[walk])
-            walk, at, block = place(walk, at - got, read > got)
+            at -= got
+            todo -= got
+            miss = read > got
+            check = miss | (todo == 0)
+            if check.any():
+                more = place(walk[check], at[check], miss[check])
+                keep = (walk[~check], at[~check], todo[~check])
+                walk, at, todo = map(np.concatenate, zip(keep, *more))
         # A rider's extent is min(lim, its distance to its target + the
         # target's extent): jump the pointers, composing those pairs, until
         # each reaches a walk that ended on its own.
