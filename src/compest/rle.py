@@ -243,7 +243,8 @@ class RunProber:
                 c, at = c[~go], at[~go]  # already in the next target's stretch
             return parts
 
-        walk, at, todo = map(np.concatenate, zip(*place(np.arange(x.size), x - LOCKSTEP_STEPS, False)))
+        start = place(np.arange(x.size), x - LOCKSTEP_STEPS, False)
+        walk, at, todo = map(np.concatenate, zip(*start))
         while walk.size:
             block = np.minimum(todo, x[walk] - at)  # as long as the stretch matched so far
             got, read = self.sess.match_run(at - 1 if step < 0 else n + 2 - at, step, block, sym[walk])

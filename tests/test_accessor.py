@@ -121,7 +121,7 @@ def test_match_run_counts_up_to_the_first_mismatch():
     sess = QueryCountedString.from_tokens(data).session()
     matched, read = sess.match_run([1, 6, 4], 1, [5, 5, 1], [0, 0, 1])
     assert matched.tolist() == [3, 5, 1] and read.tolist() == [4, 5, 1]
-    assert sess.queries == 9  # position 5 lies past both blocks' ends
+    assert sess.queries == 9  # not position 5, past the first walker's mismatch at 4
     matched, read = sess.match_run([10], -1, [9], [0])
     assert (matched.tolist(), read.tolist(), sess.queries) == ([5], [6], 10)
     with pytest.raises(ReadBudgetSpent):
