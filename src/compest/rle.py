@@ -25,9 +25,10 @@ positions, and the read bound that the run asserts and the audit reports.
 The pass probes the runs around all sampled positions, each up to a final
 cap known before the first read. Probes first step in lockstep; those still
 open then walk on in order, in blocks that double each round, so a walk
-takes O(log cap) rounds. A walk that reaches the probe ahead of it in the
-same run stops there if that probe may walk as far, so probes with one cap
-read a long run about once, not once per probe. A plan scans once its
+takes O(log cap) rounds. Each heads for a target fixed before the walk, the
+nearest open probe ahead with a cap at least its own, which walks at least
+as deep; a walk that reaches it stops there, so probes with one cap read a
+long run about once, not once per probe. A plan scans once its
 sample count reaches ``SCAN_SHARE * n`` (additive: also once n is at most
 the probe cap). A search reads through a session budgeted at that share and
 scans in one of three ways: its round plans a scan; after a round, its
@@ -153,18 +154,22 @@ class RunProber:
     ``cap`` positions of the run are confirmed. Each side first takes
     ``LOCKSTEP_STEPS`` steps in lockstep: a step reads the next position of
     every probe still open, in one vectorized call, and costs O(open
-    probes). The probes still open after that are sorted by position and
-    walk on, each walker heading for the open probe ahead of it, its target.
-    A walk round makes one :meth:`QuerySession.match_run` call, with one
-    block per walker: as long as the stretch it has matched so far, so that
-    blocks double, but never past its next event (its limit, the string's
-    edge, or its target's known stretch). A walk thus takes O(log cap)
-    rounds per target, not O(cap); on a provider-backed string, whose block
-    is one position, it takes one round per position. A walker whose reads
-    all match up to its target's known stretch is in the target's run. It
-    rides the target if the target may walk at least as far: it stops, and
+    probes). The probes still open after that are sorted by position, and
+    each is given its target before the first walk round: the nearest open
+    probe ahead of it whose cap is at least its own. A walk round makes one
+    :meth:`QuerySession.match_run` call, with one block per walker: as long
+    as the stretch it has matched so far, so that blocks double, but never
+    past its next event (its limit, the string's edge, or its target's known
+    stretch). A walk thus takes O(log cap) rounds, not O(cap); on a
+    provider-backed string, whose block is one position, one round per
+    position. A walker whose reads all match up to its target's known
+    stretch is in the target's run, and it rides the target: it stops, and
     its extent becomes the target's plus the distance between them, up to
-    its own limit. Otherwise it passes on to the next probe ahead.
+    its own limit. The target, d ahead with cap C' >= the walker's C, walks
+    at least as deep: on the left side C' - 1 past its start against C - 1;
+    on the right, an open walker's left extent L is uncapped, so the
+    target's L' is at most L + d, and C' - 1 - L' from d ahead reaches as
+    far as C - 1 - L. So no walk stops at a probe with a smaller cap.
 
     Take a probe with L matching positions to its left and R to its right,
     and cap C. Walking alone, it reads its own position, then
@@ -209,63 +214,48 @@ class RunProber:
         del match, still
         # Walk coordinates: the position for step -1, n + 1 minus it for +1,
         # so every walk heads for x = 1. Sorted by x, each open probe heads
-        # for the open probe ahead of it, its target, whose stretch x..top
-        # is known to hold the target's symbol.
+        # for its target, the nearest open probe ahead with a cap at least its
+        # own (-1: none), whose stretch x..top is known to hold its symbol.
         x = pos + LOCKSTEP_STEPS if step < 0 else n + 1 - pos + LOCKSTEP_STEPS
         order = np.argsort(x)
         idx, x, sym = idx[order], x[order], sym[order]
         del pos, order
-        lim = lim[idx]
+        lim, cap, rank = lim[idx], caps[idx], np.arange(x.size)
         top = np.append(x if left is None else x + left[idx], 0)  # [-1]: no target, past the edge
-        need = x - lim  # the lowest x a walk may read
-        out, tgt, par = lim.copy(), np.arange(x.size) - 1, np.arange(x.size)
+        out, tgt, par = lim.copy(), np.empty_like(rank), rank.copy()
+        for v in np.unique(cap):
+            ahead = np.maximum.accumulate(np.where(cap >= v, rank, -1))
+            tgt[cap == v] = np.append(-1, ahead[:-1])[cap == v]
 
         def place(c, at, miss):
-            """Walkers ``c`` whose reads down to ``at`` matched, save a
-            ``miss`` just below: end those at a miss, the edge or their
-            limit, and let those in their target's stretch ride it if its
-            walk goes as deep, else head for the next target. Returns
-            (walker, at, reads before its next event) for the rest."""
-            parts = []
-            while c.size:
-                t, seen = tgt[c], x[c] - at  # seen: the positions matched so far
-                end = miss | (at == 1) | (seen == lim[c])
-                out[c[end]] = seen[end]
-                there = ~end & (at <= top[t])
-                ride = there & (need[t] <= need[c])
-                par[c[ride]] = t[ride]
-                tgt[c[there & ~ride]] -= 1
-                rest = ~end & ~ride
-                c, at, seen, miss = c[rest], at[rest], seen[rest], False
-                todo = np.minimum(np.minimum(at - 1, lim[c] - seen), at - top[tgt[c]])
-                go = todo > 0
-                parts.append((c[go], at[go], todo[go]))
-                c, at = c[~go], at[~go]  # already in the next target's stretch
-            return parts
+            """End walkers ``c`` (matched down to ``at``, save a ``miss`` below) at a
+            miss, the edge or their limit; those in their target's stretch ride it.
+            Returns (walker, at, reads to its next event) for the rest."""
+            t, seen = tgt[c], x[c] - at  # seen: the positions matched so far
+            end = miss | (at == 1) | (seen == lim[c])
+            out[c[end]] = seen[end]
+            ride = ~end & (at <= top[t])
+            par[c[ride]] = t[ride]
+            go = ~end & ~ride
+            c, at, seen, t = c[go], at[go], seen[go], t[go]
+            return c, at, np.minimum(np.minimum(at - 1, lim[c] - seen), at - top[t])
 
-        start = place(np.arange(x.size), x - LOCKSTEP_STEPS, False)
-        walk, at, todo = map(np.concatenate, zip(*start))
+        walk, at, todo = place(rank, x - LOCKSTEP_STEPS, False)
         while walk.size:
             block = np.minimum(todo, x[walk] - at)  # as long as the stretch matched so far
             got, read = self.sess.match_run(at - 1 if step < 0 else n + 2 - at, step, block, sym[walk])
-            at -= got
-            todo -= got
-            miss = read > got
+            at, todo, miss = at - got, todo - got, read > got
             check = miss | (todo == 0)
             if check.any():
                 more = place(walk[check], at[check], miss[check])
                 keep = (walk[~check], at[~check], todo[~check])
-                walk, at, todo = map(np.concatenate, zip(keep, *more))
-        # A rider's extent is min(lim, its distance to its target + the
-        # target's extent): jump the pointers, composing those pairs, until
-        # each reaches a walk that ended on its own.
-        while True:
-            np.minimum(out, x - x[par] + out[par], out=out)
-            up = par[par]
-            if np.array_equal(up, par):
-                break
-            par = up
-        ext[idx] = out
+                walk, at, todo = map(np.concatenate, zip(keep, more))
+        # A rider's extent is min(lim, its distance to the walk that ended on
+        # its own at the end of its chain of targets + that walk's extent):
+        # each target on the way walks at least as deep, so caps no lower.
+        while not np.array_equal(par[par], par):
+            par = par[par]
+        ext[idx] = np.minimum(out, x - x[par] + out[par])
         return ext
 
     def advance(self, caps) -> np.ndarray:

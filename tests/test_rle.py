@@ -222,18 +222,24 @@ def test_single_cap_walks_read_each_position_once_per_side():
 def test_capped_chains_continue_for_a_far_member():
     # One long run holds a row of probes, spaced past the lockstep, so each
     # stops at its small cap inside its gap. Only the last probe needs more:
-    # its walk passes every capped probe on its way to the run's start, and
-    # each capped probe keeps its own cap.
+    # its walk crosses every capped probe on its way to the run's start, and
+    # each capped probe keeps its own cap. No capped probe can be its target,
+    # so its walk never stops at one: each side takes O(log n) primitive
+    # calls, not one per capped probe.
     spacing = LOCKSTEP_STEPS + 6
-    for n, start, far in ((600, 37, 10**6), (600, 37, 300), (350, 1, 10**6)):
+    for n, start, far in ((600, 37, 10**6), (600, 37, 300), (350, 1, 10**6), (20_000, 37, 10**7)):
         arr = np.zeros(n, dtype=np.uint8)
         arr[start - 1 :] = 1
         ts = np.arange(start + spacing, n + 1, spacing)
         caps = np.full(ts.size, LOCKSTEP_STEPS + 3)
         caps[-1] = far
-        check_against_staged_reference(arr, ts, caps)
         # and mirrored, so the right pass continues the same way
-        check_against_staged_reference(arr[::-1].copy(), n + 1 - ts, caps)
+        for a, t in ((arr, ts), (arr[::-1].copy(), n + 1 - ts)):
+            check_against_staged_reference(a, t, caps)
+            sess = RecordingSession(a)
+            RunProber(sess, t).advance(caps)
+            for step in (-1, 1):
+                assert sum(s == step for s, _ in sess.blocks) <= 2 * int(ceil_log2([n])[0]) + 4
 
 
 @pytest.mark.parametrize("cap", [2, 9, 10, 11, 64, 1_000, 4_097, 30_000])
