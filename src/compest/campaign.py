@@ -345,10 +345,11 @@ def audit_queries(entries: list) -> list[AuditRow]:
     ``lambda`` for ``colors``; ``lambda`` and ``delta`` (default 1/3) for
     ``colors-amplified``; ``A`` and ``epsilon`` for ``lz``. The RLE rows also
     take ``sigma``, the alphabet size (default 2). ``entries`` that are not a
-    list, and an entry that is not a dict, lacks a key, or names an estimator
-    with no ceiling, raise a ``ValueError`` naming the entry. Rows exceeding
-    their ceiling are flagged, and so are ceilings of n or more; the caller
-    decides whether that is fatal.
+    list, and an entry that is not a dict, lacks a key, names an estimator
+    with no ceiling, or that no run can produce (n < 1, ``queries_used``
+    outside [0, n], parameters its plan rejects) raise a ``ValueError``
+    naming the entry. Rows exceeding their ceiling are flagged, and so are
+    ceilings of n or more; the caller decides whether that is fatal.
     """
     if not isinstance(entries, list):
         raise ValueError(f"audit entries must be a list, not {type(entries).__name__}")
@@ -363,9 +364,14 @@ def audit_queries(entries: list) -> list[AuditRow]:
             ceiling = ESTIMATORS[name].ceiling
             if ceiling is None:
                 raise ValueError(f"audit entry {i}: {name} has no query ceiling")
-            n = int(e["n"])
-            used = int(e["queries_used"])
-            rows.append(AuditRow(label=name, n=n, queries_used=used, ceiling=float(ceiling(e, n))))
+            try:
+                n, used = int(e["n"]), int(e["queries_used"])
+                if not 0 <= used <= n or n < 1:
+                    raise ValueError(f"need 0 <= queries_used <= n and n >= 1, not {used} and {n}")
+                bound = float(ceiling(e, n))
+            except ValueError as exc:
+                raise ValueError(f"audit entry {i} ({name}): {exc}") from None
+            rows.append(AuditRow(label=name, n=n, queries_used=used, ceiling=bound))
         except KeyError as exc:
             key = exc.args[0]
             if key in e:

@@ -37,6 +37,8 @@ def pool_size(n: int, lam: float, runs: int) -> int:
 
 def colors_plan(n: int, lam: float, runs: int) -> ReadPlan:
     """A run's one pool, which reads no more positions than it draws."""
+    if lam <= 1:
+        raise ValueError("lambda must be > 1")
     size = pool_size(n, lam, runs)
     return ReadPlan(False, size, size)
 
@@ -45,8 +47,6 @@ def _pooled_estimate(
     tau: QueryCountedString, lam: float, runs: int, seed: int, confidence: float
 ) -> EstimateReport:
     """lambda times the distinct symbols in one pool of ``runs`` basic sample sizes."""
-    if lam <= 1:
-        raise ValueError("lambda must be > 1")
     sess = tau.session()
     plan = colors_plan(sess.length, lam, runs)
     ts = make_rng(seed).integers(1, sess.length + 1, size=plan.draws)

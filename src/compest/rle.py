@@ -110,12 +110,14 @@ def contribution(length, alphabet_size: int) -> np.ndarray:
 
 
 def additive_probe_cap(epsilon: float, alphabet_size: int) -> int:
-    """Probe cap ell0 = ceil(8 * log2(4*sigma/eps) / eps).
+    """Probe cap ell0 = ceil(8 * log2(4*sigma/eps) / eps), for eps in (0, 1).
 
     Positions in runs at least this long are ignored by the additive
     estimator; the cap guarantees their contribution is at most eps/2 each,
     which is asserted on every call rather than trusted.
     """
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must be in (0, 1)")
     ell0 = math.ceil(8.0 * math.log2(4.0 * alphabet_size / epsilon) / epsilon)
     s_bits = alphabet_bits(alphabet_size)
     # c(ell) is not strictly non-increasing (the length ceiling jumps at
@@ -282,8 +284,6 @@ def additive_plan(n: int, alphabet_size: int, epsilon: float) -> ReadPlan:
 
 def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> EstimateReport:
     """Estimate the RLE cost to within an additive eps*n, claiming (1, eps)."""
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
     n, sigma = w.length, w.alphabet_size
     plan = additive_plan(n, sigma, epsilon)
     sess = w.session()
@@ -337,6 +337,8 @@ def bucketed_plan(
     from the largest later q_h up to its own q_h; whatever the order of the
     q_h, the bound takes O(buckets) and allocates no per-probe array.
     """
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
     ell0 = additive_probe_cap(epsilon, alphabet_size)
     buckets = tuple(_geometric_buckets(ell0, alphabet_bits(alphabet_size), ratio))
     q = math.ceil(bucketed_sample_count(epsilon, delta) * q_scale)
@@ -392,10 +394,6 @@ def _bucketed_core(sess: QuerySession, plan: BucketPlan, seed: int, room: float 
 def rle_bucketed_estimate(w: QueryCountedString, epsilon: float, delta: float, seed: int) -> EstimateReport:
     """Bucketed (3, eps)-estimate of the RLE cost, confidence 1 - delta; a
     plan that scans reports the exact cost."""
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
     sess = w.session()
     plan = bucketed_plan(sess.length, sess.alphabet_size, epsilon, delta)
     est, used = plan.run(sess, lambda: _bucketed_core(sess, plan, seed), _exact(sess.alphabet_size))

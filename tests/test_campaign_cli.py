@@ -305,14 +305,14 @@ def test_audit_rows_flag_violations():
         {"estimator": "rle-additive", "n": 1000, "epsilon": 0.1, "sigma": 2, "queries_used": 50},
         {
             "estimator": "rle-additive",
-            "n": 1000,
+            "n": 10**6,
             "epsilon": 0.1,
             "sigma": 2,
-            "queries_used": 10**9,
+            "queries_used": 405_601,
         },
     ]
     rows = audit_queries(entries)
-    assert rows[0].within and not rows[1].within
+    assert rows[0].within and not rows[1].within and rows[1].ceiling == 405_600
     # q = 800 >= 1000 / 4 plans a scan: the ceiling is n, which proves nothing
     assert rows[0].ceiling == rows[0].n == 1000 and rows[0].vacuous
 
@@ -341,14 +341,18 @@ def test_audit_rows_flag_violations():
     ]
     vacuous = []
     for entry, ceiling in others:
-        below, above = audit_queries([
-            dict(entry, queries_used=int(ceiling)),
-            dict(entry, queries_used=int(ceiling) + 1),
-        ])
-        assert below.label == above.label == entry["estimator"]
-        assert below.ceiling == above.ceiling == ceiling
-        assert below.within and not above.within, entry
-        assert below.vacuous == above.vacuous == (ceiling >= entry["n"]), entry
+        # no run reads past n, so a vacuous ceiling cannot be passed: reads
+        # past n raise instead
+        top = min(int(ceiling), entry["n"])
+        (below,) = audit_queries([dict(entry, queries_used=top)])
+        assert below.label == entry["estimator"] and below.ceiling == ceiling, entry
+        assert below.within and below.vacuous == (ceiling >= entry["n"]), entry
+        if below.vacuous:
+            with pytest.raises(ValueError, match=rf"queries_used <= n and n >= 1, not {top + 1} and {entry['n']}$"):
+                audit_queries([dict(entry, queries_used=top + 1)])
+        else:
+            (above,) = audit_queries([dict(entry, queries_used=top + 1)])
+            assert above.ceiling == ceiling and not above.within and not above.vacuous, entry
         vacuous.append(below.vacuous)
     assert vacuous == [True, True, False, False, True, True, True, False, True]
 
@@ -366,6 +370,27 @@ def test_audit_rows_flag_violations():
         audit_queries([{"estimator": "lz", "A": 8, "epsilon": 0.05, "queries_used": 5}])
     with pytest.raises(ValueError, match=r"audit entry 0 \(None\) lacks key 'estimator'"):
         audit_queries([{"n": 100, "queries_used": 5}])
+    # an entry no run can produce names the entry and its fault: a string of
+    # no positions, reads outside [0, n], or parameters that the estimator's
+    # plan rejects, as a run would
+    reads = "need 0 <= queries_used <= n and n >= 1"
+    for bad, message in [
+        ({"n": 0, "queries_used": 0}, f"{reads}, not 0 and 0"),
+        ({"n": -5, "queries_used": 0}, f"{reads}, not 0 and -5"),
+        ({"queries_used": -1}, f"{reads}, not -1 and 100"),
+        ({"queries_used": 101}, f"{reads}, not 101 and 100"),
+        ({"epsilon": 2}, r"epsilon must be in \(0, 1\)"),
+        ({"epsilon": 0}, r"epsilon must be in \(0, 1\)"),
+        ({"estimator": "rle-bucketed", "epsilon": 2}, r"epsilon must be in \(0, 1\)"),
+        ({"estimator": "rle-bucketed", "delta": 1.5}, r"delta must be in \(0, 1\)"),
+        ({"estimator": "colors", "lambda": 0.5}, "lambda must be > 1"),
+        ({"estimator": "colors-amplified", "lambda": 3, "delta": 0}, r"delta must be in \(0, 1\)"),
+        ({"estimator": "lz", "A": 1}, "A must be > 1"),
+        ({"estimator": "lz", "A": 8, "epsilon": 0.5}, r"need A \* epsilon < 2"),
+    ]:
+        entry = {**ok, "lambda": 3, "A": 8, "epsilon": 0.05, **bad}
+        with pytest.raises(ValueError, match=rf"audit entry 1 \({entry['estimator']}\): {message}$"):
+            audit_queries([ok, entry])
     # so does an entry that is not a dict; entries that are not a list name their type
     with pytest.raises(ValueError, match="audit entry 1 must be an object, not list"):
         audit_queries([ok, ["rle-additive", 100]])

@@ -20,7 +20,11 @@ alternating file, where that sum was already the exact cost, and the
 bucketed campaign samples. ``lz-est --A 64 --epsilon 0.005``, the one case
 here on the LZ window pool, was recaptured when that pool shrank from three
 basic samples to one: its reads fell from 1690 to 663 and its estimate
-stayed 148.48, while every other LZ output here scans.
+stayed 148.48, while every other LZ output here scans. The audit's
+colors-amplified entry read 20 000 of 4096 positions until the audit began
+to reject reads outside [0, n], which no run can make; it now reads 4096,
+the most a run can, and its row moved from over its vacuous ceiling to
+within it.
 
 ``compest exact --scheme rle|lz`` prints one JSON part per run or phrase,
 megabytes on the 2e5-byte inputs below, so those outputs are pinned by
@@ -76,7 +80,7 @@ AUDIT_ENTRIES = [
     {"estimator": "rle-search", "n": 100_000, "exact": 40_000.0, "queries_used": 99_000},
     {"estimator": "colors", "n": 4096, "lambda": 3, "queries_used": 455},
     {"estimator": "colors-amplified", "n": 4096, "lambda": 3, "delta": 0.1,
-     "queries_used": 20_000},
+     "queries_used": 4096},
     {"estimator": "lz", "n": 4096, "A": 4, "epsilon": 0.1, "queries_used": 4096},
 ]
 
@@ -420,9 +424,9 @@ AUDIT_EXPECTED = (
     '    {\n'
     '      "ceiling": 13656.0,\n'
     '      "label": "colors-amplified",\n'
-    '      "queries_used": 20000,\n'
+    '      "queries_used": 4096,\n'
     '      "vacuous": true,\n'
-    '      "within": false\n'
+    '      "within": true\n'
     '    },\n'
     '    {\n'
     '      "ceiling": 4096.0,\n'
