@@ -194,16 +194,21 @@ class CampaignConfig:
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        for key, value in (("trials", self.trials), ("base_seed", self.base_seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, not {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 <= self.min_success_rate <= 1:
+            raise ValueError(f"min_success_rate must be in [0, 1], not {self.min_success_rate!r}")
         if not isinstance(self.per_trial_instances, bool):
             raise ValueError("per_trial_instances must be true or false")
 
     @staticmethod
     def from_json_file(path) -> "CampaignConfig":
         """The config in a JSON file. Malformed JSON, a document that is not an
-        object, a key that names no field and a missing required key each
-        raise a ``ValueError``."""
+        object, a key that names no field, a missing required key and a value
+        that ``__post_init__`` rejects each raise a ``ValueError``."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
@@ -215,9 +220,8 @@ class CampaignConfig:
         missing = [f.name for f in fs if f.name not in raw and f.default is MISSING is f.default_factory]
         if missing:
             raise ValueError(f"campaign config lacks keys: {', '.join(missing)}")
-        for key, cast in (("trials", int), ("base_seed", int), ("min_success_rate", float)):
-            if key in raw:
-                raw[key] = cast(raw[key])
+        if "min_success_rate" in raw:
+            raw["min_success_rate"] = float(raw["min_success_rate"])
         return CampaignConfig(**raw)
 
 

@@ -594,7 +594,23 @@ def test_cli_campaign_audit_input_errors_exit_2(tmp_path, capsys, entries, messa
      "unknown estimator 'rle-nope'"),
     (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": 0, "base_seed": 1}),
      "trials must be >= 1"),
-], ids=["malformed-json", "not-an-object", "no-instance", "unknown-estimator", "zero-trials"])
+    (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": 2.7, "base_seed": 1}),
+     "trials must be an integer, not 2.7"),
+    (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": True, "base_seed": 1}),
+     "trials must be an integer, not True"),
+    (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": 2, "base_seed": 2.7}),
+     "base_seed must be an integer, not 2.7"),
+    (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": 2, "base_seed": True}),
+     "base_seed must be an integer, not True"),
+    (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": 2, "base_seed": 1,
+                 "min_success_rate": 1.5}),
+     "min_success_rate must be in [0, 1], not 1.5"),
+    (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": 2, "base_seed": 1,
+                 "min_success_rate": -1}),
+     "min_success_rate must be in [0, 1], not -1.0"),
+], ids=["malformed-json", "not-an-object", "no-instance", "unknown-estimator", "zero-trials",
+        "fractional-trials", "boolean-trials", "fractional-seed", "boolean-seed", "rate-above-1",
+        "rate-below-0"])
 def test_cli_campaign_run_config_errors_exit_2(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text(text)
