@@ -199,8 +199,9 @@ class CampaignConfig:
                 raise ValueError(f"{key} must be an integer, not {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0 <= self.min_success_rate <= 1:
-            raise ValueError(f"min_success_rate must be in [0, 1], not {self.min_success_rate!r}")
+        rate = self.min_success_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate <= 1:
+            raise ValueError(f"min_success_rate must be in [0, 1], not {rate!r}")
         if not isinstance(self.per_trial_instances, bool):
             raise ValueError("per_trial_instances must be true or false")
 
@@ -220,7 +221,7 @@ class CampaignConfig:
         missing = [f.name for f in fs if f.name not in raw and f.default is MISSING is f.default_factory]
         if missing:
             raise ValueError(f"campaign config lacks keys: {', '.join(missing)}")
-        if "min_success_rate" in raw:
+        if type(raw.get("min_success_rate")) is int:
             raw["min_success_rate"] = float(raw["min_success_rate"])
         return CampaignConfig(**raw)
 
@@ -373,7 +374,7 @@ def audit_queries(entries: list) -> list[AuditRow]:
                 if not 0 <= used <= n or n < 1:
                     raise ValueError(f"need 0 <= queries_used <= n and n >= 1, not {used} and {n}")
                 bound = float(ceiling(e, n))
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"audit entry {i} ({name}): {exc}") from None
             rows.append(AuditRow(label=name, n=n, queries_used=used, ceiling=bound))
         except KeyError as exc:

@@ -387,6 +387,8 @@ def test_audit_rows_flag_violations():
         ({"estimator": "colors-amplified", "lambda": 3, "delta": 0}, r"delta must be in \(0, 1\)"),
         ({"estimator": "lz", "A": 1}, "A must be > 1"),
         ({"estimator": "lz", "A": 8, "epsilon": 0.5}, r"need A \* epsilon < 2"),
+        ({"epsilon": None}, "float.. argument must be a string or a real number, not 'NoneType'"),
+        ({"n": [100]}, "int.. argument must be .*, not 'list'"),
     ]:
         entry = {**ok, "lambda": 3, "A": 8, "epsilon": 0.05, **bad}
         with pytest.raises(ValueError, match=rf"audit entry 1 \({entry['estimator']}\): {message}$"):
@@ -608,9 +610,15 @@ def test_cli_campaign_audit_input_errors_exit_2(tmp_path, capsys, entries, messa
     (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": 2, "base_seed": 1,
                  "min_success_rate": -1}),
      "min_success_rate must be in [0, 1], not -1.0"),
+    (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": 2, "base_seed": 1,
+                 "min_success_rate": None}),
+     "min_success_rate must be in [0, 1], not None"),
+    (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": 2, "base_seed": 1,
+                 "min_success_rate": True}),
+     "min_success_rate must be in [0, 1], not True"),
 ], ids=["malformed-json", "not-an-object", "no-instance", "unknown-estimator", "zero-trials",
         "fractional-trials", "boolean-trials", "fractional-seed", "boolean-seed", "rate-above-1",
-        "rate-below-0"])
+        "rate-below-0", "null-rate", "boolean-rate"])
 def test_cli_campaign_run_config_errors_exit_2(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text(text)
