@@ -221,8 +221,6 @@ class CampaignConfig:
         missing = [f.name for f in fs if f.name not in raw and f.default is MISSING is f.default_factory]
         if missing:
             raise ValueError(f"campaign config lacks keys: {', '.join(missing)}")
-        if type(raw.get("min_success_rate")) is int:
-            raw["min_success_rate"] = float(raw["min_success_rate"])
         return CampaignConfig(**raw)
 
 
@@ -245,7 +243,7 @@ class CampaignResult:
             "instance": self.config.instance,
             "trials": self.config.trials,
             "base_seed": self.config.base_seed,
-            "min_success_rate": self.config.min_success_rate,
+            "min_success_rate": float(self.config.min_success_rate),
             "success_rate": self.success_rate,
             "mean_queries": self.mean_queries,
             "rows": self.rows,
@@ -373,10 +371,9 @@ def audit_queries(entries: list) -> list[AuditRow]:
                 n, used = int(e["n"]), int(e["queries_used"])
                 if not 0 <= used <= n or n < 1:
                     raise ValueError(f"need 0 <= queries_used <= n and n >= 1, not {used} and {n}")
-                bound = float(ceiling(e, n))
+                rows.append(AuditRow(label=name, n=n, queries_used=used, ceiling=float(ceiling(e, n))))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"audit entry {i} ({name}): {exc}") from None
-            rows.append(AuditRow(label=name, n=n, queries_used=used, ceiling=bound))
         except KeyError as exc:
             key = exc.args[0]
             if key in e:

@@ -246,7 +246,9 @@ class RunProber:
         while walk.size:
             block = np.minimum(todo, x[walk] - at)  # as long as the stretch matched so far
             got, read = self.sess.match_run(at - 1 if step < 0 else n + 2 - at, step, block, sym[walk])
-            at, todo, miss = at - got, todo - got, read > got
+            at -= got
+            todo -= got
+            miss = read > got
             check = miss | (todo == 0)
             if check.any():
                 more = place(walk[check], at[check], miss[check])

@@ -609,7 +609,7 @@ def test_cli_campaign_audit_input_errors_exit_2(tmp_path, capsys, entries, messa
      "min_success_rate must be in [0, 1], not 1.5"),
     (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": 2, "base_seed": 1,
                  "min_success_rate": -1}),
-     "min_success_rate must be in [0, 1], not -1.0"),
+     "min_success_rate must be in [0, 1], not -1"),
     (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": 2, "base_seed": 1,
                  "min_success_rate": None}),
      "min_success_rate must be in [0, 1], not None"),
