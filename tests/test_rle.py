@@ -169,8 +169,8 @@ def check_against_staged_reference(arr, ts, caps):
 def test_dense_probes_over_long_runs_match_staged_reference():
     # More probes than positions, duplicates included, on runs of up to a few
     # hundred, with bucket-style caps: most small, a few past any run. Runs
-    # hold many probes each, so most walks reach the probe ahead and ride it
-    # or pass it.
+    # hold many probes each, so most walks reach their target and ride it, or
+    # walk past probes with smaller caps.
     rng = np.random.default_rng(47)
     for _ in range(12):
         n = int(rng.integers(300, 2_500))
@@ -185,7 +185,7 @@ def test_dense_probes_over_long_runs_match_staged_reference():
         assert requested <= ts.size * (1 + 2 * LOCKSTEP_STEPS) + 2 * n
     # Sparse probes, 2-10% of n, on runs of up to 5 000 (log-uniform lengths),
     # with one cap for all, powers of two, or arbitrary caps up to 2n: walks
-    # cross long gaps to the probe ahead and pass probes with smaller caps.
+    # cross long gaps to their targets and walk past probes with smaller caps.
     for kind in range(3):
         n = int(rng.integers(1_000, 5_000))
         lens = np.exp(rng.uniform(0, math.log(5_000), size=n)).astype(np.int64)
@@ -203,11 +203,11 @@ def test_dense_probes_over_long_runs_match_staged_reference():
 
 
 def test_single_cap_walks_read_each_position_once_per_side():
-    # With one cap for every probe, as in the additive pass, a walk that
-    # reaches the probe ahead of it in its run can always ride it, so no
-    # probe passes another: past the lockstep, each side reads each position
-    # at most once. Without riding, 3 200 probes walking runs longer than the
-    # cap would ask for millions of positions.
+    # With one cap for every probe, as in the additive pass, each walk's
+    # target is the open probe ahead of it, which it rides on reaching it, so
+    # no walk goes past another: past the lockstep, each side reads each
+    # position at most once. Without riding, 3 200 probes walking runs longer
+    # than the cap would ask for millions of positions.
     n, cap = 10**5, additive_probe_cap(0.05, 2)
     ts = make_rng(11).integers(1, n + 1, size=3_200)
     for arr in (all_ones(n), generate_wk(n, 64, 3), generate_wk(n, 100, 3)):
