@@ -194,6 +194,9 @@ class CampaignConfig:
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        for key, value in (("params", self.params), ("instance", self.instance)):
+            if not isinstance(value, dict):
+                raise ValueError(f"{key} must be an object, not {type(value).__name__}")
         for key, value in (("trials", self.trials), ("base_seed", self.base_seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{key} must be an integer, not {value!r}")

@@ -54,22 +54,19 @@ def generate_coin_runs(n: int, p: float, seed: int) -> np.ndarray:
     that run-length sequence starting with 0. When n is not divisible by 3,
     the leading n mod 3 bits are fixed zeros forming their own run (the
     alternation then starts with 1).
+
+    Every flip writes a 3-symbol block of 1 or 3 runs, so block k starts with
+    bit (k + [n mod 3 > 0]) mod 2; tails repeats it, heads flips the middle.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    flips = n // 3
-    b = n % 3
-    rng = make_rng(seed)
-    heads = rng.random(flips) < p
-    lengths = np.where(heads[:, None], [1, 1, 1], [3, 0, 0]).ravel()
-    lengths = lengths[lengths > 0]
-    if b:
-        lengths = np.concatenate([[b], lengths])
-    first_bit = 0
-    bits = (np.arange(lengths.size) + first_bit) % 2
-    return np.repeat(bits.astype(np.uint8), lengths)
+    out = np.zeros(n, dtype=np.uint8)
+    blocks = out[n % 3 :].reshape(-1, 3)
+    blocks[int(n % 3 == 0) :: 2] = 1
+    blocks[:, 1] ^= make_rng(seed).random(n // 3) < p
+    return out
 
 
 def generate_lz_tight(m: int, ell0: int) -> np.ndarray:

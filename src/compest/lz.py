@@ -38,21 +38,12 @@ from ._rng import derive_seed, make_rng
 from .accessor import EstimateReport, QueryCountedString, QuerySession, ReadPlan
 from .colors import amplification_runs, pool_size
 from .oracles import distinct_profile
-from .suffixes import lcp_at_least_counts, symbol_ranks
+from .suffixes import lcp_at_least_counts, symbol_ranks, word_lcps
 
 
 def _word_lcps(words: np.ndarray, width: int, bits: int) -> np.ndarray:
-    """Common-prefix lengths, in symbols, of adjacent sorted words that each
-    pack ``width`` symbols of ``bits`` bits, the first symbol highest.
-
-    The first differing symbol holds the highest set bit of the XOR. Clearing
-    every set bit whose upper neighbour is set keeps that bit and leaves no
-    two set bits adjacent, so float64 cannot round the value up into the
-    next power of two, and ``frexp`` reads the bit's index exactly.
-    """
-    x = words[1:] ^ words[:-1]
-    x &= ~(x >> 1)
-    return width - 1 - (np.frexp(x.astype(np.float64))[1] - 1) // bits  # x = 0: index -1
+    """:func:`compest.suffixes.word_lcps` of each pair of adjacent sorted words."""
+    return word_lcps(words[1:], words[:-1], width, bits)
 
 
 class SharedWindowSamples:

@@ -13,8 +13,8 @@ fit beside the position, and the first rank levels are prefixes of those
 sorted words (where two symbols do not fit, the first sort is skipped).
 Each later round packs a pair of ranks; where the pair and the position
 need more than 64 bits, it sorts twice (minor key, then major).
-The rank levels give the LCP of every suffix-array-adjacent pair by binary
-lifting, vectorized over all pairs.
+The LCP of every suffix-array-adjacent pair comes from binary lifting over
+the rank levels above one word, then one compare of packed symbol windows.
 
 The LCP-threshold counts behind every distinct-substring count need LCPs
 only up to the longest length asked for, so that doubling takes a stop
@@ -33,6 +33,7 @@ import numpy as np
 
 _MAX_N = 2**31  # positions and rank levels are int32
 _WORD = 64  # bits in a packed sort word
+_CHUNK = 1 << 14  # words per block of the in-place packer, pairs per block of the LCP pass
 
 
 def symbol_ranks(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -63,22 +64,37 @@ def symbol_ranks(a: np.ndarray) -> tuple[np.ndarray, int]:
     return inverse.astype(np.int32).reshape(a.shape), values.size
 
 
-def _pack_windows(sym: np.ndarray, width: int, bits: int) -> np.ndarray:
-    """word[i] holds sym[i : i + width] + 1, ``bits`` bits per symbol, the
-    first symbol highest, and 0 past the end, for ``width`` a power of two
-    and ``width * bits`` at most 64. Doubling the window takes log2(width)
-    passes."""
-    n = sym.size
-    word = sym.astype(np.uint64)
-    word += 1
+def _pack_windows(rank: np.ndarray, width: int, bits: int) -> np.ndarray:
+    """words[i] holds rank[i : i + width] + 1, ``bits`` bits per symbol, the
+    first symbol highest, for i <= n: ``rank`` is a level, -1 at index n, so
+    0 past the end. ``width`` is a power of two, ``width * bits`` <= 64. The
+    log2(width) doubling passes rewrite blocks in place from the front, each
+    from a copy; the words a block reads past itself are not rewritten yet."""
+    words = np.empty(rank.size, dtype=np.uint64)
+    np.add(rank, 1, out=words, casting="unsafe")
     w = 1
     while w < width:
-        word, old = word << (w * bits), word  # word_2w[i] = word_w[i] : word_w[i + w]
-        if w < n:
-            word[: n - w] |= old[w:]
-        del old
+        for lo in range(0, words.size, _CHUNK):
+            block = words[lo : lo + _CHUNK] << (w * bits)  # word_2w[i] = word_w[i] : word_w[i + w]
+            ahead = words[lo + w : lo + w + _CHUNK]
+            block[: ahead.size] |= ahead
+            words[lo : lo + _CHUNK] = block
         w *= 2
-    return word
+    return words
+
+
+def word_lcps(a: np.ndarray, b: np.ndarray, width: int, bits: int) -> np.ndarray:
+    """Common-prefix lengths, in symbols, of the words ``a`` and ``b`` that
+    each pack ``width`` symbols of ``bits`` bits, the first symbol highest.
+
+    The first differing symbol holds the highest set bit of a ^ b. Clearing
+    every set bit whose upper neighbour is set keeps that bit and leaves no
+    two set bits adjacent, so float64 cannot round the value up into the
+    next power of two, and ``frexp`` reads the bit's index exactly.
+    """
+    x = a ^ b
+    x &= ~(x >> 1)
+    return width - 1 - (np.frexp(x.astype(np.float64))[1] - 1) // bits  # x = 0: index -1
 
 
 def _sort_keys(keys: np.ndarray, p: int) -> np.ndarray:
@@ -190,7 +206,7 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
     order = None
     if first:  # else two symbols do not fit: the pair rounds start at level 0
         width = 1 << first
-        words = _pack_windows(rank[:n], width, bits)
+        words = _pack_windows(rank, width, bits)[:n]
         order = _sort_keys(words, p)
         diff = words[1:] ^ words[:-1]
         del words
@@ -226,27 +242,30 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
 def lcp_array(sa: np.ndarray, ranks: list[np.ndarray]) -> np.ndarray:
     """lcp[r] = common-prefix length of suffixes sa[r-1] and sa[r]; lcp[0] = 0.
 
-    Binary lifting over the rank levels of :func:`suffix_array`, from the
-    level below the top down: if the level-L ranks at x + h and y + h match,
-    the next 2^L symbols match too, so h grows by 2^L. When the top level
-    T has all ranks distinct, every LCP is below 2^T and the lower levels
-    spell it out. When it has ties (a doubling cut short by ``stop``), the
-    LCP is capped at 2^T: a pair tied at T matches on every lower level,
-    which sums to 2^T - 1, and the tie adds the last 1.
+    Binary lifting over the rank levels of :func:`suffix_array` above one
+    word, then one word compare. T is the top level and W = 2^w the most
+    symbol ranks + 1 that fit in a word, capped at 2^T. From level T - 1 down
+    to w: if the level-L ranks at x + h and y + h match, the next 2^L symbols
+    match too, so h grows by 2^L. The rest is below W, and the common prefix
+    of the packed W-symbol windows at x + h and y + h (:func:`word_lcps`)
+    adds it. If level T has ties (a doubling cut short by ``stop``), the LCP
+    is capped at 2^T: a pair tied at T matches on every lifted level and on
+    its whole word. The pairs go in blocks, so ``lcp`` and the windows are
+    the only arrays of length n made here.
     """
     n = sa.size
     lcp = np.zeros(n, dtype=np.int64)
     if n < 2:
         return lcp
-    x = sa[:-1]
-    y = sa[1:]
-    h = lcp[1:]
-    for level in range(len(ranks) - 2, -1, -1):
-        rank = ranks[level]
-        h += (rank[x + h] == rank[y + h]).astype(np.int64) << level
-    top = ranks[-1]
-    if top[sa[-1]] != n - 1:
-        h += top[x] == top[y]
+    top = len(ranks) - 1
+    bits = int(ranks[0][sa[-1]] + 1).bit_length()  # sa[-1] starts with the largest symbol
+    w = min((_WORD // bits).bit_length() - 1, top)
+    words = _pack_windows(ranks[0], 1 << w, bits)
+    for lo in range(0, n - 1, _CHUNK):
+        x, y, h = (v[lo : lo + _CHUNK] for v in (sa[:-1], sa[1:], lcp[1:]))
+        for level in range(top - 1, w - 1, -1):
+            h += (ranks[level][x + h] == ranks[level][y + h]).astype(np.int64) << level
+        h += word_lcps(words[x + h], words[y + h], 1 << w, bits)
     return lcp
 
 

@@ -616,9 +616,14 @@ def test_cli_campaign_audit_input_errors_exit_2(tmp_path, capsys, entries, messa
     (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": 2, "base_seed": 1,
                  "min_success_rate": True}),
      "min_success_rate must be in [0, 1], not True"),
+    (json.dumps({"estimator": "rle-additive", "params": [0.1], "instance": {}, "trials": 2,
+                 "base_seed": 1}),
+     "params must be an object, not list"),
+    (json.dumps({"estimator": "rle-additive", "instance": ["builtin"], "trials": 2, "base_seed": 1}),
+     "instance must be an object, not list"),
 ], ids=["malformed-json", "not-an-object", "no-instance", "unknown-estimator", "zero-trials",
         "fractional-trials", "boolean-trials", "fractional-seed", "boolean-seed", "rate-above-1",
-        "rate-below-0", "null-rate", "boolean-rate"])
+        "rate-below-0", "null-rate", "boolean-rate", "list-params", "list-instance"])
 def test_cli_campaign_run_config_errors_exit_2(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text(text)

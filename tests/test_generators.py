@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -117,6 +118,27 @@ def test_coin_length_bits_identity():
 def test_coin_validates_p():
     with pytest.raises(ValueError):
         generate_coin_runs(100, 1.5, seed=0)
+
+
+@pytest.mark.parametrize("n, digest", [
+    (1, "b0f66adc83641586656866813fd9dd0b8ebb63796075661ba45d1aa8089e1d44"),
+    (2, "15ec7bf0b50732b49f8228e07d24365338f9e3ab994b00af08e5a3bffe55fd8b"),
+    (3, "27b530db9f4207ed7a4d0ea6d78888e05bf802a9eeb1b6ca3956cbfac2d489df"),
+    (4, "af2cb2ff2a4bde75d29da28ed426d00016e1e9627054beaafec3536cf74eee8b"),
+    (5, "3d88d26e26a28cfe8b773a01a1a7dff2fd5be62c547ef1cd5eac671813092323"),
+    (3001, "0bc5f59a28f1893d986dfd4438df5ee699da7a19ed562757db27f7d238a7bd6a"),
+    (10**6, "674f158aaa703889df874ca4e1c091f23645269d86d21a386da7ca6aa89c7834"),
+])
+def test_coin_bytes_are_pinned(n, digest):
+    # sha256 over the outputs for p in (0, 0.5, 1) and seeds (0, 29), in that
+    # order, as the run-length construction wrote them: every n mod 3 is here
+    d = hashlib.sha256()
+    for p in (0.0, 0.5, 1.0):
+        for seed in (0, 29):
+            arr = generate_coin_runs(n, p, seed)
+            assert arr.dtype == np.uint8 and arr.size == n
+            d.update(arr.tobytes())
+    assert d.hexdigest() == digest
 
 
 # -- phased diversity strings --------------------------------------------------

@@ -161,6 +161,29 @@ def _prefix_sorted(arr: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]
     return order, np.concatenate([[0], same.sum(axis=1)])
 
 
+def test_lcp_word_split_and_chunk_edges(monkeypatch):
+    # lcp_array lifts the levels above one word of 2^low symbol ranks, then
+    # compares words; blocks of 7 put block edges all through the packer and
+    # the pair pass. The top level T lies above the word (Fibonacci, periods,
+    # sigma 70 000 with 2 symbols a word) and at or below it (stopped runs).
+    runs = [_run_mix(500, 40, 2, seed=1), np.repeat([0, 1], 100), np.full(300, 4)]
+    cases = [(arr, None) for arr in CORPUS]
+    cases += [(arr, stop) for arr in LEVEL_INPUTS for stop in (1, 2, 3, 5, 8, 33)]
+    cases += [(arr, stop) for arr in runs for stop in (4, 8, 32, 64)]
+    want = [suffix_array(arr, stop) for arr, stop in cases]
+    monkeypatch.setattr(suffixes, "_CHUNK", 7)
+    sides = set()
+    for (arr, stop), (sa, ranks) in zip(cases, want):
+        got_sa, got_ranks = suffix_array(arr, stop)
+        assert np.array_equal(got_sa, sa) and all(map(np.array_equal, got_ranks, ranks))
+        top = len(ranks) - 1
+        low = (64 // symbol_ranks(arr)[1].bit_length()).bit_length() - 1
+        sides.add(top > low)
+        naive = np.array(naive_lcp(arr, sa.tolist()))
+        assert lcp_array(sa, ranks).tolist() == np.minimum(naive, 1 << top).tolist(), (arr.size, stop)
+    assert sides == {True, False}
+
+
 @pytest.mark.parametrize(
     "arr, width",
     [
