@@ -67,18 +67,18 @@ def symbol_ranks(a: np.ndarray) -> tuple[np.ndarray, int]:
 def _pack_windows(rank: np.ndarray, width: int, bits: int) -> np.ndarray:
     """words[i] holds rank[i : i + width] + 1, ``bits`` bits per symbol, the
     first symbol highest, for i <= n: ``rank`` is a level, -1 at index n, so
-    0 past the end. ``width`` is a power of two, ``width * bits`` <= 64. The
-    log2(width) doubling passes rewrite blocks in place from the front, each
-    from a copy; the words a block reads past itself are not rewritten yet."""
+    0 past the end. ``width`` is a power of two, ``width * bits`` <= 64. Each
+    word starts as its first symbol in the top field; log2(width) doubling
+    passes OR in the word w ahead shifted down w fields, in place, block by
+    block from the front, so no word is read after it is rewritten."""
     words = np.empty(rank.size, dtype=np.uint64)
     np.add(rank, 1, out=words, casting="unsafe")
+    words <<= (width - 1) * bits
     w = 1
     while w < width:
-        for lo in range(0, words.size, _CHUNK):
-            block = words[lo : lo + _CHUNK] << (w * bits)  # word_2w[i] = word_w[i] : word_w[i + w]
+        for lo in range(0, words.size, _CHUNK):  # word_2w[i] = word_w[i] : word_w[i + w]
             ahead = words[lo + w : lo + w + _CHUNK]
-            block[: ahead.size] |= ahead
-            words[lo : lo + _CHUNK] = block
+            words[lo : lo + ahead.size] |= ahead >> (w * bits)
         w *= 2
     return words
 
@@ -87,14 +87,17 @@ def word_lcps(a: np.ndarray, b: np.ndarray, width: int, bits: int) -> np.ndarray
     """Common-prefix lengths, in symbols, of the words ``a`` and ``b`` that
     each pack ``width`` symbols of ``bits`` bits, the first symbol highest.
 
-    The first differing symbol holds the highest set bit of a ^ b. Clearing
-    every set bit whose upper neighbour is set keeps that bit and leaves no
-    two set bits adjacent, so float64 cannot round the value up into the
-    next power of two, and ``frexp`` reads the bit's index exactly.
+    The first differing symbol holds the highest set bit of x = a ^ b, which
+    the exponent field of float64(x) names. Words of up to 53 bits convert
+    exactly. In wider ones, clearing each set bit just below another keeps the
+    highest and leaves no two adjacent, so rounding cannot carry past it.
     """
     x = a ^ b
-    x &= ~(x >> 1)
-    return width - 1 - (np.frexp(x.astype(np.float64))[1] - 1) // bits  # x = 0: index -1
+    if width * bits > 53:
+        x &= ~(x >> 1)
+    lcps = np.zeros(1023 + _WORD, dtype=np.int64)  # by exponent field: 0 for x = 0, else 1023 + index
+    lcps[0], lcps[1023:] = width, width - 1 - np.arange(_WORD) // bits
+    return lcps.take(x.astype(np.float64).view(np.int64) >> 52)
 
 
 def _sort_keys(keys: np.ndarray, p: int) -> np.ndarray:
@@ -242,16 +245,13 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
 def lcp_array(sa: np.ndarray, ranks: list[np.ndarray]) -> np.ndarray:
     """lcp[r] = common-prefix length of suffixes sa[r-1] and sa[r]; lcp[0] = 0.
 
-    Binary lifting over the rank levels of :func:`suffix_array` above one
-    word, then one word compare. T is the top level and W = 2^w the most
-    symbol ranks + 1 that fit in a word, capped at 2^T. From level T - 1 down
-    to w: if the level-L ranks at x + h and y + h match, the next 2^L symbols
-    match too, so h grows by 2^L. The rest is below W, and the common prefix
-    of the packed W-symbol windows at x + h and y + h (:func:`word_lcps`)
-    adds it. If level T has ties (a doubling cut short by ``stop``), the LCP
-    is capped at 2^T: a pair tied at T matches on every lifted level and on
-    its whole word. The pairs go in blocks, so ``lcp`` and the windows are
-    the only arrays of length n made here.
+    T is the top level of :func:`suffix_array` and W = 2^w the most symbol
+    ranks + 1 that fit in a word, capped at 2^T. Binary lifting from level
+    T - 1 down to w adds 2^L to h where the level-L ranks at x + h and y + h
+    match, and :func:`word_lcps` of the W-symbol windows there adds the rest,
+    below W. A pair tied at T (a doubling cut short by ``stop``) matches on
+    every lifted level and its whole word, so its LCP is capped at 2^T. Pairs
+    go in blocks: ``lcp`` and the windows are the only length-n arrays here.
     """
     n = sa.size
     lcp = np.zeros(n, dtype=np.int64)
@@ -264,8 +264,8 @@ def lcp_array(sa: np.ndarray, ranks: list[np.ndarray]) -> np.ndarray:
     for lo in range(0, n - 1, _CHUNK):
         x, y, h = (v[lo : lo + _CHUNK] for v in (sa[:-1], sa[1:], lcp[1:]))
         for level in range(top - 1, w - 1, -1):
-            h += (ranks[level][x + h] == ranks[level][y + h]).astype(np.int64) << level
-        h += word_lcps(words[x + h], words[y + h], 1 << w, bits)
+            h += (ranks[level].take(x + h) == ranks[level].take(y + h)).astype(np.int64) << level
+        h += word_lcps(words.take(x + h), words.take(y + h), 1 << w, bits)
     return lcp
 
 
