@@ -131,7 +131,7 @@ def test_coin_validates_p():
 ])
 def test_coin_bytes_are_pinned(n, digest):
     # sha256 over the outputs for p in (0, 0.5, 1) and seeds (0, 29), in that
-    # order, as the run-length construction wrote them: every n mod 3 is here
+    # order; the lengths cover every n mod 3 and both ends of the block walk
     d = hashlib.sha256()
     for p in (0.0, 0.5, 1.0):
         for seed in (0, 29):

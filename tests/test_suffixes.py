@@ -15,6 +15,7 @@ from compest.suffixes import (
     lz_factorize,
     suffix_array,
     symbol_ranks,
+    word_lcps,
 )
 from naive import naive_distinct, naive_lcp, naive_lpf, naive_suffix_array, random_symbols, stack_lpf
 
@@ -159,6 +160,19 @@ def _prefix_sorted(arr: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]
     same = np.logical_and.accumulate(rows[1:] == rows[:-1], axis=1)
     assert not same[:, -1].any(), "prefixes must be distinct"
     return order, np.concatenate([[0], same.sum(axis=1)])
+
+
+@pytest.mark.parametrize("bits", range(1, 33))
+def test_word_lcps_at_every_word_width(bits):
+    # b sets every bit from the first differing symbol down, the pattern that
+    # float64 would round up into the next symbol if the wide words were
+    # converted as they are; equal words share all ``width`` symbols
+    width = 1
+    while width * bits <= 64:
+        b = np.array([(1 << (width - first) * bits) - 1 for first in range(width)] + [0], dtype=np.uint64)
+        a = np.zeros_like(b)
+        assert word_lcps(a, b, width, bits).tolist() == list(range(width + 1)), width
+        width *= 2
 
 
 def test_lcp_word_split_and_chunk_edges(monkeypatch):
