@@ -13,8 +13,10 @@ Conventions:
   free ("cache-once"); all stated query budgets remain valid upper bounds
   under this accounting.
 * Symbols are non-negative integers. Text and files are exposed as their
-  bytes; files are memory-mapped read-only rather than copied into memory
-  (the one alphabet pass at construction still reads every byte).
+  bytes; files are memory-mapped read-only rather than copied into memory.
+  The one alphabet pass at construction still reads every byte, but it and
+  every later gather drop each ``_SEEN_CHUNK`` block's pages from the process
+  once done with them, so a sampled run's RSS does not grow with the file.
 * A string is read through a session (counted) or :meth:`materialize`
   (not counted), and in no other way.
 * A session's touched-position ledger costs O(q) memory for q distinct
@@ -43,10 +45,14 @@ from typing import Callable
 
 import numpy as np
 
-_SEEN_CHUNK = 1 << 22
+_BLOCK_BITS = 22
+_SEEN_CHUNK = 1 << _BLOCK_BITS  # bytes per chunk of the seen-table pass and per block of a map
+_GATHER_CHUNK = 1 << 16  # positions a file map's gather groups by block at once
+# None where mmap has no madvise (Windows): there a file map's pages stay mapped
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
 
 
-def distinct_count(values) -> int:
+def distinct_count(values, drop: Callable[[int], None] | None = None) -> int:
     """Number of distinct symbols in ``values``, with no sorted copy for bytes.
 
     One-byte input (viewed as ``uint8``, which maps distinct values to
@@ -58,6 +64,9 @@ def distinct_count(values) -> int:
     tokens): at n = 1e8 such a pass takes 0.04 s instead of 0.41 s. Where the
     range has gaps (``ACGT`` text) every chunk still scatters, 0.42 s instead
     of 0.40 s.
+
+    ``drop``, if given, is called with each one-byte chunk's start offset
+    once the chunk is counted; a mapped file releases that chunk's pages.
 
     Other dtypes sort once and count adjacent differences. On int64 input
     that is faster than ``np.unique``, which hashes in numpy 2: 3 ms against
@@ -74,17 +83,45 @@ def distinct_count(values) -> int:
             chunk = arr[lo : lo + _SEEN_CHUNK]
             if not seen[int(chunk.min()) : int(chunk.max()) + 1].all():
                 seen[chunk] = True
-                if seen.all():
-                    break
+            if drop is not None:
+                drop(lo)
+            if seen.all():
+                break
         return int(np.count_nonzero(seen))
     ordered = np.sort(arr)
     return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
-def _alphabet_for(symbols: np.ndarray, declared: int | None) -> int:
+def _gather_by_block(data: np.ndarray, idx0: np.ndarray, drop: Callable[[int], None]) -> np.ndarray:
+    """``data[idx0]``, gathered one ``_SEEN_CHUNK`` block of ``data`` at a
+    time, with ``drop`` called on each block's start offset once its
+    positions are read. Dropping only after the whole gather would not do:
+    a file fault maps the large folio around it, so a few hundred random
+    reads in one call would map the whole file.
+
+    Positions are grouped ``_GATHER_CHUNK`` at a time, so the grouping's
+    index array takes at most 8 * ``_GATHER_CHUNK`` bytes however many
+    positions are asked for."""
+    flat = idx0.ravel()
+    out = np.empty(flat.size, dtype=data.dtype)
+    kind = np.min_scalar_type((data.size - 1) >> _BLOCK_BITS)
+    for at in range(0, flat.size, _GATHER_CHUNK):
+        part, dest = flat[at : at + _GATHER_CHUNK], out[at : at + _GATHER_CHUNK]
+        block = (part >> _BLOCK_BITS).astype(kind)
+        order = np.argsort(block, kind="stable")  # a radix sort on these small unsigned ints
+        block = block[order]
+        cuts = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, part.size]):
+            take = order[lo:hi]
+            dest[take] = data[part[take]]
+            drop(int(block[lo]) << _BLOCK_BITS)
+    return out.reshape(idx0.shape)
+
+
+def _alphabet_for(symbols: np.ndarray, declared: int | None, drop: Callable[[int], None] | None = None) -> int:
     """``declared`` (default: the distinct count of ``symbols``), at least 2;
     raises if ``symbols`` hold more distinct symbols than declared."""
-    inferred = distinct_count(symbols)
+    inferred = distinct_count(symbols, drop)
     size = inferred if declared is None else int(declared)
     if inferred > size:
         raise ValueError(f"{inferred} distinct symbols exceed declared alphabet size {size}")
@@ -177,7 +214,8 @@ class QueryCountedString:
     Backed either by an array (in memory, or a read-only map of a file) or
     by a lazy provider callback that materializes symbols on demand (used by
     reduction instances, where generating the whole string up front would
-    defeat sublinearity).
+    defeat sublinearity). A file map drops each block's pages from the
+    process once a read is done with it; other backings keep theirs.
 
     The string itself counts nothing: each estimator run opens its own
     :meth:`session`, which counts the positions it touched itself. Sessions
@@ -192,6 +230,7 @@ class QueryCountedString:
         provider: Callable[[np.ndarray], np.ndarray] | None = None,
         length: int | None = None,
         alphabet_size: int | None = None,
+        _mapped: mmap.mmap | None = None,
     ):
         if (data is None) == (provider is None):
             raise ValueError("exactly one of data or provider is required")
@@ -204,13 +243,16 @@ class QueryCountedString:
             self._data = data
             self._provider = None
             self.length = int(data.size)
-            self.alphabet_size = _alphabet_for(data, alphabet_size)
+            self._drop = None  # drops a block of the file map ``data`` views
+            if _mapped is not None and _DONTNEED is not None:
+                self._drop = lambda lo: _mapped.madvise(_DONTNEED, lo, _SEEN_CHUNK)
+            self.alphabet_size = _alphabet_for(data, alphabet_size, self._drop)
         else:
             if length is None or alphabet_size is None:
                 raise ValueError("provider-backed strings need explicit length and alphabet_size")
             if length < 1:
                 raise ValueError("empty string")
-            self._data = None
+            self._data = self._drop = None
             self._provider = provider
             self.length = int(length)
             self.alphabet_size = max(2, int(alphabet_size))
@@ -228,12 +270,19 @@ class QueryCountedString:
 
     @classmethod
     def from_file(cls, path, alphabet_size: int | None = None) -> "QueryCountedString":
-        """Map the file read-only: reads index the map, nothing is copied."""
+        """Map the file read-only: reads index the map, nothing is copied.
+
+        The alphabet pass and every session read drop each ``_SEEN_CHUNK``
+        block's pages from this process (``MADV_DONTNEED``) once done with
+        it. The pages stay in the page cache, so a later read maps them
+        again without going to disk, and the map never holds much more than
+        one block. ``read_all`` and :meth:`materialize` still map the whole
+        file. Where ``mmap`` has no ``madvise`` (Windows), pages stay mapped."""
         with open(path, "rb") as fh:
             if os.fstat(fh.fileno()).st_size == 0:
                 raise ValueError(f"empty string: {path} has no bytes to map")
             mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        return cls(np.frombuffer(mapped, dtype=np.uint8), alphabet_size=alphabet_size)
+        return cls(np.frombuffer(mapped, dtype=np.uint8), alphabet_size=alphabet_size, _mapped=mapped)
 
     @classmethod
     def from_tokens(cls, tokens, alphabet_size: int | None = None) -> "QueryCountedString":
@@ -249,6 +298,8 @@ class QueryCountedString:
     # -- reading ----------------------------------------------------------
 
     def _fetch(self, idx0: np.ndarray) -> np.ndarray:
+        if self._drop is not None:
+            return _gather_by_block(self._data, idx0, self._drop)
         if self._data is not None:
             return self._data[idx0]
         with self._lock:

@@ -1,6 +1,9 @@
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +390,37 @@ def test_concurrent_sessions_are_safe_on_the_sorted_ledger():
     assert queries == {i: 3000 for i in range(4)}
 
 
+def test_concurrent_sessions_on_a_mapped_file_while_its_block_is_dropped(tmp_path):
+    # every gather drops the pages of the block it read, so each reader's
+    # block is dropped by the others, and by one thread that does nothing else
+    raw = np.random.default_rng(8).integers(0, 256, size=BLOCK + 5000, dtype=np.uint8)
+    path = tmp_path / "w.bin"
+    raw.tofile(path)
+    w = QueryCountedString.from_file(path)
+    finished = []
+    got, queries = {}, {}
+
+    def worker(i):
+        if i == 0:
+            while len(finished) < 3:
+                if w._drop is not None:
+                    w._drop(0)
+            return
+        try:
+            sess = w.session()
+            order = np.random.default_rng(i).integers(1, BLOCK + 1, size=6000)  # all in block 0
+            got[i] = order, np.concatenate([sess.read_many(chunk) for chunk in np.array_split(order, 300)])
+            queries[i] = sess.queries
+        finally:
+            finished.append(i)
+
+    _run_threads(worker, 4)
+    for i in range(1, 4):
+        order, values = got[i]
+        assert np.array_equal(values, raw[order - 1])
+        assert queries[i] == np.unique(order).size
+
+
 def test_concurrent_sessions_on_a_provider_backed_string():
     spec = GeneratorSpec("col2lz", {"n_prime": 5000, "alpha_prime": 0.1, "colors": 400}, seed=3)
     w = spec.build()
@@ -486,6 +520,98 @@ def test_from_file_rejects_empty_file_and_small_declared_alphabet(tmp_path):
     with pytest.raises(ValueError):
         QueryCountedString.from_file(path, alphabet_size=2)
     assert QueryCountedString.from_file(path, alphabet_size=3).alphabet_size == 3
+
+
+BLOCK = accessor._SEEN_CHUNK
+
+
+def _file_and_tokens(tmp_path, n, seed=5):
+    raw = np.random.default_rng(seed).integers(0, 256, size=n, dtype=np.uint8)
+    path = tmp_path / f"w{n}.bin"
+    raw.tofile(path)
+    mapped = QueryCountedString.from_file(path)
+    assert mapped._drop is not None or accessor._DONTNEED is None  # the block-by-block path runs
+    return mapped, QueryCountedString.from_tokens(raw), raw
+
+
+@pytest.mark.parametrize("n", [1, 5000, 2 * BLOCK + 4097])  # one byte; not a page multiple; past two block edges
+def test_a_mapped_file_reads_as_its_tokens_do(tmp_path, n):
+    mapped, tokens, raw = _file_and_tokens(tmp_path, n)
+    assert mapped.alphabet_size == tokens.alphabet_size
+    rng = np.random.default_rng(n)
+    edges = np.array([e + d for e in range(BLOCK, n, BLOCK) for d in (-1, 0, 1, 2)], dtype=np.int64)
+    batches = [
+        rng.integers(1, n + 1, size=3000),  # unsorted, repeats
+        np.array([n, 1, n, 1]),  # the last and first bytes, repeated
+        np.array([], dtype=np.int64),
+        rng.integers(1, n + 1, size=(7, 5)),
+        np.concatenate([edges, edges[::-1], [1, n]]),
+        np.int64(n),
+    ]
+    a, b = mapped.session(), tokens.session()
+    for batch in batches:
+        got, want = a.read_many(batch), b.read_many(batch)
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+        assert a.queries == b.queries
+    # walks across each block edge, both ways, matching up to the first byte that differs
+    starts = np.concatenate([edges[(edges >= 1) & (edges <= n)], [1, n]])
+    for step in (-1, 1):
+        limits = np.full(starts.size, 40, dtype=np.int64)
+        limits = np.minimum(limits, starts if step < 0 else n + 1 - starts)
+        symbols = raw[starts - 1]
+        a, b = mapped.session(), tokens.session()
+        got, want = a.match_run(starts, step, limits, symbols), b.match_run(starts, step, limits, symbols)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want)) and a.queries == b.queries
+    assert np.array_equal(mapped.session().read_all(), raw)
+    assert np.array_equal(mapped.materialize(), raw)
+
+
+def test_a_mapped_file_without_a_page_release_keeps_its_pages(tmp_path, monkeypatch):
+    # mmap has no madvise on Windows: the string reads the map directly, as before
+    monkeypatch.setattr(accessor, "_DONTNEED", None)
+    monkeypatch.setattr(accessor, "_gather_by_block", None)  # calling it would raise
+    raw = np.random.default_rng(6).integers(0, 3, size=BLOCK + 100, dtype=np.uint8)
+    path = tmp_path / "w.bin"
+    raw.tofile(path)
+    w = QueryCountedString.from_file(path)
+    assert w._drop is None and w.alphabet_size == 3
+    positions = np.array([BLOCK + 100, 1, BLOCK, BLOCK + 1])
+    assert np.array_equal(w.session().read_many(positions), raw[positions - 1])
+
+
+_PEAK_CHILD = """
+import sys
+from compest.cli import main
+
+def hwm_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = hwm_kib()
+assert main(["rle-est", "--mode", "additive", sys.argv[1]]) == 0
+assert main(["colors-est", "--lambda", "50", sys.argv[1]]) == 0
+print(hwm_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_a_sampled_cli_run_maps_little_of_its_file(tmp_path):
+    """Peak RSS rise of a child process over two sampled runs on a 64 MiB
+    file, measured from its own VmHWM: the file's pages are dropped block by
+    block, so the rise stays far below the file. (A child's ru_maxrss would
+    carry the peak of the process that started it.)"""
+    n = 64 << 20
+    path = tmp_path / "big.bin"
+    np.random.default_rng(7).integers(0, 2, size=n, dtype=np.uint8).tofile(path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, str(path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    rise_kib = int(proc.stdout.split()[-1])
+    assert rise_kib * 1024 < n // 4, rise_kib
 
 
 def test_file_estimates_allocate_far_less_than_the_input(tmp_path):
