@@ -104,10 +104,10 @@ def _gather_by_block(data: np.ndarray, idx0: np.ndarray, drop: Callable[[int], N
     positions are asked for."""
     flat = idx0.ravel()
     out = np.empty(flat.size, dtype=data.dtype)
-    kind = np.min_scalar_type((data.size - 1) >> _BLOCK_BITS)
+    block_type = np.min_scalar_type((data.size - 1) >> _BLOCK_BITS)
     for at in range(0, flat.size, _GATHER_CHUNK):
         part, dest = flat[at : at + _GATHER_CHUNK], out[at : at + _GATHER_CHUNK]
-        block = (part >> _BLOCK_BITS).astype(kind)
+        block = (part >> _BLOCK_BITS).astype(block_type)
         order = np.argsort(block, kind="stable")  # a radix sort on these small unsigned ints
         block = block[order]
         cuts = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
