@@ -19,6 +19,8 @@ from compest import (
 from compest import accessor
 from compest.accessor import QuerySession, ReadBudgetSpent, ReadPlan, distinct_count
 
+BLOCK = accessor._SEEN_CHUNK  # a mapped file's pages are dropped in blocks of this many bytes
+
 
 def test_read_counts_once():
     sess = QueryCountedString.from_string("abc").session()
@@ -520,9 +522,6 @@ def test_from_file_rejects_empty_file_and_small_declared_alphabet(tmp_path):
     with pytest.raises(ValueError):
         QueryCountedString.from_file(path, alphabet_size=2)
     assert QueryCountedString.from_file(path, alphabet_size=3).alphabet_size == 3
-
-
-BLOCK = accessor._SEEN_CHUNK
 
 
 def _file_and_tokens(tmp_path, n, seed=5):
