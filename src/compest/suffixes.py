@@ -8,13 +8,16 @@ gather of keys. Symbols enter as dense ranks, so the key width follows the
 alphabet, not the range of the symbol values.
 
 Prefix doubling (Manber-Myers) builds the suffix array and keeps the rank
-array of every round. Its first sort packs as many symbols per position as
-fit beside the position, and the first rank levels are prefixes of those
-sorted words (where two symbols do not fit, the first sort is skipped).
-Each later round packs a pair of ranks; where the pair and the position
-need more than 64 bits, it sorts twice (minor key, then major).
-The LCP of every suffix-array-adjacent pair comes from binary lifting over
-the rank levels above one word, then one compare of packed symbol windows.
+levels that something reads. Its first sort packs as many symbols per
+position as fit beside the position, and the first rank levels are prefixes
+of those sorted words (where two symbols do not fit, the first sort is
+skipped). Only the top one of those levels is ever read, by the first pair
+round, so only it is built, and only when a pair round follows. Each pair
+round packs a pair of ranks; where the pair and the position need more than
+64 bits, it sorts twice (minor key, then major). The LCP of every
+suffix-array-adjacent pair comes from binary lifting over the rank levels
+above one word, all of them pair-round levels or the level the first pair
+round read, then one compare of packed symbol windows of level 0.
 
 The LCP-threshold counts behind every distinct-substring count need LCPs
 only up to the longest length asked for, so that doubling takes a stop
@@ -22,9 +25,10 @@ length and ends at the first 2^L reaching it. The longest-previous-factor
 (LPF) array of Crochemore-Ilie, which drives the greedy LZ factorization,
 needs the full suffix array and LCP array. It comes from batch peak
 elimination: vector rounds delete every suffix-array entry that starts
-later than both its neighbours, and a stack pass finishes whatever the
-rounds leave. Everything here is cross-checked against
-brute-force enumerations in the test suite.
+later than both its neighbours, compacting the survivors to the front of
+their arrays in place, and a stack pass finishes whatever the rounds leave.
+Everything here is cross-checked against brute-force enumerations in the
+test suite.
 """
 
 from __future__ import annotations
@@ -163,28 +167,33 @@ def _pair_order(rank: np.ndarray, k: int, top: int, word: int = _WORD) -> tuple[
     return by_minor[at], new
 
 
-def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Suffix array by prefix doubling, plus the rank array of every round.
+def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    """Suffix array by prefix doubling, plus the rank levels that a pair
+    round or :func:`lcp_array` reads.
 
     Returns ``(sa, ranks)``, ``sa`` as int32. ``ranks[L][i]`` is the dense
     rank of the length-2^L prefix of the suffix at i (cut at the end of the
     text), so two positions share a rank at level L exactly when those
     prefixes are equal; each level has one extra entry, -1 at index n. The
-    last level's ranks are all distinct.
+    top level T = ``len(ranks) - 1`` is the first whose ranks are all
+    distinct. Levels that nothing reads are ``None``.
 
     Level 0 is the dense symbol ranks. The first sort packs the symbol
     ranks + 1 of the 2^L0 symbols from each position, 0 past the end, beside
     the position, with 2^L0 the most that fit in a word, so levels 1..L0 are
-    prefixes of one sorted array; with L0 = 0 (wide alphabets at large n)
-    that sort is skipped. Each later round sorts the pairs
-    (rank[i], rank[i + 2^L] + 1) with :func:`_pair_order`. There are
-    log2(max LCP) + 2 levels at most, each taking 4 (n + 1) bytes, and each
-    round sorts one or two arrays of n words.
+    prefixes of one sorted array, and its top level F <= L0 is the first of
+    them whose prefixes all differ, or L0. With L0 = 0 (wide alphabets at
+    large n) that sort is skipped. Levels 1..F-1 are ``None``, and so is F
+    unless a pair round follows. Each pair round sorts the pairs
+    (rank[i], rank[i + 2^L] + 1) with :func:`_pair_order` and builds its
+    level. There are log2(max LCP) + 2 levels at most, each built one taking
+    4 (n + 1) bytes, and each round sorts one or two arrays of n words.
 
     With ``stop``, the doubling also ends once 2^L >= stop. Then the last
     level may have ties, and ``sa`` is sorted by length-2^L prefixes only,
     ties in text order: enough for every LCP up to 2^L (:func:`lcp_array`
-    caps it there), so for distinct counts of lengths up to ``stop``.
+    caps it there), so for distinct counts of lengths up to ``stop``. The
+    top level is then ``None`` if the first sort reached it.
     """
     a = np.asarray(arr)
     n = a.size
@@ -206,43 +215,39 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
     if stop is not None:
         first = min(first, (max(stop, 1) - 1).bit_length())
     top = sigma - 1
-    order = None
+    order = new = None
     if first:  # else two symbols do not fit: the pair rounds start at level 0
         width = 1 << first
         words = _pack_windows(rank, width, bits)[:n]
         order = _sort_keys(words, p)
         diff = words[1:] ^ words[:-1]
         del words
-        news = []  # where the length-2^L prefixes change along the sorted words, L = 1, 2, ...
-        for level in range(1, first + 1):
-            news.append(diff >= 1 << ((width - (1 << level)) * bits))
-            if news[-1].all():
-                break
+        # adjacent sorted words differ in their first 2^L symbols where diff >=
+        # 2^((width - 2^L) bits); the first sort's top level is the first L at
+        # which all of them do, or ``first``
+        least = int(diff.min())
+        level = 1
+        while level < first and least < 1 << ((width - (1 << level)) * bits):
+            level += 1
+        new = diff >= 1 << ((width - (1 << level)) * bits)
         del diff
-        rank = _rank_level(order, news[-1])  # one scatter for the top level
-        top = int(rank[order[-1]])
-        for new in news[:-1]:  # each level below is a function of the top one
-            coarse = np.zeros(top + 1, dtype=np.int32)
-            np.cumsum(new[news[-1]], out=coarse[1:])
-            ranks.append(coarse[rank])
-            ranks[-1][n] = -1
-        ranks.append(rank)
-        del news
+        top = int(np.count_nonzero(new))
+        ranks += [None] * level  # built below only if a pair round reads it
     k = 1 << (len(ranks) - 1)
     while top != n - 1 and (stop is None or k < stop):
-        del order  # each round sorts afresh
-        order, new = _pair_order(rank, k, top)
-        rank = _rank_level(order, new)
-        del new
-        ranks.append(rank)
-        top = int(rank[order[-1]])
+        if ranks[-1] is None:
+            ranks[-1] = _rank_level(order, new)  # one scatter for the first sort's top level
+        del order, new  # each round sorts afresh
+        order, new = _pair_order(ranks[-1], k, top)
+        ranks.append(_rank_level(order, new))
+        top = int(ranks[-1][order[-1]])
         k *= 2
     if order is None:  # stop <= 1: suffixes in order of their first symbol
         order = _sort_keys(rank[:n].astype(np.uint64), p)
     return order, ranks
 
 
-def lcp_array(sa: np.ndarray, ranks: list[np.ndarray]) -> np.ndarray:
+def lcp_array(sa: np.ndarray, ranks: list[np.ndarray | None]) -> np.ndarray:
     """lcp[r] = common-prefix length of suffixes sa[r-1] and sa[r]; lcp[0] = 0.
 
     T is the top level of :func:`suffix_array` and W = 2^w the most symbol
@@ -250,8 +255,10 @@ def lcp_array(sa: np.ndarray, ranks: list[np.ndarray]) -> np.ndarray:
     T - 1 down to w adds 2^L to h where the level-L ranks at x + h and y + h
     match, and :func:`word_lcps` of the W-symbol windows there adds the rest,
     below W. A pair tied at T (a doubling cut short by ``stop``) matches on
-    every lifted level and its whole word, so its LCP is capped at 2^T. Pairs
-    go in blocks: ``lcp`` and the windows are the only length-n arrays here.
+    every lifted level and its whole word, so its LCP is capped at 2^T. Only
+    level 0 and levels w..T-1 are read, and :func:`suffix_array` builds
+    those. Pairs go in blocks: ``lcp`` and the windows are the only length-n
+    arrays here.
     """
     n = sa.size
     lcp = np.zeros(n, dtype=np.int64)
@@ -300,6 +307,20 @@ def distinct_length_profile(arr: np.ndarray, ell_max: int) -> np.ndarray:
     return d
 
 
+def _compact(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The entries of ``a`` where ``keep`` is true, moved to its front in
+    place; returns that front as a view. ``np.compress`` runs a block at a
+    time: on the whole array it would build an int64 index of every kept
+    entry, and a boolean mask index is several times slower on masks as
+    mixed as a round's peaks."""
+    at = 0
+    for lo in range(0, a.size, _CHUNK):
+        kept = np.compress(keep[lo : lo + _CHUNK], a[lo : lo + _CHUNK])
+        a[at : at + kept.size] = kept
+        at += kept.size
+    return a[:at]
+
+
 def longest_previous_factor(sa: np.ndarray, lcp: np.ndarray) -> list[int]:
     """lpf[i] = longest common prefix of the suffix at i with any suffix
     starting before i (Crochemore-Ilie, from the suffix and LCP arrays).
@@ -316,13 +337,14 @@ def longest_previous_factor(sa: np.ndarray, lcp: np.ndarray) -> list[int]:
     no two are adjacent, and every entry deleted between two survivors
     started later than both, so a peak's neighbours are already its PSV and
     NSV, as in the sequential order. A round is a few vector passes over
-    int32 arrays, with a -1 start at each end for the ends of the list.
-    Rounds run while at least a tenth of the list is peaks, so the list
-    shrinks geometrically and the rounds cost O(n) in all; below a tenth, a
-    vector round costs more per deleted entry than the stack pass that
-    finishes the survivors. Random inputs empty the list in the rounds;
-    runs, periods and monotone ranges have hardly any peaks and go to the
-    stack at once.
+    int32 arrays, with a -1 start at each end for the ends of the list,
+    and the survivors move to the front of those arrays in place
+    (:func:`_compact`). Rounds run while at least a tenth of the list is
+    peaks, so the list shrinks geometrically and the rounds cost O(n) in
+    all; below a tenth, a vector round costs more per deleted entry than
+    the stack pass that finishes the survivors. Random inputs empty the list
+    in the rounds; runs, periods and monotone ranges have hardly any peaks
+    and go to the stack at once.
 
     The stack pass walks the survivors in list order and keeps them on a
     stack of increasing starts. While an entry waits on it, the result holds
@@ -347,9 +369,9 @@ def longest_previous_factor(sa: np.ndarray, lcp: np.ndarray) -> list[int]:
         left, right = side[k - 1], side[k]
         lpf[start[k]] = np.maximum(left, right)
         side[k - 1] = np.minimum(left, right)
-        keep = ~peak
-        start = start[keep]
-        side = side[keep[:-1]]  # the side right of a peak goes with it
+        keep = np.logical_not(peak, out=peak)
+        start = _compact(start, keep)
+        side = _compact(side, keep[:-1])  # the side right of a peak goes with it
     out = lpf.tolist() if start.size < m + 2 else [0] * m  # skip converting zeros
     stack: list[int] = []
     for i, h in zip(start[1:-1].tolist(), side[:-1].tolist()):

@@ -533,6 +533,50 @@ def _file_and_tokens(tmp_path, n, seed=5):
     return mapped, QueryCountedString.from_tokens(raw), raw
 
 
+class _LoggedBlocks:
+    """An array whose reads are logged as (block, positions read)."""
+
+    def __init__(self, data, log):
+        self.data, self.size, self.dtype, self.log = data, data.size, data.dtype, log
+
+    def __getitem__(self, idx):
+        blocks = np.unique(idx >> accessor._BLOCK_BITS).tolist()
+        assert len(blocks) == 1, "one gather per block"
+        self.log.append((blocks[0], idx.tolist()))
+        return self.data[idx]
+
+
+@pytest.mark.parametrize("kind", ["sorted", "one-block", "shuffled", "sorted-2d", "empty"])
+def test_a_block_gather_reads_each_block_once_then_drops_it(monkeypatch, kind):
+    # blocks of 16 bytes and groups of 50 positions; the grouped path's log,
+    # per group: each block it touches, in block order, read at its
+    # positions in batch order and then dropped
+    monkeypatch.setattr(accessor, "_BLOCK_BITS", 4)
+    monkeypatch.setattr(accessor, "_GATHER_CHUNK", 50)
+    rng = np.random.default_rng(8)
+    data = rng.integers(0, 256, 1000).astype(np.uint8)
+    idx = {
+        "sorted": np.sort(rng.integers(0, 1000, 300)),
+        "one-block": rng.integers(5 * 16, 6 * 16, 120),
+        "shuffled": rng.integers(0, 1000, 300),
+        "sorted-2d": np.sort(rng.integers(0, 1000, 120)).reshape(2, 60),
+        "empty": np.zeros(0, dtype=np.int64),
+    }[kind]
+    want = []
+    flat = idx.ravel()
+    for at in range(0, flat.size, 50):
+        part = flat[at : at + 50]
+        for block in np.unique(part >> 4).tolist():
+            want += [(block, part[part >> 4 == block].tolist()), ("drop", block << 4)]
+    log, sorts = [], []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+    got = accessor._gather_by_block(_LoggedBlocks(data, log), idx, lambda lo: log.append(("drop", lo)))
+    assert got.dtype == data.dtype and np.array_equal(got, data[idx])
+    assert log == want
+    assert bool(sorts) == (kind == "shuffled")  # batches in block order skip the grouping
+
+
 @pytest.mark.parametrize("n", [1, 5000, 2 * BLOCK + 4097])  # one byte; not a page multiple; past two block edges
 def test_a_mapped_file_reads_as_its_tokens_do(tmp_path, n):
     mapped, tokens, raw = _file_and_tokens(tmp_path, n)

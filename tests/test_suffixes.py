@@ -69,12 +69,49 @@ CORPUS = list(_corpus())
 LEVEL_INPUTS = [np.full(33, 2), np.tile([0, 1, 1], 14)[:40], _fibonacci_word(89), random_symbols(150, 2, 5)]
 
 
+def _naive_levels(arr: np.ndarray) -> list[np.ndarray]:
+    """Rank levels 0..D from the naive suffix and LCP arrays, D the first
+    level at which all 2^D-prefixes differ. Sorted suffixes keep equal
+    prefixes together, so the rank of a 2^L-prefix (cut at the end of the
+    text) goes up by one wherever the LCP falls below 2^L; -1 at index n."""
+    return _naive_levels_of(arr.dtype.str, arr.tobytes())
+
+
+@functools.cache
+def _naive_levels_of(dtype: str, data: bytes) -> list[np.ndarray]:
+    arr = np.frombuffer(data, dtype=dtype)
+    sa = naive_suffix_array(arr)
+    lcp = np.array(naive_lcp(arr, sa))
+    levels = []
+    for level in range(int(lcp.max()).bit_length() + 1):
+        rank = np.full(arr.size + 1, -1, dtype=np.int32)
+        rank[sa] = np.cumsum(lcp < 1 << level) - 1  # lcp[0] = 0 starts rank 0
+        levels.append(rank)
+    return levels
+
+
+def _unbuilt_levels(arr: np.ndarray, top: int, stop: int | None = None) -> list[int]:
+    """The levels that ``suffix_array`` leaves ``None``: those below the first
+    sort's top level F, and F too where no pair round follows (``top`` = F).
+    The first sort packs 2^first symbols beside a position, fewer with
+    ``stop``, and stops early at the first level whose prefixes all differ."""
+    bits = symbol_ranks(arr)[1].bit_length()
+    first = ((suffixes._WORD - (arr.size - 1).bit_length()) // bits).bit_length() - 1
+    if stop is not None:
+        first = min(first, (max(stop, 1) - 1).bit_length())
+    f = min(first, len(_naive_levels(arr)) - 1)  # 0: no first sort
+    return list(range(1, f)) + ([f] if 0 < f == top else [])
+
+
 @pytest.mark.parametrize("arr", CORPUS, ids=[f"{i}-n{a.size}" for i, a in enumerate(CORPUS)])
 def test_suffix_layer_matches_naive(arr):
     sa, ranks = suffix_array(arr)
     assert sa.tolist() == naive_suffix_array(arr)
-    distinct = [np.unique(rank[:-1]).size == arr.size for rank in ranks]
-    assert distinct[-1] and not any(distinct[:-1])  # the doubling stops at the first distinct level
+    naive = _naive_levels(arr)
+    assert len(ranks) == len(naive)  # the doubling stops at the first distinct level
+    assert [level for level, rank in enumerate(ranks) if rank is None] == _unbuilt_levels(arr, len(ranks) - 1)
+    for rank, want in zip(ranks, naive):
+        assert rank is None or (rank.dtype == np.int32 and np.array_equal(rank, want))
     lcp = lcp_array(sa, ranks)
     assert lcp.tolist() == naive_lcp(arr, sa.tolist())
     lpf = naive_lpf(arr)
@@ -106,17 +143,32 @@ def test_lpf_matches_stack_pass(kind, n):
     assert longest_previous_factor(sa, lcp) == stack_lpf(sa, lcp)
 
 
+def test_lpf_compaction_block_edges(monkeypatch):
+    # blocks of 7 put compaction edges all through every round's start and
+    # side arrays; n = 1 and constant strings run no round at all
+    inputs = [LPF_KINDS[kind](n) for kind in LPF_KINDS for n in (1, 2, 9, 700, 3000)] + CORPUS
+    cases = [(sa, lcp_array(sa, ranks)) for sa, ranks in map(suffix_array, inputs)]
+    monkeypatch.setattr(suffixes, "_CHUNK", 7)
+    for sa, lcp in cases:
+        assert longest_previous_factor(sa, lcp) == stack_lpf(sa, lcp), sa.size
+
+
 @pytest.mark.parametrize("arr", LEVEL_INPUTS)
 def test_rank_levels_mark_equal_prefixes(arr):
     _, ranks = suffix_array(arr)
     _assert_levels_mark_equal_prefixes(arr, ranks)
-    assert np.unique(ranks[-1][: arr.size]).size == arr.size
+    seq, top = arr.tolist(), len(ranks) - 1
+    distinct = [len({tuple(seq[i : i + (1 << level)]) for i in range(arr.size)}) == arr.size for level in range(top + 1)]
+    assert distinct[-1] and not any(distinct[:-1])  # the doubling stops at the first distinct level
 
 
-def _assert_levels_mark_equal_prefixes(arr, ranks):
+def _assert_levels_mark_equal_prefixes(arr, ranks, stop=None):
     n = arr.size
     seq = arr.tolist()
+    assert [level for level, rank in enumerate(ranks) if rank is None] == _unbuilt_levels(arr, len(ranks) - 1, stop)
     for level, rank in enumerate(ranks):
+        if rank is None:
+            continue
         width = 1 << level
         assert rank.dtype == np.int32 and rank[n] == -1
         for i in range(n):
@@ -139,7 +191,7 @@ def test_capped_distinct_profile_matches_naive(arr):
 def test_capped_levels_mark_equal_prefixes(arr, stop):
     sa, ranks = suffix_array(arr, stop=stop)
     assert len(ranks) == min(len(suffix_array(arr)[1]), 1 + (stop - 1).bit_length())
-    _assert_levels_mark_equal_prefixes(arr, ranks)
+    _assert_levels_mark_equal_prefixes(arr, ranks, stop)
     # sorted by length-2^top prefixes, ties in text order
     seq = arr.tolist()
     width = 1 << (len(ranks) - 1)
@@ -255,7 +307,11 @@ def test_first_sort_is_skipped_when_two_symbols_do_not_fit(monkeypatch):
         monkeypatch.setattr(suffixes, "_WORD", (arr.size - 1).bit_length() + symbol_ranks(arr)[1].bit_length())
         got_sa, got_ranks = suffix_array(arr, stop)
         assert np.array_equal(got_sa, sa)
-        assert len(got_ranks) == len(ranks) and all(map(np.array_equal, got_ranks, ranks))
+        # with no first sort every level is a pair round's: all are built
+        assert len(got_ranks) == len(ranks) and all(rank is not None for rank in got_ranks)
+        assert _unbuilt_levels(arr, len(ranks) - 1, stop) == []
+        for got, rank, want in zip(got_ranks, ranks, _naive_levels(arr)):
+            assert np.array_equal(got, want if rank is None else rank)
     assert not packed
 
 
