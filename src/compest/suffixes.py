@@ -37,7 +37,7 @@ import numpy as np
 
 _MAX_N = 2**31  # positions and rank levels are int32
 _WORD = 64  # bits in a packed sort word
-_CHUNK = 1 << 14  # words per block of the in-place packer, pairs per block of the LCP pass
+_CHUNK = 1 << 14  # words per packer block, pairs per LCP-pass block, entries per LPF compaction block
 
 
 def symbol_ranks(a: np.ndarray) -> tuple[np.ndarray, int]:

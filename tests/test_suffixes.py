@@ -103,13 +103,17 @@ def _unbuilt_levels(arr: np.ndarray, top: int, stop: int | None = None) -> list[
     return list(range(1, f)) + ([f] if 0 < f == top else [])
 
 
+def _none_levels(ranks) -> list[int]:
+    return [level for level, rank in enumerate(ranks) if rank is None]
+
+
 @pytest.mark.parametrize("arr", CORPUS, ids=[f"{i}-n{a.size}" for i, a in enumerate(CORPUS)])
 def test_suffix_layer_matches_naive(arr):
     sa, ranks = suffix_array(arr)
     assert sa.tolist() == naive_suffix_array(arr)
     naive = _naive_levels(arr)
     assert len(ranks) == len(naive)  # the doubling stops at the first distinct level
-    assert [level for level, rank in enumerate(ranks) if rank is None] == _unbuilt_levels(arr, len(ranks) - 1)
+    assert _none_levels(ranks) == _unbuilt_levels(arr, len(ranks) - 1)
     for rank, want in zip(ranks, naive):
         assert rank is None or (rank.dtype == np.int32 and np.array_equal(rank, want))
     lcp = lcp_array(sa, ranks)
@@ -158,14 +162,15 @@ def test_rank_levels_mark_equal_prefixes(arr):
     _, ranks = suffix_array(arr)
     _assert_levels_mark_equal_prefixes(arr, ranks)
     seq, top = arr.tolist(), len(ranks) - 1
-    distinct = [len({tuple(seq[i : i + (1 << level)]) for i in range(arr.size)}) == arr.size for level in range(top + 1)]
+    prefixes = [{tuple(seq[i : i + (1 << level)]) for i in range(arr.size)} for level in range(top + 1)]
+    distinct = [len(seen) == arr.size for seen in prefixes]
     assert distinct[-1] and not any(distinct[:-1])  # the doubling stops at the first distinct level
 
 
 def _assert_levels_mark_equal_prefixes(arr, ranks, stop=None):
     n = arr.size
     seq = arr.tolist()
-    assert [level for level, rank in enumerate(ranks) if rank is None] == _unbuilt_levels(arr, len(ranks) - 1, stop)
+    assert _none_levels(ranks) == _unbuilt_levels(arr, len(ranks) - 1, stop)
     for level, rank in enumerate(ranks):
         if rank is None:
             continue
@@ -308,7 +313,7 @@ def test_first_sort_is_skipped_when_two_symbols_do_not_fit(monkeypatch):
         got_sa, got_ranks = suffix_array(arr, stop)
         assert np.array_equal(got_sa, sa)
         # with no first sort every level is a pair round's: all are built
-        assert len(got_ranks) == len(ranks) and all(rank is not None for rank in got_ranks)
+        assert len(got_ranks) == len(ranks) and _none_levels(got_ranks) == []
         assert _unbuilt_levels(arr, len(ranks) - 1, stop) == []
         for got, rank, want in zip(got_ranks, ranks, _naive_levels(arr)):
             assert np.array_equal(got, want if rank is None else rank)
