@@ -101,23 +101,18 @@ def _gather_by_block(data: np.ndarray, idx0: np.ndarray, drop: Callable[[int], N
 
     Positions are grouped ``_GATHER_CHUNK`` at a time, so the grouping's
     index array takes at most 8 * ``_GATHER_CHUNK`` bytes however many
-    positions are asked for. A group whose positions are already in block
-    order (a run's walk, sorted draws, one block) skips the grouping and
-    gathers each block as a slice of the group."""
+    positions are asked for."""
     flat = idx0.ravel()
     out = np.empty(flat.size, dtype=data.dtype)
     block_type = np.min_scalar_type((data.size - 1) >> _BLOCK_BITS)
     for at in range(0, flat.size, _GATHER_CHUNK):
         part, dest = flat[at : at + _GATHER_CHUNK], out[at : at + _GATHER_CHUNK]
         block = (part >> _BLOCK_BITS).astype(block_type)
-        if (block[1:] >= block[:-1]).all():
-            order = None
-        else:
-            order = np.argsort(block, kind="stable")  # a radix sort on these small unsigned ints
-            block = block[order]
+        order = np.argsort(block, kind="stable")  # a radix sort on these small unsigned ints
+        block = block[order]
         cuts = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
         for lo, hi in zip([0, *cuts], [*cuts, part.size]):
-            take = slice(lo, hi) if order is None else order[lo:hi]
+            take = order[lo:hi]
             dest[take] = data[part[take]]
             drop(int(block[lo]) << _BLOCK_BITS)
     return out.reshape(idx0.shape)

@@ -548,9 +548,9 @@ class _LoggedBlocks:
 
 @pytest.mark.parametrize("kind", ["sorted", "one-block", "shuffled", "sorted-2d", "empty"])
 def test_a_block_gather_reads_each_block_once_then_drops_it(monkeypatch, kind):
-    # blocks of 16 bytes and groups of 50 positions; the grouped path's log,
-    # per group: each block it touches, in block order, read at its
-    # positions in batch order and then dropped
+    # blocks of 16 bytes and groups of 50 positions; per group, each block
+    # it touches, in block order, is read at its positions in batch order
+    # and then dropped
     monkeypatch.setattr(accessor, "_BLOCK_BITS", 4)
     monkeypatch.setattr(accessor, "_GATHER_CHUNK", 50)
     rng = np.random.default_rng(8)
@@ -568,13 +568,10 @@ def test_a_block_gather_reads_each_block_once_then_drops_it(monkeypatch, kind):
         part = flat[at : at + 50]
         for block in np.unique(part >> 4).tolist():
             want += [(block, part[part >> 4 == block].tolist()), ("drop", block << 4)]
-    log, sorts = [], []
-    argsort = np.argsort
-    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+    log = []
     got = accessor._gather_by_block(_LoggedBlocks(data, log), idx, lambda lo: log.append(("drop", lo)))
     assert got.dtype == data.dtype and np.array_equal(got, data[idx])
     assert log == want
-    assert bool(sorts) == (kind == "shuffled")  # batches in block order skip the grouping
 
 
 @pytest.mark.parametrize("n", [1, 5000, 2 * BLOCK + 4097])  # one byte; not a page multiple; past two block edges

@@ -91,15 +91,19 @@ def _naive_levels_of(dtype: str, data: bytes) -> list[np.ndarray]:
 
 
 def _unbuilt_levels(arr: np.ndarray, top: int, stop: int | None = None) -> list[int]:
-    """The levels that ``suffix_array`` leaves ``None``: those below the first
-    sort's top level F, and F too where no pair round follows (``top`` = F).
-    The first sort packs 2^first symbols beside a position, fewer with
-    ``stop``, and stops early at the first level whose prefixes all differ."""
-    bits = symbol_ranks(arr)[1].bit_length()
-    first = ((suffixes._WORD - (arr.size - 1).bit_length()) // bits).bit_length() - 1
-    if stop is not None:
-        first = min(first, (max(stop, 1) - 1).bit_length())
-    f = min(first, len(_naive_levels(arr)) - 1)  # 0: no first sort
+    """The levels that ``suffix_array`` should leave ``None``: those below
+    the first sort's top level F, and F too where no pair round reads it
+    (``top`` = F). F is counted up one level at a time: the most levels whose
+    2^F symbol ranks + 1, at sigma.bit_length() bits each, fit in a word
+    beside a position, and no higher than the first level whose prefixes all
+    differ or whose length reaches ``stop``. Every level that ``lcp_array``
+    reads must be built too: the LCP checks fail on a ``None`` level."""
+    bits = len(set(arr.tolist())).bit_length()
+    p = (arr.size - 1).bit_length()
+    distinct = len(_naive_levels(arr)) - 1
+    f = 0  # 0: no first sort
+    while (2 << f) * bits + p <= suffixes._WORD and f < distinct and (stop is None or 1 << f < stop):
+        f += 1
     return list(range(1, f)) + ([f] if 0 < f == top else [])
 
 
