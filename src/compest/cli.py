@@ -28,11 +28,10 @@ from .campaign import ESTIMATORS, CampaignConfig, audit_queries, run_campaign, w
 from .generators import FAMILIES, GeneratorSpec
 from .lz import distinguish_compressible
 from .oracles import (
-    CostBreakdown,
     exact_color_count,
     exact_distinct_substrings,
     exact_lz_cost,
-    exact_rle_cost,
+    rle_part_chunks,
     rle_total_cost,
 )
 
@@ -42,30 +41,37 @@ def _emit(obj: dict) -> None:
 
 
 _PART = '    {\n      "cost": %d,\n      "length": %d,\n      "start": %d\n    }'
-_CHUNK = 1 << 16  # parts formatted per write, so the text never exists whole
+_CHUNK = 1 << 12  # parts formatted per write, and symbols per run chunk of an RLE breakdown
 
 
-def _emit_breakdown(b: CostBreakdown) -> None:
-    """Print ``b`` as ``_emit`` would print its scheme, total_cost and list of
-    part dicts, but written from the columns a chunk of parts at a time."""
+def _emit_breakdown(scheme: str, parts) -> None:
+    """Print what ``_emit`` prints for a breakdown's scheme, total_cost and
+    list of part dicts, written from ``parts``, an iterable of (starts,
+    lengths, costs) column chunks, ``_CHUNK`` parts at a time, so neither
+    the text nor the columns need to exist whole. total_cost, the sum of
+    the costs, comes last, as the keys sort."""
     out = sys.stdout
     out.write('{\n  "parts": [')
     sep = "\n"
-    for lo in range(0, b.starts.size, _CHUNK):
-        rows = zip(*(col[lo : lo + _CHUNK].tolist() for col in (b.costs, b.lengths, b.starts)))
-        out.write(sep + ",\n".join(map(_PART.__mod__, rows)))
-        sep = ",\n"
-    out.write("\n  ]" if b.starts.size else "]")
-    out.write(f',\n  "scheme": {json.dumps(b.scheme)},\n  "total_cost": {int(b.total_cost)}\n}}\n')
+    total = 0
+    for starts, lengths, costs in parts:
+        total += int(costs.sum())
+        for lo in range(0, starts.size, _CHUNK):
+            rows = zip(*(col[lo : lo + _CHUNK].tolist() for col in (costs, lengths, starts)))
+            out.write(sep + ",\n".join(map(_PART.__mod__, rows)))
+            sep = ",\n"
+    out.write("]" if sep == "\n" else "\n  ]")
+    out.write(f',\n  "scheme": {json.dumps(scheme)},\n  "total_cost": {total}\n}}\n')
 
 
 def _cmd_exact(args) -> int:
     acc = QueryCountedString.from_file(args.file, args.alphabet_size)
     data = acc.session().read_all()
     if args.scheme == "rle":
-        _emit_breakdown(exact_rle_cost(data, acc.alphabet_size))
+        _emit_breakdown("rle", rle_part_chunks(data, acc.alphabet_size, _CHUNK))
     elif args.scheme == "lz":
-        _emit_breakdown(exact_lz_cost(data))
+        b = exact_lz_cost(data)
+        _emit_breakdown(b.scheme, [(b.starts, b.lengths, b.costs)])
     elif args.scheme == "distinct":
         if args.ell is None:
             raise ValueError("--ell is required with --scheme distinct")

@@ -77,16 +77,17 @@ class CostBreakdown:
 RUN_CHUNK = 1 << 18
 
 
-def _run_length_chunks(arr: np.ndarray):
+def _run_length_chunks(arr: np.ndarray, chunk: int | None = None):
     """The lengths of the maximal runs of ``arr`` in order, one array per
-    ``RUN_CHUNK`` symbols, in O(chunk) extra memory: the run still open at a
-    chunk's end is carried into the next."""
+    ``chunk`` symbols (default ``RUN_CHUNK``), in O(chunk) extra memory: the
+    run still open at a chunk's end is carried into the next."""
     n = arr.size
     if n == 0:
         raise ValueError("empty string")
+    chunk = chunk or RUN_CHUNK
     open_at = 0  # 0-indexed start of the run not yet closed
-    for lo in range(1, n, RUN_CHUNK):
-        hi = min(lo + RUN_CHUNK, n)
+    for lo in range(1, n, chunk):
+        hi = min(lo + chunk, n)
         starts = np.flatnonzero(arr[lo:hi] != arr[lo - 1 : hi - 1])  # offsets from lo
         if starts.size:
             lengths = np.empty(starts.size, dtype=np.int64)
@@ -123,6 +124,25 @@ def rle_total_cost(w, alphabet_size: int) -> int:
     return bits + runs * alphabet_bits(alphabet_size)
 
 
+def rle_part_chunks(w, alphabet_size: int, chunk: int | None = None):
+    """The columns of ``exact_rle_cost(w, alphabet_size)`` (1-indexed
+    starts, lengths, costs), one triple per ``chunk`` symbols (default
+    ``RUN_CHUNK``), in O(chunk) memory. ``alphabet_size`` is trusted, as in
+    :func:`rle_total_cost`."""
+    s_bits = alphabet_bits(alphabet_size)
+    start = 1
+    for lengths in _run_length_chunks(as_symbols(w), chunk):
+        starts = np.cumsum(lengths)
+        end = int(starts[-1])
+        starts -= lengths
+        starts += start
+        costs = lengths.astype(np.float64).view(np.int64)  # ceil(log2(ell + 1)), as in _rle_bits_and_runs
+        costs >>= 52
+        costs += s_bits - 1022
+        yield starts, lengths, costs
+        start += end
+
+
 def exact_rle_cost(w, alphabet_size: int | None = None) -> CostBreakdown:
     """Exact run-length encoding cost of ``w``.
 
@@ -134,10 +154,8 @@ def exact_rle_cost(w, alphabet_size: int | None = None) -> CostBreakdown:
     sigma = max(2, distinct) if alphabet_size is None else int(alphabet_size)
     if distinct > sigma:
         raise ValueError(f"{distinct} distinct symbols exceed alphabet size {sigma}")
-    s_bits = alphabet_bits(sigma)
-    starts, lengths = run_lengths(arr)
-    costs = ceil_log2(lengths + 1) + s_bits
-    return CostBreakdown(int(costs.sum()), starts + 1, lengths, costs, scheme="rle")
+    starts, lengths, costs = map(np.concatenate, zip(*rle_part_chunks(arr, sigma)))
+    return CostBreakdown(int(costs.sum()), starts, lengths, costs, scheme="rle")
 
 
 def rle_length_bits(w) -> int:

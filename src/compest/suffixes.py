@@ -5,7 +5,17 @@ compared key sits in the high bits of a uint64 and, where the order of ties
 matters, the text position in the low bits, so the sorted words carry both
 the order and the keys, ties in text order, with no stable argsort and no
 gather of keys. Symbols enter as dense ranks, so the key width follows the
-alphabet, not the range of the symbol values.
+alphabet, not the range of the symbol values: bit_length(sigma - 1) bits a
+symbol, so binary text packs one bit a symbol.
+
+A window of symbols is zero-padded past the end of the text, and 0 is also
+the smallest symbol rank. Padding with the smallest symbol keeps the order
+of windows, but a suffix u shorter than the window (a tail, of which there
+are fewer than the window's width) ties with the windows that read u
+followed by zeros, and it is a proper prefix of each. So a tail sorts before
+every window equal to its padded one, shorter tails first, and its prefixes
+count as differing from their neighbours' at every length past its own; the
+LCP of any pair is capped at the length of the shorter suffix.
 
 Prefix doubling (Manber-Myers) builds the suffix array and keeps the rank
 levels that something reads. Its first sort packs as many symbols per
@@ -14,7 +24,8 @@ of those sorted words (where two symbols do not fit, the first sort is
 skipped). Only the top one of those levels is ever read, by the first pair
 round, so only it is built, and only when a pair round follows. Each pair
 round packs a pair of ranks; where the pair and the position need more than
-64 bits, it sorts twice (minor key, then major). The LCP of every
+64 bits, it sorts twice (minor key, then major). A round's level is built
+only if another round follows: the top level is never read. The LCP of every
 suffix-array-adjacent pair comes from binary lifting over the rank levels
 above one word, all of them pair-round levels or the level the first pair
 round read, then one compare of packed symbol windows of level 0.
@@ -69,14 +80,17 @@ def symbol_ranks(a: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _pack_windows(rank: np.ndarray, width: int, bits: int) -> np.ndarray:
-    """words[i] holds rank[i : i + width] + 1, ``bits`` bits per symbol, the
-    first symbol highest, for i <= n: ``rank`` is a level, -1 at index n, so
-    0 past the end. ``width`` is a power of two, ``width * bits`` <= 64. Each
-    word starts as its first symbol in the top field; log2(width) doubling
-    passes OR in the word w ahead shifted down w fields, in place, block by
-    block from the front, so no word is read after it is rewritten."""
+    """words[i] holds rank[i : i + width], ``bits`` bits per symbol, the
+    first symbol highest, zero-padded past the end, for i <= n: ``rank`` is
+    level 0, with its -1 slot at index n. Padded windows of the last
+    ``width`` - 1 positions can equal other windows; the callers tell them
+    apart. ``width`` is a power of two, ``width * bits`` <= 64. Each word
+    starts as its first symbol in the top field; log2(width) doubling passes
+    OR in the word w ahead shifted down w fields, in place, block by block
+    from the front, so no word is read after it is rewritten."""
     words = np.empty(rank.size, dtype=np.uint64)
-    np.add(rank, 1, out=words, casting="unsafe")
+    np.copyto(words[:-1], rank[:-1], casting="unsafe")
+    words[-1] = 0
     words <<= (width - 1) * bits
     w = 1
     while w < width:
@@ -115,6 +129,43 @@ def _sort_keys(keys: np.ndarray, p: int) -> np.ndarray:
     np.bitwise_and(keys, (1 << p) - 1, out=order, casting="unsafe")
     keys >>= p
     return order
+
+
+def _window_order(rank: np.ndarray, width: int, bits: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions sorted by their ``width``-symbol windows of level 0, as
+    suffixes compare, and diff[r], the XOR of the windows at sorted indices
+    r and r + 1 with each suffix's end marked in it.
+
+    One ``np.sort`` of window << p | field, where the field is i + t for a
+    full window and n - 1 - i for each of the t tails, the suffixes shorter
+    than the window. So a tail comes before every full window that pads to
+    the same word, shorter tails first, and full windows tie in text order.
+    A binary search finds each tail's sorted index to restore its position.
+    In a pair with a tail, one bit in the field of symbol c = the shorter
+    suffix's length is set in ``diff``, so the highest set bit of ``diff``
+    falls at or before the first symbol where the two suffixes differ or
+    one ends: the pair counts as differing at every prefix length past c.
+    """
+    n = rank.size - 1
+    t = min(width - 1, n)
+    keys = _pack_windows(rank, width, bits)[:n]
+    keys <<= p
+    keys[: n - t] += np.arange(t, n, dtype=np.uint32)
+    keys[n - t :] += np.arange(t - 1, -1, -1, dtype=np.uint32)
+    tails = keys[n - t :].copy()
+    keys.sort()
+    at = np.searchsorted(keys, tails)
+    order = np.empty(n, dtype=np.int32)
+    np.bitwise_and(keys, (1 << p) - 1, out=order, casting="unsafe")
+    order -= t
+    order[at] = np.arange(n - t, n, dtype=np.int32)
+    keys >>= p
+    diff = keys[1:] ^ keys[:-1]
+    del keys
+    pairs = np.union1d(at[at > 0] - 1, at[at < n - 1])  # pair r: sorted indices r and r + 1
+    shorter = n - np.maximum(order[pairs], order[pairs + 1])
+    diff[pairs] |= np.left_shift(np.uint64(1), ((width - 1 - shorter) * bits).astype(np.uint64))
+    return order, diff
 
 
 def _rank_level(order: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -176,24 +227,26 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
     text), so two positions share a rank at level L exactly when those
     prefixes are equal; each level has one extra entry, -1 at index n. The
     top level T = ``len(ranks) - 1`` is the first whose ranks are all
-    distinct. Levels that nothing reads are ``None``.
+    distinct. Levels that nothing reads are ``None``, T among them.
 
     Level 0 is the dense symbol ranks. The first sort packs the symbol
-    ranks + 1 of the 2^L0 symbols from each position, 0 past the end, beside
-    the position, with 2^L0 the most that fit in a word, so levels 1..L0 are
-    prefixes of one sorted array, and its top level F <= L0 is the first of
-    them whose prefixes all differ, or L0. With L0 = 0 (wide alphabets at
-    large n) that sort is skipped. Levels 1..F-1 are ``None``, and so is F
-    unless a pair round follows. Each pair round sorts the pairs
-    (rank[i], rank[i + 2^L] + 1) with :func:`_pair_order` and builds its
-    level. There are log2(max LCP) + 2 levels at most, each built one taking
-    4 (n + 1) bytes, and each round sorts one or two arrays of n words.
+    ranks of the 2^L0 symbols from each position, zero-padded past the end,
+    beside the position, with 2^L0 the most that fit in a word, and orders
+    the tails, the suffixes shorter than 2^L0, by :func:`_window_order`, so
+    levels 1..L0 are prefixes of one sorted array, and its top level
+    F <= L0 is the first of them whose prefixes all differ, or L0. With
+    L0 = 0 (wide alphabets at large n) that sort is skipped. Levels 1..F-1
+    are ``None``, and so is F unless a pair round follows. Each pair round
+    sorts the pairs (rank[i], rank[i + 2^L] + 1) with :func:`_pair_order`
+    and builds its level only if another round reads it, so the top level
+    is ``None`` unless it is level 0. There are log2(max LCP) + 2 levels at
+    most, each built one taking 4 (n + 1) bytes, and each round sorts one
+    or two arrays of n words.
 
     With ``stop``, the doubling also ends once 2^L >= stop. Then the last
     level may have ties, and ``sa`` is sorted by length-2^L prefixes only,
     ties in text order: enough for every LCP up to 2^L (:func:`lcp_array`
-    caps it there), so for distinct counts of lengths up to ``stop``. The
-    top level is then ``None`` if the first sort reached it.
+    caps it there), so for distinct counts of lengths up to ``stop``.
     """
     a = np.asarray(arr)
     n = a.size
@@ -210,7 +263,7 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
         order[rank[:n]] = np.arange(n, dtype=np.int32)
         return order, ranks
     p = (n - 1).bit_length()
-    bits = sigma.bit_length()
+    bits = max(1, (sigma - 1).bit_length())
     first = ((_WORD - p) // bits).bit_length() - 1  # 2^first symbols fit beside a position
     if stop is not None:
         first = min(first, (max(stop, 1) - 1).bit_length())
@@ -218,13 +271,10 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
     order = new = None
     if first:  # else two symbols do not fit: the pair rounds start at level 0
         width = 1 << first
-        words = _pack_windows(rank, width, bits)[:n]
-        order = _sort_keys(words, p)
-        diff = words[1:] ^ words[:-1]
-        del words
-        # adjacent sorted words differ in their first 2^L symbols where diff >=
-        # 2^((width - 2^L) bits); the first sort's top level is the first L at
-        # which all of them do, or ``first``
+        order, diff = _window_order(rank, width, bits, p)
+        # adjacent sorted suffixes differ in their first 2^L symbols where diff
+        # >= 2^((width - 2^L) bits); the first sort's top level is the first L
+        # at which all of them do, or ``first``
         least = int(diff.min())
         level = 1
         while level < first and least < 1 << ((width - (1 << level)) * bits):
@@ -236,11 +286,11 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
     k = 1 << (len(ranks) - 1)
     while top != n - 1 and (stop is None or k < stop):
         if ranks[-1] is None:
-            ranks[-1] = _rank_level(order, new)  # one scatter for the first sort's top level
+            ranks[-1] = _rank_level(order, new)  # one scatter, for the round that reads it
         del order, new  # each round sorts afresh
         order, new = _pair_order(ranks[-1], k, top)
-        ranks.append(_rank_level(order, new))
-        top = int(ranks[-1][order[-1]])
+        ranks.append(None)
+        top = int(np.count_nonzero(new))
         k *= 2
     if order is None:  # stop <= 1: suffixes in order of their first symbol
         order = _sort_keys(rank[:n].astype(np.uint64), p)
@@ -251,28 +301,36 @@ def lcp_array(sa: np.ndarray, ranks: list[np.ndarray | None]) -> np.ndarray:
     """lcp[r] = common-prefix length of suffixes sa[r-1] and sa[r]; lcp[0] = 0.
 
     T is the top level of :func:`suffix_array` and W = 2^w the most symbol
-    ranks + 1 that fit in a word, capped at 2^T. Binary lifting from level
-    T - 1 down to w adds 2^L to h where the level-L ranks at x + h and y + h
-    match, and :func:`word_lcps` of the W-symbol windows there adds the rest,
-    below W. A pair tied at T (a doubling cut short by ``stop``) matches on
-    every lifted level and its whole word, so its LCP is capped at 2^T. Only
-    level 0 and levels w..T-1 are read, and :func:`suffix_array` builds
-    those. Pairs go in blocks: ``lcp`` and the windows are the only length-n
-    arrays here.
+    ranks that fit in a word, capped at 2^T. Binary lifting from level T - 1
+    down to w adds 2^L to h where the level-L ranks at x + h and y + h match,
+    and :func:`word_lcps` of the zero-padded W-symbol windows there adds the
+    rest, below W. Padding can match past the end of the shorter suffix, so
+    each LCP is capped at n - max(x, y). A pair tied at T (a doubling cut
+    short by ``stop``) matches on every lifted level and its whole word, so
+    its LCP is capped at 2^T. Only level 0 and levels w..T-1 are read, and
+    :func:`suffix_array` builds those. With no level to lift, each suffix's
+    window is gathered once and serves both pairs it is in. Pairs go in
+    blocks: ``lcp`` and the windows are the only length-n arrays here.
     """
     n = sa.size
     lcp = np.zeros(n, dtype=np.int64)
     if n < 2:
         return lcp
     top = len(ranks) - 1
-    bits = int(ranks[0][sa[-1]] + 1).bit_length()  # sa[-1] starts with the largest symbol
+    bits = max(1, int(ranks[0][sa[-1]]).bit_length())  # sa[-1] starts with the largest symbol
     w = min((_WORD // bits).bit_length() - 1, top)
     words = _pack_windows(ranks[0], 1 << w, bits)
     for lo in range(0, n - 1, _CHUNK):
-        x, y, h = (v[lo : lo + _CHUNK] for v in (sa[:-1], sa[1:], lcp[1:]))
-        for level in range(top - 1, w - 1, -1):
-            h += (ranks[level].take(x + h) == ranks[level].take(y + h)).astype(np.int64) << level
-        h += word_lcps(words.take(x + h), words.take(y + h), 1 << w, bits)
+        v = sa[lo : lo + _CHUNK + 1]
+        x, y, h = v[:-1], v[1:], lcp[lo + 1 : lo + _CHUNK + 1]
+        if w == top:
+            g = words.take(v)
+            h[:] = word_lcps(g[:-1], g[1:], 1 << w, bits)
+        else:
+            for level in range(top - 1, w - 1, -1):
+                h += (ranks[level].take(x + h) == ranks[level].take(y + h)).astype(np.int64) << level
+            h += word_lcps(words.take(x + h), words.take(y + h), 1 << w, bits)
+        np.minimum(h, n - np.maximum(x, y), out=h)
     return lcp
 
 

@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from compest import QueryCountedString, cli
+from compest import QueryCountedString, cli, oracles
+from compest._rng import make_rng
 from compest.campaign import (
     ESTIMATORS,
     CampaignConfig,
@@ -440,10 +442,46 @@ def test_exact_writer_matches_json_dumps(chunk, monkeypatch):
         ]
         obj = {"scheme": b.scheme, "total_cost": b.total_cost, "parts": parts}
         monkeypatch.setattr(cli, "_CHUNK", chunk)
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            cli._emit_breakdown(b)
-        assert buf.getvalue() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        cols = (b.starts, b.lengths, b.costs)
+        for cut in {0, b.starts.size // 2}:  # one column chunk, and two
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                cli._emit_breakdown(b.scheme, [[c[:cut] for c in cols], [c[cut:] for c in cols]][cut == 0 :])
+            assert buf.getvalue() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("run_chunk, chunk", [(1, 1), (2, 3), (7, 5), (1 << 18, 1 << 16)])
+def test_exact_rle_streams_its_parts(run_chunk, chunk, tmp_path, monkeypatch):
+    # the CLI takes the runs from the run pass ``_CHUNK`` symbols at a time,
+    # exact_rle_cost ``RUN_CHUNK`` at a time; total_cost comes last
+    arr = np.repeat(make_rng(3).integers(0, 3, 300), make_rng(4).integers(1, 6, 300)).astype(np.uint8)
+    path = tmp_path / "runs.bin"
+    path.write_bytes(arr.tobytes())
+    b = exact_rle_cost(arr)
+    parts = [{"start": s, "length": ln, "cost": c} for s, ln, c in zip(b.starts.tolist(), b.lengths.tolist(), b.costs.tolist())]
+    want = json.dumps({"scheme": "rle", "total_cost": b.total_cost, "parts": parts}, sort_keys=True, indent=2) + "\n"
+    monkeypatch.setattr(oracles, "RUN_CHUNK", run_chunk)
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    small = exact_rle_cost(arr)
+    assert all(map(np.array_equal, (small.starts, small.lengths, small.costs), (b.starts, b.lengths, b.costs)))
+    assert run_cli(["exact", "--scheme", "rle", str(path)]) == (0, want)
+
+
+def test_exact_rle_memory_does_not_grow_with_n(tmp_path, monkeypatch):
+    # random bytes make a run of almost every symbol: columns of every run
+    # (24 bytes a run, more while they are worked out) would show
+    monkeypatch.setattr(cli, "_CHUNK", 1 << 10)
+    peaks = []
+    for n in (10_000, 100_000):
+        path = tmp_path / f"bytes{n}.bin"
+        path.write_bytes(make_rng(n).integers(0, 256, n).astype(np.uint8).tobytes())
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            tracemalloc.start()
+            code = cli.main(["exact", "--scheme", "rle", str(path)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] < peaks[0] + (1 << 20), peaks
 
 
 def test_cli_stochastic_subcommands_replay_byte_identical(sample_file, tmp_path):

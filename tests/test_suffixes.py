@@ -17,7 +17,15 @@ from compest.suffixes import (
     symbol_ranks,
     word_lcps,
 )
-from naive import naive_distinct, naive_lcp, naive_lpf, naive_suffix_array, random_symbols, stack_lpf
+from naive import (
+    _extension_table,
+    naive_distinct,
+    naive_lcp,
+    naive_lpf,
+    naive_suffix_array,
+    random_symbols,
+    stack_lpf,
+)
 
 
 def _fibonacci_word(n: int) -> np.ndarray:
@@ -92,19 +100,20 @@ def _naive_levels_of(dtype: str, data: bytes) -> list[np.ndarray]:
 
 def _unbuilt_levels(arr: np.ndarray, top: int, stop: int | None = None) -> list[int]:
     """The levels that ``suffix_array`` should leave ``None``: those below
-    the first sort's top level F, and F too where no pair round reads it
-    (``top`` = F). F is counted up one level at a time: the most levels whose
-    2^F symbol ranks + 1, at sigma.bit_length() bits each, fit in a word
-    beside a position, and no higher than the first level whose prefixes all
-    differ or whose length reaches ``stop``. Every level that ``lcp_array``
-    reads must be built too: the LCP checks fail on a ``None`` level."""
-    bits = len(set(arr.tolist())).bit_length()
+    the first sort's top level F, and the top level ``top`` unless it is
+    level 0, as nothing reads it. F is counted up one level at a time: the
+    most levels whose 2^F symbol ranks, at (sigma - 1).bit_length() bits each
+    (at least 1), fit in a word beside a position, and no higher than the
+    first level whose prefixes all differ or whose length reaches ``stop``.
+    Every level that ``lcp_array`` reads must be built too: the LCP checks
+    fail on a ``None`` level."""
+    bits = max(1, (len(set(arr.tolist())) - 1).bit_length())
     p = (arr.size - 1).bit_length()
     distinct = len(_naive_levels(arr)) - 1
     f = 0  # 0: no first sort
     while (2 << f) * bits + p <= suffixes._WORD and f < distinct and (stop is None or 1 << f < stop):
         f += 1
-    return list(range(1, f)) + ([f] if 0 < f == top else [])
+    return sorted(set(range(1, f)) | ({top} - {0}))
 
 
 def _none_levels(ranks) -> list[int]:
@@ -210,6 +219,50 @@ def test_capped_levels_mark_equal_prefixes(arr, stop):
     assert lcp_array(sa, ranks).tolist() == np.minimum(naive, width).tolist()
 
 
+def _padded_tie_inputs(n: int, sigma: int) -> list[np.ndarray]:
+    """Two strings of length n over symbols below sigma whose zero-padded
+    windows tie: one ends in a run of the smallest symbol, whose tails pad
+    to the same words as each other and as the run's full windows; in the
+    other the tail u of length m also occurs earlier as u followed by zeros."""
+    rng = make_rng(n * 1000 + sigma)
+    ends_in_zeros = rng.integers(0, sigma, n)
+    ends_in_zeros[n - 1 - n // 3 :] = 0
+    m = 1 + n * 37 % max(1, min(63, n // 2))
+    u = rng.integers(0, sigma, m)
+    zeros = (n - 2 * m) * 2 // 3
+    lead = rng.integers(0, sigma, max(0, n - 2 * m - zeros))
+    twin = np.concatenate([lead, u, np.zeros(max(0, zeros), dtype=np.int64), u])[-n:]
+    return [ends_in_zeros, twin]
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 5, 64, 256])
+def test_padded_tails_match_naive(sigma):
+    # every window width of the first sort (4..32 symbols here) and of the LCP
+    # words (8..64) exceeds some n, so every tail length and end-of-text case
+    # comes up, including n below the width, where every suffix is a tail
+    for n in range(1, 2 * 64 + 3):
+        for arr in _padded_tie_inputs(n, sigma):
+            seq = arr.tolist()
+            ext = _extension_table(arr)
+            sa, ranks = suffix_array(arr)
+            assert sa.tolist() == naive_suffix_array(arr), (n, seq)
+            lcp = lcp_array(sa, ranks)
+            assert lcp.tolist() == [0] + ext[sa[:-1], sa[1:]].tolist(), (n, seq)
+            assert longest_previous_factor(sa, lcp) == naive_lpf(arr), (n, seq)
+            assert _none_levels(ranks) == _unbuilt_levels(arr, len(ranks) - 1)
+            for rank, want in zip(ranks, _naive_levels(arr)):
+                assert rank is None or np.array_equal(rank, want)
+            for stop in (1, 2, 5, 8, 32, 33):
+                capped, ranks = suffix_array(arr, stop)
+                width = 1 << (len(ranks) - 1)
+                keys = [(seq[i : i + width], i) for i in capped.tolist()]
+                assert keys == sorted(keys), (n, stop, seq)  # ties in text order
+                want = np.minimum(ext[capped[:-1], capped[1:]], width)
+                assert lcp_array(capped, ranks).tolist() == [0] + want.tolist(), (n, stop, seq)
+            profile = [naive_distinct(arr, ell) for ell in range(1, 34)]
+            assert distinct_length_profile(arr, 33).tolist() == profile, (n, seq)
+
+
 def _prefix_sorted(arr: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Starts sorted by their first ``width`` symbols (-1 past the end) and the
     adjacent LCPs, given that those prefixes are all distinct."""
@@ -252,7 +305,7 @@ def test_lcp_word_split_and_chunk_edges(monkeypatch):
         got_sa, got_ranks = suffix_array(arr, stop)
         assert np.array_equal(got_sa, sa) and all(map(np.array_equal, got_ranks, ranks))
         top = len(ranks) - 1
-        low = (64 // symbol_ranks(arr)[1].bit_length()).bit_length() - 1
+        low = (64 // max(1, (symbol_ranks(arr)[1] - 1).bit_length())).bit_length() - 1
         sides.add(top > low)
         naive = np.array(naive_lcp(arr, sa.tolist()))
         assert lcp_array(sa, ranks).tolist() == np.minimum(naive, 1 << top).tolist(), (arr.size, stop)
@@ -263,12 +316,12 @@ def test_lcp_word_split_and_chunk_edges(monkeypatch):
     "arr, width",
     [
         (make_rng(41).integers(0, 200_000, 150_000), 4),  # 105 519 symbols: 2 per first-sort word
-        (make_rng(42).integers(0, 2, 150_000).astype(np.uint8), 64),  # 16 per first-sort word
+        (make_rng(42).integers(0, 2, 150_000).astype(np.uint8), 64),  # 32 per first-sort word
         # 16 symbols of 3 bits beside a 16-bit position fill the word; one more position bit, 8 symbols
-        (make_rng(43).integers(0, 4, 2**16).astype(np.uint8), 40),
-        (make_rng(44).integers(0, 4, 2**16 + 1).astype(np.uint8), 40),
+        (make_rng(43).integers(0, 8, 2**16).astype(np.uint8), 40),
+        (make_rng(44).integers(0, 8, 2**16 + 1).astype(np.uint8), 40),
     ],
-    ids=["sigma-200k", "binary", "sigma-4-full-word", "sigma-4-past-full-word"],
+    ids=["sigma-200k", "binary", "sigma-8-full-word", "sigma-8-past-full-word"],
 )
 def test_wide_packed_keys(arr, width):
     sa, ranks = suffix_array(arr)
@@ -313,13 +366,16 @@ def test_first_sort_is_skipped_when_two_symbols_do_not_fit(monkeypatch):
     packed = []
     monkeypatch.setattr(suffixes, "_pack_windows", lambda *a: packed.append(1) or _pack_windows(*a))
     for (arr, stop), (sa, ranks) in zip(cases, want):
-        monkeypatch.setattr(suffixes, "_WORD", (arr.size - 1).bit_length() + symbol_ranks(arr)[1].bit_length())
+        bits = max(1, (symbol_ranks(arr)[1] - 1).bit_length())
+        monkeypatch.setattr(suffixes, "_WORD", (arr.size - 1).bit_length() + bits)
         got_sa, got_ranks = suffix_array(arr, stop)
         assert np.array_equal(got_sa, sa)
-        # with no first sort every level is a pair round's: all are built
-        assert len(got_ranks) == len(ranks) and _none_levels(got_ranks) == []
-        assert _unbuilt_levels(arr, len(ranks) - 1, stop) == []
-        for got, rank, want in zip(got_ranks, ranks, _naive_levels(arr)):
+        # with no first sort every level is a pair round's: all are built but
+        # the top one, which nothing reads
+        top = len(ranks) - 1
+        assert len(got_ranks) == len(ranks) and _none_levels(got_ranks) == [top][: top > 0]
+        assert _unbuilt_levels(arr, top, stop) == [top][: top > 0]
+        for got, rank, want in zip(got_ranks[:top], ranks, _naive_levels(arr)):
             assert np.array_equal(got, want if rank is None else rank)
     assert not packed
 
