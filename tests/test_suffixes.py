@@ -373,8 +373,9 @@ def test_first_sort_is_skipped_when_two_symbols_do_not_fit(monkeypatch):
         # with no first sort every level is a pair round's: all are built but
         # the top one, which nothing reads
         top = len(ranks) - 1
-        assert len(got_ranks) == len(ranks) and _none_levels(got_ranks) == [top][: top > 0]
-        assert _unbuilt_levels(arr, top, stop) == [top][: top > 0]
+        unbuilt = [top] if top else []
+        assert len(got_ranks) == len(ranks) and _none_levels(got_ranks) == unbuilt
+        assert _unbuilt_levels(arr, top, stop) == unbuilt
         for got, rank, want in zip(got_ranks[:top], ranks, _naive_levels(arr)):
             assert np.array_equal(got, want if rank is None else rank)
     assert not packed
