@@ -317,11 +317,15 @@ def test_lcp_word_split_and_chunk_edges(monkeypatch):
     [
         (make_rng(41).integers(0, 200_000, 150_000), 4),  # 105 519 symbols: 2 per first-sort word
         (make_rng(42).integers(0, 2, 150_000).astype(np.uint8), 64),  # 32 per first-sort word
+        # sigma 4 filled the word here when a symbol took rank + 1 (3 bits); at
+        # 2 bits 16 symbols leave room beside a 16- or a 17-bit position
+        (make_rng(43).integers(0, 4, 2**16).astype(np.uint8), 40),
+        (make_rng(44).integers(0, 4, 2**16 + 1).astype(np.uint8), 40),
         # 16 symbols of 3 bits beside a 16-bit position fill the word; one more position bit, 8 symbols
-        (make_rng(43).integers(0, 8, 2**16).astype(np.uint8), 40),
-        (make_rng(44).integers(0, 8, 2**16 + 1).astype(np.uint8), 40),
+        (make_rng(45).integers(0, 8, 2**16).astype(np.uint8), 40),
+        (make_rng(46).integers(0, 8, 2**16 + 1).astype(np.uint8), 40),
     ],
-    ids=["sigma-200k", "binary", "sigma-8-full-word", "sigma-8-past-full-word"],
+    ids=["sigma-200k", "binary", "sigma-4-full-word", "sigma-4-past-full-word", "sigma-8-full-word", "sigma-8-past-full-word"],
 )
 def test_wide_packed_keys(arr, width):
     sa, ranks = suffix_array(arr)
