@@ -98,12 +98,6 @@ def _run_length_chunks(arr: np.ndarray, chunk: int | None = None):
     yield np.array([n - open_at])
 
 
-def run_lengths(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts0, lengths) of the maximal runs of identical symbols."""
-    lengths = np.concatenate(list(_run_length_chunks(arr)))
-    return np.cumsum(lengths) - lengths, lengths
-
-
 def _rle_bits_and_runs(arr: np.ndarray) -> tuple[int, int]:
     """(sum over runs of ceil(log2(ell + 1)), number of runs)."""
     bits = runs = 0

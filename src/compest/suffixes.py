@@ -323,7 +323,7 @@ def lcp_array(sa: np.ndarray, ranks: list[np.ndarray | None]) -> np.ndarray:
     for lo in range(0, n - 1, _CHUNK):
         v = sa[lo : lo + _CHUNK + 1]
         x, y, h = v[:-1], v[1:], lcp[lo + 1 : lo + _CHUNK + 1]
-        if w == top:
+        if w == top:  # h is 0: one gather of v serves both pairs each suffix is in
             g = words.take(v)
             h[:] = word_lcps(g[:-1], g[1:], 1 << w, bits)
         else:

@@ -78,6 +78,13 @@ def expand_lz_parts(parts: list, arr: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=arr.dtype)
 
 
+def naive_run_lengths(arr) -> np.ndarray:
+    """Lengths of the maximal runs of identical symbols, in order."""
+    a = np.asarray(arr)
+    ends = np.flatnonzero(a[1:] != a[:-1]) + 1
+    return np.diff(np.concatenate([[0], ends, [a.size]]))
+
+
 def naive_suffix_array(arr) -> list:
     """Start positions sorted by their suffixes, compared as tuples."""
     seq = np.asarray(arr).tolist()

@@ -30,14 +30,14 @@ from compest import (
 )
 from compest._rng import derive_seed, make_rng
 from compest.campaign import build_builtin
-from compest.oracles import distinct_profile, rle_length_bits, run_lengths
+from compest.oracles import distinct_profile, rle_length_bits
 from compest.lz import LzEstimateParams, window_plan
 from compest.rle import (
     additive_plan,
     rle_multiplicative_search_detailed,
     search_query_ceiling,
 )
-from naive import all_ones, alternating, naive_lz_cost, naive_rle_cost, random_symbols
+from naive import all_ones, alternating, naive_lz_cost, naive_rle_cost, naive_run_lengths, random_symbols
 
 TRIALS = 100
 
@@ -258,7 +258,7 @@ def test_criterion_11_coin_gap_and_per_string_identity():
         for t in range(TRIALS):
             arr = generate_coin_runs(n, p, seed=derive_seed(39_000 + int(p * 10), t))
             b = n % 3
-            _, lengths = run_lengths(arr)
+            lengths = naive_run_lengths(arr)
             body = lengths[1:] if b else lengths
             heads = int((body == 1).sum()) // 3
             # run-length bit component obeys the flip accounting exactly

@@ -16,7 +16,8 @@ from compest import (
     generate_wk,
 )
 from compest._rng import derive_seed, make_rng
-from compest.oracles import distinct_profile, rle_length_bits, run_lengths
+from compest.oracles import distinct_profile, rle_length_bits
+from naive import naive_run_lengths
 
 
 # -- planted-zero blocks ----------------------------------------------------
@@ -33,7 +34,7 @@ def test_wk_zero_count_and_isolation():
 def test_wk_run_count_near_k():
     for seed in range(20):
         arr = generate_wk(2048, 32, seed)
-        _, lengths = run_lengths(arr)
+        lengths = naive_run_lengths(arr)
         assert lengths.size in (31, 32, 33)
 
 
@@ -74,7 +75,7 @@ def test_wk_deterministic():
 
 def test_coin_run_lengths_are_one_or_three():
     arr = generate_coin_runs(30_000, 0.5, seed=2)
-    _, lengths = run_lengths(arr)
+    lengths = naive_run_lengths(arr)
     assert set(lengths.tolist()) <= {1, 3}
     assert arr.size == 30_000
     assert arr[0] == 0
@@ -85,18 +86,18 @@ def test_coin_prefix_run_when_not_divisible():
         arr = generate_coin_runs(n, 0.5, seed=2)
         b = n % 3
         assert np.all(arr[:b] == 0) and arr[b] == 1  # prefix forms its own run
-        _, lengths = run_lengths(arr)
+        lengths = naive_run_lengths(arr)
         assert lengths[0] == b
         assert set(lengths[1:].tolist()) <= {1, 3}
 
 
 def test_coin_extreme_biases():
     tails = generate_coin_runs(300, 0.0, seed=1)
-    _, lens = run_lengths(tails)
+    lens = naive_run_lengths(tails)
     assert set(lens.tolist()) == {3}
     assert exact_rle_cost(tails, 2).total_cost == (300 // 3) * 3  # each run: 2 + 1 bits
     heads = generate_coin_runs(300, 1.0, seed=1)
-    _, lens = run_lengths(heads)
+    lens = naive_run_lengths(heads)
     assert set(lens.tolist()) == {1}
 
 
@@ -106,7 +107,7 @@ def test_coin_length_bits_identity():
     for n in (29_999, 30_000, 30_001):
         for seed in range(5):
             arr = generate_coin_runs(n, 0.6, seed=seed)
-            _, lengths = run_lengths(arr)
+            lengths = naive_run_lengths(arr)
             b = n % 3
             body = lengths[1:] if b else lengths
             heads = int((body == 1).sum()) // 3

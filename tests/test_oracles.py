@@ -14,7 +14,7 @@ from compest import (
     verify_structural_lemmas,
 )
 from compest import oracles
-from compest.oracles import alphabet_bits, ceil_log2, rle_length_bits, rle_total_cost, run_lengths
+from compest.oracles import alphabet_bits, ceil_log2, rle_length_bits, rle_total_cost
 from naive import (
     all_ones,
     alternating,
@@ -96,7 +96,7 @@ def test_chunked_run_pass_matches_the_columns(monkeypatch, chunk):
     # runs cross many chunk edges at these sizes, and the open run is carried over each
     monkeypatch.setattr(oracles, "RUN_CHUNK", chunk)
     for arr, sigma in run_pass_corpus():
-        lengths = run_lengths(arr)[1]
+        lengths = exact_rle_cost(arr, sigma).lengths
         assert np.array_equal(lengths, grouped_run_lengths(arr))
         total = rle_total_cost(arr, sigma)
         assert total == exact_rle_cost(arr, sigma).total_cost == naive_rle_cost(arr.tolist(), sigma)

@@ -24,7 +24,7 @@ from compest.accessor import EstimateReport, QuerySession
 from compest.campaign import build_builtin
 from compest.colors import amplification_runs, colors_plan
 from compest.lz import window_plan
-from compest.oracles import ceil_log2, rle_total_cost, run_lengths
+from compest.oracles import ceil_log2, rle_total_cost
 from compest.generators import GeneratorSpec, generate_coin_runs, generate_wk
 from compest import rle
 from compest.rle import (
@@ -44,7 +44,7 @@ from compest.rle import (
     rle_multiplicative_search_detailed,
     rle_refined_search_detailed,
 )
-from naive import all_ones, alternating, random_symbols, staged_probe
+from naive import all_ones, alternating, naive_run_lengths, random_symbols, staged_probe
 
 
 def acc(arr, sigma=2):
@@ -214,7 +214,7 @@ def test_single_cap_walks_read_each_position_once_per_side():
         for a in (arr, arr[::-1].copy()):
             sess = RecordingSession(a)
             conf = RunProber(sess, ts).advance(cap)
-            _, lens = run_lengths(a)
+            lens = naive_run_lengths(a)
             assert np.array_equal(conf, np.minimum(np.repeat(lens, lens)[ts - 1], cap))
             assert len(sess.requested) <= ts.size * (1 + 2 * LOCKSTEP_STEPS) + 2 * n
 
