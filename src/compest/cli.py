@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accessor import QueryCountedString, distinct_count
+from .accessor import QueryCountedString, _alphabet_for
 from .campaign import ESTIMATORS, CampaignConfig, audit_queries, run_campaign, write_result
 from .generators import FAMILIES, GeneratorSpec
 from .lz import distinguish_compressible
@@ -122,7 +122,7 @@ def _cmd_gen(args) -> int:
     with open(args.out, "wb") as fh:
         fh.write(raw)
     if args.emit_meta:
-        alphabet = max(2, distinct_count(arr))
+        alphabet = _alphabet_for(arr, None)
         meta = {
             "family": args.family,
             "seed": args.seed,

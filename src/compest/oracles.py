@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accessor import distinct_count
+from .accessor import _alphabet_for, distinct_count
 from .suffixes import distinct_length_profile, lz_factorize
 
 
@@ -37,22 +37,24 @@ def as_symbols(w) -> np.ndarray:
     return arr
 
 
-def ceil_log2(values) -> np.ndarray:
-    """Exact ceil(log2(v)) for positive int64 values, with no float log: writing
-    v = m * 2^e with 0.5 <= m < 1, it is e, or e - 1 when v is a power of two."""
-    v = np.asarray(values, dtype=np.int64)
-    if np.any(v < 1):
-        raise ValueError("ceil_log2 needs values >= 1")
-    m, e = np.frexp(v.astype(np.float64))
-    c = (e - (m == 0.5)).astype(np.int64)
-    return c + ((v - 1) >> c > 0)  # above 2^53 float64 may round v down onto 2^c
-
-
 def alphabet_bits(alphabet_size: int) -> int:
     """Per-run symbol overhead: ceil(log2(sigma)), sigma >= 2."""
     if alphabet_size < 2:
         raise ValueError("alphabet size must be >= 2")
     return (int(alphabet_size) - 1).bit_length()
+
+
+def run_cost(lengths, alphabet_size: int):
+    """Bits of RLE runs of the given lengths (an int, or an array of them,
+    each >= 1): ceil(log2(ell + 1)) + ceil(log2(sigma)) per run.
+
+    ceil(log2(ell + 1)) is the binary exponent e of ell = m * 2^e,
+    0.5 <= m < 1, which is the biased exponent field of float64(ell) minus
+    1022: exact for every ell below 2^53, and every n is below that."""
+    bits = np.array(lengths, dtype=np.float64).view(np.int64)
+    bits >>= 52
+    bits += alphabet_bits(alphabet_size) - 1022
+    return bits if bits.ndim else int(bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,24 +100,12 @@ def _run_length_chunks(arr: np.ndarray, chunk: int | None = None):
     yield np.array([n - open_at])
 
 
-def _rle_bits_and_runs(arr: np.ndarray) -> tuple[int, int]:
-    """(sum over runs of ceil(log2(ell + 1)), number of runs)."""
-    bits = runs = 0
-    for lengths in _run_length_chunks(arr):
-        # ceil(log2(ell + 1)) is the binary exponent e of ell = m * 2^e,
-        # 0.5 <= m < 1, which is the biased exponent field of float64(ell)
-        # minus 1022: exact for every ell below 2^53, and every n is below that
-        bits += int((lengths.astype(np.float64).view(np.int64) >> 52).sum()) - 1022 * lengths.size
-        runs += lengths.size
-    return bits, runs
-
-
 def rle_total_cost(w, alphabet_size: int) -> int:
     """``exact_rle_cost(w, alphabet_size).total_cost`` from one chunked pass,
     with no per-run columns. ``alphabet_size`` is trusted, not checked against
     the symbols: a :class:`QueryCountedString` has checked it."""
-    bits, runs = _rle_bits_and_runs(as_symbols(w))
-    return bits + runs * alphabet_bits(alphabet_size)
+    chunks = _run_length_chunks(as_symbols(w))
+    return sum(int(run_cost(lengths, alphabet_size).sum()) for lengths in chunks)
 
 
 def rle_part_chunks(w, alphabet_size: int, chunk: int | None = None):
@@ -123,38 +113,27 @@ def rle_part_chunks(w, alphabet_size: int, chunk: int | None = None):
     starts, lengths, costs), one triple per ``chunk`` symbols (default
     ``RUN_CHUNK``), in O(chunk) memory. ``alphabet_size`` is trusted, as in
     :func:`rle_total_cost`."""
-    s_bits = alphabet_bits(alphabet_size)
     start = 1
     for lengths in _run_length_chunks(as_symbols(w), chunk):
         starts = np.cumsum(lengths)
         end = int(starts[-1])
         starts -= lengths
         starts += start
-        costs = lengths.astype(np.float64).view(np.int64)  # ceil(log2(ell + 1)), as in _rle_bits_and_runs
-        costs >>= 52
-        costs += s_bits - 1022
-        yield starts, lengths, costs
+        yield starts, lengths, run_cost(lengths, alphabet_size)
         start += end
 
 
 def exact_rle_cost(w, alphabet_size: int | None = None) -> CostBreakdown:
     """Exact run-length encoding cost of ``w``.
 
-    ``alphabet_size`` defaults to the number of distinct symbols present
-    (at least 2); it must not be smaller than that number.
+    ``alphabet_size`` is taken as a :class:`QueryCountedString` takes it:
+    it defaults to the number of distinct symbols present, must not be
+    smaller than that number, and counts as at least 2.
     """
     arr = as_symbols(w)
-    distinct = distinct_count(arr)
-    sigma = max(2, distinct) if alphabet_size is None else int(alphabet_size)
-    if distinct > sigma:
-        raise ValueError(f"{distinct} distinct symbols exceed alphabet size {sigma}")
+    sigma = _alphabet_for(arr, alphabet_size)
     starts, lengths, costs = map(np.concatenate, zip(*rle_part_chunks(arr, sigma)))
     return CostBreakdown(int(costs.sum()), starts, lengths, costs, scheme="rle")
-
-
-def rle_length_bits(w) -> int:
-    """Sum over runs of ceil(log2(ell + 1)) only, without the per-run symbol bits."""
-    return _rle_bits_and_runs(as_symbols(w))[0]
 
 
 def exact_lz_cost(w) -> CostBreakdown:

@@ -58,7 +58,7 @@ import numpy as np
 
 from ._rng import derive_seed, make_rng
 from .accessor import EstimateReport, QueryCountedString, QuerySession, ReadBudgetSpent, ReadPlan
-from .oracles import alphabet_bits, ceil_log2, rle_total_cost
+from .oracles import alphabet_bits, rle_total_cost, run_cost
 
 # The sampling theorems fix only asymptotics; the constants below are
 # calibration choices. Each run asserts the read bound of its plan, and the
@@ -106,7 +106,7 @@ def bucketed_sample_count(epsilon: float, delta: float) -> int:
 def contribution(length, alphabet_size: int) -> np.ndarray:
     """Per-position cost contribution c(t) for positions in runs of the given length."""
     ln = np.asarray(length, dtype=np.int64)
-    return (ceil_log2(ln + 1) + alphabet_bits(alphabet_size)) / ln
+    return run_cost(ln, alphabet_size) / ln
 
 
 def additive_probe_cap(epsilon: float, alphabet_size: int) -> int:
@@ -119,13 +119,12 @@ def additive_probe_cap(epsilon: float, alphabet_size: int) -> int:
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     ell0 = math.ceil(8.0 * math.log2(4.0 * alphabet_size / epsilon) / epsilon)
-    s_bits = alphabet_bits(alphabet_size)
     # c(ell) is not strictly non-increasing (the length ceiling jumps at
     # powers of two), but it is dominated by the non-increasing envelope
     # (log2(ell+1) + 1 + s) / ell; asserting the envelope at ell0 bounds the
     # contribution of every ignored position, not just the one at ell0.
-    tail_exact = (ell0.bit_length() + s_bits) / ell0  # ceil(log2(ell0 + 1)) = bit_length(ell0)
-    tail_envelope = (math.log2(ell0 + 1) + 1 + s_bits) / ell0
+    tail_exact = run_cost(ell0, alphabet_size) / ell0
+    tail_envelope = (math.log2(ell0 + 1) + 1 + alphabet_bits(alphabet_size)) / ell0
     if max(tail_exact, tail_envelope) > epsilon / 2:
         raise RuntimeError(
             f"probe cap {ell0} leaves per-position tail {tail_envelope:.4g} > eps/2; "
@@ -300,7 +299,7 @@ def rle_additive_estimate(w: QueryCountedString, epsilon: float, seed: int) -> E
     return EstimateReport(est, 1.0, epsilon, used, seed)
 
 
-def _geometric_buckets(ell0: int, s_bits: int, ratio: float) -> list[tuple[int, float, float, int, float]]:
+def _geometric_buckets(ell0: int, alphabet_size: int, ratio: float) -> list[tuple[int, float, float, int, float]]:
     """Rows (h, low, high, cap, weight) for the run lengths in [ratio^(h-1), ratio^h),
     h = 1..ceil(log_ratio(ell0)); ``cap = ceil(high)`` is the smallest probe
     cap that leaves every run length in the bucket below it."""
@@ -314,7 +313,7 @@ def _geometric_buckets(ell0: int, s_bits: int, ratio: float) -> list[tuple[int, 
         if lmin >= high:  # no integer run length falls in this bucket
             continue
         cap = math.ceil(high)
-        weight = float((lmin.bit_length() + s_bits) / lmin)
+        weight = run_cost(lmin, alphabet_size) / lmin
         out.append((h, low, high, cap, weight))
     return out
 
@@ -342,7 +341,7 @@ def bucketed_plan(
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     ell0 = additive_probe_cap(epsilon, alphabet_size)
-    buckets = tuple(_geometric_buckets(ell0, alphabet_bits(alphabet_size), ratio))
+    buckets = tuple(_geometric_buckets(ell0, alphabet_size, ratio))
     q = math.ceil(bucketed_sample_count(epsilon, delta) * q_scale)
     q_hs = tuple(min(q, math.ceil(q * weight)) for *_, weight in buckets)
     if q >= SCAN_SHARE * n:

@@ -85,6 +85,20 @@ def naive_run_lengths(arr) -> np.ndarray:
     return np.diff(np.concatenate([[0], ends, [a.size]]))
 
 
+def rle_length_bits(arr) -> int:
+    """Sum over runs of ceil(log2(ell + 1)) = bit_length(ell): the RLE cost
+    without the per-run symbol bits, in integers."""
+    return sum(int(ell).bit_length() for ell in naive_run_lengths(arr).tolist())
+
+
+def ceil_log2(v: int) -> int:
+    """ceil(log2(v)) for an integer v >= 1: the least e with 2^e >= v, by counting."""
+    e = 0
+    while 1 << e < v:
+        e += 1
+    return e
+
+
 def naive_suffix_array(arr) -> list:
     """Start positions sorted by their suffixes, compared as tuples."""
     seq = np.asarray(arr).tolist()

@@ -30,14 +30,22 @@ from compest import (
 )
 from compest._rng import derive_seed, make_rng
 from compest.campaign import build_builtin
-from compest.oracles import distinct_profile, rle_length_bits
+from compest.oracles import distinct_profile
 from compest.lz import LzEstimateParams, window_plan
 from compest.rle import (
     additive_plan,
     rle_multiplicative_search_detailed,
     search_query_ceiling,
 )
-from naive import all_ones, alternating, naive_lz_cost, naive_rle_cost, naive_run_lengths, random_symbols
+from naive import (
+    all_ones,
+    alternating,
+    naive_lz_cost,
+    naive_rle_cost,
+    naive_run_lengths,
+    random_symbols,
+    rle_length_bits,
+)
 
 TRIALS = 100
 

@@ -16,8 +16,8 @@ from compest import (
     generate_wk,
 )
 from compest._rng import derive_seed, make_rng
-from compest.oracles import distinct_profile, rle_length_bits
-from naive import naive_run_lengths
+from compest.oracles import distinct_profile
+from naive import naive_run_lengths, rle_length_bits
 
 
 # -- planted-zero blocks ----------------------------------------------------

@@ -14,16 +14,19 @@ from compest import (
     verify_structural_lemmas,
 )
 from compest import oracles
-from compest.oracles import alphabet_bits, ceil_log2, rle_length_bits, rle_total_cost
+from compest.campaign import ESTIMATORS
+from compest.oracles import alphabet_bits, rle_total_cost, run_cost
 from naive import (
     all_ones,
     alternating,
+    ceil_log2,
     expand_lz_parts,
     naive_color_count,
     naive_distinct,
     naive_lz_parts,
     naive_rle_cost,
     random_symbols,
+    rle_length_bits,
 )
 
 
@@ -70,6 +73,28 @@ def test_rle_length_bits_component():
     arr = np.array([0, 0, 0, 1, 0, 0])
     # runs 3,1,2 -> ceil(log2(4)) + ceil(log2(2)) + ceil(log2(3)) = 2 + 1 + 2
     assert rle_length_bits(arr) == 5
+    assert exact_rle_cost(arr, 2).costs.tolist() == [3, 2, 3]
+
+
+@pytest.mark.parametrize("arr", [all_ones(50), np.array([7]), np.full(9, 300, dtype=np.int64)],
+                         ids=["ones", "n-1", "wide-symbol"])
+def test_one_symbol_declared_alphabet_prices_two(arr):
+    # a declared sigma of 1 counts as 2 in the oracle, as it does in the accessor
+    acc = QueryCountedString.from_tokens(arr, 1)
+    total = exact_rle_cost(arr, 1).total_cost
+    assert acc.alphabet_size == 2
+    assert total == rle_total_cost(acc.session().read_all(), acc.alphabet_size)
+    assert total == ESTIMATORS["rle-additive"].exact(acc) == naive_rle_cost(arr.tolist(), 2)
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 256, 2**40])
+def test_run_cost_at_powers_of_two(sigma):
+    # the exponent field is exact for every length below 2^53: check it at 1,
+    # 2 and at and next to every power of two up to 2^53 - 1, against integers
+    lengths = sorted({1, 2} | {2**k + d for k in range(2, 54) for d in (-1, 0, 1)} - {2**53, 2**53 + 1})
+    expect = [ell.bit_length() + (sigma - 1).bit_length() for ell in lengths]
+    assert run_cost(np.array(lengths, dtype=np.int64), sigma).tolist() == expect
+    assert [run_cost(ell, sigma) for ell in lengths] == expect
 
 
 def run_pass_corpus():
@@ -115,20 +140,19 @@ def test_run_pass_bits_at_powers_of_two(monkeypatch, chunk):
     bits = sum(int(ell).bit_length() for ell in lengths)
     assert rle_length_bits(arr) == bits
     assert rle_total_cost(arr, 3) == exact_rle_cost(arr, 3).total_cost == bits + 2 * lengths.size
+    assert exact_rle_cost(arr, 3).costs.tolist() == [int(ell).bit_length() + 2 for ell in lengths]
 
 
 def test_integer_bit_math_matches_ceil_log2():
     # alphabet_bits(s) = bit_length(s - 1) and ceil(log2(x + 1)) = bit_length(x),
-    # the scalar forms the estimators use in place of ceil_log2
-    small = np.arange(1, 2**16 + 2, dtype=np.int64)
-    expect = ceil_log2(small).tolist()
-    assert [alphabet_bits(s) for s in small[1:].tolist()] == expect[1:]
-    assert [x.bit_length() for x in small[:-1].tolist()] == expect[1:]
+    # the integer forms of ceil(log2(.)) that run_cost is tested against
+    small = range(1, 2**16 + 2)
+    expect = [ceil_log2(v) for v in small]
+    assert [alphabet_bits(s) for s in small[1:]] == expect[1:]
+    assert [x.bit_length() for x in small[:-1]] == expect[1:]
     for k in range(17, 63):
         for v in (2**k - 1, 2**k, 2**k + 1):
-            e = next(e for e in itertools.count() if 1 << e >= v)  # ceil(log2(v)), in integers
-            assert alphabet_bits(v) == (v - 1).bit_length() == e
-            assert ceil_log2([v])[0] == e  # float64 rounds v from 2^53 on
+            assert alphabet_bits(v) == (v - 1).bit_length() == ceil_log2(v)
 
 
 # -- LZ ----------------------------------------------------------------

@@ -24,7 +24,7 @@ from compest.accessor import EstimateReport, QuerySession
 from compest.campaign import build_builtin
 from compest.colors import amplification_runs, colors_plan
 from compest.lz import window_plan
-from compest.oracles import ceil_log2, rle_total_cost
+from compest.oracles import rle_total_cost
 from compest.generators import GeneratorSpec, generate_coin_runs, generate_wk
 from compest import rle
 from compest.rle import (
@@ -44,7 +44,7 @@ from compest.rle import (
     rle_multiplicative_search_detailed,
     rle_refined_search_detailed,
 )
-from naive import all_ones, alternating, naive_run_lengths, random_symbols, staged_probe
+from naive import all_ones, alternating, ceil_log2, naive_run_lengths, random_symbols, staged_probe
 
 
 def acc(arr, sigma=2):
@@ -239,7 +239,7 @@ def test_capped_chains_continue_for_a_far_member():
             sess = RecordingSession(a)
             RunProber(sess, t).advance(caps)
             for step in (-1, 1):
-                assert sum(s == step for s, _ in sess.blocks) <= 2 * int(ceil_log2([n])[0]) + 4
+                assert sum(s == step for s, _ in sess.blocks) <= 2 * ceil_log2(n) + 4
 
 
 @pytest.mark.parametrize("cap", [2, 9, 10, 11, 64, 1_000, 4_097, 30_000])
@@ -254,7 +254,7 @@ def test_a_walk_takes_rounds_logarithmic_in_its_cap(cap):
         assert RunProber(sess, np.array([t])).advance(cap).tolist() == [cap]
         assert sess.read_calls <= 1 + 2 * LOCKSTEP_STEPS
         for step in (-1, 1):
-            assert sum(s == step for s, _ in sess.blocks) <= 2 * int(ceil_log2([cap])[0]) + 4
+            assert sum(s == step for s, _ in sess.blocks) <= 2 * ceil_log2(cap) + 4
 
 
 def walk_inputs(rng):
@@ -318,7 +318,7 @@ def test_contribution_dominated_by_decreasing_envelope():
     for sigma in (2, 4, 26, 256):
         lengths = np.arange(1, 2000)
         c = contribution(lengths, sigma)
-        s_bits = int(ceil_log2(np.array([sigma]))[0])
+        s_bits = ceil_log2(sigma)
         envelope = (np.log2(lengths + 1) + 1 + s_bits) / lengths
         assert np.all(c <= envelope + 1e-12)
         assert np.all(np.diff(envelope) <= 1e-12)
@@ -332,7 +332,7 @@ def test_probe_cap_tail_bound():
     for eps in (0.03, 0.1, 0.3, 0.7):
         for sigma in (2, 4, 26, 1024):
             ell0 = additive_probe_cap(eps, sigma)
-            tail = (int(ceil_log2(np.array([ell0 + 1]))[0]) + int(ceil_log2(np.array([sigma]))[0])) / ell0
+            tail = (ceil_log2(ell0 + 1) + ceil_log2(sigma)) / ell0
             assert tail <= eps / 2
 
 
@@ -484,7 +484,7 @@ def test_bucketed_sample_counts_follow_weights():
 def test_ratio_two_bucket_rows(ell0, s_bits):
     h0 = (ell0 - 1).bit_length()  # ceil(log2(ell0)), in integers
     expect = [(h, 2.0 ** (h - 1), 2.0**h, 2**h, (h + s_bits) / 2 ** (h - 1)) for h in range(1, h0 + 1)]
-    assert _geometric_buckets(ell0, s_bits, 2.0) == expect
+    assert _geometric_buckets(ell0, 2**s_bits, 2.0) == expect
 
 
 def test_bucketed_full_sampling_two_sided_identity():
