@@ -163,9 +163,19 @@ def build_builtin(name: str, n: int, seed: int) -> np.ndarray:
 
 
 def build_instance(spec: dict, seed: int | None = None) -> QueryCountedString:
-    """Materialize the instance description from a campaign config."""
+    """Materialize the instance description from a campaign config. A value
+    of the wrong type, such as a null length, raises a ``ValueError``."""
+    try:
+        return _build_instance(spec, seed)
+    except TypeError as exc:
+        raise ValueError(f"instance: {exc}") from None
+
+
+def _build_instance(spec: dict, seed: int | None) -> QueryCountedString:
     kind = spec["kind"]
     if kind == "file":
+        if not isinstance(spec["path"], str):  # open() takes an int as a file descriptor
+            raise TypeError(f"path must be a string, not {spec['path']!r}")
         return QueryCountedString.from_file(spec["path"], spec.get("alphabet_size"))
     if kind == "builtin":
         use_seed = spec.get("seed", 0) if seed is None else seed
@@ -192,7 +202,7 @@ class CampaignConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.estimator not in ESTIMATORS:
+        if not isinstance(self.estimator, str) or self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         for key, value in (("params", self.params), ("instance", self.instance)):
             if not isinstance(value, dict):
@@ -207,6 +217,8 @@ class CampaignConfig:
             raise ValueError(f"min_success_rate must be in [0, 1], not {rate!r}")
         if not isinstance(self.per_trial_instances, bool):
             raise ValueError("per_trial_instances must be true or false")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(f"output must be a string, not {self.output!r}")
 
     @staticmethod
     def from_json_file(path) -> "CampaignConfig":
@@ -291,7 +303,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         }
         try:
             report = estimator.run(acc, config.params, seed)
-        except (ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError) as exc:  # TypeError: a null parameter
             row["valid"] = 0
             row["error"] = str(exc)
             rows.append(row)

@@ -102,11 +102,10 @@ def _cmd_lz_distinguish(args) -> int:
 
 
 def _token_bytes(arr: np.ndarray) -> tuple[bytes, int]:
-    """Fixed-width little-endian token encoding; width 1 when symbols fit a byte."""
-    high = int(arr.max())
-    width = max(1, (max(high, 1).bit_length() + 7) // 8)
-    if width == 1:
-        return arr.astype(np.uint8).tobytes(), 1
+    """Fixed-width little-endian token encoding, 1, 2, 4 or 8 bytes a token:
+    the narrowest of those that holds the largest symbol."""
+    need = (int(arr.max()).bit_length() + 7) // 8
+    width = 1 << max(0, need - 1).bit_length()
     return arr.astype(f"<u{width}").tobytes(), width
 
 

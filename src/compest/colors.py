@@ -21,13 +21,16 @@ estimates, where each window start is treated as a virtual color.
 from __future__ import annotations
 
 import math
+import sys
 
 from ._rng import make_rng
 from .accessor import EstimateReport, QueryCountedString, ReadPlan, distinct_count
 
 
 def sample_count(n: int, lam: float) -> int:
-    return math.ceil(10.0 * n / lam**2)
+    # lambda = 1e100 draws one position at every n below 1e199 already;
+    # capping lambda there keeps lambda^2 finite and the count at least 1
+    return math.ceil(10.0 * n / min(lam, 1e100) ** 2)
 
 
 def pool_size(n: int, lam: float, runs: int) -> int:
@@ -37,8 +40,10 @@ def pool_size(n: int, lam: float, runs: int) -> int:
 
 def colors_plan(n: int, lam: float, runs: int) -> ReadPlan:
     """A run's one pool, which reads no more positions than it draws."""
-    if lam <= 1:
+    if not lam > 1:
         raise ValueError("lambda must be > 1")
+    if lam == math.inf:
+        raise ValueError("lambda must be finite")
     size = pool_size(n, lam, runs)
     return ReadPlan(False, size, size)
 
@@ -50,7 +55,9 @@ def _pooled_estimate(
     sess = tau.session()
     plan = colors_plan(sess.length, lam, runs)
     ts = make_rng(seed).integers(1, sess.length + 1, size=plan.draws)
-    est, used = plan.run(sess, lambda: float(distinct_count(sess.read_many(ts)) * lam))
+    # lambda times the count can pass the largest float, which still lies in
+    # [C / lambda, lambda * C] for the string's C >= the count
+    est, used = plan.run(sess, lambda: min(distinct_count(sess.read_many(ts)) * lam, sys.float_info.max))
     return EstimateReport(est, lam, 0.0, used, seed, confidence)
 
 

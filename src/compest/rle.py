@@ -542,8 +542,9 @@ def rle_multiplicative_search(w: QueryCountedString, seed: int) -> EstimateRepor
 
 
 def rle_refined_search_detailed(w: QueryCountedString, gamma: float, seed: int) -> SearchTrace:
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    # the last bucket's probe cap, ceil(ratio) or more, is an int64 like every cap
+    if not 0 < gamma < 2.0**62:
+        raise ValueError(f"gamma must be > 0 and below 2^62, not {gamma}")
     ratio = 1.0 + gamma / 2.0
     # Per-bucket population estimates aim for relative error eta; the clamp
     # keeps the interval arithmetic sane for very loose gamma.

@@ -125,11 +125,12 @@ def test_campaign_replay_byte_identical(tmp_path):
 
 
 def test_campaign_invalid_params_mark_rows(tmp_path):
-    cfg = make_config(tmp_path, params={"epsilon": 5.0})
-    result = run_campaign(cfg)
-    assert result.success_rate == 0.0
-    assert all(row["valid"] == 0 and row["error"] for row in result.rows)
-    assert not result.passed
+    for epsilon in (5.0, "abc", None):
+        cfg = make_config(tmp_path, params={"epsilon": epsilon})
+        result = run_campaign(cfg)
+        assert result.success_rate == 0.0
+        assert all(row["valid"] == 0 and row["error"] for row in result.rows)
+        assert not result.passed
 
 
 def test_campaign_generator_instances_per_trial(tmp_path):
@@ -556,16 +557,18 @@ def test_cli_gen_col2lz_from_source(tmp_path):
 
 
 def test_cli_gen_writes_multibyte_tokens(tmp_path):
-    out = str(tmp_path / "t.bin")
-    code, _ = run_cli(["gen", "--family", "lztight", "--m", "300", "--ell0", "2",
-                       "--out", out, "--emit-meta"])
-    assert code == 0
-    expected = generate_lz_tight(300, 2)
-    assert int(expected.max()) > 255
-    meta = json.loads(Path(out + ".meta.json").read_text())
-    assert meta["token_width_bytes"] == 2 and meta["n"] == expected.size
-    raw = np.frombuffer(Path(out).read_bytes(), dtype="<u2")
-    assert raw.tolist() == expected.tolist()
+    # a symbol that needs 3 bytes is written in 4: numpy has no 3-byte integer
+    for m, ell0, width in ((300, 2, 2), (70_000, 1, 4)):
+        out = str(tmp_path / f"t{m}.bin")
+        code, _ = run_cli(["gen", "--family", "lztight", "--m", str(m), "--ell0", str(ell0),
+                           "--out", out, "--emit-meta"])
+        assert code == 0
+        expected = generate_lz_tight(m, ell0)
+        assert int(expected.max()) >= 256 ** (width // 2)
+        meta = json.loads(Path(out + ".meta.json").read_text())
+        assert meta["token_width_bytes"] == width and meta["n"] == expected.size
+        raw = np.frombuffer(Path(out).read_bytes(), dtype=f"<u{width}")
+        assert raw.tolist() == expected.tolist()
 
 
 def test_cli_gen_families_are_the_generators():
@@ -616,6 +619,10 @@ def test_cli_campaign_run_and_audit(tmp_path, sample_file):
      "audit entries must be a list, not dict"),
     ([{"estimator": "rle-additive", "n": 100, "epsilon": 0.1, "queries_used": 5}, 7],
      "audit entry 1 must be an object, not int"),
+    ([{"estimator": "colors", "n": 100, "lambda": "inf", "queries_used": 1}],
+     "audit entry 0 (colors): lambda must be finite"),
+    ([{"estimator": "colors-amplified", "n": 100, "lambda": "nan", "queries_used": 1}],
+     "audit entry 0 (colors-amplified): lambda must be > 1"),
 ])
 def test_cli_campaign_audit_input_errors_exit_2(tmp_path, capsys, entries, message):
     reports = tmp_path / "reports.json"
@@ -659,9 +666,14 @@ def test_cli_campaign_audit_input_errors_exit_2(tmp_path, capsys, entries, messa
      "params must be an object, not list"),
     (json.dumps({"estimator": "rle-additive", "instance": ["builtin"], "trials": 2, "base_seed": 1}),
      "instance must be an object, not list"),
+    (json.dumps({"estimator": ["x"], "instance": {}, "trials": 2, "base_seed": 1}),
+     "unknown estimator ['x']"),
+    (json.dumps({"estimator": "rle-additive", "instance": {}, "trials": 2, "base_seed": 1, "output": 5}),
+     "output must be a string, not 5"),
 ], ids=["malformed-json", "not-an-object", "no-instance", "unknown-estimator", "zero-trials",
         "fractional-trials", "boolean-trials", "fractional-seed", "boolean-seed", "rate-above-1",
-        "rate-below-0", "null-rate", "boolean-rate", "list-params", "list-instance"])
+        "rate-below-0", "null-rate", "boolean-rate", "list-params", "list-instance",
+        "list-estimator", "numeric-output"])
 def test_cli_campaign_run_config_errors_exit_2(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text(text)
@@ -703,9 +715,28 @@ def _config_text(**overrides):
      "need 2 <= k <= n/2"),
     (["lz-distinguish", "--lo", "3", "--hi", "2", "{sample}"], {},
      "need 1 <= threshold_lo < threshold_hi"),
+    (["campaign", "run", "{tmp}/c.json"],
+     {"c.json": _config_text(instance={"kind": "builtin", "name": "alternating", "n": None})},
+     "instance: int() argument must be"),
+    (["campaign", "run", "{tmp}/c.json"],
+     {"c.json": _config_text(instance={"kind": "generator", "family": "wk",
+                                       "params": {"n": 100, "k": None}})},
+     "instance: int() argument must be"),
+    (["campaign", "run", "{tmp}/c.json"],
+     {"c.json": _config_text(instance={"kind": "file", "path": 0})},
+     "instance: path must be a string, not 0"),
+    (["colors-est", "--lambda", "inf", "{sample}"], {}, "lambda must be finite"),
+    (["colors-est", "--lambda", "nan", "{sample}"], {}, "lambda must be > 1"),
+    (["rle-est", "--mode", "refined", "--gamma", "inf", "{sample}"], {},
+     "gamma must be > 0 and below 2^62, not inf"),
+    (["rle-est", "--mode", "refined", "--gamma", "nan", "{sample}"], {},
+     "gamma must be > 0 and below 2^62, not nan"),
+    (["rle-est", "--mode", "refined", "--gamma", "1e300", "{sample}"], {},
+     "gamma must be > 0 and below 2^62, not 1e+300"),
 ], ids=["unknown-builtin", "no-epsilon", "no-kind", "missing-config", "missing-reports",
         "missing-input", "empty-input", "epsilon-5", "alphabet-below-distinct",
-        "distinct-without-ell", "wk-k-1", "lo-above-hi"])
+        "distinct-without-ell", "wk-k-1", "lo-above-hi", "null-builtin-n", "null-generator-param",
+        "numeric-path", "lambda-inf", "lambda-nan", "gamma-inf", "gamma-nan", "gamma-1e300"])
 def test_cli_input_faults_exit_2(tmp_path, capsys, sample_file, argv, files, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -713,6 +744,16 @@ def test_cli_input_faults_exit_2(tmp_path, capsys, sample_file, argv, files, mes
     assert (code, out) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("compest: error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("lam", ["1e200", "1.7e308"])
+def test_cli_huge_lambda_prints_json_within_contract(sample_file, lam):
+    code, out = run_cli(["colors-est", "--lambda", lam, "--delta", "1e-9", sample_file])
+    assert code == 0
+    report = json.loads(out, parse_constant=pytest.fail)  # no NaN or Infinity
+    assert report["queries_used"] >= 1 and report["lambda"] == float(lam)
+    exact = exact_color_count(np.fromfile(sample_file, dtype=np.uint8))
+    assert exact / report["lambda"] <= report["estimate"] <= report["lambda"] * exact
 
 
 @pytest.mark.parametrize("argv", [

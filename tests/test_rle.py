@@ -875,7 +875,7 @@ def test_search_on_random_binary():
 
 def test_refined_rejects_bad_gamma():
     w = acc(alternating(100))
-    for gamma in (0.0, -1.0):
+    for gamma in (0.0, -1.0, float("inf"), float("nan"), 2.0**62, 1e300):
         with pytest.raises(ValueError):
             rle_refined_search(w, gamma, seed=1)
 
