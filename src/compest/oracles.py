@@ -17,6 +17,7 @@ conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +50,16 @@ def run_cost(lengths, alphabet_size: int):
     each >= 1): ceil(log2(ell + 1)) + ceil(log2(sigma)) per run.
 
     ceil(log2(ell + 1)) is the binary exponent e of ell = m * 2^e,
-    0.5 <= m < 1, which is the biased exponent field of float64(ell) minus
-    1022: exact for every ell below 2^53, and every n is below that."""
+    0.5 <= m < 1: for an int, the exponent that math.frexp returns; for an
+    array, the biased exponent field of float64(ell) minus 1022. Both are
+    exact for every ell below 2^53, and every n is below that."""
+    s_bits = alphabet_bits(alphabet_size)
+    if isinstance(lengths, int):  # a numpy pass costs microseconds, frexp nanoseconds
+        return math.frexp(lengths)[1] + s_bits
     bits = np.array(lengths, dtype=np.float64).view(np.int64)
     bits >>= 52
-    bits += alphabet_bits(alphabet_size) - 1022
-    return bits if bits.ndim else int(bits)
+    bits += s_bits - 1022
+    return bits
 
 
 @dataclass(frozen=True, eq=False)
