@@ -5,71 +5,62 @@ Exact oracles (ground truth), query-counted estimators with explicit
 and the adversarial instance families that make those contracts tight.
 """
 
-from .accessor import EstimateReport, QueryCountedString, meets_contract
-from .colors import colors_estimate, colors_estimate_amplified
-from .generators import (
-    GeneratorSpec,
-    binarize,
-    generate_coin_runs,
-    generate_colors_to_lz,
-    generate_lz_tight,
-    generate_wk,
-)
-from .lz import (
-    DistinguishResult,
-    LzEstimateParams,
-    SharedWindowSamples,
-    distinguish_compressible,
-    estimate_distinct,
-    lz_estimate,
-)
-from .oracles import (
-    CostBreakdown,
-    StructuralReport,
-    distinct_profile,
-    exact_color_count,
-    exact_distinct_substrings,
-    exact_lz_cost,
-    exact_rle_cost,
-    verify_structural_lemmas,
-)
-from .rle import (
-    rle_additive_estimate,
-    rle_bucketed_estimate,
-    rle_multiplicative_search,
-    rle_refined_search,
-)
+import importlib
+
+# Each export and the module that holds it. Nothing is imported until a name
+# is first read, so ``import compest.cli`` loads only what its subcommand runs.
+_EXPORTS = {
+    "accessor": ["EstimateReport", "QueryCountedString", "meets_contract"],
+    "colors": ["colors_estimate", "colors_estimate_amplified"],
+    "generators": [
+        "GeneratorSpec",
+        "binarize",
+        "generate_coin_runs",
+        "generate_colors_to_lz",
+        "generate_lz_tight",
+        "generate_wk",
+    ],
+    "lz": [
+        "DistinguishResult",
+        "LzEstimateParams",
+        "SharedWindowSamples",
+        "distinguish_compressible",
+        "estimate_distinct",
+        "lz_estimate",
+    ],
+    "oracles": [
+        "CostBreakdown",
+        "StructuralReport",
+        "distinct_profile",
+        "exact_color_count",
+        "exact_distinct_substrings",
+        "exact_lz_cost",
+        "exact_rle_cost",
+        "verify_structural_lemmas",
+    ],
+    "rle": [
+        "rle_additive_estimate",
+        "rle_bucketed_estimate",
+        "rle_multiplicative_search",
+        "rle_refined_search",
+    ],
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULES = {"accessor", "campaign", "cli", "colors", "generators", "lz", "oracles", "rle", "suffixes"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EstimateReport",
-    "QueryCountedString",
-    "meets_contract",
-    "colors_estimate",
-    "colors_estimate_amplified",
-    "GeneratorSpec",
-    "binarize",
-    "generate_coin_runs",
-    "generate_colors_to_lz",
-    "generate_lz_tight",
-    "generate_wk",
-    "DistinguishResult",
-    "LzEstimateParams",
-    "SharedWindowSamples",
-    "distinguish_compressible",
-    "estimate_distinct",
-    "lz_estimate",
-    "CostBreakdown",
-    "StructuralReport",
-    "distinct_profile",
-    "exact_color_count",
-    "exact_distinct_substrings",
-    "exact_lz_cost",
-    "exact_rle_cost",
-    "verify_structural_lemmas",
-    "rle_additive_estimate",
-    "rle_bucketed_estimate",
-    "rle_multiplicative_search",
-    "rle_refined_search",
-]
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """An export, read from its module, or a submodule, imported on first use."""
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _MODULES)

@@ -27,113 +27,19 @@ Config schema (JSON object):
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
 import time
-from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
 from ._rng import derive_seed
-from .accessor import EstimateReport, QueryCountedString, ReadPlan, meets_contract
-from .colors import amplification_runs, colors_estimate, colors_estimate_amplified, colors_plan
-from .generators import GeneratorSpec
-from .lz import LzEstimateParams, lz_estimate, window_plan
-from .oracles import exact_color_count, exact_lz_cost, rle_total_cost
-from .rle import (
-    additive_plan,
-    bucketed_plan,
-    rle_additive_estimate,
-    rle_bucketed_estimate,
-    rle_multiplicative_search,
-    rle_refined_search,
-    search_query_ceiling,
-)
+from .accessor import QueryCountedString, meets_contract
+from .estimators import ESTIMATORS
 
 CSV_FIELDS = ["trial", "seed", "estimate", "exact", "queries", "contract_pass", "valid", "error"]
-
-
-def _exact_rle(acc: QueryCountedString) -> float:
-    return float(rle_total_cost(acc.session().read_all(), acc.alphabet_size))
-
-
-def _exact_colors(acc: QueryCountedString) -> float:
-    return float(exact_color_count(acc.session().read_all()))
-
-
-def _exact_lz(acc: QueryCountedString) -> float:
-    return float(exact_lz_cost(acc.session().read_all()).total_cost)
-
-
-def _lz_plan(e: dict, n: int) -> ReadPlan:
-    p = LzEstimateParams.derive(float(e["A"]), float(e["epsilon"]), n)
-    return window_plan(n, p.ell0, p.B)
-
-
-class Estimator(NamedTuple):
-    """How to call an estimator from a params dict and a seed, the exact cost
-    it is judged against, and its audit ceiling from a report entry and n: its
-    plan's read bound (None: it claims none). The calls name estimators and
-    oracles as module globals, so they resolve at call time and a patched
-    attribute applies."""
-
-    run: Callable[[QueryCountedString, dict, int], EstimateReport]
-    exact: Callable[[QueryCountedString], float]
-    ceiling: Callable[[dict, int], float] | None
-
-
-ESTIMATORS = {
-    "rle-additive": Estimator(
-        lambda acc, p, seed: rle_additive_estimate(acc, float(p["epsilon"]), seed),
-        _exact_rle,
-        lambda e, n: additive_plan(n, int(e.get("sigma", 2)), float(e["epsilon"])).bound,
-    ),
-    "rle-bucketed": Estimator(
-        lambda acc, p, seed: rle_bucketed_estimate(
-            acc, float(p["epsilon"]), float(p.get("delta", 1 / 3)), seed
-        ),
-        _exact_rle,
-        lambda e, n: bucketed_plan(
-            n, int(e.get("sigma", 2)), float(e["epsilon"]), float(e.get("delta", 1 / 3))
-        ).bound,
-    ),
-    "rle-search": Estimator(
-        lambda acc, p, seed: rle_multiplicative_search(acc, seed),
-        _exact_rle,
-        lambda e, n: search_query_ceiling(n, float(e["exact"])),
-    ),
-    # No ceiling below n has been derived for the refined search's reads, so
-    # its row claims none.
-    "rle-refined": Estimator(
-        lambda acc, p, seed: rle_refined_search(acc, float(p["gamma"]), seed),
-        _exact_rle,
-        None,
-    ),
-    "colors": Estimator(
-        lambda acc, p, seed: colors_estimate(acc, float(p["lambda"]), seed),
-        _exact_colors,
-        lambda e, n: colors_plan(n, float(e["lambda"]), 1).bound,
-    ),
-    "colors-amplified": Estimator(
-        lambda acc, p, seed: colors_estimate_amplified(
-            acc, float(p["lambda"]), float(p.get("delta", 1 / 3)), seed
-        ),
-        _exact_colors,
-        lambda e, n: colors_plan(
-            n, float(e["lambda"]), amplification_runs(float(e.get("delta", 1 / 3)))
-        ).bound,
-    ),
-    "lz": Estimator(
-        lambda acc, p, seed: lz_estimate(acc, float(p["A"]), float(p["epsilon"]), seed),
-        _exact_lz,
-        lambda e, n: _lz_plan(e, n).bound,
-    ),
-}
 
 
 def build_builtin(name: str, n: int, seed: int) -> np.ndarray:
@@ -183,6 +89,8 @@ def _build_instance(spec: dict, seed: int | None) -> QueryCountedString:
         return QueryCountedString.from_tokens(data, spec.get("alphabet_size"))
     if kind == "generator":
         use_seed = spec.get("seed", 0) if seed is None else seed
+        from .generators import GeneratorSpec
+
         built = GeneratorSpec(spec["family"], spec.get("params", {}), int(use_seed)).build()
         if isinstance(built, QueryCountedString):
             return built
@@ -265,6 +173,9 @@ class CampaignResult:
         }
 
     def to_csv_text(self) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
@@ -379,14 +290,14 @@ def audit_queries(entries: list) -> list[AuditRow]:
             name = e["estimator"]
             if name not in ESTIMATORS:
                 raise ValueError(f"audit entry {i}: unknown estimator {name!r}")
-            ceiling = ESTIMATORS[name].ceiling
-            if ceiling is None:
+            row = ESTIMATORS[name]
+            if row.plan is None:
                 raise ValueError(f"audit entry {i}: {name} has no query ceiling")
             try:
                 n, used = int(e["n"]), int(e["queries_used"])
                 if not 0 <= used <= n or n < 1:
                     raise ValueError(f"need 0 <= queries_used <= n and n >= 1, not {used} and {n}")
-                rows.append(AuditRow(label=name, n=n, queries_used=used, ceiling=float(ceiling(e, n))))
+                rows.append(AuditRow(label=name, n=n, queries_used=used, ceiling=row.ceiling(e, n)))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"audit entry {i} ({name}): {exc}") from None
         except KeyError as exc:

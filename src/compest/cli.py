@@ -16,6 +16,7 @@ reads past its ceiling; 2 for a usage or input fault, which prints one
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -23,17 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .accessor import QueryCountedString, _alphabet_for
-from .campaign import ESTIMATORS, CampaignConfig, audit_queries, run_campaign, write_result
-from .generators import FAMILIES, GeneratorSpec
-from .lz import distinguish_compressible
-from .oracles import (
-    exact_color_count,
-    exact_distinct_substrings,
-    exact_lz_cost,
-    rle_part_chunks,
-    rle_total_cost,
-)
+from .accessor import QueryCountedString
+from .estimators import ESTIMATORS
+
+# Each subcommand imports the modules it runs, and only those: a CLI op is a
+# process of its own, whose imports are a share of its wall time.
 
 
 def _emit(obj: dict) -> None:
@@ -65,6 +60,8 @@ def _emit_breakdown(scheme: str, parts) -> None:
 
 
 def _cmd_exact(args) -> int:
+    from .oracles import exact_color_count, exact_distinct_substrings, exact_lz_cost, rle_part_chunks
+
     acc = QueryCountedString.from_file(args.file, args.alphabet_size)
     data = acc.session().read_all()
     if args.scheme == "rle":
@@ -95,6 +92,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_lz_distinguish(args) -> int:
+    from .lz import distinguish_compressible
+
     acc = QueryCountedString.from_file(args.file, args.alphabet_size)
     result = distinguish_compressible(acc, args.lo, args.hi, args.seed)
     _emit(result.to_json_dict())
@@ -111,17 +110,22 @@ def _token_bytes(arr: np.ndarray) -> tuple[bytes, int]:
 
 def _cmd_gen(args) -> int:
     """Build one GeneratorSpec; the option names are its params keys."""
+    from .generators import GeneratorSpec
+    from .oracles import exact_lz_cost, rle_total_cost
+
     params = vars(args)
     if args.source:
         params["tau"] = np.frombuffer(Path(args.source).read_bytes(), dtype=np.uint8)
-    spec = GeneratorSpec(args.family, params, args.seed)
-    built = spec.build()
-    arr = built.materialize() if isinstance(built, QueryCountedString) else built
+    built = GeneratorSpec(args.family, params, args.seed).build()
+    if isinstance(built, QueryCountedString):  # priced at its own alphabet, as a campaign prices it
+        acc, arr = built, built.materialize()
+    else:
+        acc, arr = QueryCountedString.from_tokens(built), built
     raw, width = _token_bytes(arr)
     with open(args.out, "wb") as fh:
         fh.write(raw)
     if args.emit_meta:
-        alphabet = _alphabet_for(arr, None)
+        alphabet = acc.alphabet_size
         meta = {
             "family": args.family,
             "seed": args.seed,
@@ -138,6 +142,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_campaign_run(args) -> int:
+    from .campaign import CampaignConfig, run_campaign, write_result
+
     config = CampaignConfig.from_json_file(args.config)
     result = run_campaign(config)
     if config.output:
@@ -153,6 +159,8 @@ def _cmd_campaign_run(args) -> int:
 
 
 def _cmd_campaign_audit(args) -> int:
+    from .campaign import audit_queries
+
     with open(args.reports, "r", encoding="utf-8") as fh:
         rows = audit_queries(json.load(fh))
     _emit(
@@ -171,6 +179,24 @@ def _cmd_campaign_audit(args) -> int:
         }
     )
     return 0 if all(r.within for r in rows) else 1
+
+
+class _Choices:
+    """argparse choices from a module's table, imported only once argparse
+    checks or lists them, so that building the parser imports nothing that
+    one subcommand alone runs."""
+
+    def __init__(self, module: str, name: str):
+        self._module, self._name = module, name
+
+    def _names(self):
+        return getattr(importlib.import_module(f".{self._module}", __package__), self._name)
+
+    def __contains__(self, value) -> bool:
+        return value in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lz_distinguish)
 
     p = sub.add_parser("gen", help="generate adversarial instances")
-    p.add_argument("--family", choices=FAMILIES, required=True)
+    # set after add_argument, whose metavar check would list the choices
+    p.add_argument("--family", required=True).choices = _Choices("generators", "FAMILIES")
     p.add_argument("--n", type=int, default=1024, help="length (wk, coin)")
     p.add_argument("--k", type=int, default=16, help="block count (wk)")
     p.add_argument("--p", type=float, default=0.5, help="heads bias (coin)")

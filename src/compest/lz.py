@@ -164,8 +164,10 @@ class LzEstimateParams:
 
     @staticmethod
     def derive(A: float, epsilon: float, n: int) -> "LzEstimateParams":
-        if A <= 1:
+        if not A > 1:
             raise ValueError("A must be > 1")
+        if A == math.inf:
+            raise ValueError("A must be finite")
         if not 0 < epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
         if A * epsilon >= 2:

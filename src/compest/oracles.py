@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accessor import _alphabet_for, distinct_count
-from .suffixes import distinct_length_profile, lz_factorize
 
 
 def as_symbols(w) -> np.ndarray:
@@ -149,6 +148,8 @@ def exact_lz_cost(w) -> CostBreakdown:
     identical to the direct quadratic longest-match scan (the tests compare
     the two), in O(n log^2 n) time.
     """
+    from .suffixes import lz_factorize  # the suffix layer loads only for LZ and distinct counts
+
     arr = as_symbols(w)
     if arr.size == 0:
         raise ValueError("empty string")
@@ -158,6 +159,8 @@ def exact_lz_cost(w) -> CostBreakdown:
 
 def exact_distinct_substrings(w, ell: int) -> int:
     """Number of distinct (possibly overlapping) length-``ell`` substrings."""
+    from .suffixes import distinct_length_profile
+
     arr = as_symbols(w)
     n = arr.size
     if not 1 <= ell <= n:
@@ -172,6 +175,8 @@ def distinct_profile(w, ell_max: int) -> np.ndarray:
     Suffix-array based, like :func:`exact_distinct_substrings`; the tests
     check both against a brute-force window hash.
     """
+    from .suffixes import distinct_length_profile
+
     arr = as_symbols(w)
     if arr.size == 0:
         raise ValueError("empty string")

@@ -322,7 +322,7 @@ def _geometric_buckets(ell0: int, alphabet_size: int, ratio: float) -> list[tupl
 class BucketPlan(ReadPlan):
     """A bucketed round's plan: ``buckets`` rows (h, low, high, cap, weight)
     and each row's q_h = min(q, ceil(q * weight_h)), q the round's sample
-    count (its ``draws`` when it samples)."""
+    count, its ``draws``. A plan that scans has neither."""
 
     buckets: tuple
     q_hs: tuple
@@ -332,7 +332,10 @@ def bucketed_plan(
     n: int, alphabet_size: int, epsilon: float, delta: float, ratio: float = 2.0, q_scale: float = 1.0
 ) -> BucketPlan:
     """One bucketed round at (epsilon, delta): a scan once q reaches
-    ``SCAN_SHARE * n``, else q reads plus the probes' final caps.
+    ``SCAN_SHARE * n``, with no bucket rows, else q reads plus the probes'
+    final caps. The scan is decided first: a refined round at small gamma
+    has about log(ell0) / log(ratio) rows, and scans long before it could
+    sample them.
 
     Going from the last bucket back, bucket h sets the caps of the probes
     from the largest later q_h up to its own q_h; whatever the order of the
@@ -340,12 +343,12 @@ def bucketed_plan(
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    ell0 = additive_probe_cap(epsilon, alphabet_size)
-    buckets = tuple(_geometric_buckets(ell0, alphabet_size, ratio))
+    ell0 = additive_probe_cap(epsilon, alphabet_size)  # checks epsilon and sigma, scan or not
     q = math.ceil(bucketed_sample_count(epsilon, delta) * q_scale)
-    q_hs = tuple(min(q, math.ceil(q * weight)) for *_, weight in buckets)
     if q >= SCAN_SHARE * n:
-        return BucketPlan(True, 0, n, buckets, q_hs)
+        return BucketPlan(True, 0, n, (), ())
+    buckets = tuple(_geometric_buckets(ell0, alphabet_size, ratio))
+    q_hs = tuple(min(q, math.ceil(q * weight)) for *_, weight in buckets)
     bound, covered = q, 0
     for (*_, cap, weight), q_h in zip(reversed(buckets), reversed(q_hs)):
         bound += cap * max(0, q_h - covered)
@@ -546,6 +549,8 @@ def rle_refined_search_detailed(w: QueryCountedString, gamma: float, seed: int) 
     if not 0 < gamma < 2.0**62:
         raise ValueError(f"gamma must be > 0 and below 2^62, not {gamma}")
     ratio = 1.0 + gamma / 2.0
+    if ratio == 1.0:  # gamma <= 2^-52: the buckets' widths, and log2(ratio), would be 0
+        raise ValueError(f"gamma must be above 2^-52, not {gamma}")
     # Per-bucket population estimates aim for relative error eta; the clamp
     # keeps the interval arithmetic sane for very loose gamma.
     eta = min(gamma / 8.0, 0.4)

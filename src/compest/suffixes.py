@@ -285,6 +285,8 @@ def suffix_array(arr: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, 
         ranks += [None] * level  # built below only if a pair round reads it
     k = 1 << (len(ranks) - 1)
     while top != n - 1 and (stop is None or k < stop):
+        if k >= n:  # every length-k prefix is a whole suffix, and no two suffixes are equal
+            raise RuntimeError(f"ranks still tied at prefix length {k} >= n = {n}; the doubling is broken")
         if ranks[-1] is None:
             ranks[-1] = _rank_level(order, new)  # one scatter, for the round that reads it
         del order, new  # each round sorts afresh

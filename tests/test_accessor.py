@@ -171,12 +171,18 @@ def test_empty_rejected():
 def test_alphabet_size_floor_and_validation():
     w = QueryCountedString.from_tokens(np.zeros(5, dtype=np.uint8))
     assert w.alphabet_size == 2
-    with pytest.raises(ValueError):
-        QueryCountedString.from_tokens(np.arange(5), alphabet_size=3)
+    # a declared size below the distinct count raises on first use, not at
+    # construction, and again on every later use
+    short = QueryCountedString.from_tokens(np.arange(5), alphabet_size=3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="5 distinct symbols exceed declared alphabet size 3"):
+            short.alphabet_size
+    with pytest.raises(ValueError, match="exceed declared alphabet size 3"):
+        short.session().alphabet_size
     # a declared size is checked before the floor: below the distinct count it raises
     for declared in (1, 0, -3):
         with pytest.raises(ValueError, match="exceed declared alphabet size"):
-            QueryCountedString.from_tokens([0, 1, 1, 0], alphabet_size=declared)
+            QueryCountedString.from_tokens([0, 1, 1, 0], alphabet_size=declared).alphabet_size
     assert QueryCountedString.from_tokens(np.zeros(5, dtype=np.uint8), alphabet_size=1).alphabet_size == 2
     # provider-backed strings have no symbols to check at construction and keep the floor
     lazy = QueryCountedString.from_provider(lambda idx: np.zeros(idx.size, np.uint8), 5, 1)
@@ -195,6 +201,119 @@ def _run_threads(worker, count):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+
+
+def test_concurrent_first_uses_of_the_alphabet_agree(monkeypatch):
+    # the pass runs once, under the string's lock, whichever thread asks first
+    calls = []
+    real = accessor._alphabet_for
+    monkeypatch.setattr(accessor, "_alphabet_for", lambda *a: calls.append(1) or real(*a))
+    w = QueryCountedString.from_tokens(np.random.default_rng(3).integers(0, 7, 300_000).astype(np.uint8))
+    sizes = [None] * 8
+
+    def worker(i):
+        sizes[i] = (w if i % 2 else w.session()).alphabet_size
+
+    _run_threads(worker, 8)
+    assert sizes == [7] * 8 and len(calls) == 1
+
+
+def _counting_distinct(monkeypatch):
+    """Record the size of every array given to ``distinct_count``, from every
+    module that holds it."""
+    import compest
+
+    sizes = []
+    real = accessor.distinct_count
+    for name in ("accessor", "colors", "oracles"):
+        module = getattr(compest, name)
+        monkeypatch.setattr(module, "distinct_count", lambda v, *a: sizes.append(np.size(v)) or real(v, *a))
+    return sizes
+
+
+def _counting_reads(monkeypatch):
+    """Record the number of positions asked of every read_many call."""
+    asked = []
+    real = QuerySession.read_many
+    monkeypatch.setattr(QuerySession, "read_many", lambda self, pos: asked.append(np.size(pos)) or real(self, pos))
+    return asked
+
+
+def test_colors_and_lz_runs_make_no_alphabet_pass(tmp_path, monkeypatch):
+    from compest import lz_estimate
+
+    n = 1 << 20
+    path = tmp_path / "w.bin"
+    np.random.default_rng(6).integers(0, 4, size=n, dtype=np.uint8).tofile(path)
+    sizes, asked = _counting_distinct(monkeypatch), _counting_reads(monkeypatch)
+    w = QueryCountedString.from_file(path)
+    colors = colors_estimate(w, 20.0, seed=1)
+    assert sum(sizes) <= sum(asked) < n and colors.queries_used < n
+    sizes.clear(), asked.clear()
+    lz = lz_estimate(w, 40.0, 0.01, seed=1)
+    assert sum(sizes) <= sum(asked) < n and lz.queries_used < n
+    # a declared size below the distinct count does not stop either run
+    short = QueryCountedString.from_file(path, alphabet_size=2)
+    assert colors_estimate(short, 20.0, seed=1) == colors
+    assert lz_estimate(short, 40.0, 0.01, seed=1) == lz
+    assert sum(sizes) < n
+
+
+def test_rle_on_bytes_declared_256_makes_no_alphabet_pass(tmp_path, monkeypatch):
+    n = 1 << 20
+    path = tmp_path / "w.bin"
+    np.random.default_rng(7).integers(0, 2, size=n, dtype=np.uint8).tofile(path)
+    sizes = _counting_distinct(monkeypatch)
+    for declared in (256, 300):
+        w = QueryCountedString.from_file(path, alphabet_size=declared)
+        rle_additive_estimate(w, 0.1, seed=1)
+        assert w.alphabet_size == declared and sizes == []
+    w = QueryCountedString.from_file(path, alphabet_size=2)  # below 256: checked once, on first use
+    rle_additive_estimate(w, 0.1, seed=1)
+    assert w.alphabet_size == 2 and sizes == [n]
+
+
+def test_rle_on_an_inferred_alphabet_keeps_its_reports(tmp_path):
+    # the alphabet pass moved from construction to first use: the reports did
+    # not change (pinned from the version that counted at construction)
+    from compest.cli import main
+    import io
+    import json
+    from contextlib import redirect_stdout
+
+    path = tmp_path / "acgt.bin"
+    np.frombuffer(b"ACGT", np.uint8)[np.random.default_rng(34).integers(0, 4, size=200_000)].tofile(path)
+    want = {
+        ("additive", "--epsilon", "0.1"): (494224.8677248677, 6416),
+        ("bucketed", "--epsilon", "0.2"): (507549.77876106196, 12776),
+        ("search",): (490615.5515113291, 2341),
+        ("refined", "--gamma", "0.5"): (490666.0, 200000),
+    }
+    for (mode, *opts), (estimate, reads) in want.items():
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert main(["rle-est", "--mode", mode, *opts, "--seed", "5", str(path)]) == 0
+        report = json.loads(buf.getvalue())
+        assert (report["estimate"], report["queries_used"]) == (estimate, reads), mode
+    assert QueryCountedString.from_file(path).alphabet_size == 4
+
+
+def test_one_byte_distinct_count_lanes():
+    # one max (a seen prefix 0..k), one == per seen symbol (at most 8), a
+    # scatter (a wide alphabet), and the lanes switching mid-input
+    rng = np.random.default_rng(9)
+    chunk = accessor._SEEN_CHUNK
+    cases = [
+        rng.integers(0, 2, 3 * chunk, dtype=np.uint8),
+        np.frombuffer(b"ACGT", np.uint8)[rng.integers(0, 4, 2 * chunk + 5)],
+        rng.integers(65, 91, 2 * chunk, dtype=np.uint8),
+        np.concatenate([np.full(chunk, 7, np.uint8), rng.integers(0, 256, 9, dtype=np.uint8)]),
+        np.concatenate([np.full(chunk + 3, 200, np.uint8), np.arange(9, dtype=np.uint8)]),
+        np.concatenate([np.zeros(chunk, np.uint8), np.arange(256, dtype=np.uint8), np.ones(chunk, np.uint8)]),
+    ]
+    for i, arr in enumerate(cases):
+        assert distinct_count(arr) == np.unique(arr).size, i
+        assert distinct_count(arr.view(np.int8)) == np.unique(arr).size, i
 
 
 def test_concurrent_sessions_are_safe():
@@ -519,8 +638,8 @@ def test_from_file_rejects_empty_file_and_small_declared_alphabet(tmp_path):
         QueryCountedString.from_file(empty)
     path = tmp_path / "w.bin"
     path.write_bytes(bytes([1, 2, 3, 1]))
-    with pytest.raises(ValueError):
-        QueryCountedString.from_file(path, alphabet_size=2)
+    with pytest.raises(ValueError, match="3 distinct symbols exceed declared alphabet size 2"):
+        QueryCountedString.from_file(path, alphabet_size=2).alphabet_size  # raises on first use
     assert QueryCountedString.from_file(path, alphabet_size=3).alphabet_size == 3
 
 
@@ -621,6 +740,7 @@ def test_a_mapped_file_without_a_page_release_keeps_its_pages(tmp_path, monkeypa
 
 _PEAK_CHILD = """
 import sys
+import compest.colors, compest.estimators, compest.rle  # imported before the baseline: the runs' code is not their data
 from compest.cli import main
 
 def hwm_kib():

@@ -70,12 +70,12 @@ def test_campaign_zero_trials_rejected(tmp_path):
 
 
 def test_campaign_unknown_estimator_fails_before_any_work(tmp_path, monkeypatch):
-    from compest import campaign
+    from compest import oracles
 
     def oracle_called(*args, **kwargs):
         raise AssertionError("the exact oracle ran for an unknown estimator")
 
-    monkeypatch.setattr(campaign, "exact_lz_cost", oracle_called)
+    monkeypatch.setattr(oracles, "exact_lz_cost", oracle_called)
     with pytest.raises(ValueError, match="unknown estimator 'colorz'"):
         make_config(tmp_path, estimator="colorz", params={"lambda": 3})
     cfg_path = tmp_path / "colorz.json"
@@ -166,30 +166,33 @@ def test_campaign_oracles_read_every_symbol_and_check_a_providers_alphabet():
 
 
 @pytest.mark.parametrize("name, params, estimator, oracle", [
-    ("rle-additive", {"epsilon": 0.1}, "rle_additive_estimate", "rle_total_cost"),
-    ("rle-bucketed", {"epsilon": 0.2}, "rle_bucketed_estimate", "rle_total_cost"),
-    ("rle-search", {}, "rle_multiplicative_search", "rle_total_cost"),
-    ("rle-refined", {"gamma": 0.5}, "rle_refined_search", "rle_total_cost"),
-    ("colors", {"lambda": 3}, "colors_estimate", "exact_color_count"),
-    ("colors-amplified", {"lambda": 3}, "colors_estimate_amplified", "exact_color_count"),
-    ("lz", {"A": 4, "epsilon": 0.1}, "lz_estimate", "exact_lz_cost"),
+    ("rle-additive", {"epsilon": 0.1}, "rle.rle_additive_estimate", "oracles.rle_total_cost"),
+    ("rle-bucketed", {"epsilon": 0.2}, "rle.rle_bucketed_estimate", "oracles.rle_total_cost"),
+    ("rle-search", {}, "rle.rle_multiplicative_search", "oracles.rle_total_cost"),
+    ("rle-refined", {"gamma": 0.5}, "rle.rle_refined_search", "oracles.rle_total_cost"),
+    ("colors", {"lambda": 3}, "colors.colors_estimate", "oracles.exact_color_count"),
+    ("colors-amplified", {"lambda": 3}, "colors.colors_estimate_amplified", "oracles.exact_color_count"),
+    ("lz", {"A": 4, "epsilon": 0.1}, "lz.lz_estimate", "oracles.exact_lz_cost"),
 ])
 def test_estimator_rows_resolve_module_globals_at_call_time(
     tmp_path, monkeypatch, name, params, estimator, oracle
 ):
     # Tracing and profiling swap these module attributes; a row that held
     # the function object itself would bypass the swap.
-    from compest import campaign
+    import importlib
 
+    assert (ESTIMATORS[name].estimator, ESTIMATORS[name].oracle) == (estimator, oracle)
     calls = []
-    for attr in (estimator, oracle):
-        original = getattr(campaign, attr)
+    for ref in (estimator, oracle):
+        module, attr = ref.split(".")
+        module = importlib.import_module(f"compest.{module}")
+        original = getattr(module, attr)
 
-        def recorded(*args, _attr=attr, _original=original, **kwargs):
-            calls.append(_attr)
+        def recorded(*args, _ref=ref, _original=original, **kwargs):
+            calls.append(_ref)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(campaign, attr, recorded)
+        monkeypatch.setattr(module, attr, recorded)
     run_campaign(make_config(tmp_path, estimator=name, params=params, trials=1))
     assert calls == [oracle, estimator]
 
@@ -556,6 +559,22 @@ def test_cli_gen_col2lz_from_source(tmp_path):
     assert raw.tolist() == expected.materialize().tolist()
 
 
+def test_cli_gen_meta_prices_col2lz_at_its_declared_sigma(tmp_path):
+    # the sidecar prices a provider-backed instance at its own alphabet, as a
+    # campaign does, not at the distinct count of its output
+    out = str(tmp_path / "c.bin")
+    code, _ = run_cli(["gen", "--family", "col2lz", "--sigma", "70000", "--seed", "7",
+                       "--out", out, "--emit-meta"])
+    assert code == 0
+    meta = json.loads(Path(out + ".meta.json").read_text())
+    spec = {"kind": "generator", "family": "col2lz", "seed": 7,
+            "params": {"n_prime": 500, "colors": 50, "alpha_prime": 0.1, "sigma": 70000}}
+    acc = build_instance(spec)
+    assert meta["alphabet_size"] == acc.alphabet_size == 70000
+    assert meta["exact_rle_cost"] == ESTIMATORS["rle-additive"].exact(acc)
+    assert meta["n"] == acc.length
+
+
 def test_cli_gen_writes_multibyte_tokens(tmp_path):
     # a symbol that needs 3 bytes is written in 4: numpy has no 3-byte integer
     for m, ell0, width in ((300, 2, 2), (70_000, 1, 4)):
@@ -733,10 +752,15 @@ def _config_text(**overrides):
      "gamma must be > 0 and below 2^62, not nan"),
     (["rle-est", "--mode", "refined", "--gamma", "1e300", "{sample}"], {},
      "gamma must be > 0 and below 2^62, not 1e+300"),
+    (["rle-est", "--mode", "refined", "--gamma", "1e-16", "{sample}"], {},
+     "gamma must be above 2^-52, not 1e-16"),
+    (["lz-est", "--A", "nan", "--epsilon", "0.1", "{sample}"], {}, "A must be > 1"),
+    (["lz-est", "--A", "inf", "--epsilon", "0.1", "{sample}"], {}, "A must be finite"),
 ], ids=["unknown-builtin", "no-epsilon", "no-kind", "missing-config", "missing-reports",
         "missing-input", "empty-input", "epsilon-5", "alphabet-below-distinct",
         "distinct-without-ell", "wk-k-1", "lo-above-hi", "null-builtin-n", "null-generator-param",
-        "numeric-path", "lambda-inf", "lambda-nan", "gamma-inf", "gamma-nan", "gamma-1e300"])
+        "numeric-path", "lambda-inf", "lambda-nan", "gamma-inf", "gamma-nan", "gamma-1e300",
+        "gamma-tiny", "A-nan", "A-inf"])
 def test_cli_input_faults_exit_2(tmp_path, capsys, sample_file, argv, files, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -880,6 +880,33 @@ def test_refined_rejects_bad_gamma():
             rle_refined_search(w, gamma, seed=1)
 
 
+def test_refined_rejects_a_gamma_whose_ratio_rounds_to_one():
+    # 1 + gamma / 2 is 1.0 at gamma <= 2^-52: log2(ratio) would divide by zero
+    w = acc(alternating(100))
+    for gamma in (2.0**-52, 1e-16, 5e-324):
+        with pytest.raises(ValueError, match="gamma must be above 2\\^-52"):
+            rle_refined_search(w, gamma, seed=1)
+    assert rle_refined_search(w, 2.0**-51, seed=1).estimate == rle_total_cost(alternating(100), 2)
+
+
+def test_a_scanning_plan_builds_no_bucket_rows(monkeypatch):
+    # the scan is decided before any bucket row: at small gamma a refined
+    # round has ~log(ell0) / log(1 + gamma/2) rows, and only scans
+    calls = []
+    real = rle._geometric_buckets
+    monkeypatch.setattr(rle, "_geometric_buckets", lambda *a: calls.append(a) or real(*a))
+    n = 100_000
+    plan = bucketed_plan(n, 2, 0.01, 1 / 3)
+    assert plan.scan and (plan.draws, plan.bound, plan.buckets, plan.q_hs) == (0, n, (), ())
+    arr = random_symbols(n, 2, seed=8)
+    trace = rle_refined_search_detailed(acc(arr), 1e-4, seed=2)
+    assert trace.switch == "plan" and trace.report.estimate == rle_total_cost(arr, 2)
+    assert calls == []
+    with pytest.raises(ValueError, match="epsilon must be in"):  # checked on the scan lane too
+        bucketed_plan(10, 2, 5.0, 1 / 3)
+    assert not bucketed_plan(10**12, 2, 0.05, 1 / 3).scan and len(calls) == 1
+
+
 def test_refined_alternating_within_factor():
     n = 2**16
     w = acc(alternating(n))

@@ -398,3 +398,18 @@ def test_empty_input():
     assert sa.size == 0 and ranks == []
     starts, lengths = lz_factorize(np.array([], dtype=np.uint8))
     assert starts.size == lengths.size == 0
+
+
+def test_doubling_that_never_separates_ties_raises(monkeypatch):
+    # a broken pair round must fail once the prefix length passes n, not loop
+    calls = []
+
+    def stuck(rank, k, top, word=64):
+        calls.append(k)
+        n = rank.size - 1
+        return np.arange(n), np.zeros(n - 1, dtype=bool)
+
+    monkeypatch.setattr(suffixes, "_pair_order", stuck)
+    with pytest.raises(RuntimeError, match="ranks still tied at prefix length 128 >= n = 100"):
+        suffixes.suffix_array(np.zeros(100, dtype=np.uint8))
+    assert calls == [32, 64]
