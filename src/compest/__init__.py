@@ -46,7 +46,9 @@ _EXPORTS = {
     ],
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_MODULES = {"accessor", "campaign", "cli", "colors", "generators", "lz", "oracles", "rle", "suffixes"}
+_MODULES = {
+    "accessor", "campaign", "cli", "colors", "estimators", "generators", "lz", "oracles", "rle", "suffixes",
+}
 
 __version__ = "0.1.0"
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -207,11 +208,19 @@ def test_concurrent_first_uses_of_the_alphabet_agree(monkeypatch):
     # the pass runs once, under the string's lock, whichever thread asks first
     calls = []
     real = accessor._alphabet_for
-    monkeypatch.setattr(accessor, "_alphabet_for", lambda *a: calls.append(1) or real(*a))
+
+    def slow_pass(*args):  # holds the pass open while the other threads ask
+        calls.append(1)
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(accessor, "_alphabet_for", slow_pass)
     w = QueryCountedString.from_tokens(np.random.default_rng(3).integers(0, 7, 300_000).astype(np.uint8))
     sizes = [None] * 8
+    start = threading.Barrier(8, timeout=60)
 
     def worker(i):
+        start.wait()
         sizes[i] = (w if i % 2 else w.session()).alphabet_size
 
     _run_threads(worker, 8)
@@ -249,7 +258,8 @@ def test_colors_and_lz_runs_make_no_alphabet_pass(tmp_path, monkeypatch):
     w = QueryCountedString.from_file(path)
     colors = colors_estimate(w, 20.0, seed=1)
     assert sum(sizes) <= sum(asked) < n and colors.queries_used < n
-    sizes.clear(), asked.clear()
+    sizes.clear()
+    asked.clear()
     lz = lz_estimate(w, 40.0, 0.01, seed=1)
     assert sum(sizes) <= sum(asked) < n and lz.queries_used < n
     # a declared size below the distinct count does not stop either run
