@@ -173,7 +173,7 @@ def test_campaign_oracles_read_every_symbol_and_check_a_providers_alphabet():
     ("colors", {"lambda": 3}, "colors.colors_estimate", "oracles.exact_color_count"),
     ("colors-amplified", {"lambda": 3}, "colors.colors_estimate_amplified", "oracles.exact_color_count"),
     ("lz", {"A": 4, "epsilon": 0.1}, "lz.lz_estimate", "oracles.exact_lz_cost"),
-])
+], ids=lambda v: v.rpartition(".")[2] if isinstance(v, str) else None)
 def test_estimator_rows_resolve_module_globals_at_call_time(
     tmp_path, monkeypatch, name, params, estimator, oracle
 ):
